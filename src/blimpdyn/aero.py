@@ -16,6 +16,7 @@ design matrix silently.
 """
 
 from dataclasses import dataclass, replace
+import math
 
 import numpy as np
 
@@ -152,6 +153,21 @@ def eval_coeffs(model, alpha, beta):
     )
 
 
+def _wind_loads(model, alpha, beta, V, w, rho):
+    """Drag, side force, lift and the three moments as six floats; `w` is
+    a 3-sequence of body rates."""
+    c = eval_coeffs(model, alpha, beta)
+    q = 0.5 * rho * V * V * model.a_ref
+    return (
+        q * c.cd,
+        q * c.cs,
+        q * c.cl,
+        q * c.cm1 + model.k1 * w[0],
+        q * c.cm2 + model.k2 * w[1],
+        q * c.cm3 + model.k3 * w[2],
+    )
+
+
 def aero_loads(model, a, w, rho):
     """Wind-frame loads at aerodynamic state `a` with body rates `w`.
 
@@ -161,16 +177,7 @@ def aero_loads(model, a, w, rho):
     if rho <= 0:
         raise ValueError("air density must be positive")
     w = np.asarray(w, dtype=float).reshape(3)
-    c = eval_coeffs(model, a.alpha, a.beta)
-    q = 0.5 * rho * a.V * a.V * model.a_ref
-    return AeroLoads(
-        D=q * c.cd,
-        S=q * c.cs,
-        L=q * c.cl,
-        M1=q * c.cm1 + model.k1 * w[0],
-        M2=q * c.cm2 + model.k2 * w[1],
-        M3=q * c.cm3 + model.k3 * w[2],
-    )
+    return AeroLoads(*_wind_loads(model, a.alpha, a.beta, a.V, w, rho))
 
 
 def loads_to_body(a, loads):
@@ -179,6 +186,24 @@ def loads_to_body(a, loads):
     F = R @ np.array([-loads.D, loads.S, -loads.L])
     T = R @ np.array([loads.M1, loads.M2, loads.M3])
     return F, T
+
+
+def _body_loads(model, alpha, beta, V, w, rho):
+    """Body-frame aerodynamic force and torque as six floats: `aero_loads`
+    resolved by `loads_to_body`, in scalar arithmetic for the hot paths.
+    `w` is a 3-sequence of body rates; rho is not checked."""
+    D, S, L, M1, M2, M3 = _wind_loads(model, alpha, beta, V, w, rho)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    # Columns of the wind-to-body rotation applied to (-D, S, -L) and (M1, M2, M3).
+    return (
+        -ca * cb * D - ca * sb * S + sa * L,
+        -sb * D + cb * S,
+        -sa * cb * D - sa * sb * S - ca * L,
+        ca * cb * M1 - ca * sb * M2 - sa * M3,
+        sb * M1 + cb * M2,
+        sa * cb * M1 - sa * sb * M2 + ca * M3,
+    )
 
 
 @dataclass(frozen=True)

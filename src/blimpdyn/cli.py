@@ -48,7 +48,8 @@ from .sysid import (
 
 FLOAT_FMT = "%.9g"
 
-# Survey grids from the steady-flight experiment campaign.
+# Survey grids from the steady-flight experiment campaign; the acceptance
+# criteria in `validation` use the same grids.
 TRIM_DRX_CM = tuple(range(-5, 6))
 TRIM_THRUST_GF = 2.0
 SPIRAL_DRX_CM = (-1, 0, 1, 2, 3, 4)

@@ -1,28 +1,24 @@
 """Nonlinear 6-DOF dynamics with moving-mass actuation.
 
-Assembles the generalized force and torque, the 9x9 mass matrix coupling
-body acceleration to moving-mass acceleration, and the full state
-derivative.  The 9x9 system is solved (LU with partial pivoting), never
-inverted.
+The generalized force and torque are written once, in `_balance`, as
+scalar arithmetic; the state derivative, the steady-state residual and the
+load inversion of system identification all call it.  The 9x9 mass matrix
+coupling body acceleration to moving-mass acceleration is kept in matrix
+form as the reference (`mass_matrix`, `thrust_columns`); `deriv_vector`
+solves the same system by its block structure, never inverting it.
 """
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from . import aero as aeromod
-from .frames import (
-    EulerAngles,
-    GimbalLock,
-    State,
-    aero_angles,
-    euler_rate_matrix,
-    rotation_body_to_inertial,
-)
+from .frames import GIMBAL_EPS, V_MIN, GimbalLock, rotation_body_to_inertial
 
 
 class SingularMass(RuntimeError):
-    """The 9x9 mass-matrix solve failed (should not occur for valid params)."""
+    """The mass-matrix solve failed (should not occur for valid params)."""
 
 
 @dataclass(frozen=True)
@@ -78,35 +74,6 @@ def total_inertia(params, rbar):
     return params.inertia - params.mbar * (S @ S)
 
 
-def generalized_force(state, control, aero_force, params, legacy=False):
-    """Generalized force on the translational channel (thrust excluded;
-    thrust enters through the input matrix)."""
-    R = rotation_body_to_inertial(state.e)
-    v, w = state.v, state.w
-    l_g, _ = composite_cg(params, state.rbar)
-    grav = params.net_weight * R.T[:, 2]
-    f = params.total_mass * np.cross(v, w) + grav + aero_force
-    f += 2.0 * params.mbar * np.cross(state.rbardot, w)
-    if not legacy:
-        f += np.cross(np.cross(w, l_g), w)
-    return f
-
-
-def generalized_torque(state, aero_torque, params, legacy=False):
-    """Generalized torque on the rotational channel."""
-    v, w, rbar = state.v, state.w, state.rbar
-    l_g, _ = composite_cg(params, rbar)
-    R = rotation_body_to_inertial(state.e)
-    Itot = total_inertia(params, rbar)
-    t = (Itot @ w).copy()
-    t = np.cross(t, w)
-    t += np.cross(l_g, params.g * R.T[:, 2]) + aero_torque
-    t += 2.0 * params.mbar * np.cross(rbar, np.cross(state.rbardot, w))
-    if not legacy:
-        t += np.cross(l_g, np.cross(v, w))
-    return t
-
-
 def mass_matrix(params, rbar, legacy=False):
     """The 9x9 block mass matrix M; callers solve M x = rhs.
 
@@ -147,50 +114,161 @@ def thrust_columns(rbar, d, simple_yaw=False):
     return cols
 
 
-def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=False):
-    """State derivative on the packed 18-vector; the hot path for integration."""
-    phi, theta = y[3], y[4]
-    if abs(theta) >= np.pi / 2 - 1e-3:
-        raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
-    e = EulerAngles(phi, theta, y[5])
-    R = rotation_body_to_inertial(e)
-    J = euler_rate_matrix(e)
-    v, w = y[6:9], y[9:12]
-    rbar, rbardot = y[12:15], y[15:18]
+def _mass_terms(params, rx, ry, rz):
+    """First mass moment l_g and total inertia Itot (row-major) at the
+    moving-mass position (rx, ry, rz), as floats."""
+    m, mbar = params.m, params.mbar
+    r0x, r0y, r0z = params.r.tolist()
+    (Ixx, Ixy, Ixz), (Iyx, Iyy, Iyz), (Izx, Izy, Izz) = params.inertia.tolist()
+    # Itot = I - mbar Sr Sr = I + mbar (|r|^2 I - r r^T)
+    r2 = rx * rx + ry * ry + rz * rz
+    return (
+        (m * r0x + mbar * rx, m * r0y + mbar * ry, m * r0z + mbar * rz),
+        (
+            Ixx + mbar * (r2 - rx * rx), Ixy - mbar * rx * ry, Ixz - mbar * rx * rz,
+            Iyx - mbar * ry * rx, Iyy + mbar * (r2 - ry * ry), Iyz - mbar * ry * rz,
+            Izx - mbar * rz * rx, Izy - mbar * rz * ry, Izz + mbar * (r2 - rz * rz),
+        ),
+    )
 
-    a = aero_angles(v)
-    loads = aeromod.aero_loads(model, a, w, params.rho)
-    F_aero, T_aero = aeromod.loads_to_body(a, loads)
 
-    l_g, _ = composite_cg(params, rbar)
-    gcol = R.T[:, 2]
+def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False, simple_yaw=False):
+    """Generalized force and torque, aerodynamics and the Fbar channel
+    excluded, as six floats (fx, fy, fz, tx, ty, tz).
 
-    f = params.total_mass * np.cross(v, w) + params.net_weight * gcol + F_aero
-    f += 2.0 * params.mbar * np.cross(rbardot, w)
-    Itot = params.inertia - params.mbar * (skew(rbar) @ skew(rbar))
-    t = np.cross(Itot @ w, w) + np.cross(l_g, params.g * gcol) + T_aero
-    t += 2.0 * params.mbar * np.cross(rbar, np.cross(rbardot, w))
+    This is the first six rows of the right-hand side of M a = rhs without
+    the aero loads: Coriolis and centripetal terms, net weight, the gravity
+    torque of the composite CG, the moving-mass velocity terms and the
+    propeller thrusts (the first two columns of `thrust_columns`).
+    `legacy` drops the CG-offset coupling terms; `simple_yaw` drops the
+    lateral moving-mass lever arm of the yaw moment.  `v`, `w`, `gcol`
+    (the inertial down axis in body axes), `rbar` and `rbardot` are
+    3-sequences of floats.
+    """
+    vx, vy, vz = v
+    wx, wy, wz = w
+    gx, gy, gz = gcol
+    rx, ry, rz = rbar
+    sx, sy, sz = rbardot
+    (lx, ly, lz), (Ixx, Ixy, Ixz, Iyx, Iyy, Iyz, Izx, Izy, Izz) = _mass_terms(params, rx, ry, rz)
+    m_tot, mbar2, W, g = params.total_mass, 2.0 * params.mbar, params.net_weight, params.g
+    thrust = Fl + Fr
+
+    cx, cy, cz = vy * wz - vz * wy, vz * wx - vx * wz, vx * wy - vy * wx          # v x w
+    dx, dy, dz = sy * wz - sz * wy, sz * wx - sx * wz, sx * wy - sy * wx          # rbardot x w
+    hx = Ixx * wx + Ixy * wy + Ixz * wz                                           # Itot w
+    hy = Iyx * wx + Iyy * wy + Iyz * wz
+    hz = Izx * wx + Izy * wy + Izz * wz
+
+    fx = m_tot * cx + W * gx + mbar2 * dx + thrust
+    fy = m_tot * cy + W * gy + mbar2 * dy
+    fz = m_tot * cz + W * gz + mbar2 * dz
+    tx = hy * wz - hz * wy + g * (ly * gz - lz * gy) + mbar2 * (ry * dz - rz * dy)
+    ty = hz * wx - hx * wz + g * (lz * gx - lx * gz) + mbar2 * (rz * dx - rx * dz) + rz * thrust
+    tz = (hx * wy - hy * wx + g * (lx * gy - ly * gx) + mbar2 * (rx * dy - ry * dx)
+          + (0.0 if simple_yaw else ry) * thrust + params.d * (Fl - Fr))
     if not legacy:
-        f += np.cross(np.cross(w, l_g), w)
-        t += np.cross(l_g, np.cross(v, w))
+        ex, ey, ez = wy * lz - wz * ly, wz * lx - wx * lz, wx * ly - wy * lx      # w x l_g
+        fx += ey * wz - ez * wy                                                   # (w x l_g) x w
+        fy += ez * wx - ex * wz
+        fz += ex * wy - ey * wx
+        tx += ly * cz - lz * cy                                                   # l_g x (v x w)
+        ty += lz * cx - lx * cz
+        tz += lx * cy - ly * cx
+    return fx, fy, fz, tx, ty, tz
 
-    rhs = np.concatenate([f, t, np.zeros(3)])
-    rhs += thrust_columns(rbar, params.d, simple_yaw) @ np.concatenate([[Fl, Fr], Fbar])
 
-    M = mass_matrix(params, rbar, legacy=legacy)
-    try:
-        acc = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMass(str(exc)) from exc
+def _solve3(a, b, c, d, e, f, g, h, i, x, y, z):
+    """Solve [[a b c] [d e f] [g h i]] u = (x, y, z) by the adjugate."""
+    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * A + b * B + c * C
+    if det == 0.0:
+        raise SingularMass("singular rotational block of the mass matrix")
+    return (
+        (A * x + (c * h - b * i) * y + (b * f - c * e) * z) / det,
+        (B * x + (a * i - c * g) * y + (c * d - a * f) * z) / det,
+        (C * x + (b * g - a * h) * y + (a * e - b * d) * z) / det,
+    )
 
-    ydot = np.empty(18)
-    ydot[0:3] = R @ v
-    ydot[3:6] = J @ w
-    ydot[6:9] = acc[0:3]
-    ydot[9:12] = acc[3:6]
-    ydot[12:15] = rbardot
-    ydot[15:18] = acc[6:9]
-    return ydot
+
+def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=False):
+    """State derivative on the packed 18-vector; the hot path for integration.
+
+    Solves M a = rhs by the block structure of `mass_matrix`.  Its last
+    block row is [0 0 I], so the moving-mass acceleration is Fbar exactly;
+    with f and t the force and torque less the Fbar reaction, the
+    rotational block reduces by Schur complement to the 3x3 system
+
+        (Itot + Sl Sl / m_tot) wdot = t - l_g x f / m_tot,
+        vdot = (f + l_g x wdot) / m_tot,
+
+    whose matrix is the inertia about the composite CG.  The legacy model
+    has no l_g coupling, so there the blocks decouple.
+    """
+    (_, _, _, phi, theta, psi, u, v, w, p, q, r,
+     rx, ry, rz, sx, sy, sz) = np.asarray(y, dtype=float).tolist()
+    if abs(theta) >= math.pi / 2 - GIMBAL_EPS:
+        raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
+    if not (math.isfinite(phi) and math.isfinite(theta) and math.isfinite(psi)):
+        raise ValueError("non-finite Euler angles")
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    tth = math.tan(theta)
+
+    V = math.sqrt(u * u + v * v + w * w)
+    if V < V_MIN:
+        alpha = beta = 0.0
+    else:
+        alpha = math.atan2(w, u)
+        beta = math.asin(min(1.0, max(-1.0, v / V)))
+    fax, fay, faz, tax, tay, taz = aeromod._body_loads(model, alpha, beta, V, (p, q, r), params.rho)
+    fx, fy, fz, tx, ty, tz = _balance(
+        (u, v, w), (p, q, r), (-sth, cth * sphi, cth * cphi), (rx, ry, rz), (sx, sy, sz),
+        Fl, Fr, params, legacy, simple_yaw,
+    )
+
+    bx, by, bz = np.asarray(Fbar, dtype=float).tolist()
+    mbar = params.mbar
+    fx += fax - mbar * bx
+    fy += fay - mbar * by
+    fz += faz - mbar * bz
+    tx += tax - mbar * (ry * bz - rz * by)
+    ty += tay - mbar * (rz * bx - rx * bz)
+    tz += taz - mbar * (rx * by - ry * bx)
+
+    (lx, ly, lz), (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = _mass_terms(params, rx, ry, rz)
+    m_tot = params.total_mass
+    if legacy:
+        wdx, wdy, wdz = _solve3(Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz, tx, ty, tz)
+        vdx, vdy, vdz = fx / m_tot, fy / m_tot, fz / m_tot
+    else:
+        # K = Itot + Sl Sl / m_tot = Itot + (l l^T - |l|^2 I) / m_tot
+        l2 = lx * lx + ly * ly + lz * lz
+        wdx, wdy, wdz = _solve3(
+            Kxx + (lx * lx - l2) / m_tot, Kxy + lx * ly / m_tot, Kxz + lx * lz / m_tot,
+            Kyx + ly * lx / m_tot, Kyy + (ly * ly - l2) / m_tot, Kyz + ly * lz / m_tot,
+            Kzx + lz * lx / m_tot, Kzy + lz * ly / m_tot, Kzz + (lz * lz - l2) / m_tot,
+            tx - (ly * fz - lz * fy) / m_tot,
+            ty - (lz * fx - lx * fz) / m_tot,
+            tz - (lx * fy - ly * fx) / m_tot,
+        )
+        vdx = (fx + ly * wdz - lz * wdy) / m_tot
+        vdy = (fy + lz * wdx - lx * wdz) / m_tot
+        vdz = (fz + lx * wdy - ly * wdx) / m_tot
+
+    return np.array([
+        cpsi * cth * u + (cpsi * sth * sphi - spsi * cphi) * v + (cpsi * sth * cphi + spsi * sphi) * w,
+        spsi * cth * u + (spsi * sth * sphi + cpsi * cphi) * v + (spsi * sth * cphi - cpsi * sphi) * w,
+        -sth * u + cth * sphi * v + cth * cphi * w,
+        p + sphi * tth * q + cphi * tth * r,
+        cphi * q - sphi * r,
+        (sphi * q + cphi * r) / cth,
+        vdx, vdy, vdz,
+        wdx, wdy, wdz,
+        sx, sy, sz,
+        bx, by, bz,
+    ])
 
 
 def state_derivative(state, control, params, model, legacy=False, simple_yaw=False):

@@ -6,19 +6,14 @@ A steady solution is parameterized by the six unknowns
 derived from them, which keeps the Newton system 6x6 and well-scaled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import aero as aeromod
-from .dynamics import ControlInput, composite_cg, deriv_vector, mass_matrix, skew, total_inertia
-from .frames import (
-    AeroAngles,
-    EulerAngles,
-    State,
-    rotation_body_to_inertial,
-    wind_matrix,
-)
+from .dynamics import _balance, deriv_vector
+from .frames import EulerAngles, State, rotation_body_to_inertial
 
 STALL_ALPHA = aeromod.STALL_ALPHA
 
@@ -77,55 +72,29 @@ class StabilityReport:
 
 
 def _unknowns_to_kinematics(x):
-    """Map (theta, phi, psidot, V, alpha, beta) to attitude, v_b, w_b."""
+    """Map (theta, phi, psidot, V, alpha, beta) to the body velocity, the
+    body rates and the inertial down axis in body axes, as float triples."""
     theta, phi, psidot, V, alpha, beta = x
-    v_b = wind_matrix(alpha, beta) @ np.array([V, 0.0, 0.0])
-    # Steady turn: omega = psidot * R^T k.
-    sth, cth = np.sin(theta), np.cos(theta)
-    sphi, cphi = np.sin(phi), np.cos(phi)
-    w_b = psidot * np.array([-sth, sphi * cth, cphi * cth])
-    return theta, phi, v_b, w_b
+    sth, cth = math.sin(theta), math.cos(theta)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    # Body velocity: the wind-to-body rotation applied to (V, 0, 0).
+    v_b = (ca * cb * V, sb * V, sa * cb * V)
+    # Steady turn: omega = psidot * R^T k, and R^T k is the down axis.
+    gcol = (-sth, sphi * cth, cphi * cth)
+    w_b = (psidot * gcol[0], psidot * gcol[1], psidot * gcol[2])
+    return v_b, w_b, gcol
 
 
 def _raw_residual(x, Fl, Fr, rbar, params, model):
     """Unscaled force/moment balance of the steady-state equations."""
-    theta, phi, v_b, w_b = _unknowns_to_kinematics(x)
-    _, _, psidot, V, alpha, beta = x
-    e = EulerAngles(phi, theta, 0.0)
-    R = rotation_body_to_inertial(e)
-    gcol = R.T[:, 2]
-
-    c = aeromod.eval_coeffs(model, alpha, beta)
-    q = 0.5 * params.rho * V * V * model.a_ref
-    Rvb = wind_matrix(alpha, beta)
-    F_aero = Rvb @ np.array([-q * c.cd, q * c.cs, -q * c.cl])
-    T_aero = Rvb @ np.array(
-        [
-            q * c.cm1 + model.k1 * w_b[0],
-            q * c.cm2 + model.k2 * w_b[1],
-            q * c.cm3 + model.k3 * w_b[2],
-        ]
-    )
-
-    l_g, _ = composite_cg(params, rbar)
-    Itot = total_inertia(params, rbar)
-
-    resF = (
-        F_aero
-        + params.total_mass * np.cross(v_b, w_b)
-        + np.cross(np.cross(w_b, l_g), w_b)
-        + params.net_weight * gcol
-        + np.array([Fl + Fr, 0.0, 0.0])
-    )
-    resT = (
-        T_aero
-        + np.cross(l_g, np.cross(v_b, w_b))
-        + np.cross(Itot @ w_b, w_b)
-        + np.cross(l_g, params.g * gcol)
-        + (Fl + Fr) * np.array([0.0, rbar[2], rbar[1]])
-        + (Fl - Fr) * params.d * np.array([0.0, 0.0, 1.0])
-    )
-    return np.concatenate([resF, resT])
+    x = np.asarray(x, dtype=float).tolist()
+    v_b, w_b, gcol = _unknowns_to_kinematics(x)
+    aero = aeromod._body_loads(model, x[4], x[5], x[3], w_b, params.rho)
+    rest = _balance(v_b, w_b, gcol, np.asarray(rbar, dtype=float).tolist(), (0.0, 0.0, 0.0),
+                    Fl, Fr, params)
+    return np.array([a + b for a, b in zip(aero, rest)])
 
 
 def _scales(params, rbar):
@@ -196,7 +165,7 @@ def _damped_newton(fun, x0, tol=1e-9, step_tol=1e-10, max_iter=100):
 
 
 def _make_solution(x, fnorm, kind):
-    theta, phi, v_b, w_b = _unknowns_to_kinematics(x)
+    v_b, w_b, _ = _unknowns_to_kinematics(x)
     return SteadySolution(
         theta=float(x[0]),
         phi=float(x[1]),
@@ -204,8 +173,8 @@ def _make_solution(x, fnorm, kind):
         V=float(x[3]),
         alpha=float(x[4]),
         beta=float(x[5]),
-        v_b=v_b,
-        w_b=w_b,
+        v_b=np.array(v_b),
+        w_b=np.array(w_b),
         residual_norm=float(fnorm),
         kind=kind,
         stalled=abs(x[4]) > STALL_ALPHA,

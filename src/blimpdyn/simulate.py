@@ -14,7 +14,7 @@ import numpy as np
 from scipy.signal import medfilt
 
 from .dynamics import deriv_vector
-from .frames import GF_TO_N, GimbalLock, State, aero_angles, rotation_body_to_inertial
+from .frames import GF_TO_N, V_MIN, GimbalLock, State
 
 # Moving-mass rail motion limits for position-command ("goto") segments.
 MM_VMAX = 0.05   # m/s
@@ -203,23 +203,33 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     return _finish_trajectory(t, states, dt, status)
 
 
+def _inertial_velocity(states):
+    """Inertial velocity R(e) v of every sample of an (n, 18) state array,
+    as three length-n arrays (the rows of `rotation_body_to_inertial`)."""
+    phi, theta, psi, u, v, w = states[:, 3:9].T
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    cth, sth = np.cos(theta), np.sin(theta)
+    cpsi, spsi = np.cos(psi), np.sin(psi)
+    return (
+        cpsi * cth * u + (cpsi * sth * sphi - spsi * cphi) * v + (cpsi * sth * cphi + spsi * sphi) * w,
+        spsi * cth * u + (spsi * sth * sphi + cpsi * cphi) * v + (spsi * sth * cphi - cpsi * sphi) * w,
+        -sth * u + cth * sphi * v + cth * cphi * w,
+    )
+
+
 def _finish_trajectory(t, states, dt, status):
     n = t.size
-    V = np.empty(n)
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    Vz = np.empty(n)
-    psidot = np.empty(n)
-    for k in range(n):
-        s = State.from_vector(states[k])
-        a = aero_angles(s.v)
-        V[k], alpha[k], beta[k] = a.V, a.alpha, a.beta
-        R = rotation_body_to_inertial(s.e)
-        v_in = R @ s.v
-        Vz[k] = v_in[2]
-        cth = np.cos(s.e.theta)
-        # Third row of J omega; cth cannot vanish (gimbal guard upstream).
-        psidot[k] = (np.sin(s.e.phi) * s.w[1] + np.cos(s.e.phi) * s.w[2]) / cth
+    v = states[:, 6:9]
+    # Aerodynamic angles as in `aero_angles`: zero below V_MIN.
+    V = np.linalg.norm(v, axis=1)
+    moving = V >= V_MIN
+    alpha = np.where(moving, np.arctan2(v[:, 2], v[:, 0]), 0.0)
+    ratio = np.divide(v[:, 1], V, out=np.zeros(n), where=moving)
+    beta = np.where(moving, np.arcsin(np.clip(ratio, -1.0, 1.0)), 0.0)
+    Vz = _inertial_velocity(states)[2]
+    # Third row of J omega; cos(theta) cannot vanish (gimbal guard upstream).
+    phi, theta = states[:, 3], states[:, 4]
+    psidot = (np.sin(phi) * states[:, 10] + np.cos(phi) * states[:, 11]) / np.cos(theta)
     traj = Trajectory(
         t=t, states=states, dt=dt, status=status,
         V=V, alpha=alpha, beta=beta, Vz=Vz, psidot=psidot,
@@ -237,11 +247,7 @@ def turning_radius_series(traj, window):
     if window < 10 * traj.dt - 1e-12:
         raise ValueError("window must be at least 10 dt")
     n = len(traj)
-    hs = np.empty(n)
-    for k in range(n):
-        s = State.from_vector(traj.states[k])
-        v_in = rotation_body_to_inertial(s.e) @ s.v
-        hs[k] = np.hypot(v_in[0], v_in[1])
+    hs = np.hypot(*_inertial_velocity(traj.states)[:2])
     slow = np.abs(traj.psidot) < PSIDOT_MIN
     R = np.where(slow, np.inf, hs / np.maximum(np.abs(traj.psidot), PSIDOT_MIN))
     ksz = int(round(window / traj.dt))
@@ -269,11 +275,7 @@ def glide_metrics(traj, steady_fraction=0.5):
     if traj.t[-1] - traj.t[0] < 2.0:
         raise ValueError("trajectory must be longer than 2 s")
     n = len(traj)
-    forward = np.empty(n)
-    for k in range(n):
-        s = State.from_vector(traj.states[k])
-        v_in = rotation_body_to_inertial(s.e) @ s.v
-        forward[k] = np.hypot(v_in[0], v_in[1])
+    forward = np.hypot(*_inertial_velocity(traj.states)[:2])
     descent = traj.Vz
     k0 = n // 2 if steady_fraction == 0.5 else int(n * (1.0 - steady_fraction))
     mean_desc = float(np.mean(descent[k0:]))

@@ -18,8 +18,7 @@ from scipy.optimize import least_squares
 from scipy.signal import savgol_filter
 
 from . import aero as aeromod
-from .dynamics import composite_cg, total_inertia
-from .equilibria import _raw_residual
+from .dynamics import _balance
 from .frames import (
     GF_TO_N,
     AeroAngles,
@@ -285,37 +284,19 @@ def observation_from_solution(sol, dr_x, Fl, Fr, params):
 def invert_aero(obs, params):
     """Wind-frame aerodynamic loads implied by one steady observation.
 
-    Isolates F_aero/T_aero from the steady force and moment balance (all
-    other terms are computable from the observation and parameters), then
-    resolves them into the wind frame with the sign conventions
-    D = -x, S = +y, L = -z."""
-    e = EulerAngles(obs.phi, obs.theta, 0.0)
-    R = rotation_body_to_inertial(e)
-    gcol = R.T[:, 2]
+    The steady balance says the aero loads cancel the rest of the
+    generalized force and torque (`dynamics._balance`, which is computable
+    from the observation and parameters); the negated remainder is resolved
+    into the wind frame with the sign conventions D = -x, S = +y, L = -z."""
     aa = AeroAngles(obs.alpha, obs.beta, obs.V)
-    v_b = wind_to_body(aa) @ np.array([obs.V, 0.0, 0.0])
-    w_b = obs.w_b
-    rbar = obs.rbar
-
-    l_g, _ = composite_cg(params, rbar)
-    Itot = total_inertia(params, rbar)
-
-    F_aero = -(
-        params.total_mass * np.cross(v_b, w_b)
-        + np.cross(np.cross(w_b, l_g), w_b)
-        + params.net_weight * gcol
-        + np.array([obs.Fl + obs.Fr, 0.0, 0.0])
-    )
-    T_aero = -(
-        np.cross(l_g, np.cross(v_b, w_b))
-        + np.cross(Itot @ w_b, w_b)
-        + np.cross(l_g, params.g * gcol)
-        + (obs.Fl + obs.Fr) * np.array([0.0, rbar[2], rbar[1]])
-        + (obs.Fl - obs.Fr) * params.d * np.array([0.0, 0.0, 1.0])
-    )
+    R = rotation_body_to_inertial(EulerAngles(obs.phi, obs.theta, 0.0))
     Rvb = wind_to_body(aa)
-    fw = Rvb.T @ F_aero
-    mw = Rvb.T @ T_aero
+    rest = _balance((obs.V * Rvb[:, 0]).tolist(), np.asarray(obs.w_b, dtype=float).tolist(),
+                    R[2].tolist(), np.asarray(obs.rbar, dtype=float).tolist(), (0.0, 0.0, 0.0),
+                    obs.Fl, obs.Fr, params)
+    aero = -np.array(rest)
+    fw = Rvb.T @ aero[:3]
+    mw = Rvb.T @ aero[3:]
     return aeromod.AeroLoads(D=-fw[0], S=fw[1], L=-fw[2], M1=mw[0], M2=mw[1], M3=mw[2])
 
 

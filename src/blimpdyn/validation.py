@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aero import PARAM_NAMES, aero_loads, lift_drag_analysis
+from .cli import SPIRAL_DIFF_GF, SPIRAL_DRX_CM, SPIRAL_TOTAL_GF, TRIM_DRX_CM, TRIM_THRUST_GF
 from .dynamics import ControlInput, mechanical_energy
 from .equilibria import (
     eigen_report,
@@ -35,14 +36,6 @@ from .sysid import (
     trajectory_to_trial,
     write_trial,
 )
-
-# Survey grids from the steady-flight experiment campaign (shared with the
-# CLI trim/spiral verbs; duplicated here to keep this module import-light).
-TRIM_DRX_CM = tuple(range(-5, 6))
-TRIM_THRUST_GF = 2.0
-SPIRAL_DRX_CM = (-1, 0, 1, 2, 3, 4)
-SPIRAL_DIFF_GF = (-3.2, -3.7, -4.2, -4.3, -4.4, -4.9)
-SPIRAL_TOTAL_GF = 7.0
 
 MC_SEED = 20260824
 

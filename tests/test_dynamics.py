@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blimpdyn.dynamics import (
     ControlInput,
@@ -12,7 +14,15 @@ from blimpdyn.dynamics import (
     thrust_columns,
     total_inertia,
 )
-from blimpdyn.frames import EulerAngles, GimbalLock, State
+from blimpdyn.frames import (
+    GIMBAL_EPS,
+    V_MIN,
+    AeroAngles,
+    EulerAngles,
+    GimbalLock,
+    State,
+    aero_angles,
+)
 
 
 def _state(phi=0.0, theta=0.1, psi=0.0, v=(0.8, 0.0, 0.1), w=(0.0, 0.0, 0.0),
@@ -82,35 +92,37 @@ def test_thrust_columns_lever_arms(params):
     assert np.isclose(gen_s[4], gen[4])
 
 
-def test_derivative_solves_mass_matrix_exactly(params, model):
-    """The returned accelerations satisfy M a = rhs: re-assemble the rhs
-    independently and check the residual."""
-    from blimpdyn.aero import aero_loads, loads_to_body
-    from blimpdyn.frames import aero_angles, rotation_body_to_inertial
+@given(
+    euler=st.tuples(st.floats(-3.0, 3.0), st.floats(-1.4, 1.4), st.floats(-3.0, 3.0)),
+    v=st.tuples(st.floats(-1.5, 1.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    w=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    drbar=st.tuples(st.floats(-0.06, 0.06), st.floats(-0.01, 0.01), st.floats(-0.02, 0.02)),
+    rbardot=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
+    Fbar=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    thrust=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+    legacy=st.booleans(),
+    simple_yaw=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_derivative_solves_mass_matrix_exactly(params, model, reference_rhs, euler, v, w,
+                                               drbar, rbardot, Fbar, thrust, legacy,
+                                               simple_yaw):
+    """The block-structured solve in deriv_vector reproduces the 9x9 matrix
+    reference: the accelerations satisfy M a = rhs with the rhs assembled
+    independently, and agree with np.linalg.solve(M, rhs)."""
+    s = _state(*euler, v=v, w=w, rbar=params.rbar0 + np.array(drbar), rbardot=rbardot,
+               params=params)
+    Fl, Fr = thrust
+    ydot = deriv_vector(s.as_vector(), Fl, Fr, np.array(Fbar), params, model,
+                        legacy=legacy, simple_yaw=simple_yaw)
 
-    s = _state(phi=0.05, theta=0.12, v=(0.7, 0.05, 0.12), w=(0.02, -0.01, 0.1),
-               rbardot=(0.01, 0.0, 0.0), params=params)
-    c = ControlInput(0.02, 0.015, np.zeros(3))
-    d = state_derivative(s, c, params, model)
-
-    a = aero_angles(s.v)
-    F_aero, T_aero = loads_to_body(a, aero_loads(model, a, s.w, params.rho))
-    R = rotation_body_to_inertial(s.e)
-    gcol = R.T[:, 2]
-    l_g, _ = composite_cg(params, s.rbar)
-    f = (params.total_mass * np.cross(s.v, s.w)
-         + np.cross(np.cross(s.w, l_g), s.w)
-         + params.net_weight * gcol + F_aero
-         + 2.0 * params.mbar * np.cross(s.rbardot, s.w))
-    t = (np.cross(total_inertia(params, s.rbar) @ s.w, s.w)
-         + np.cross(l_g, np.cross(s.v, s.w))
-         + np.cross(l_g, params.g * gcol) + T_aero
-         + 2.0 * params.mbar * np.cross(s.rbar, np.cross(s.rbardot, s.w)))
-    rhs = np.concatenate([f, t, np.zeros(3)])
-    rhs += thrust_columns(s.rbar, params.d) @ np.array([c.Fl, c.Fr, 0.0, 0.0, 0.0])
-
-    acc = np.concatenate([d.vdot, d.wdot, d.rbarddot])
-    assert np.allclose(mass_matrix(params, s.rbar) @ acc, rhs, atol=1e-12)
+    rhs = reference_rhs(s, Fl, Fr, Fbar, params, model, legacy=legacy, simple_yaw=simple_yaw)
+    M = mass_matrix(params, s.rbar, legacy=legacy)
+    acc = np.concatenate([ydot[6:12], ydot[15:18]])
+    assert np.allclose(M @ acc, rhs, atol=1e-12)
+    ref = np.linalg.solve(M, rhs)
+    np.testing.assert_allclose(acc, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+    assert np.array_equal(ydot[12:15], s.rbardot)
 
 
 def test_kinematic_rows(params, model):
@@ -176,6 +188,48 @@ def test_gimbal_lock_raises_in_derivative(params, model):
     y = _state(theta=np.pi / 2 - 1e-4, params=params).as_vector()
     with pytest.raises(GimbalLock):
         deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_gimbal_lock_boundary_in_derivative(params, model, sign):
+    """The guard is |theta| >= pi/2 - GIMBAL_EPS: it fires on the boundary
+    and not one float inside it."""
+    edge = np.pi / 2 - GIMBAL_EPS
+    y = _state(theta=sign * edge, params=params).as_vector()
+    with pytest.raises(GimbalLock):
+        deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)
+    y[4] = sign * np.nextafter(edge, 0.0)
+    assert np.all(np.isfinite(deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)))
+
+
+@pytest.mark.parametrize("index", [3, 4, 5])
+def test_nan_euler_angle_rejected_in_derivative(params, model, index):
+    y = _state(params=params).as_vector()
+    y[index] = np.nan
+    with pytest.raises(ValueError, match="non-finite Euler angles"):
+        deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (-0.5 * V_MIN, 0.5 * V_MIN, 0.0)])
+def test_zero_aero_angles_at_rest(params, model, reference_rhs, v):
+    """Below V_MIN alpha = beta = 0, so the rotational damping acts along
+    the body axes; a sideways, backwards velocity would otherwise rotate it."""
+    s = _state(v=v, w=(0.3, -0.2, 0.4), params=params)
+    ydot = deriv_vector(s.as_vector(), 0.0, 0.0, np.zeros(3), params, model)
+    rhs = reference_rhs(s, 0.0, 0.0, np.zeros(3), params, model)
+    ref = np.linalg.solve(mass_matrix(params, s.rbar), rhs)
+    np.testing.assert_allclose(ydot[6:12], ref[:6], rtol=1e-10, atol=1e-15)
+
+    from blimpdyn.aero import aero_loads, loads_to_body
+
+    a = aero_angles(np.array(v))
+    assert a.alpha == 0.0 and a.beta == 0.0
+    if a.V > 0.0:
+        # The true flow angles of this velocity give a different torque.
+        tilted = AeroAngles(np.arctan2(v[2], v[0]), np.arcsin(v[1] / a.V), a.V)
+        _, T_tilted = loads_to_body(tilted, aero_loads(model, tilted, s.w, params.rho))
+        _, T_rest = loads_to_body(a, aero_loads(model, a, s.w, params.rho))
+        assert not np.allclose(T_tilted, T_rest)
 
 
 def test_negative_thrust_rejected():

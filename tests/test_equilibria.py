@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blimpdyn.dynamics import ControlInput, state_derivative
 from blimpdyn.equilibria import (
@@ -13,7 +15,7 @@ from blimpdyn.equilibria import (
     steady_residual,
     turning_radius,
 )
-from blimpdyn.frames import GF_TO_N
+from blimpdyn.frames import GF_TO_N, EulerAngles, State, wind_matrix
 
 
 F2 = 2.0 * GF_TO_N
@@ -74,6 +76,33 @@ def test_balanced_configuration_is_exact_solution(params, model):
     x0 = np.zeros(6)
     assert np.allclose(_raw_residual(x0, 0.0, 0.0, np.zeros(3), p, m), 0.0,
                        atol=1e-15)
+
+
+@given(
+    x=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.8, 0.8), st.floats(-1.0, 1.0),
+                st.floats(0.05, 2.0), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    thrust=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+    dr_x=st.floats(-0.06, 0.06),
+)
+@settings(max_examples=100, deadline=None)
+def test_raw_residual_matches_matrix_balance(params, model, reference_rhs, x, thrust, dr_x):
+    """The steady residual is the generalized force of the matrix reference
+    at zero accelerations, with the body velocity and rates of the unknowns."""
+    from blimpdyn.equilibria import _raw_residual
+
+    theta, phi, psidot, V, alpha, beta = x
+    Fl, Fr = thrust
+    rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
+    s = State(
+        p=np.zeros(3), e=EulerAngles(phi, theta, 0.0),
+        v=wind_matrix(alpha, beta) @ np.array([V, 0.0, 0.0]),
+        w=psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
+                             np.cos(phi) * np.cos(theta)]),
+        rbar=rbar, rbardot=np.zeros(3),
+    )
+    ref = reference_rhs(s, Fl, Fr, np.zeros(3), params, model)[:6]
+    got = _raw_residual(np.array(x), Fl, Fr, rbar, params, model)
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 
 def test_spiral_grid_subset(params, model):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.signal import medfilt
 
 from blimpdyn.equilibria import solve_spiral, solve_straight, turning_radius
-from blimpdyn.frames import GF_TO_N, EulerAngles, State
+from blimpdyn.frames import GF_TO_N, EulerAngles, State, aero_angles, rotation_body_to_inertial
 from blimpdyn.simulate import (
     MM_AMAX,
     MM_VMAX,
+    PSIDOT_MIN,
     DegenerateDescent,
     InputSchedule,
     Segment,
@@ -199,3 +201,59 @@ def test_rk4_convergence_order(params, model):
     e2 = np.linalg.norm(finals[0.01] - finals[0.005])
     order = np.log2(e1 / e2)
     assert 3.5 <= order <= 4.5
+
+
+def _per_sample_analysis(traj, window):
+    """Trajectory series computed one sample at a time from State objects:
+    the reference for the vectorized analysis."""
+    cols = {name: [] for name in ("V", "alpha", "beta", "Vz", "psidot", "hs")}
+    for y in traj.states:
+        s = State.from_vector(y)
+        a = aero_angles(s.v)
+        v_in = rotation_body_to_inertial(s.e) @ s.v
+        cols["V"].append(a.V)
+        cols["alpha"].append(a.alpha)
+        cols["beta"].append(a.beta)
+        cols["Vz"].append(v_in[2])
+        cols["psidot"].append((np.sin(s.e.phi) * s.w[1] + np.cos(s.e.phi) * s.w[2])
+                              / np.cos(s.e.theta))
+        cols["hs"].append(np.hypot(v_in[0], v_in[1]))
+    ref = {k: np.array(v) for k, v in cols.items()}
+    psidot = ref["psidot"]
+    R = np.where(np.abs(psidot) < PSIDOT_MIN, np.inf,
+                 ref["hs"] / np.maximum(np.abs(psidot), PSIDOT_MIN))
+    ksz = int(round(window / traj.dt)) | 1
+    big = 1e12
+    Rs = medfilt(np.where(np.isfinite(R), R, big), ksz)
+    ref["R"] = np.where(Rs > big / 2, np.inf, Rs)
+    return ref
+
+
+@pytest.mark.parametrize("start", ["spiral", "rest"])
+def test_trajectory_analysis_matches_per_sample_formulas(params, model, start):
+    """The vectorized series of integrate, turning_radius_series and
+    glide_metrics equal the per-sample State/aero_angles/rotation formulas;
+    the flight from rest starts at zero airspeed."""
+    if start == "spiral":
+        Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
+        sol = solve_spiral(0.0, Fl, Fr, params, model)
+        s0 = sol.state(params.rbar0)
+    else:
+        Fl = Fr = 0.0
+        s0 = _rest_state(params)
+    traj = integrate(s0, InputSchedule.constant(Fl, Fr, 3.0), params, model, T=3.0)
+    assert traj.status == "ok"
+    ref = _per_sample_analysis(traj, 1.0)
+    if start == "rest":
+        assert ref["V"][0] == 0.0 and traj.alpha[0] == 0.0 and traj.beta[0] == 0.0
+    for name in ("V", "alpha", "beta", "Vz", "psidot", "R"):
+        np.testing.assert_allclose(getattr(traj, name), ref[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+    np.testing.assert_allclose(turning_radius_series(traj, 0.5),
+                               _per_sample_analysis(traj, 0.5)["R"], rtol=1e-12, atol=1e-12)
+    forward, descent, ratio = glide_metrics(traj)
+    np.testing.assert_allclose(forward, ref["hs"], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(descent, ref["Vz"], rtol=1e-12, atol=1e-12)
+    k0 = len(traj) // 2
+    assert np.isclose(ratio, np.mean(ref["hs"][k0:]) / np.mean(ref["Vz"][k0:]),
+                      rtol=1e-12, atol=0.0)

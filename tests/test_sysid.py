@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blimpdyn.aero import aero_loads
+from blimpdyn.aero import aero_loads, loads_to_body
 from blimpdyn.equilibria import solve_spiral, solve_straight
-from blimpdyn.frames import GF_TO_N, AeroAngles
+from blimpdyn.frames import GF_TO_N, AeroAngles, EulerAngles, State, wind_to_body
 from blimpdyn.simulate import InputSchedule, integrate
 from blimpdyn.sysid import (
     InsufficientSpan,
     NotSteady,
     RankDeficient,
     SchemaError,
+    SteadyObservation,
     UnitError,
     average_by_setting,
     extract_steady,
@@ -162,6 +165,33 @@ class TestInvertAero:
         assert abs(inv.S) < 1e-10
         assert abs(inv.M1) < 1e-10
         assert abs(inv.M3) < 1e-10
+
+
+    @given(
+        x=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.8, 0.8), st.floats(-1.0, 1.0),
+                    st.floats(0.05, 2.0), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+        thrust=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+        dr_x=st.floats(-0.06, 0.06),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cancels_matrix_balance(self, params, model, reference_rhs, x, thrust, dr_x):
+        """Resolved back into body axes, the inverted loads cancel the
+        non-aero generalized force of the matrix reference."""
+        theta, phi, psidot, V, alpha, beta = x
+        Fl, Fr = thrust
+        rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
+        a = AeroAngles(alpha, beta, V)
+        w_b = psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
+                                 np.cos(phi) * np.cos(theta)])
+        obs = SteadyObservation(theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha,
+                                beta=beta, w_b=w_b, Fl=Fl, Fr=Fr, rbar=rbar, kind="spiral")
+        s = State(p=np.zeros(3), e=EulerAngles(phi, theta, 0.0),
+                  v=wind_to_body(a) @ np.array([V, 0.0, 0.0]), w=w_b,
+                  rbar=rbar, rbardot=np.zeros(3))
+        ref = -reference_rhs(s, Fl, Fr, np.zeros(3), params, model, aero=False)[:6]
+        F, T = loads_to_body(a, invert_aero(obs, params))
+        got = np.concatenate([F, T])
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 
 class TestMirrorAugment:
