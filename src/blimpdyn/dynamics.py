@@ -97,19 +97,17 @@ def mass_matrix(params, rbar, legacy=False):
     return M
 
 
-def thrust_columns(rbar, d, simple_yaw=False):
+def thrust_columns(rbar, d):
     """Raw 9x5 input map: columns for Fl, Fr, and the Fbar channel.
 
-    The yaw-moment lever arm includes the lateral moving-mass offset
-    rbar_y; `simple_yaw` drops it, keeping only the propeller offset d,
-    to quantify the difference between the two readings.
+    The yaw-moment lever arm of each propeller is the lateral moving-mass
+    offset rbar_y plus or minus the propeller offset d.
     """
-    ry = 0.0 if simple_yaw else rbar[1]
     cols = np.zeros((9, 5))
     cols[0, 0] = cols[0, 1] = 1.0
     cols[4, 0] = cols[4, 1] = rbar[2]
-    cols[5, 0] = ry + d
-    cols[5, 1] = ry - d
+    cols[5, 0] = rbar[1] + d
+    cols[5, 1] = rbar[1] - d
     cols[6:9, 2:5] = np.eye(3)
     return cols
 
@@ -132,7 +130,7 @@ def _mass_terms(params, rx, ry, rz):
     )
 
 
-def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False, simple_yaw=False):
+def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False):
     """Generalized force and torque, aerodynamics and the Fbar channel
     excluded, as six floats (fx, fy, fz, tx, ty, tz).
 
@@ -140,8 +138,7 @@ def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False, simple_yaw
     the aero loads: Coriolis and centripetal terms, net weight, the gravity
     torque of the composite CG, the moving-mass velocity terms and the
     propeller thrusts (the first two columns of `thrust_columns`).
-    `legacy` drops the CG-offset coupling terms; `simple_yaw` drops the
-    lateral moving-mass lever arm of the yaw moment.  `v`, `w`, `gcol`
+    `legacy` drops the CG-offset coupling terms.  `v`, `w`, `gcol`
     (the inertial down axis in body axes), `rbar` and `rbardot` are
     3-sequences of floats.
     """
@@ -166,7 +163,7 @@ def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False, simple_yaw
     tx = hy * wz - hz * wy + g * (ly * gz - lz * gy) + mbar2 * (ry * dz - rz * dy)
     ty = hz * wx - hx * wz + g * (lz * gx - lx * gz) + mbar2 * (rz * dx - rx * dz) + rz * thrust
     tz = (hx * wy - hy * wx + g * (lx * gy - ly * gx) + mbar2 * (rx * dy - ry * dx)
-          + (0.0 if simple_yaw else ry) * thrust + params.d * (Fl - Fr))
+          + ry * thrust + params.d * (Fl - Fr))
     if not legacy:
         ex, ey, ez = wy * lz - wz * ly, wz * lx - wx * lz, wx * ly - wy * lx      # w x l_g
         fx += ey * wz - ez * wy                                                   # (w x l_g) x w
@@ -191,7 +188,7 @@ def _solve3(a, b, c, d, e, f, g, h, i, x, y, z):
     )
 
 
-def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=False):
+def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False):
     """State derivative on the packed 18-vector; the hot path for integration.
 
     Solves M a = rhs by the block structure of `mass_matrix`.  Its last
@@ -225,7 +222,7 @@ def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=False)
     fax, fay, faz, tax, tay, taz = aeromod._body_loads(model, alpha, beta, V, (p, q, r), params.rho)
     fx, fy, fz, tx, ty, tz = _balance(
         (u, v, w), (p, q, r), (-sth, cth * sphi, cth * cphi), (rx, ry, rz), (sx, sy, sz),
-        Fl, Fr, params, legacy, simple_yaw,
+        Fl, Fr, params, legacy,
     )
 
     bx, by, bz = np.asarray(Fbar, dtype=float).tolist()
@@ -271,13 +268,10 @@ def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=False)
     ])
 
 
-def state_derivative(state, control, params, model, legacy=False, simple_yaw=False):
+def state_derivative(state, control, params, model, legacy=False):
     """Full state derivative for a State/ControlInput pair."""
     y = state.as_vector()
-    ydot = deriv_vector(
-        y, control.Fl, control.Fr, control.Fbar, params, model,
-        legacy=legacy, simple_yaw=simple_yaw,
-    )
+    ydot = deriv_vector(y, control.Fl, control.Fr, control.Fbar, params, model, legacy=legacy)
     return StateDerivative(
         pdot=ydot[0:3],
         edot=ydot[3:6],

@@ -210,6 +210,23 @@ def rotation_body_to_inertial(e):
     )
 
 
+def rotation_matrices(euler):
+    """Stacked `rotation_body_to_inertial` matrices, shape (n, 3, 3), of an
+    (n, 3) array of roll, pitch and yaw angles."""
+    phi, theta, psi = np.asarray(euler, dtype=float).T
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    cth, sth = np.cos(theta), np.sin(theta)
+    cpsi, spsi = np.cos(psi), np.sin(psi)
+    return np.stack(
+        [
+            cpsi * cth, cpsi * sth * sphi - spsi * cphi, cpsi * sth * cphi + spsi * sphi,
+            spsi * cth, spsi * sth * sphi + cpsi * cphi, spsi * sth * cphi - cpsi * sphi,
+            -sth, cth * sphi, cth * cphi,
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
+
+
 def euler_rate_matrix(e):
     """Matrix J relating body rates to Euler-angle rates: edot = J @ omega."""
     if abs(e.theta) >= np.pi / 2 - GIMBAL_EPS:
@@ -238,6 +255,19 @@ def aero_angles(v):
     alpha = math.atan2(v[2], v[0])
     beta = math.asin(min(1.0, max(-1.0, v[1] / V)))
     return AeroAngles(alpha, beta, V)
+
+
+def aero_angles_array(v):
+    """Angle of attack, sideslip and airspeed arrays of an (n, 3) array of
+    body-frame velocities, each row as in `aero_angles`."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[0]
+    V = np.linalg.norm(v, axis=1)
+    moving = V >= V_MIN
+    alpha = np.where(moving, np.arctan2(v[:, 2], v[:, 0]), 0.0)
+    ratio = np.divide(v[:, 1], V, out=np.zeros(n), where=moving)
+    beta = np.where(moving, np.arcsin(np.clip(ratio, -1.0, 1.0)), 0.0)
+    return alpha, beta, V
 
 
 def wind_matrix(alpha, beta):

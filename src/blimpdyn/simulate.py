@@ -8,13 +8,13 @@ bitwise-identical trajectories.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import medfilt
 
 from .dynamics import deriv_vector
-from .frames import GF_TO_N, V_MIN, GimbalLock, State
+from .frames import GF_TO_N, GimbalLock, State, aero_angles_array, rotation_matrices
 
 # Moving-mass rail motion limits for position-command ("goto") segments.
 MM_VMAX = 0.05   # m/s
@@ -67,12 +67,6 @@ class InputSchedule:
     @classmethod
     def constant(cls, Fl, Fr, T):
         return cls((Segment(0.0, T, Fl, Fr),))
-
-    def segment_at(self, t):
-        for seg in self.segments:
-            if seg.t_start - 1e-9 <= t < seg.t_end - 1e-9:
-                return seg
-        return self.segments[-1]
 
 
 def read_schedule(path):
@@ -204,29 +198,14 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
 
 
 def _inertial_velocity(states):
-    """Inertial velocity R(e) v of every sample of an (n, 18) state array,
-    as three length-n arrays (the rows of `rotation_body_to_inertial`)."""
-    phi, theta, psi, u, v, w = states[:, 3:9].T
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    cth, sth = np.cos(theta), np.sin(theta)
-    cpsi, spsi = np.cos(psi), np.sin(psi)
-    return (
-        cpsi * cth * u + (cpsi * sth * sphi - spsi * cphi) * v + (cpsi * sth * cphi + spsi * sphi) * w,
-        spsi * cth * u + (spsi * sth * sphi + cpsi * cphi) * v + (spsi * sth * cphi - cpsi * sphi) * w,
-        -sth * u + cth * sphi * v + cth * cphi * w,
-    )
+    """Inertial velocity R(e) v of every sample of an (n, 18) state array, (n, 3)."""
+    return np.einsum("nij,nj->ni", rotation_matrices(states[:, 3:6]), states[:, 6:9])
 
 
 def _finish_trajectory(t, states, dt, status):
     n = t.size
-    v = states[:, 6:9]
-    # Aerodynamic angles as in `aero_angles`: zero below V_MIN.
-    V = np.linalg.norm(v, axis=1)
-    moving = V >= V_MIN
-    alpha = np.where(moving, np.arctan2(v[:, 2], v[:, 0]), 0.0)
-    ratio = np.divide(v[:, 1], V, out=np.zeros(n), where=moving)
-    beta = np.where(moving, np.arcsin(np.clip(ratio, -1.0, 1.0)), 0.0)
-    Vz = _inertial_velocity(states)[2]
+    alpha, beta, V = aero_angles_array(states[:, 6:9])
+    Vz = _inertial_velocity(states)[:, 2]
     # Third row of J omega; cos(theta) cannot vanish (gimbal guard upstream).
     phi, theta = states[:, 3], states[:, 4]
     psidot = (np.sin(phi) * states[:, 10] + np.cos(phi) * states[:, 11]) / np.cos(theta)
@@ -247,7 +226,7 @@ def turning_radius_series(traj, window):
     if window < 10 * traj.dt - 1e-12:
         raise ValueError("window must be at least 10 dt")
     n = len(traj)
-    hs = np.hypot(*_inertial_velocity(traj.states)[:2])
+    hs = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
     slow = np.abs(traj.psidot) < PSIDOT_MIN
     R = np.where(slow, np.inf, hs / np.maximum(np.abs(traj.psidot), PSIDOT_MIN))
     ksz = int(round(window / traj.dt))
@@ -275,7 +254,7 @@ def glide_metrics(traj, steady_fraction=0.5):
     if traj.t[-1] - traj.t[0] < 2.0:
         raise ValueError("trajectory must be longer than 2 s")
     n = len(traj)
-    forward = np.hypot(*_inertial_velocity(traj.states)[:2])
+    forward = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
     descent = traj.Vz
     k0 = n // 2 if steady_fraction == 0.5 else int(n * (1.0 - steady_fraction))
     mean_desc = float(np.mean(descent[k0:]))

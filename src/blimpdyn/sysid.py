@@ -4,17 +4,16 @@ Pipeline: load motion-capture trial logs, reduce each to an averaged
 steady observation, invert the steady-state balance for the wind-frame
 aerodynamic loads, mirror-augment the spiral data about the vehicle's
 symmetry plane, reject outliers, and fit the polynomial coefficient model
-plus rotational damping (linear least squares, then bound-constrained
-trust-region refinement).
+plus rotational damping.  The model is linear in its coefficients and each
+load channel has its own, so the fit is one exact weighted least-squares
+solve per channel; the bound damping <= 0 is met by one active-set step.
 """
 
 import csv
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.signal import savgol_filter
 
 from . import aero as aeromod
@@ -23,8 +22,9 @@ from .frames import (
     GF_TO_N,
     AeroAngles,
     EulerAngles,
-    aero_angles,
+    aero_angles_array,
     rotation_body_to_inertial,
+    rotation_matrices,
     wind_to_body,
 )
 
@@ -85,7 +85,6 @@ class SteadyObservation:
     Fr: float
     rbar: np.ndarray
     kind: str
-    weight: float = 1.0
     mirrored: bool = False
 
 
@@ -95,8 +94,7 @@ class FitResult:
     rms: dict                  # per-channel RMS residual after the final fit
     condition: dict            # per-channel design-matrix condition number
     excluded: tuple            # indices of observations dropped as outliers
-    stage1_rms: float
-    final_rms: float
+    final_rms: float           # RMS relative residual over all channels
 
 
 MANIFEST_COLUMNS = ["trial_id", "file", "kind", "dr_x_cm", "Fl_gf", "Fr_gf"]
@@ -216,14 +214,9 @@ def extract_steady(rec, window, params):
 
     vel = _smooth_velocity(rec.t, rec.pos)
     n = rec.t.size
-    V = np.empty(n)
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    for k in range(n):
-        e = EulerAngles(*rec.euler[k])
-        v_b = rotation_body_to_inertial(e).T @ vel[k]
-        a = aero_angles(v_b)
-        V[k], alpha[k], beta[k] = a.V, a.alpha, a.beta
+    # Body-frame velocity R(e)^T v of every sample.
+    v_b = np.einsum("nji,nj->ni", rotation_matrices(rec.euler), vel)
+    alpha, beta, V = aero_angles_array(v_b)
 
     dt_med = float(np.median(np.diff(rec.t)))
     wlen = max(2, int(round(window / dt_med)))
@@ -371,9 +364,7 @@ _CHANNEL_BASIS = {
     "M3": (lambda a, b: (1.0, a, b), 2),
 }
 
-# Parameter-vector offsets (into PARAM_NAMES order) per channel.
-_CHANNEL_OFFSET = {"D": 0, "S": 3, "L": 6, "M1": 9, "M2": 12, "M3": 15}
-_DAMPING_OFFSET = {"M1": 18, "M2": 19, "M3": 20}
+_DAMPED = ("M1", "M2", "M3")
 
 
 def _check_span(observations):
@@ -403,18 +394,27 @@ def _channel_regression(channel, observations, loads, params, a_ref):
     # Relative-error weighting (measurement error is multiplicative), with
     # a floor so near-zero loads do not dominate the regression.
     floor = max(1e-3 * float(np.median(np.abs(y))), 1e-12)
-    w = np.array([obs.weight for obs in observations]) / np.maximum(np.abs(y), floor)
+    w = 1.0 / np.maximum(np.abs(y), floor)
     return X * w[:, None], y * w
 
 
-def _solve_channel(channel, X, y):
-    cond = float(np.linalg.cond(X))
-    if cond > 1e10:
-        raise RankDeficient(f"channel {channel}: design condition {cond:.2e} > 1e10")
+def _lstsq(X, y):
     Q, R = np.linalg.qr(X)
-    coef = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ coef
-    return coef, resid, cond
+    return np.linalg.solve(R, Q.T @ y)
+
+
+def _solve_channels(observations, loads, params, a_ref):
+    """Unconstrained weighted least squares of every channel: per channel
+    the weighted design X and target y, the coefficients and the condition
+    number of X."""
+    out = {}
+    for ch in CHANNELS:
+        X, y = _channel_regression(ch, observations, loads, params, a_ref)
+        cond = float(np.linalg.cond(X))
+        if cond > 1e10:
+            raise RankDeficient(f"channel {ch}: design condition {cond:.2e} > 1e10")
+        out[ch] = (X, y, _lstsq(X, y), cond)
+    return out
 
 
 def _predicted_loads(model, obs, params):
@@ -422,15 +422,20 @@ def _predicted_loads(model, obs, params):
     return aeromod.aero_loads(model, aa, obs.w_b, params.rho).as_array()
 
 
-def fit(observations, params, a_ref=None, loads=None, refine=True):
-    """Two-stage fit of the aerodynamic model from steady observations.
+def fit(observations, params, a_ref=None, loads=None):
+    """Fit the aerodynamic model to steady observations.
 
-    Stage 1 is per-channel linear least squares (the model is linear in its
-    coefficients); stage 2 refines all 21 parameters jointly with a
-    bound-constrained trust-region solve (damping <= 0) and is only
-    accepted if it does not increase the total RMS.  Between the stages an
-    outlier pass drops observations whose residual on any channel exceeds
-    3x the channel MAD, capped at 20% of the data.
+    The model is linear in its coefficients and each load channel depends
+    only on its own three polynomial coefficients (plus one damping term
+    for the moments), so the fit is one weighted linear least-squares solve
+    per channel, with each row weighted by the inverse of its load
+    magnitude (relative error, floored at 1e-3 of the channel median).
+    After a first solve an outlier pass drops observations whose weighted
+    residual on any channel exceeds 3x the channel MAD, capped at 20% of
+    the data, and the channels are solved again on the rest.  The damping
+    bound k <= 0 is then met exactly: a moment channel whose damping comes
+    out positive is solved again without its rate column, with k = 0,
+    which is the optimum of the convex problem with that one bound active.
     """
     observations = list(observations)
     _check_span(observations)
@@ -443,26 +448,15 @@ def fit(observations, params, a_ref=None, loads=None, refine=True):
         if len(loads) != len(observations):
             raise ValueError("loads must align with observations")
 
-    def stage1(idx):
-        obs_sel = [observations[i] for i in idx]
-        loads_sel = [loads[i] for i in idx]
-        coefs = {}
-        resids = {}
-        conds = {}
-        for ch in CHANNELS:
-            X, y = _channel_regression(ch, obs_sel, loads_sel, params, a_ref)
-            coefs[ch], resids[ch], conds[ch] = _solve_channel(ch, X, y)
-        return coefs, resids, conds
-
     idx = list(range(len(observations)))
-    coefs, resids, conds = stage1(idx)
+    solved = _solve_channels(observations, loads, params, a_ref)
 
     # Outlier pass: per-channel 3x MAD on the weighted (relative) residuals,
     # with an absolute floor well below any plausible measurement noise so
     # that machine-precision residuals on clean data never trigger drops.
     scores = np.zeros(len(idx))
-    for ch in CHANNELS:
-        r = np.abs(resids[ch])
+    for X, y, coef, _ in solved.values():
+        r = np.abs(y - X @ coef)
         mad = np.median(np.abs(r - np.median(r)))
         thresh = max(3.0 * mad, 1e-4)
         scores = np.maximum(scores, r / thresh)
@@ -477,52 +471,28 @@ def fit(observations, params, a_ref=None, loads=None, refine=True):
             idx = list(range(len(observations)))
             drop = []
         else:
-            coefs, resids, conds = stage1(idx)
+            solved = _solve_channels([observations[i] for i in idx],
+                                     [loads[i] for i in idx], params, a_ref)
 
-    x0 = np.empty(21)
-    for ch in CHANNELS:
-        x0[_CHANNEL_OFFSET[ch]:_CHANNEL_OFFSET[ch] + 3] = coefs[ch][:3]
-        if ch in _DAMPING_OFFSET:
-            x0[_DAMPING_OFFSET[ch]] = min(0.0, coefs[ch][3])
+    coefs, resids = {}, []
+    for ch, (X, y, coef, _) in solved.items():
+        if ch in _DAMPED and coef[3] > 0.0:
+            # Active-set step: the bound k <= 0 binds, so k = 0 and the
+            # polynomial coefficients are refitted without the rate column.
+            coef = np.append(_lstsq(X[:, :3], y), 0.0)
+        coefs[ch] = coef
+        resids.append(y - X @ coef)
 
-    template = aeromod.AeroModel(*([0.0] * 18), 0.0, 0.0, 0.0, a_ref=a_ref)
+    x = np.concatenate([coefs[ch][:3] for ch in CHANNELS] + [coefs[ch][3:] for ch in _DAMPED])
+    model = aeromod.AeroModel(*x, a_ref=a_ref)
     obs_kept = [observations[i] for i in idx]
     loads_kept = np.array([loads[i] for i in idx])
-    # Same relative-error scaling as stage 1, element by element.
-    floor = np.maximum(1e-3 * np.median(np.abs(loads_kept), axis=0), 1e-12)
-    sigma = np.maximum(np.abs(loads_kept), floor)
-
-    def packed_residual(x):
-        m = template.with_vector(x)
-        pred = np.array([_predicted_loads(m, o, params) for o in obs_kept])
-        return ((pred - loads_kept) / sigma).ravel()
-
-    res0 = packed_residual(x0)
-    rms0 = float(np.sqrt(np.mean(res0 ** 2)))
-    x_final = x0
-    rms_final = rms0
-
-    if refine:
-        lb = np.full(21, -np.inf)
-        ub = np.full(21, np.inf)
-        ub[18:21] = 0.0
-        sol = least_squares(
-            packed_residual, np.clip(x0, lb, ub), bounds=(lb, ub),
-            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=200,
-        )
-        rms_ref = float(np.sqrt(np.mean(sol.fun ** 2)))
-        if rms_ref <= rms0 + 1e-15:
-            x_final = sol.x
-            rms_final = rms_ref
-
-    model = template.with_vector(x_final)
     pred = np.array([_predicted_loads(model, o, params) for o in obs_kept])
     per_ch = np.sqrt(np.mean((pred - loads_kept) ** 2, axis=0))
     return FitResult(
         model=model,
         rms={ch: float(per_ch[i]) for i, ch in enumerate(CHANNELS)},
-        condition={ch: conds[ch] for ch in CHANNELS},
+        condition={ch: cond for ch, (*_, cond) in solved.items()},
         excluded=tuple(sorted(drop)),
-        stage1_rms=rms0,
-        final_rms=rms_final,
+        final_rms=float(np.sqrt(np.mean(np.concatenate(resids) ** 2))),
     )

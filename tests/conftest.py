@@ -33,8 +33,7 @@ def gf():
     return GF_TO_N
 
 
-def _reference_rhs(state, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=False,
-                   aero=True):
+def _reference_rhs(state, Fl, Fr, Fbar, params, model, legacy=False, aero=True):
     """Right-hand side of the 9x9 system M a = rhs, assembled in matrix form
     with np.cross, `aero_loads` and `loads_to_body`: the reference that the
     scalar balance kernel must reproduce.  `aero=False` leaves the
@@ -62,7 +61,7 @@ def _reference_rhs(state, Fl, Fr, Fbar, params, model, legacy=False, simple_yaw=
         t = t + T_aero
     rhs = np.concatenate([f, t, np.zeros(3)])
     u = np.concatenate([[Fl, Fr], np.asarray(Fbar, dtype=float)])
-    return rhs + thrust_columns(s.rbar, params.d, simple_yaw) @ u
+    return rhs + thrust_columns(s.rbar, params.d) @ u
 
 
 @pytest.fixture(scope="session")

@@ -84,12 +84,6 @@ def test_thrust_columns_lever_arms(params):
     assert np.isclose(gen[0], Fl + Fr)          # forward force
     assert np.isclose(gen[4], (Fl + Fr) * rbar[2])  # pitch moment
     assert np.isclose(gen[5], Fl * (rbar[1] + params.d) + Fr * (rbar[1] - params.d))
-    # simple_yaw drops the lateral moving-mass lever arm
-    gen_s = thrust_columns(rbar, params.d, simple_yaw=True) @ np.array(
-        [Fl, Fr, 0.0, 0.0, 0.0]
-    )
-    assert np.isclose(gen_s[5], (Fl - Fr) * params.d)
-    assert np.isclose(gen_s[4], gen[4])
 
 
 @given(
@@ -101,22 +95,19 @@ def test_thrust_columns_lever_arms(params):
     Fbar=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
     thrust=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
     legacy=st.booleans(),
-    simple_yaw=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
 def test_derivative_solves_mass_matrix_exactly(params, model, reference_rhs, euler, v, w,
-                                               drbar, rbardot, Fbar, thrust, legacy,
-                                               simple_yaw):
+                                               drbar, rbardot, Fbar, thrust, legacy):
     """The block-structured solve in deriv_vector reproduces the 9x9 matrix
     reference: the accelerations satisfy M a = rhs with the rhs assembled
     independently, and agree with np.linalg.solve(M, rhs)."""
     s = _state(*euler, v=v, w=w, rbar=params.rbar0 + np.array(drbar), rbardot=rbardot,
                params=params)
     Fl, Fr = thrust
-    ydot = deriv_vector(s.as_vector(), Fl, Fr, np.array(Fbar), params, model,
-                        legacy=legacy, simple_yaw=simple_yaw)
+    ydot = deriv_vector(s.as_vector(), Fl, Fr, np.array(Fbar), params, model, legacy=legacy)
 
-    rhs = reference_rhs(s, Fl, Fr, Fbar, params, model, legacy=legacy, simple_yaw=simple_yaw)
+    rhs = reference_rhs(s, Fl, Fr, Fbar, params, model, legacy=legacy)
     M = mass_matrix(params, s.rbar, legacy=legacy)
     acc = np.concatenate([ydot[6:12], ydot[15:18]])
     assert np.allclose(M @ acc, rhs, atol=1e-12)

@@ -32,8 +32,24 @@ def _rest_state(params, theta=0.0):
 class TestSchedule:
     def test_constant(self):
         sched = InputSchedule.constant(0.02, 0.03, 10.0)
-        seg = sched.segment_at(5.0)
-        assert seg.Fl == 0.02 and seg.Fr == 0.03
+        assert sched.segments == (Segment(0.0, 10.0, 0.02, 0.03),)
+
+    def test_segment_switch(self, params, model):
+        """A two-segment schedule flies the first segment exactly as if it
+        were alone, then the second from the state reached at the switch."""
+        Fl2, Fr2 = 1.4 * GF_TO_N, 2.6 * GF_TO_N
+        s0 = _rest_state(params, theta=0.1)
+        sched = InputSchedule((Segment(0.0, 1.0, F2, F2), Segment(1.0, 2.0, Fl2, Fr2)))
+        both = integrate(s0, sched, params, model, dt=0.005, T=2.0)
+        first = integrate(s0, InputSchedule.constant(F2, F2, 1.0), params, model,
+                          dt=0.005, T=1.0)
+        k = len(first) - 1
+        assert np.array_equal(both.states[: k + 1], first.states)
+        second = integrate(State.from_vector(both.states[k]),
+                           InputSchedule.constant(Fl2, Fr2, 1.0), params, model,
+                           dt=0.005, T=1.0)
+        assert len(second) == len(both) - k
+        np.testing.assert_allclose(second.states, both.states[k:], rtol=0, atol=1e-12)
 
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError):

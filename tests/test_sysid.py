@@ -125,6 +125,32 @@ class TestExtractSteady:
         assert np.isclose(obs.alpha, sol.alpha, atol=0.02)
         assert np.isclose(obs.beta, sol.beta, atol=0.02)
 
+    def test_matches_per_sample_formulas(self, params, steady_trial):
+        """The array extraction of airspeed and aerodynamic angles equals a
+        per-sample loop over EulerAngles, the rotation matrix and
+        aero_angles, on a helix log with motion-capture noise."""
+        from dataclasses import replace
+
+        from blimpdyn.frames import aero_angles, rotation_body_to_inertial
+        from blimpdyn.sysid import _smooth_velocity
+
+        _, rec = steady_trial
+        rng = np.random.default_rng(3)
+        rec = replace(rec, pos=rec.pos + 3e-4 * rng.standard_normal(rec.pos.shape),
+                      euler=rec.euler + np.radians(0.1) * rng.standard_normal(rec.euler.shape))
+        window = 2.0
+        obs = extract_steady(rec, window, params)
+
+        vel = _smooth_velocity(rec.t, rec.pos)
+        ref = np.empty((rec.t.size, 3))
+        for k in range(rec.t.size):
+            a = aero_angles(rotation_body_to_inertial(EulerAngles(*rec.euler[k])).T @ vel[k])
+            ref[k] = a.V, a.alpha, a.beta
+        wlen = max(2, int(round(window / float(np.median(np.diff(rec.t))))))
+        V, alpha, beta = ref[-wlen:].mean(axis=0)
+        np.testing.assert_allclose([obs.V, obs.alpha, obs.beta], [V, alpha, beta],
+                                   rtol=1e-12, atol=0)
+
     def test_transient_rejected(self, params, model):
         from blimpdyn.frames import EulerAngles, State
 
@@ -243,6 +269,35 @@ class TestFit:
             model.as_vector()
         )
         assert np.max(rel) <= 1e-5
+
+    @pytest.mark.parametrize("channel", ["M1", "M2", "M3"])
+    def test_damping_bound_active(self, params, model, grid_obs, channel):
+        """Loads whose unconstrained damping is positive fit k = 0 exactly,
+        with the polynomial coefficients of the bounded least-squares
+        optimum on the kept observations."""
+        from scipy.optimize import lsq_linear
+
+        from blimpdyn.sysid import CHANNELS, _channel_regression
+
+        j = ("M1", "M2", "M3").index(channel)
+        ci = CHANNELS.index(channel)
+        loads = np.array([invert_aero(o, params).as_array() for o in grid_obs])
+        loads[10] *= 3.0  # one outlier, so the bound is met after a drop
+        baseline = fit(grid_obs, params, loads=list(loads))
+        k_true = model.as_vector()[18 + j]
+        rate = np.array([o.w_b[j] for o in grid_obs])
+        loads[:, ci] -= 2.0 * k_true * rate  # unconstrained damping -k_true > 0
+        result = fit(grid_obs, params, loads=list(loads))
+
+        assert result.excluded == baseline.excluded and 10 in result.excluded
+        x = result.model.as_vector()
+        assert x[18 + j] == 0.0
+        kept = [i for i in range(len(grid_obs)) if i not in result.excluded]
+        X, y = _channel_regression(channel, [grid_obs[i] for i in kept], loads[kept],
+                                   params, params.A_ref)
+        ref = lsq_linear(X, y, bounds=([-np.inf] * 4, [np.inf] * 3 + [0.0]), method="bvls")
+        assert ref.x[3] == 0.0
+        np.testing.assert_allclose(x[9 + 3 * j:12 + 3 * j], ref.x[:3], rtol=1e-9)
 
     def test_insufficient_count(self, params, grid_obs):
         with pytest.raises(InsufficientSpan):
