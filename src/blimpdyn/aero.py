@@ -138,16 +138,34 @@ class AeroLoads:
         return np.array([self.D, self.S, self.L, self.M1, self.M2, self.M3])
 
 
+def _coeff_values(model, a, b):
+    """The six coefficient polynomials at (a, b) [rad] as floats."""
+    return (
+        model.cd0 + model.cd_a * a * a + model.cd_b * b * b,
+        model.cs0 + model.cs_a * a * a + model.cs_b * b,
+        model.cl0 + model.cl_a * a + model.cl_b * b * b,
+        model.cm1_0 + model.cm1_a * a + model.cm1_b * b,
+        model.cm2_0 + model.cm2_a * a + model.cm2_b * b ** 4,
+        model.cm3_0 + model.cm3_a * a + model.cm3_b * b,
+    )
+
+
+def _coeff_partials(model, a, b):
+    """Partials of `_coeff_values` in alpha and in beta, two 6-tuples."""
+    return (
+        (2.0 * model.cd_a * a, 2.0 * model.cs_a * a, model.cl_a,
+         model.cm1_a, model.cm2_a, model.cm3_a),
+        (2.0 * model.cd_b * b, model.cs_b, 2.0 * model.cl_b * b,
+         model.cm1_b, 4.0 * model.cm2_b * b ** 3, model.cm3_b),
+    )
+
+
 def eval_coeffs(model, alpha, beta):
     """Evaluate the six coefficient polynomials at (alpha, beta) [rad]."""
     a, b = float(alpha), float(beta)
+    cd, cs, cl, cm1, cm2, cm3 = _coeff_values(model, a, b)
     return Coeffs(
-        cd=model.cd0 + model.cd_a * a * a + model.cd_b * b * b,
-        cs=model.cs0 + model.cs_a * a * a + model.cs_b * b,
-        cl=model.cl0 + model.cl_a * a + model.cl_b * b * b,
-        cm1=model.cm1_0 + model.cm1_a * a + model.cm1_b * b,
-        cm2=model.cm2_0 + model.cm2_a * a + model.cm2_b * b ** 4,
-        cm3=model.cm3_0 + model.cm3_a * a + model.cm3_b * b,
+        cd=cd, cs=cs, cl=cl, cm1=cm1, cm2=cm2, cm3=cm3,
         stalled=abs(a) > STALL_ALPHA,
         beta_exceeded=abs(b) > model.beta_limit,
     )
@@ -188,14 +206,9 @@ def loads_to_body(a, loads):
     return F, T
 
 
-def _body_loads(model, alpha, beta, V, w, rho):
-    """Body-frame aerodynamic force and torque as six floats: `aero_loads`
-    resolved by `loads_to_body`, in scalar arithmetic for the hot paths.
-    `w` is a 3-sequence of body rates; rho is not checked."""
-    D, S, L, M1, M2, M3 = _wind_loads(model, alpha, beta, V, w, rho)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    # Columns of the wind-to-body rotation applied to (-D, S, -L) and (M1, M2, M3).
+def _wind_to_body(ca, sa, cb, sb, D, S, L, M1, M2, M3):
+    """The wind-to-body rotation at the angles with cosines/sines (ca, sa)
+    and (cb, sb) applied to (-D, S, -L) and (M1, M2, M3), as six floats."""
     return (
         -ca * cb * D - ca * sb * S + sa * L,
         -sb * D + cb * S,
@@ -203,6 +216,51 @@ def _body_loads(model, alpha, beta, V, w, rho):
         ca * cb * M1 - ca * sb * M2 - sa * M3,
         sb * M1 + cb * M2,
         sa * cb * M1 - sa * sb * M2 + ca * M3,
+    )
+
+
+def _body_loads(model, alpha, beta, V, w, rho):
+    """Body-frame aerodynamic force and torque as six floats: `aero_loads`
+    resolved by `loads_to_body`, in scalar arithmetic for the hot paths.
+    `w` is a 3-sequence of body rates; rho is not checked."""
+    return _wind_to_body(math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta),
+                         *_wind_loads(model, alpha, beta, V, w, rho))
+
+
+def _body_load_partials(model, alpha, beta, V, w, rho):
+    """Partials of `_body_loads` in alpha, beta and V, three 6-tuples, and
+    its damping map: the body torque per unit body rate, a row-major 3x3
+    as a 9-tuple (the force does not depend on the rates).
+
+    Each angle partial has two parts: the coefficient partials resolved in
+    body axes, and the turn of the rotation itself.  Growing alpha turns
+    the loads about body -y, so (fx, fz) gains (-fz, fx); growing beta
+    turns them about the wind z axis n = (-sin alpha, 0, cos alpha), so
+    they gain n x load.
+    """
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cd, cs, cl, cm1, cm2, cm3 = _coeff_values(model, alpha, beta)
+    (ad, as_, al, am1, am2, am3), (bd, bs, bl, bm1, bm2, bm3) = _coeff_partials(model, alpha, beta)
+    k1, k2, k3 = model.k1, model.k2, model.k3
+    q = 0.5 * rho * V * V * model.a_ref
+    qV = rho * V * model.a_ref                                                      # dq/dV
+    fx, fy, fz, tx, ty, tz = _wind_to_body(
+        ca, sa, cb, sb, q * cd, q * cs, q * cl,
+        q * cm1 + k1 * w[0], q * cm2 + k2 * w[1], q * cm3 + k3 * w[2],
+    )
+    ax, ay, az, amx, amy, amz = _wind_to_body(
+        ca, sa, cb, sb, q * ad, q * as_, q * al, q * am1, q * am2, q * am3)
+    bx, by, bz, bmx, bmy, bmz = _wind_to_body(
+        ca, sa, cb, sb, q * bd, q * bs, q * bl, q * bm1, q * bm2, q * bm3)
+    return (
+        (ax - fz, ay, az + fx, amx - tz, amy, amz + tx),
+        (bx - ca * fy, by + ca * fx + sa * fz, bz - sa * fy,
+         bmx - ca * ty, bmy + ca * tx + sa * tz, bmz - sa * ty),
+        _wind_to_body(ca, sa, cb, sb, qV * cd, qV * cs, qV * cl, qV * cm1, qV * cm2, qV * cm3),
+        (ca * cb * k1, -ca * sb * k2, -sa * k3,
+         sb * k1, cb * k2, 0.0,
+         sa * cb * k1, -sa * sb * k2, ca * k3),
     )
 
 

@@ -175,6 +175,44 @@ def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False):
     return fx, fy, fz, tx, ty, tz
 
 
+def _balance_tangents(v, w, gcol, rbar, tangents, params):
+    """Directional derivatives of `_balance` (full model, rbardot = 0) as
+    `v`, `w` and `gcol` move along each (dv, dw, dg) of `tangents`; a list
+    of 6-tuples of floats, one per tangent.
+
+    With rbardot = 0 every term is bilinear in (v, w) or linear in gcol,
+    so this is the product rule applied term by term; the thrusts and the
+    moving-mass position are fixed and drop out.
+    """
+    vx, vy, vz = v
+    wx, wy, wz = w
+    (lx, ly, lz), (Ixx, Ixy, Ixz, Iyx, Iyy, Iyz, Izx, Izy, Izz) = _mass_terms(params, *rbar)
+    m_tot, W, g = params.total_mass, params.net_weight, params.g
+    hx = Ixx * wx + Ixy * wy + Ixz * wz                                           # Itot w
+    hy = Iyx * wx + Iyy * wy + Iyz * wz
+    hz = Izx * wx + Izy * wy + Izz * wz
+    ex, ey, ez = wy * lz - wz * ly, wz * lx - wx * lz, wx * ly - wy * lx          # w x l_g
+
+    out = []
+    for (ux, uy, uz), (px, py, pz), (gx, gy, gz) in tangents:
+        cx = uy * wz - uz * wy + vy * pz - vz * py                                # d(v x w)
+        cy = uz * wx - ux * wz + vz * px - vx * pz
+        cz = ux * wy - uy * wx + vx * py - vy * px
+        kx = Ixx * px + Ixy * py + Ixz * pz                                       # Itot dw
+        ky = Iyx * px + Iyy * py + Iyz * pz
+        kz = Izx * px + Izy * py + Izz * pz
+        qx, qy, qz = py * lz - pz * ly, pz * lx - px * lz, px * ly - py * lx      # dw x l_g
+        out.append((
+            m_tot * cx + W * gx + qy * wz - qz * wy + ey * pz - ez * py,
+            m_tot * cy + W * gy + qz * wx - qx * wz + ez * px - ex * pz,
+            m_tot * cz + W * gz + qx * wy - qy * wx + ex * py - ey * px,
+            ky * wz + hy * pz - kz * wy - hz * py + g * (ly * gz - lz * gy) + ly * cz - lz * cy,
+            kz * wx + hz * px - kx * wz - hx * pz + g * (lz * gx - lx * gz) + lz * cx - lx * cz,
+            kx * wy + hx * py - ky * wx - hy * px + g * (lx * gy - ly * gx) + lx * cy - ly * cx,
+        ))
+    return out
+
+
 def _solve3(a, b, c, d, e, f, g, h, i, x, y, z):
     """Solve [[a b c] [d e f] [g h i]] u = (x, y, z) by the adjugate."""
     A, B, C = e * i - f * h, f * g - d * i, d * h - e * g

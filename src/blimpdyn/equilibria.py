@@ -4,6 +4,10 @@ about equilibria, and eigenvalue stability reporting.
 A steady solution is parameterized by the six unknowns
 (theta, phi, psidot, V, alpha, beta); the body velocity and rates are
 derived from them, which keeps the Newton system 6x6 and well-scaled.
+Each Newton step uses the exact Jacobian of the residual in those
+unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
+aero partials of `aero._body_load_partials` and the balance tangents of
+`dynamics._balance_tangents`.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,7 @@ import math
 import numpy as np
 
 from . import aero as aeromod
-from .dynamics import _balance, deriv_vector
+from .dynamics import _balance, _balance_tangents, deriv_vector
 from .frames import EulerAngles, State, rotation_body_to_inertial
 
 STALL_ALPHA = aeromod.STALL_ALPHA
@@ -97,6 +101,49 @@ def _raw_residual(x, Fl, Fr, rbar, params, model):
     return np.array([a + b for a, b in zip(aero, rest)])
 
 
+def _raw_jacobian(x, rbar, params, model):
+    """Exact 6x6 Jacobian of `_raw_residual` in the unknowns
+    (theta, phi, psidot, V, alpha, beta), by the chain rule through
+    `_unknowns_to_kinematics`; the thrusts do not enter it."""
+    x = np.asarray(x, dtype=float).tolist()
+    theta, phi, psidot, V, alpha, beta = x
+    v_b, w_b, gcol = _unknowns_to_kinematics(x)
+    rbar = np.asarray(rbar, dtype=float).tolist()
+    d_alpha, d_beta, d_V, (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = (
+        aeromod._body_load_partials(model, alpha, beta, V, w_b, params.rho))
+    sth, cth = math.sin(theta), math.cos(theta)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    zero = (0.0, 0.0, 0.0)
+    # theta, phi: the down axis turns and the rates w = psidot * gcol follow
+    # it; psidot: the rates move along gcol.  V, alpha, beta: the body
+    # velocity moves.
+    g_theta = (-cth, -sphi * sth, -cphi * sth)
+    g_phi = (0.0, cphi * cth, -sphi * cth)
+    tangents = (
+        (zero, (psidot * g_theta[0], psidot * g_theta[1], psidot * g_theta[2]), g_theta),
+        (zero, (0.0, psidot * g_phi[1], psidot * g_phi[2]), g_phi),
+        (zero, gcol, zero),
+        ((ca * cb, sb, sa * cb), zero, zero),
+        ((-sa * cb * V, 0.0, ca * cb * V), zero, zero),
+        ((-ca * sb * V, cb * V, -sa * sb * V), zero, zero),
+    )
+    cols = _balance_tangents(v_b, w_b, gcol, rbar, tangents, params)
+    # The aero loads see the rates only through their damping map.
+    for j in range(3):
+        fx, fy, fz, tx, ty, tz = cols[j]
+        px, py, pz = tangents[j][1]
+        cols[j] = (fx, fy, fz,
+                   tx + Kxx * px + Kxy * py + Kxz * pz,
+                   ty + Kyx * px + Kyy * py + Kyz * pz,
+                   tz + Kzx * px + Kzy * py + Kzz * pz)
+    for j, (ax, ay, az, amx, amy, amz) in zip((3, 4, 5), (d_V, d_alpha, d_beta)):
+        fx, fy, fz, tx, ty, tz = cols[j]
+        cols[j] = (fx + ax, fy + ay, fz + az, tx + amx, ty + amy, tz + amz)
+    return np.array(cols).T
+
+
 def _scales(params, rbar):
     fscale = params.total_mass * params.g
     tscale = fscale * max(float(np.linalg.norm(rbar)), MOMENT_ARM_FLOOR)
@@ -112,28 +159,18 @@ def steady_residual(sol, control, rbar, params, model):
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])
 
 
-def _fd_jacobian(fun, x, f0):
-    n = x.size
-    J = np.empty((f0.size, n))
-    for i in range(n):
-        h = 1e-7 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return J
+def _damped_newton(fun, jac, x0, tol=1e-9, step_tol=1e-10, max_iter=100):
+    """Newton with step halving; returns (x, residual_norm).
 
-
-def _damped_newton(fun, x0, tol=1e-9, step_tol=1e-10, max_iter=100):
-    """Newton with step halving; returns (x, residual_norm)."""
+    `jac(x)` is the exact Jacobian of `fun` at x, so an iteration costs
+    one Jacobian and one residual per trial step of the halving search."""
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     fnorm = np.linalg.norm(f)
     for _ in range(max_iter):
         if fnorm < tol:
             return x, fnorm
-        J = _fd_jacobian(fun, x, f)
+        J = jac(x)
         try:
             dx = np.linalg.solve(J, -f)
             if not np.all(np.isfinite(dx)):
@@ -203,13 +240,20 @@ def solve_straight(dr_x, F, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
     fscale, tscale = _scales(params, rbar)
     scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
 
+    rows, cols = [0, 2, 4], [0, 3, 4]
+
     def fun3(x3):
         x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
         raw = _raw_residual(x, F, F, rbar, params, model)
-        return raw[[0, 2, 4]] / scale[[0, 2, 4]]
+        return raw[rows] / scale[rows]
+
+    def jac3(x3):
+        x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
+        J = _raw_jacobian(x, rbar, params, model)
+        return J[np.ix_(rows, cols)] / scale[rows, None]
 
     a0 = _initial_alpha(F, params, model, V0)
-    x3, fnorm = _damped_newton(fun3, np.array([a0, V0, a0]), tol=tol)
+    x3, fnorm = _damped_newton(fun3, jac3, np.array([a0, V0, a0]), tol=tol)
     x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
@@ -223,7 +267,10 @@ def _spiral_newton(x0, Fl, Fr, rbar, params, model, tol):
     def fun6(xx):
         return _raw_residual(xx, Fl, Fr, rbar, params, model) / scale
 
-    return _damped_newton(fun6, x0, tol=tol)
+    def jac6(xx):
+        return _raw_jacobian(xx, rbar, params, model) / scale[:, None]
+
+    return _damped_newton(fun6, jac6, x0, tol=tol)
 
 
 def _solve_spiral_thrust_ramp(dr_x, Fl, Fr, params, model, rail_limit, tol,

@@ -186,6 +186,11 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
             status = "gimbal_lock"
             k_end = k
             break
+        except ValueError:
+            # An RK4 stage state with non-finite Euler angles.
+            status = "non_finite"
+            k_end = k
+            break
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             status = "non_finite"

@@ -143,7 +143,10 @@ def _read_trial_csv(path):
         header = next(reader, None)
         if header != TRIAL_COLUMNS:
             raise SchemaError(f"{path}: trial header must be {','.join(TRIAL_COLUMNS)}")
-        data = np.array([[float(v) for v in row] for row in reader])
+        try:
+            data = np.array([[float(v) for v in row] for row in reader])
+        except ValueError as exc:
+            raise SchemaError(_bad_trial_row(path)) from exc
     if data.ndim != 2 or data.shape[1] != 7 or data.shape[0] < 2:
         raise SchemaError(f"{path}: malformed trial data")
     t = data[:, 0]
@@ -158,6 +161,24 @@ def _read_trial_csv(path):
     if np.max(np.abs(euler)) > np.pi + 1e-9:
         raise UnitError(f"{path}: |angle| exceeds pi rad; wrong units?")
     return t, pos, euler
+
+
+def _bad_trial_row(path):
+    """Message naming the first data row of a trial CSV that is not seven
+    numbers, by its line in the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if len(row) != len(TRIAL_COLUMNS):
+                return (f"{path}: line {reader.line_num}: {len(row)} fields, "
+                        f"expected {len(TRIAL_COLUMNS)}")
+            for v in row:
+                try:
+                    float(v)
+                except ValueError:
+                    return f"{path}: line {reader.line_num}: non-numeric value {v!r}"
+    return f"{path}: malformed trial data"
 
 
 def write_trial(path, t, pos, euler):

@@ -4,10 +4,14 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blimpdyn.dynamics import ControlInput, state_derivative
+from blimpdyn import equilibria
+from blimpdyn.aero import _body_load_partials, _body_loads
+from blimpdyn.dynamics import ControlInput, _balance, _balance_tangents, state_derivative
 from blimpdyn.equilibria import (
     DEFAULT_RAIL_LIMIT,
     NoConvergence,
+    _raw_jacobian,
+    _raw_residual,
     eigen_report,
     linearize,
     solve_spiral,
@@ -19,6 +23,138 @@ from blimpdyn.frames import GF_TO_N, EulerAngles, State, wind_matrix
 
 
 F2 = 2.0 * GF_TO_N
+
+
+def _fd_jacobian(fun, x):
+    """Central-difference Jacobian of `fun` at x, per-component steps."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        h = 1e-7 * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.array(cols).T
+
+
+# Steady unknowns (theta, phi, psidot, V, alpha, beta), the moving-mass
+# offset along the rail [m] and the two thrusts [N].
+_unknowns = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-1.0, 1.0),
+                      st.floats(0.3, 2.0), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+_rail = st.floats(-0.06, 0.06)
+_thrust = st.floats(0.0, 8.0).map(lambda gf: gf * GF_TO_N)
+
+
+@given(x=_unknowns, dr_x=_rail, Fl=_thrust, Fr=_thrust, symmetric=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_raw_jacobian_matches_central_differences(bundle, sym_bundle, x, dr_x, Fl, Fr,
+                                                  symmetric):
+    """The analytic Jacobian of the steady residual equals its central
+    differences to 1e-6 of the largest entry."""
+    p, m = sym_bundle if symmetric else bundle
+    rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
+    J = _raw_jacobian(np.array(x), rbar, p, m)
+    ref = _fd_jacobian(lambda xx: _raw_residual(xx, Fl, Fr, rbar, p, m), np.array(x))
+    np.testing.assert_allclose(J, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
+
+
+@given(x=_unknowns, dr_x=_rail, F=_thrust, symmetric=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_planar_jacobian_block_matches_central_differences(bundle, sym_bundle, x, dr_x, F,
+                                                           symmetric):
+    """Rows (fx, fz, ty) and columns (theta, V, alpha) of the Jacobian at a
+    planar point are the Jacobian of the planar residual `solve_straight`
+    solves."""
+    p, m = sym_bundle if symmetric else bundle
+    rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
+    theta, _, _, V, alpha, _ = x
+
+    def planar(x3):
+        xx = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
+        return _raw_residual(xx, F, F, rbar, p, m)[[0, 2, 4]]
+
+    J = _raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), rbar, p, m)
+    ref = _fd_jacobian(planar, np.array([theta, V, alpha]))
+    np.testing.assert_allclose(J[np.ix_([0, 2, 4], [0, 3, 4])], ref,
+                               rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
+
+
+_vec3 = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+@given(v=_vec3, w=_vec3, g=_vec3, dv=_vec3, dw=_vec3, dg=_vec3, dr_x=_rail,
+       Fl=_thrust, Fr=_thrust)
+@settings(max_examples=100, deadline=None)
+def test_balance_tangent_matches_central_difference(params, v, w, g, dv, dw, dg, dr_x, Fl, Fr):
+    """`_balance_tangents` is the directional derivative of `_balance` at
+    rbardot = 0; the balance is quadratic there, so central differences
+    are exact but for rounding."""
+    rbar = (params.rbar0 + np.array([dr_x, 0.0, 0.0])).tolist()
+    zero = (0.0, 0.0, 0.0)
+
+    def along(t):
+        return np.array(_balance(
+            [a + t * b for a, b in zip(v, dv)], [a + t * b for a, b in zip(w, dw)],
+            [a + t * b for a, b in zip(g, dg)], rbar, zero, Fl, Fr, params))
+
+    h = 1e-4
+    ref = (along(h) - along(-h)) / (2.0 * h)
+    got, = _balance_tangents(v, w, g, rbar, [(dv, dw, dg)], params)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(ref))))
+
+
+@given(ang=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), V=st.floats(0.3, 2.0),
+       w=_vec3, symmetric=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_body_load_partials_match_central_differences(bundle, sym_bundle, ang, V, w,
+                                                      symmetric):
+    """The alpha, beta and V partials of `_body_loads` and its damping map
+    (torque per unit body rate) equal central differences."""
+    p, m = sym_bundle if symmetric else bundle
+    alpha, beta = ang
+    rho = p.rho
+
+    def loads(a, b, VV, ww):
+        return np.array(_body_loads(m, a, b, VV, ww, rho))
+
+    d_alpha, d_beta, d_V, damping = _body_load_partials(m, alpha, beta, V, w, rho)
+    h = 1e-6
+    refs = [
+        (loads(alpha + h, beta, V, w) - loads(alpha - h, beta, V, w)) / (2.0 * h),
+        (loads(alpha, beta + h, V, w) - loads(alpha, beta - h, V, w)) / (2.0 * h),
+        (loads(alpha, beta, V + h, w) - loads(alpha, beta, V - h, w)) / (2.0 * h),
+    ]
+    for got, ref in zip((d_alpha, d_beta, d_V), refs):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-7 * np.max(np.abs(ref)))
+    rate_cols = []
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = 1.0
+        rate_cols.append((loads(alpha, beta, V, np.add(w, e)) - loads(alpha, beta, V, np.subtract(w, e))) / 2.0)
+    ref = np.array(rate_cols).T
+    assert np.all(ref[:3] == 0.0)
+    np.testing.assert_allclose(np.reshape(damping, (3, 3)), ref[3:],
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dr_x, diff, bound", [
+    (-0.01, -3.2, 90),     # thrust ramp only; 429 evaluations with difference Jacobians
+    (0.04, -4.9, 400),     # fold, then the moving-mass fallback; 1233 with them
+])
+def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff, bound):
+    """Each Newton iteration evaluates the residual only for its step-halving
+    trials, never to build the Jacobian, so a spiral solve costs a small,
+    deterministic number of residual evaluations."""
+    calls = []
+    raw = equilibria._raw_residual
+    monkeypatch.setattr(equilibria, "_raw_residual", lambda *a: calls.append(1) or raw(*a))
+    Fl = 0.5 * (7.0 + diff) * GF_TO_N
+    Fr = 0.5 * (7.0 - diff) * GF_TO_N
+    sol = solve_spiral(dr_x, Fl, Fr, params, model)
+    assert sol.residual_norm < 1e-9
+    assert 0 < len(calls) <= bound
 
 
 def test_straight_trim_stock_point(params, model):
@@ -71,8 +207,6 @@ def test_balanced_configuration_is_exact_solution(params, model):
     assert candidate.V < 1e-3
 
     # Direct residual of the exact rest solution.
-    from blimpdyn.equilibria import _raw_residual
-
     x0 = np.zeros(6)
     assert np.allclose(_raw_residual(x0, 0.0, 0.0, np.zeros(3), p, m), 0.0,
                        atol=1e-15)
@@ -88,8 +222,6 @@ def test_balanced_configuration_is_exact_solution(params, model):
 def test_raw_residual_matches_matrix_balance(params, model, reference_rhs, x, thrust, dr_x):
     """The steady residual is the generalized force of the matrix reference
     at zero accelerations, with the body velocity and rates of the unknowns."""
-    from blimpdyn.equilibria import _raw_residual
-
     theta, phi, psidot, V, alpha, beta = x
     Fl, Fr = thrust
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])

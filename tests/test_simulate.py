@@ -151,6 +151,23 @@ def test_gimbal_lock_returns_partial(params, model):
     assert traj.t[-1] < 5.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_euler_angles_return_partial(params, model):
+    """An RK4 stage whose Euler angles overflow to NaN ends the run with
+    status "non_finite" and the states up to the failed step."""
+    s0 = State(
+        p=np.zeros(3), e=EulerAngles(0.0, 0.1, 0.0),
+        v=np.array([1e160, 0.0, 0.0]), w=np.array([0.0, 1e-3, 0.0]),
+        rbar=params.rbar0, rbardot=np.zeros(3),
+    )
+    traj = integrate(s0, InputSchedule.constant(0.02, 0.02, 0.1), params, model,
+                     dt=0.005, T=0.1)
+    assert traj.status == "non_finite"
+    assert traj.t[-1] < 0.1
+    assert len(traj) == traj.states.shape[0]
+    assert np.all(np.isfinite(traj.states[:, 3:6]))
+
+
 def test_dt_validation(params, model):
     with pytest.raises(ValueError):
         integrate(_rest_state(params), InputSchedule.constant(F2, F2, 1.0),

@@ -101,6 +101,22 @@ class TestTrialIO:
         with pytest.raises(UnitError):
             load_trials(str(manifest))
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.2,0,0,0,0,0", "line 4: 6 fields, expected 7"),
+        ("0.2,0,0,x,0,0,0", "line 4: non-numeric value 'x'"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, bad_row, message):
+        rows = ["t,x,y,z,phi,theta,psi"] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(40)]
+        rows[3] = bad_row
+        trial = tmp_path / "trial.csv"
+        trial.write_text("\n".join(rows) + "\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\nt0,trial.csv,straight,0,2,2\n"
+        )
+        with pytest.raises(SchemaError, match=f"trial.csv: {message}"):
+            load_trials(str(manifest))
+
     def test_non_monotonic_time_rejected(self, tmp_path):
         trial = tmp_path / "trial.csv"
         trial.write_text(
