@@ -1,16 +1,19 @@
 """Aerodynamic identification from steady-flight logs.
 
-Pipeline: load motion-capture trial logs, reduce each to an averaged
-steady observation, invert the steady-state balance for the wind-frame
+Pipeline: load motion-capture trial logs (numpy's C text reader parses
+each log body into one array), reduce each to an averaged steady
+observation, invert the steady-state balance for the wind-frame
 aerodynamic loads, mirror-augment the spiral data about the vehicle's
 symmetry plane, reject outliers, and fit the polynomial coefficient model
 plus rotational damping.  The model is linear in its coefficients and each
-load channel has its own, so the fit is one exact weighted least-squares
-solve per channel; the bound damping <= 0 is met by one active-set step.
+load channel has its own, so the fit is an exact weighted least-squares
+solve per channel, done as two stacked solves (the three forces and the
+three moments); the bound damping <= 0 is met by one active-set step.
 """
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,15 +142,17 @@ def load_trials(manifest_path):
 
 def _read_trial_csv(path):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != TRIAL_COLUMNS:
             raise SchemaError(f"{path}: trial header must be {','.join(TRIAL_COLUMNS)}")
         try:
-            data = np.array([[float(v) for v in row] for row in reader])
+            with warnings.catch_warnings():
+                # A header-only file is reported below as malformed data.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
             raise SchemaError(_bad_trial_row(path)) from exc
-    if data.ndim != 2 or data.shape[1] != 7 or data.shape[0] < 2:
+    if data.shape[1] != 7 or data.shape[0] < 2:
         raise SchemaError(f"{path}: malformed trial data")
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
@@ -165,11 +170,14 @@ def _read_trial_csv(path):
 
 def _bad_trial_row(path):
     """Message naming the first data row of a trial CSV that is not seven
-    numbers, by its line in the file."""
+    numbers, by its line in the file; empty lines are skipped, as the
+    reader skips them."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
+            if not row:
+                continue
             if len(row) != len(TRIAL_COLUMNS):
                 return (f"{path}: line {reader.line_num}: {len(row)} fields, "
                         f"expected {len(TRIAL_COLUMNS)}")
@@ -374,20 +382,6 @@ def mirror_augment(observations):
     return out
 
 
-# Regressor shapes per channel: basis functions of (alpha, beta), plus the
-# body-rate index for the damping term on moment channels (None for forces).
-_CHANNEL_BASIS = {
-    "D": (lambda a, b: (1.0, a * a, b * b), None),
-    "S": (lambda a, b: (1.0, a * a, b), None),
-    "L": (lambda a, b: (1.0, a, b * b), None),
-    "M1": (lambda a, b: (1.0, a, b), 0),
-    "M2": (lambda a, b: (1.0, a, b ** 4), 1),
-    "M3": (lambda a, b: (1.0, a, b), 2),
-}
-
-_DAMPED = ("M1", "M2", "M3")
-
-
 def _check_span(observations):
     if len(observations) < 12:
         raise InsufficientSpan(f"need >= 12 observations, got {len(observations)}")
@@ -399,48 +393,71 @@ def _check_span(observations):
         raise InsufficientSpan(f"need >= 3 distinct beta values, got {len(betas)}")
 
 
-def _channel_regression(channel, observations, loads, params, a_ref):
-    basis, rate_idx = _CHANNEL_BASIS[channel]
-    ci = CHANNELS.index(channel)
-    ncoef = 3 if rate_idx is None else 4
-    X = np.empty((len(observations), ncoef))
-    y = np.empty(len(observations))
-    for k, obs in enumerate(observations):
-        q = 0.5 * params.rho * obs.V * obs.V * a_ref
-        row = [q * bf for bf in basis(obs.alpha, obs.beta)]
-        if rate_idx is not None:
-            row.append(obs.w_b[rate_idx])
-        X[k] = row
-        y[k] = loads[k][ci]
-    # Relative-error weighting (measurement error is multiplicative), with
-    # a floor so near-zero loads do not dominate the regression.
-    floor = max(1e-3 * float(np.median(np.abs(y))), 1e-12)
-    w = 1.0 / np.maximum(np.abs(y), floor)
-    return X * w[:, None], y * w
+def _regressors(observations, params, a_ref):
+    """Unweighted designs of the six channels as two stacks: forces
+    (D, S, L) of shape (3, n, 3) and moments (M1, M2, M3) of shape (3, n, 4).
+
+    Each force channel is dynamic pressure times three basis functions of
+    (alpha, beta); each moment channel adds its damping column, the
+    matching body rate."""
+    a = np.array([o.alpha for o in observations])
+    b = np.array([o.beta for o in observations])
+    V = np.array([o.V for o in observations])
+    w_b = np.array([o.w_b for o in observations], dtype=float)
+    q = 0.5 * params.rho * V * V * a_ref
+    qa, qaa, qb, qbb = q * a, q * (a * a), q * b, q * (b * b)
+    # float_power is libm pow, as Python's float ** is; the SIMD loop of
+    # `b ** 4` may differ from it in the last bit.
+    qb4 = q * np.float_power(b, 4)
+    forces = np.stack([
+        np.stack([q, qaa, qbb], axis=-1),            # D: 1, a^2, b^2
+        np.stack([q, qaa, qb], axis=-1),             # S: 1, a^2, b
+        np.stack([q, qa, qbb], axis=-1),             # L: 1, a, b^2
+    ])
+    moments = np.stack([
+        np.stack([q, qa, qb, w_b[:, 0]], axis=-1),           # M1: 1, a, b; p
+        np.stack([q, qa, qb4, w_b[:, 1]], axis=-1),          # M2: 1, a, b^4; q
+        np.stack([q, qa, qb, w_b[:, 2]], axis=-1),           # M3: 1, a, b; r
+    ])
+    return forces, moments
+
+
+def _weights(loads):
+    """Relative-error weights of the (n, 6) loads: 1 / |load|, with a
+    per-channel floor of 1e-3 of the channel's median magnitude so that
+    near-zero loads do not dominate (measurement error is multiplicative)."""
+    mag = np.abs(loads)
+    floor = np.maximum(1e-3 * np.median(mag, axis=0), 1e-12)
+    return 1.0 / np.maximum(mag, floor)
 
 
 def _lstsq(X, y):
+    """Least squares of the stacked (..., n, k) designs X and (..., n)
+    targets y by QR."""
     Q, R = np.linalg.qr(X)
-    return np.linalg.solve(R, Q.T @ y)
+    return np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0]
 
 
-def _solve_channels(observations, loads, params, a_ref):
-    """Unconstrained weighted least squares of every channel: per channel
-    the weighted design X and target y, the coefficients and the condition
-    number of X."""
-    out = {}
-    for ch in CHANNELS:
-        X, y = _channel_regression(ch, observations, loads, params, a_ref)
-        cond = float(np.linalg.cond(X))
+def _solve_channels(design, loads):
+    """Unconstrained weighted least squares of the six channels, as one
+    batched solve per stack of `design` (see `_regressors`) against the
+    (n, 6) `loads`.  Returns the two weighted design stacks, the (6, n)
+    weighted targets, the coefficients of each stack and the six condition
+    numbers."""
+    W = _weights(loads).T
+    Y = loads.T * W
+    Xs = (design[0] * W[:3, :, None], design[1] * W[3:, :, None])
+    conds = np.concatenate([np.linalg.cond(X) for X in Xs])
+    for ch, cond in zip(CHANNELS, conds):
         if cond > 1e10:
             raise RankDeficient(f"channel {ch}: design condition {cond:.2e} > 1e10")
-        out[ch] = (X, y, _lstsq(X, y), cond)
-    return out
+    coefs = (_lstsq(Xs[0], Y[:3]), _lstsq(Xs[1], Y[3:]))
+    return Xs, Y, coefs, conds
 
 
-def _predicted_loads(model, obs, params):
-    aa = AeroAngles(obs.alpha, obs.beta, obs.V)
-    return aeromod.aero_loads(model, aa, obs.w_b, params.rho).as_array()
+def _apply(stacks, coefs):
+    """The (6, n) products X @ coef of both stacks, in CHANNELS order."""
+    return np.concatenate([(X @ c[..., None])[..., 0] for X, c in zip(stacks, coefs)])
 
 
 def fit(observations, params, a_ref=None, loads=None):
@@ -448,12 +465,15 @@ def fit(observations, params, a_ref=None, loads=None):
 
     The model is linear in its coefficients and each load channel depends
     only on its own three polynomial coefficients (plus one damping term
-    for the moments), so the fit is one weighted linear least-squares solve
+    for the moments), so the fit is a weighted linear least-squares solve
     per channel, with each row weighted by the inverse of its load
     magnitude (relative error, floored at 1e-3 of the channel median).
+    The designs are built once, as arrays, and the six channels are solved
+    as two stacked problems, forces (3, n, 3) and moments (3, n, 4), each
+    with one batched condition number, QR and triangular solve.
     After a first solve an outlier pass drops observations whose weighted
     residual on any channel exceeds 3x the channel MAD, capped at 20% of
-    the data, and the channels are solved again on the rest.  The damping
+    the data, and both stacks are solved again on the rest.  The damping
     bound k <= 0 is then met exactly: a moment channel whose damping comes
     out positive is solved again without its rate column, with k = 0,
     which is the optimum of the convex problem with that one bound active.
@@ -463,57 +483,50 @@ def fit(observations, params, a_ref=None, loads=None):
     if a_ref is None:
         a_ref = params.A_ref
     if loads is None:
-        loads = [invert_aero(o, params).as_array() for o in observations]
+        loads = np.array([invert_aero(o, params).as_array() for o in observations])
     else:
-        loads = [np.asarray(l, dtype=float).reshape(6) for l in loads]
+        loads = np.asarray(loads, dtype=float).reshape(len(loads), 6)
         if len(loads) != len(observations):
             raise ValueError("loads must align with observations")
 
-    idx = list(range(len(observations)))
-    solved = _solve_channels(observations, loads, params, a_ref)
+    design = _regressors(observations, params, a_ref)
+    Xs, Y, coefs, conds = _solve_channels(design, loads)
 
     # Outlier pass: per-channel 3x MAD on the weighted (relative) residuals,
     # with an absolute floor well below any plausible measurement noise so
     # that machine-precision residuals on clean data never trigger drops.
-    scores = np.zeros(len(idx))
-    for X, y, coef, _ in solved.values():
-        r = np.abs(y - X @ coef)
-        mad = np.median(np.abs(r - np.median(r)))
-        thresh = max(3.0 * mad, 1e-4)
-        scores = np.maximum(scores, r / thresh)
+    r = np.abs(Y - _apply(Xs, coefs))
+    mad = np.median(np.abs(r - np.median(r, axis=1, keepdims=True)), axis=1)
+    scores = np.max(r / np.maximum(3.0 * mad, 1e-4)[:, None], axis=0)
     flagged = np.argsort(-scores)
-    n_max = int(MAX_OUTLIER_FRAC * len(idx))
-    drop = [int(k) for k in flagged[:n_max] if scores[k] > 1.0]
+    n_max = int(MAX_OUTLIER_FRAC * len(observations))
+    drop = sorted(int(k) for k in flagged[:n_max] if scores[k] > 1.0)
     if drop:
-        idx = [i for i in idx if i not in set(drop)]
+        kept = np.delete(np.arange(len(observations)), drop)
         try:
-            _check_span([observations[i] for i in idx])
+            _check_span([observations[i] for i in kept])
         except InsufficientSpan:
-            idx = list(range(len(observations)))
             drop = []
         else:
-            solved = _solve_channels([observations[i] for i in idx],
-                                     [loads[i] for i in idx], params, a_ref)
+            design = (design[0][:, kept], design[1][:, kept])
+            loads = loads[kept]
+            Xs, Y, coefs, conds = _solve_channels(design, loads)
 
-    coefs, resids = {}, []
-    for ch, (X, y, coef, _) in solved.items():
-        if ch in _DAMPED and coef[3] > 0.0:
-            # Active-set step: the bound k <= 0 binds, so k = 0 and the
-            # polynomial coefficients are refitted without the rate column.
-            coef = np.append(_lstsq(X[:, :3], y), 0.0)
-        coefs[ch] = coef
-        resids.append(y - X @ coef)
+    cf, cm = coefs
+    for j in np.flatnonzero(cm[:, 3] > 0.0):
+        # Active-set step: the bound k <= 0 binds, so k = 0 and the
+        # polynomial coefficients are refitted without the rate column.
+        cm[j] = np.append(_lstsq(Xs[1][j, :, :3], Y[3 + j]), 0.0)
 
-    x = np.concatenate([coefs[ch][:3] for ch in CHANNELS] + [coefs[ch][3:] for ch in _DAMPED])
+    x = np.concatenate([cf.ravel(), cm[:, :3].ravel(), cm[:, 3]])
     model = aeromod.AeroModel(*x, a_ref=a_ref)
-    obs_kept = [observations[i] for i in idx]
-    loads_kept = np.array([loads[i] for i in idx])
-    pred = np.array([_predicted_loads(model, o, params) for o in obs_kept])
-    per_ch = np.sqrt(np.mean((pred - loads_kept) ** 2, axis=0))
+    # The model is linear in its coefficients, so the unweighted designs
+    # times the coefficients are its predicted loads.
+    per_ch = np.sqrt(np.mean((_apply(design, coefs) - loads.T) ** 2, axis=1))
     return FitResult(
         model=model,
         rms={ch: float(per_ch[i]) for i, ch in enumerate(CHANNELS)},
-        condition={ch: cond for ch, (*_, cond) in solved.items()},
-        excluded=tuple(sorted(drop)),
-        final_rms=float(np.sqrt(np.mean(np.concatenate(resids) ** 2))),
+        condition={ch: float(c) for ch, c in zip(CHANNELS, conds)},
+        excluded=tuple(drop),
+        final_rms=float(np.sqrt(np.mean((Y - _apply(Xs, coefs)) ** 2))),
     )

@@ -1,19 +1,26 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blimpdyn.aero import aero_loads, loads_to_body
+from blimpdyn import aero
+from blimpdyn.aero import AeroModel, aero_loads, loads_to_body
 from blimpdyn.equilibria import solve_spiral, solve_straight
 from blimpdyn.frames import GF_TO_N, AeroAngles, EulerAngles, State, wind_to_body
 from blimpdyn.simulate import InputSchedule, integrate
 from blimpdyn.sysid import (
+    CHANNELS,
     InsufficientSpan,
     NotSteady,
     RankDeficient,
     SchemaError,
     SteadyObservation,
     UnitError,
+    _check_span,
+    _read_trial_csv,
     average_by_setting,
     extract_steady,
     fit,
@@ -26,6 +33,25 @@ from blimpdyn.sysid import (
 )
 
 F2 = 2.0 * GF_TO_N
+TRIAL_HEADER = "t,x,y,z,phi,theta,psi"
+MANIFEST = "trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\nt0,trial.csv,straight,0,2,2\n"
+
+
+def _load_trial_text(tmp_path, text):
+    """Write `text` as trial.csv with a one-row manifest and load it."""
+    (tmp_path / "trial.csv").write_text(text)
+    (tmp_path / "manifest.csv").write_text(MANIFEST)
+    return load_trials(str(tmp_path / "manifest.csv"))
+
+
+def _reference_trial_parse(path):
+    """The streaming csv + float() parse of a trial body, the reference
+    for the array reader."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        data = np.array([[float(v) for v in row] for row in reader])
+    return data[:, 0], data[:, 1:4], data[:, 4:7]
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +82,100 @@ def steady_trial(params, model):
                      params, model, T=6.0)
     rec = trajectory_to_trial(traj, "t00", "spiral", 0.0, Fl, Fr)
     return sol, rec
+
+
+@pytest.fixture(scope="module")
+def grid_loads(params, grid_obs):
+    """Inverted loads of the grid observations, one (6,) row each."""
+    return np.array([invert_aero(o, params).as_array() for o in grid_obs])
+
+
+def _force_positive_damping(loads, observations, model, channel):
+    """Loads whose unconstrained damping on `channel` is -k_true > 0."""
+    j = ("M1", "M2", "M3").index(channel)
+    rate = np.array([o.w_b[j] for o in observations])
+    out = np.array(loads, dtype=float)
+    out[:, 3 + j] -= 2.0 * model.as_vector()[18 + j] * rate
+    return out
+
+
+# The per-observation, per-channel fit: the reference for the stacked fit.
+_REFERENCE_BASIS = {
+    "D": (lambda a, b: (1.0, a * a, b * b), None),
+    "S": (lambda a, b: (1.0, a * a, b), None),
+    "L": (lambda a, b: (1.0, a, b * b), None),
+    "M1": (lambda a, b: (1.0, a, b), 0),
+    "M2": (lambda a, b: (1.0, a, b ** 4), 1),
+    "M3": (lambda a, b: (1.0, a, b), 2),
+}
+
+
+def _reference_regression(channel, observations, loads, params, a_ref):
+    basis, rate_idx = _REFERENCE_BASIS[channel]
+    ci = CHANNELS.index(channel)
+    X = np.empty((len(observations), 3 if rate_idx is None else 4))
+    y = np.empty(len(observations))
+    for k, obs in enumerate(observations):
+        q = 0.5 * params.rho * obs.V * obs.V * a_ref
+        row = [q * bf for bf in basis(obs.alpha, obs.beta)]
+        if rate_idx is not None:
+            row.append(obs.w_b[rate_idx])
+        X[k] = row
+        y[k] = loads[k][ci]
+    floor = max(1e-3 * float(np.median(np.abs(y))), 1e-12)
+    w = 1.0 / np.maximum(np.abs(y), floor)
+    return X * w[:, None], y * w
+
+
+def _reference_lstsq(X, y):
+    Q, R = np.linalg.qr(X)
+    return np.linalg.solve(R, Q.T @ y)
+
+
+def _reference_solve(observations, loads, params, a_ref):
+    out = {}
+    for ch in CHANNELS:
+        X, y = _reference_regression(ch, observations, loads, params, a_ref)
+        out[ch] = (X, y, _reference_lstsq(X, y), float(np.linalg.cond(X)))
+    return out
+
+
+def _reference_fit(observations, params, loads):
+    """Model vector, per-channel rms and condition, excluded indices and
+    the first solve's outlier scores, channel by channel and one row per
+    observation, with the rms from `aero_loads` of the fitted model."""
+    a_ref = params.A_ref
+    idx = list(range(len(observations)))
+    solved = _reference_solve(observations, loads, params, a_ref)
+    scores = np.zeros(len(idx))
+    for X, y, coef, _ in solved.values():
+        r = np.abs(y - X @ coef)
+        mad = np.median(np.abs(r - np.median(r)))
+        scores = np.maximum(scores, r / max(3.0 * mad, 1e-4))
+    n_max = int(0.2 * len(idx))
+    drop = [int(k) for k in np.argsort(-scores)[:n_max] if scores[k] > 1.0]
+    if drop:
+        idx = [i for i in idx if i not in set(drop)]
+        try:
+            _check_span([observations[i] for i in idx])
+        except InsufficientSpan:
+            idx, drop = list(range(len(observations))), []
+        else:
+            solved = _reference_solve([observations[i] for i in idx],
+                                      [loads[i] for i in idx], params, a_ref)
+    coefs = {}
+    for ch, (X, y, coef, _) in solved.items():
+        if ch in ("M1", "M2", "M3") and coef[3] > 0.0:
+            coef = np.append(_reference_lstsq(X[:, :3], y), 0.0)
+        coefs[ch] = coef
+    x = np.concatenate([coefs[ch][:3] for ch in CHANNELS]
+                       + [coefs[ch][3:] for ch in ("M1", "M2", "M3")])
+    fitted = AeroModel(*x, a_ref=a_ref)
+    pred = np.array([aero_loads(fitted, AeroAngles(o.alpha, o.beta, o.V), o.w_b,
+                                params.rho).as_array() for o in (observations[i] for i in idx)])
+    rms = np.sqrt(np.mean((pred - np.array([loads[i] for i in idx])) ** 2, axis=0))
+    cond = np.array([solved[ch][3] for ch in CHANNELS])
+    return x, rms, cond, tuple(sorted(drop)), scores
 
 
 class TestTrialIO:
@@ -116,6 +236,52 @@ class TestTrialIO:
         )
         with pytest.raises(SchemaError, match=f"trial.csv: {message}"):
             load_trials(str(manifest))
+
+    def test_trailing_blank_line_ignored(self, tmp_path):
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,{0.01 * k},0" for k in range(40)]
+        plain = _load_trial_text(tmp_path, "\n".join(rows) + "\n")[0]
+        blank = _load_trial_text(tmp_path, "\n".join(rows) + "\n\n")[0]
+        for a, b in ((plain.t, blank.t), (plain.pos, blank.pos), (plain.euler, blank.euler)):
+            np.testing.assert_array_equal(b, a)
+
+    def test_blank_line_then_short_row_names_its_line(self, tmp_path):
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(40)]
+        rows[3:5] = ["", "0.3,0,0,0,0,0"]
+        with pytest.raises(SchemaError, match="trial.csv: line 5: 6 fields, expected 7"):
+            _load_trial_text(tmp_path, "\n".join(rows) + "\n")
+
+    def test_header_only_rejected_without_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="malformed trial data"):
+                _load_trial_text(tmp_path, TRIAL_HEADER + "\n")
+
+    @pytest.mark.parametrize("comment, message", [
+        ("# exported by the mocap rig", "line 4: 1 fields, expected 7"),
+        ("#0.2,0,0,0,0,0,0", "line 4: non-numeric value '#0.2'"),
+    ])
+    def test_comment_line_rejected(self, tmp_path, comment, message):
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(40)]
+        rows[3] = comment
+        with pytest.raises(SchemaError, match=f"trial.csv: {message}"):
+            _load_trial_text(tmp_path, "\n".join(rows) + "\n")
+
+    def test_quoted_numbers_parse_as_reference(self, tmp_path):
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(40)]
+        rows[3] = '"0.2","1e-3"," 0.25",0,"-0.5",0,"3.0"'
+        (tmp_path / "trial.csv").write_text("\n".join(rows) + "\n")
+        got = _read_trial_csv(str(tmp_path / "trial.csv"))
+        ref = _reference_trial_parse(str(tmp_path / "trial.csv"))
+        assert got[1][2].tolist() == [1e-3, 0.25, 0.0]
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+    def test_written_log_parses_bitwise_as_reference(self, tmp_path, steady_trial):
+        _, rec = steady_trial
+        path = str(tmp_path / "trial.csv")
+        write_trial(path, rec.t, rec.pos, rec.euler)
+        for a, b in zip(_read_trial_csv(path), _reference_trial_parse(path)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_non_monotonic_time_rejected(self, tmp_path):
         trial = tmp_path / "trial.csv"
@@ -293,27 +459,105 @@ class TestFit:
         optimum on the kept observations."""
         from scipy.optimize import lsq_linear
 
-        from blimpdyn.sysid import CHANNELS, _channel_regression
+        from blimpdyn.sysid import _regressors, _weights
 
         j = ("M1", "M2", "M3").index(channel)
         ci = CHANNELS.index(channel)
         loads = np.array([invert_aero(o, params).as_array() for o in grid_obs])
         loads[10] *= 3.0  # one outlier, so the bound is met after a drop
         baseline = fit(grid_obs, params, loads=list(loads))
-        k_true = model.as_vector()[18 + j]
-        rate = np.array([o.w_b[j] for o in grid_obs])
-        loads[:, ci] -= 2.0 * k_true * rate  # unconstrained damping -k_true > 0
+        loads = _force_positive_damping(loads, grid_obs, model, channel)
         result = fit(grid_obs, params, loads=list(loads))
 
         assert result.excluded == baseline.excluded and 10 in result.excluded
         x = result.model.as_vector()
         assert x[18 + j] == 0.0
         kept = [i for i in range(len(grid_obs)) if i not in result.excluded]
-        X, y = _channel_regression(channel, [grid_obs[i] for i in kept], loads[kept],
-                                   params, params.A_ref)
+        w = _weights(loads[kept])[:, ci]
+        X = _regressors([grid_obs[i] for i in kept], params, params.A_ref)[1][j] * w[:, None]
+        y = loads[kept, ci] * w
         ref = lsq_linear(X, y, bounds=([-np.inf] * 4, [np.inf] * 3 + [0.0]), method="bvls")
         assert ref.x[3] == 0.0
         np.testing.assert_allclose(x[9 + 3 * j:12 + 3 * j], ref.x[:3], rtol=1e-9)
+
+    @given(
+        noise=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+        outlier=st.none() | st.integers(0, 46),
+        damped=st.none() | st.sampled_from(("M1", "M2", "M3")),
+        quiet=st.none() | st.tuples(st.integers(0, 46), st.integers(0, 5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_fit(self, params, model, grid_obs, grid_loads,
+                                   noise, seed, outlier, damped, quiet):
+        """The stacked fit equals the per-observation, per-channel fit on
+        the grid under load noise, an outlier row, an active damping bound
+        and a near-zero load that the weight floor catches."""
+        loads = grid_loads.copy()
+        if damped is not None:
+            loads = _force_positive_damping(loads, grid_obs, model, damped)
+        if outlier is not None:
+            loads[outlier] *= 3.0
+        if quiet is not None:
+            loads[quiet] *= 1e-5
+        loads *= 1.0 + noise * np.random.default_rng(seed).standard_normal(loads.shape)
+        x_ref, rms_ref, cond_ref, excluded_ref, scores = _reference_fit(grid_obs, params, loads)
+        # A score at the threshold, or a tie at the drop cap, is decided by
+        # the last bits of the residuals.
+        assume(np.all(np.abs(scores - 1.0) > 1e-9))
+        ranked = np.sort(scores)[::-1]
+        n_max = int(0.2 * len(scores))
+        assume(ranked[n_max] <= 1.0 or ranked[n_max - 1] - ranked[n_max] > 1e-9 * ranked[n_max])
+
+        result = fit(grid_obs, params, loads=list(loads))
+        assert result.excluded == excluded_ref
+        np.testing.assert_allclose([result.condition[ch] for ch in CHANNELS], cond_ref,
+                                   rtol=1e-12, atol=0)
+        # A coefficient the noise drives near zero also gets an absolute
+        # tolerance of 1e-12 of the largest coefficient in its group of three.
+        scale = np.repeat(np.max(np.abs(x_ref.reshape(7, 3)), axis=1), 3)
+        x = result.model.as_vector()
+        assert np.all(np.abs(x - x_ref) <= 1e-10 * np.abs(x_ref) + 1e-12 * scale), (x, x_ref)
+        # Clean fits leave rms at the round-off of the loads, so the rms
+        # also gets an absolute tolerance of 1e-10 of each channel's RMS load.
+        rms = np.array([result.rms[ch] for ch in CHANNELS])
+        load_rms = np.sqrt(np.mean(loads ** 2, axis=0))
+        assert np.all(np.abs(rms - rms_ref) <= 1e-10 * (np.abs(rms_ref) + load_rms)), (rms, rms_ref)
+
+    def test_fit_evaluates_no_aero_model(self, params, grid_obs, monkeypatch):
+        """The per-channel rms comes from the designs, not from evaluating
+        the fitted model at every observation."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit evaluated the aerodynamic model")
+
+        monkeypatch.setattr(aero, "aero_loads", forbidden)
+        monkeypatch.setattr(aero, "_wind_loads", forbidden)
+        assert fit(grid_obs, params).excluded == ()
+
+    @pytest.mark.parametrize("damped", [None, "M2"])
+    def test_stacked_solve_count(self, params, model, grid_obs, grid_loads, monkeypatch,
+                                 damped):
+        """One QR per stack and solve (forces and moments, before and after
+        the outlier pass), plus one per active damping bound; the per-channel
+        fit made 12."""
+        loads = grid_loads.copy()
+        if damped is not None:
+            loads = _force_positive_damping(loads, grid_obs, model, damped)
+        loads[10] *= 3.0
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        result = fit(grid_obs, params, loads=list(loads))
+        assert 10 in result.excluded
+        active = 0 if damped is None else 1
+        if damped is not None:
+            assert result.model.as_vector()[18 + ("M1", "M2", "M3").index(damped)] == 0.0
+        assert len(calls) <= 4 + active
 
     def test_insufficient_count(self, params, grid_obs):
         with pytest.raises(InsufficientSpan):
