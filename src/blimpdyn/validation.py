@@ -39,6 +39,14 @@ from .sysid import (
 
 MC_SEED = 20260824
 
+# Input schedule of the determinism check (criterion 9): a hold, then a
+# differential turn with a moving-mass goto.
+DETERMINISM_SCHEDULE = (
+    "t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n"
+    "0,2.5,2,2,hold,0\n"
+    "2.5,5,1.4,2.6,goto,2\n"
+)
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -316,9 +324,7 @@ def criterion_9():
     try:
         sched_path = os.path.join(workdir, "schedule.csv")
         with open(sched_path, "w", newline="\n") as fh:
-            fh.write("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n")
-            fh.write("0,2.5,2,2,hold,0\n")
-            fh.write("2.5,5,1.4,2.6,goto,2\n")
+            fh.write(DETERMINISM_SCHEDULE)
         manifest = _synthetic_trial_set(workdir)
 
         def run(verb, out, extra):
