@@ -12,11 +12,14 @@ aerodynamic angles:
 
 The shapes are deliberately hard-coded: the identification pipeline fits
 exactly these regressors, and a configurable structure would change the
-design matrix silently.
+design matrix silently.  `bind(model, rho)` binds a model's constants once
+for the dynamics hot paths; `eval_coeffs`, `aero_loads` and the scalar
+helpers evaluate the same polynomials and rotation per call.
 """
 
 from dataclasses import dataclass, replace
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,32 +141,41 @@ class AeroLoads:
         return np.array([self.D, self.S, self.L, self.M1, self.M2, self.M3])
 
 
-def _coeff_values(model, a, b):
-    """The six coefficient polynomials at (a, b) [rad] as floats."""
-    return (
-        model.cd0 + model.cd_a * a * a + model.cd_b * b * b,
-        model.cs0 + model.cs_a * a * a + model.cs_b * b,
-        model.cl0 + model.cl_a * a + model.cl_b * b * b,
-        model.cm1_0 + model.cm1_a * a + model.cm1_b * b,
-        model.cm2_0 + model.cm2_a * a + model.cm2_b * b ** 4,
-        model.cm3_0 + model.cm3_a * a + model.cm3_b * b,
-    )
+def _polynomials(model):
+    """The six coefficient polynomials of `model` and their partials, as
+    two closures over its constants: `values(a, b)` gives the six
+    coefficients at (a, b) [rad] and `partials(a, b)` their partials in
+    alpha and in beta, two 6-tuples."""
+    cd0, cd_a, cd_b = model.cd0, model.cd_a, model.cd_b
+    cs0, cs_a, cs_b = model.cs0, model.cs_a, model.cs_b
+    cl0, cl_a, cl_b = model.cl0, model.cl_a, model.cl_b
+    cm1_0, cm1_a, cm1_b = model.cm1_0, model.cm1_a, model.cm1_b
+    cm2_0, cm2_a, cm2_b = model.cm2_0, model.cm2_a, model.cm2_b
+    cm3_0, cm3_a, cm3_b = model.cm3_0, model.cm3_a, model.cm3_b
 
+    def values(a, b):
+        return (
+            cd0 + cd_a * a * a + cd_b * b * b,
+            cs0 + cs_a * a * a + cs_b * b,
+            cl0 + cl_a * a + cl_b * b * b,
+            cm1_0 + cm1_a * a + cm1_b * b,
+            cm2_0 + cm2_a * a + cm2_b * b ** 4,
+            cm3_0 + cm3_a * a + cm3_b * b,
+        )
 
-def _coeff_partials(model, a, b):
-    """Partials of `_coeff_values` in alpha and in beta, two 6-tuples."""
-    return (
-        (2.0 * model.cd_a * a, 2.0 * model.cs_a * a, model.cl_a,
-         model.cm1_a, model.cm2_a, model.cm3_a),
-        (2.0 * model.cd_b * b, model.cs_b, 2.0 * model.cl_b * b,
-         model.cm1_b, 4.0 * model.cm2_b * b ** 3, model.cm3_b),
-    )
+    def partials(a, b):
+        return (
+            (2.0 * cd_a * a, 2.0 * cs_a * a, cl_a, cm1_a, cm2_a, cm3_a),
+            (2.0 * cd_b * b, cs_b, 2.0 * cl_b * b, cm1_b, 4.0 * cm2_b * b ** 3, cm3_b),
+        )
+
+    return values, partials
 
 
 def eval_coeffs(model, alpha, beta):
     """Evaluate the six coefficient polynomials at (alpha, beta) [rad]."""
     a, b = float(alpha), float(beta)
-    cd, cs, cl, cm1, cm2, cm3 = _coeff_values(model, a, b)
+    cd, cs, cl, cm1, cm2, cm3 = _polynomials(model)[0](a, b)
     return Coeffs(
         cd=cd, cs=cs, cl=cl, cm1=cm1, cm2=cm2, cm3=cm3,
         stalled=abs(a) > STALL_ALPHA,
@@ -171,19 +183,99 @@ def eval_coeffs(model, alpha, beta):
     )
 
 
-def _wind_loads(model, alpha, beta, V, w, rho):
-    """Drag, side force, lift and the three moments as six floats; `w` is
-    a 3-sequence of body rates."""
-    c = eval_coeffs(model, alpha, beta)
-    q = 0.5 * rho * V * V * model.a_ref
+def _wind_to_body(ca, sa, cb, sb, D, S, L, M1, M2, M3):
+    """The wind-to-body rotation at the angles with cosines/sines (ca, sa)
+    and (cb, sb) applied to (-D, S, -L) and (M1, M2, M3), as six floats."""
     return (
-        q * c.cd,
-        q * c.cs,
-        q * c.cl,
-        q * c.cm1 + model.k1 * w[0],
-        q * c.cm2 + model.k2 * w[1],
-        q * c.cm3 + model.k3 * w[2],
+        -ca * cb * D - ca * sb * S + sa * L,
+        -sb * D + cb * S,
+        -sa * cb * D - sa * sb * S - ca * L,
+        ca * cb * M1 - ca * sb * M2 - sa * M3,
+        sb * M1 + cb * M2,
+        sa * cb * M1 - sa * sb * M2 + ca * M3,
     )
+
+
+class AeroKernel(NamedTuple):
+    """The loads of one `AeroModel` at one air density, as closures over
+    its constants (see `bind`).  Each takes the aerodynamic angles
+    (alpha, beta) [rad], the airspeed V and the body rates (p, q, r) as
+    floats and returns floats; rho is not checked."""
+
+    wind_loads: Callable          # -> D, S, L, M1, M2, M3 (wind frame)
+    body_loads: Callable          # -> fx, fy, fz, tx, ty, tz (body frame)
+    body_load_partials: Callable  # -> d/dalpha, d/dbeta, d/dV, damping map
+
+
+def bind(model, rho):
+    """Bind `model` and the air density once; returns an `AeroKernel`.
+
+    The hot paths evaluate the loads through these closures, so the
+    polynomials, the dynamic pressure and the wind-to-body rotation are
+    written once, here and in `_polynomials`/`_wind_to_body`."""
+    coeffs, coeff_partials = _polynomials(model)
+    k1, k2, k3 = model.k1, model.k2, model.k3
+    a_ref = model.a_ref
+    half_rho = 0.5 * rho
+    cos, sin = math.cos, math.sin
+
+    def wind_loads(alpha, beta, V, p, q, r):
+        """Drag, side force, lift and the three moments: dynamic pressure
+        times coefficient, the moments plus the damping k_i times the
+        matching body rate."""
+        cd, cs, cl, cm1, cm2, cm3 = coeffs(alpha, beta)
+        qd = half_rho * V * V * a_ref
+        return (qd * cd, qd * cs, qd * cl,
+                qd * cm1 + k1 * p, qd * cm2 + k2 * q, qd * cm3 + k3 * r)
+
+    def body_loads(alpha, beta, V, p, q, r):
+        """Body-frame force and torque: `wind_loads` resolved by the
+        wind-to-body rotation."""
+        return _wind_to_body(cos(alpha), sin(alpha), cos(beta), sin(beta),
+                             *wind_loads(alpha, beta, V, p, q, r))
+
+    def body_load_partials(alpha, beta, V, p, q, r):
+        """Partials of `body_loads` in alpha, beta and V, three 6-tuples,
+        and its damping map: the body torque per unit body rate, a
+        row-major 3x3 as a 9-tuple (the force does not depend on the rates).
+
+        Each angle partial has two parts: the coefficient partials resolved
+        in body axes, and the turn of the rotation itself.  Growing alpha
+        turns the loads about body -y, so (fx, fz) gains (-fz, fx); growing
+        beta turns them about the wind z axis n = (-sin alpha, 0, cos alpha),
+        so they gain n x load.
+        """
+        ca, sa = cos(alpha), sin(alpha)
+        cb, sb = cos(beta), sin(beta)
+        cd, cs, cl, cm1, cm2, cm3 = coeffs(alpha, beta)
+        (ad, as_, al, am1, am2, am3), (bd, bs, bl, bm1, bm2, bm3) = coeff_partials(alpha, beta)
+        qd = half_rho * V * V * a_ref
+        qV = rho * V * a_ref                                                        # dq/dV
+        fx, fy, fz, tx, ty, tz = _wind_to_body(
+            ca, sa, cb, sb, qd * cd, qd * cs, qd * cl,
+            qd * cm1 + k1 * p, qd * cm2 + k2 * q, qd * cm3 + k3 * r,
+        )
+        ax, ay, az, amx, amy, amz = _wind_to_body(
+            ca, sa, cb, sb, qd * ad, qd * as_, qd * al, qd * am1, qd * am2, qd * am3)
+        bx, by, bz, bmx, bmy, bmz = _wind_to_body(
+            ca, sa, cb, sb, qd * bd, qd * bs, qd * bl, qd * bm1, qd * bm2, qd * bm3)
+        return (
+            (ax - fz, ay, az + fx, amx - tz, amy, amz + tx),
+            (bx - ca * fy, by + ca * fx + sa * fz, bz - sa * fy,
+             bmx - ca * ty, bmy + ca * tx + sa * tz, bmz - sa * ty),
+            _wind_to_body(ca, sa, cb, sb, qV * cd, qV * cs, qV * cl, qV * cm1, qV * cm2, qV * cm3),
+            (ca * cb * k1, -ca * sb * k2, -sa * k3,
+             sb * k1, cb * k2, 0.0,
+             sa * cb * k1, -sa * sb * k2, ca * k3),
+        )
+
+    return AeroKernel(wind_loads, body_loads, body_load_partials)
+
+
+def _wind_loads(model, alpha, beta, V, w, rho):
+    """`AeroKernel.wind_loads` of a freshly bound model; `w` is a
+    3-sequence of body rates."""
+    return bind(model, rho).wind_loads(float(alpha), float(beta), V, w[0], w[1], w[2])
 
 
 def aero_loads(model, a, w, rho):
@@ -206,62 +298,10 @@ def loads_to_body(a, loads):
     return F, T
 
 
-def _wind_to_body(ca, sa, cb, sb, D, S, L, M1, M2, M3):
-    """The wind-to-body rotation at the angles with cosines/sines (ca, sa)
-    and (cb, sb) applied to (-D, S, -L) and (M1, M2, M3), as six floats."""
-    return (
-        -ca * cb * D - ca * sb * S + sa * L,
-        -sb * D + cb * S,
-        -sa * cb * D - sa * sb * S - ca * L,
-        ca * cb * M1 - ca * sb * M2 - sa * M3,
-        sb * M1 + cb * M2,
-        sa * cb * M1 - sa * sb * M2 + ca * M3,
-    )
-
-
 def _body_loads(model, alpha, beta, V, w, rho):
-    """Body-frame aerodynamic force and torque as six floats: `aero_loads`
-    resolved by `loads_to_body`, in scalar arithmetic for the hot paths.
-    `w` is a 3-sequence of body rates; rho is not checked."""
-    return _wind_to_body(math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta),
-                         *_wind_loads(model, alpha, beta, V, w, rho))
-
-
-def _body_load_partials(model, alpha, beta, V, w, rho):
-    """Partials of `_body_loads` in alpha, beta and V, three 6-tuples, and
-    its damping map: the body torque per unit body rate, a row-major 3x3
-    as a 9-tuple (the force does not depend on the rates).
-
-    Each angle partial has two parts: the coefficient partials resolved in
-    body axes, and the turn of the rotation itself.  Growing alpha turns
-    the loads about body -y, so (fx, fz) gains (-fz, fx); growing beta
-    turns them about the wind z axis n = (-sin alpha, 0, cos alpha), so
-    they gain n x load.
-    """
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cd, cs, cl, cm1, cm2, cm3 = _coeff_values(model, alpha, beta)
-    (ad, as_, al, am1, am2, am3), (bd, bs, bl, bm1, bm2, bm3) = _coeff_partials(model, alpha, beta)
-    k1, k2, k3 = model.k1, model.k2, model.k3
-    q = 0.5 * rho * V * V * model.a_ref
-    qV = rho * V * model.a_ref                                                      # dq/dV
-    fx, fy, fz, tx, ty, tz = _wind_to_body(
-        ca, sa, cb, sb, q * cd, q * cs, q * cl,
-        q * cm1 + k1 * w[0], q * cm2 + k2 * w[1], q * cm3 + k3 * w[2],
-    )
-    ax, ay, az, amx, amy, amz = _wind_to_body(
-        ca, sa, cb, sb, q * ad, q * as_, q * al, q * am1, q * am2, q * am3)
-    bx, by, bz, bmx, bmy, bmz = _wind_to_body(
-        ca, sa, cb, sb, q * bd, q * bs, q * bl, q * bm1, q * bm2, q * bm3)
-    return (
-        (ax - fz, ay, az + fx, amx - tz, amy, amz + tx),
-        (bx - ca * fy, by + ca * fx + sa * fz, bz - sa * fy,
-         bmx - ca * ty, bmy + ca * tx + sa * tz, bmz - sa * ty),
-        _wind_to_body(ca, sa, cb, sb, qV * cd, qV * cs, qV * cl, qV * cm1, qV * cm2, qV * cm3),
-        (ca * cb * k1, -ca * sb * k2, -sa * k3,
-         sb * k1, cb * k2, 0.0,
-         sa * cb * k1, -sa * sb * k2, ca * k3),
-    )
+    """`AeroKernel.body_loads` of a freshly bound model; `w` is a
+    3-sequence of body rates."""
+    return bind(model, rho).body_loads(alpha, beta, V, w[0], w[1], w[2])
 
 
 @dataclass(frozen=True)

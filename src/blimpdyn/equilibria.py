@@ -6,8 +6,8 @@ A steady solution is parameterized by the six unknowns
 derived from them, which keeps the Newton system 6x6 and well-scaled.
 Each Newton step uses the exact Jacobian of the residual in those
 unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
-aero partials of `aero._body_load_partials` and the balance tangents of
-`dynamics._balance_tangents`.
+aero partials and the balance tangents of the vehicle's bound kernel
+(`dynamics.bind`), which each solve binds once.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import aero as aeromod
-from .dynamics import _balance, _balance_tangents, deriv_vector
+from .dynamics import bind
 from .frames import EulerAngles, State, rotation_body_to_inertial
 
 STALL_ALPHA = aeromod.STALL_ALPHA
@@ -91,17 +91,19 @@ def _unknowns_to_kinematics(x):
     return v_b, w_b, gcol
 
 
-def _raw_residual(x, Fl, Fr, rbar, params, model):
-    """Unscaled force/moment balance of the steady-state equations."""
+def _raw_residual(x, Fl, Fr, rbar, kernel):
+    """Unscaled force/moment balance of the steady-state equations of the
+    vehicle bound in `kernel` (`dynamics.bind`)."""
     x = np.asarray(x, dtype=float).tolist()
     v_b, w_b, gcol = _unknowns_to_kinematics(x)
-    aero = aeromod._body_loads(model, x[4], x[5], x[3], w_b, params.rho)
-    rest = _balance(v_b, w_b, gcol, np.asarray(rbar, dtype=float).tolist(), (0.0, 0.0, 0.0),
-                    Fl, Fr, params)
+    rbar = np.asarray(rbar, dtype=float).tolist()
+    aero = kernel.aero.body_loads(x[4], x[5], x[3], *w_b)
+    rest = kernel.balance(kernel.mass_terms(*rbar), v_b, w_b, gcol, rbar, (0.0, 0.0, 0.0),
+                          Fl, Fr)
     return np.array([a + b for a, b in zip(aero, rest)])
 
 
-def _raw_jacobian(x, rbar, params, model):
+def _raw_jacobian(x, rbar, kernel):
     """Exact 6x6 Jacobian of `_raw_residual` in the unknowns
     (theta, phi, psidot, V, alpha, beta), by the chain rule through
     `_unknowns_to_kinematics`; the thrusts do not enter it."""
@@ -110,7 +112,7 @@ def _raw_jacobian(x, rbar, params, model):
     v_b, w_b, gcol = _unknowns_to_kinematics(x)
     rbar = np.asarray(rbar, dtype=float).tolist()
     d_alpha, d_beta, d_V, (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = (
-        aeromod._body_load_partials(model, alpha, beta, V, w_b, params.rho))
+        kernel.aero.body_load_partials(alpha, beta, V, *w_b))
     sth, cth = math.sin(theta), math.cos(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
     ca, sa = math.cos(alpha), math.sin(alpha)
@@ -129,7 +131,7 @@ def _raw_jacobian(x, rbar, params, model):
         ((-sa * cb * V, 0.0, ca * cb * V), zero, zero),
         ((-ca * sb * V, cb * V, -sa * sb * V), zero, zero),
     )
-    cols = _balance_tangents(v_b, w_b, gcol, rbar, tangents, params)
+    cols = kernel.balance_tangents(kernel.mass_terms(*rbar), v_b, w_b, gcol, tangents)
     # The aero loads see the rates only through their damping map.
     for j in range(3):
         fx, fy, fz, tx, ty, tz = cols[j]
@@ -154,7 +156,7 @@ def steady_residual(sol, control, rbar, params, model):
     """Nondimensional 6-vector steady residual of a candidate solution."""
     rbar = np.asarray(rbar, dtype=float).reshape(3)
     x = np.array([sol.theta, sol.phi, sol.psidot, sol.V, sol.alpha, sol.beta])
-    raw = _raw_residual(x, control.Fl, control.Fr, rbar, params, model)
+    raw = _raw_residual(x, control.Fl, control.Fr, rbar, bind(params, model))
     fscale, tscale = _scales(params, rbar)
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])
 
@@ -241,15 +243,16 @@ def solve_straight(dr_x, F, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
     scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
 
     rows, cols = [0, 2, 4], [0, 3, 4]
+    kernel = bind(params, model)
 
     def fun3(x3):
         x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        raw = _raw_residual(x, F, F, rbar, params, model)
+        raw = _raw_residual(x, F, F, rbar, kernel)
         return raw[rows] / scale[rows]
 
     def jac3(x3):
         x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        J = _raw_jacobian(x, rbar, params, model)
+        J = _raw_jacobian(x, rbar, kernel)
         return J[np.ix_(rows, cols)] / scale[rows, None]
 
     a0 = _initial_alpha(F, params, model, V0)
@@ -260,20 +263,20 @@ def solve_straight(dr_x, F, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
     return _make_solution(x, fnorm, "straight")
 
 
-def _spiral_newton(x0, Fl, Fr, rbar, params, model, tol):
+def _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol):
     fscale, tscale = _scales(params, rbar)
     scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
 
     def fun6(xx):
-        return _raw_residual(xx, Fl, Fr, rbar, params, model) / scale
+        return _raw_residual(xx, Fl, Fr, rbar, kernel) / scale
 
     def jac6(xx):
-        return _raw_jacobian(xx, rbar, params, model) / scale[:, None]
+        return _raw_jacobian(xx, rbar, kernel) / scale[:, None]
 
     return _damped_newton(fun6, jac6, x0, tol=tol)
 
 
-def _solve_spiral_thrust_ramp(dr_x, Fl, Fr, params, model, rail_limit, tol,
+def _solve_spiral_thrust_ramp(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol,
                               max_ramp_steps):
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
     mean_F = 0.5 * (Fl + Fr)
@@ -286,7 +289,7 @@ def _solve_spiral_thrust_ramp(dr_x, Fl, Fr, params, model, rail_limit, tol,
         fl_k = mean_F + 0.5 * diff * frac
         fr_k = mean_F - 0.5 * diff * frac
         try:
-            x, fnorm = _spiral_newton(x, fl_k, fr_k, rbar, params, model, tol)
+            x, fnorm = _spiral_newton(x, fl_k, fr_k, rbar, params, kernel, tol)
         except NoConvergence as exc:
             if frac < 1.0:
                 raise ContinuationBreakdown(
@@ -306,6 +309,7 @@ def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
     spiral branches can separate at large forward moving-mass offsets),
     falls back to ramping the moving-mass displacement at full thrust
     differential from dr_x = 0."""
+    kernel = bind(params, model)
     if Fl == Fr:
         # Equal thrust: seed from the planar solution, then solve the full
         # six-equation balance so that mm-scale lateral asymmetries of the
@@ -313,25 +317,25 @@ def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
         straight = solve_straight(dr_x, Fl, params, model, rail_limit=rail_limit, tol=tol)
         x0 = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
         rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-        x, fnorm = _spiral_newton(x0, Fl, Fr, rbar, params, model, tol)
+        x, fnorm = _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol)
         return _make_solution(x, fnorm, "straight")
     if abs(dr_x) > rail_limit + 1e-12:
         raise ValueError(f"dr_x {dr_x} m outside rail limit +-{rail_limit} m")
     try:
         x, fnorm = _solve_spiral_thrust_ramp(
-            dr_x, Fl, Fr, params, model, rail_limit, tol, max_ramp_steps
+            dr_x, Fl, Fr, params, model, kernel, rail_limit, tol, max_ramp_steps
         )
         return _make_solution(x, fnorm, "spiral")
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
     x, fnorm = _solve_spiral_thrust_ramp(
-        0.0, Fl, Fr, params, model, rail_limit, tol, max_ramp_steps
+        0.0, Fl, Fr, params, model, kernel, rail_limit, tol, max_ramp_steps
     )
     for dr_k in np.linspace(dr_x / max_ramp_steps, dr_x, max_ramp_steps):
         rbar = params.rbar0 + np.array([dr_k, 0.0, 0.0])
         try:
-            x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, model, tol)
+            x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel, tol)
         except NoConvergence as exc:
             if dr_k != dr_x:
                 raise ContinuationBreakdown(
@@ -361,12 +365,15 @@ def linearize(sol, control, rbar, params, model):
     by central finite differences with per-component steps."""
     rbar = np.asarray(rbar, dtype=float).reshape(3)
     y0 = sol.state(rbar).as_vector()
+    deriv = bind(params, model).deriv
+    lin_idx = _LIN_IDX.tolist()
 
     def f8(x8):
-        y = y0.copy()
-        y[_LIN_IDX] = x8
-        ydot = deriv_vector(y, control.Fl, control.Fr, np.zeros(3), params, model)
-        return ydot[_LIN_IDX]
+        y = y0.tolist()
+        for i, xi in zip(lin_idx, x8.tolist()):
+            y[i] = xi
+        ydot = deriv(y, control.Fl, control.Fr, 0.0, 0.0, 0.0)
+        return np.array([ydot[i] for i in lin_idx])
 
     x0 = y0[_LIN_IDX]
     A = np.empty((8, 8))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import medfilt
 
-from .dynamics import deriv_vector
+from . import dynamics
 from .frames import GF_TO_N, GimbalLock, State, aero_angles_array, rotation_matrices
 
 # Moving-mass rail motion limits for position-command ("goto") segments.
@@ -105,6 +105,7 @@ class Trajectory:
     Vz: np.ndarray
     psidot: np.ndarray       # inertial yaw rate from edot = J omega
     R: np.ndarray            # median-smoothed turning radius
+    stop_step: int = None    # index of the RK4 step that failed; None when "ok"
 
     def __len__(self):
         return self.t.size
@@ -143,8 +144,12 @@ def plan_goto_profile(delta, dt, vmax=MM_VMAX, amax=MM_AMAX):
 def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     """Classical RK4 integration over [0, T] at fixed step dt.
 
-    Returns a Trajectory; on gimbal lock or non-finite state the partial
-    trajectory is returned with the corresponding status flag."""
+    The vehicle is bound once (`dynamics.bind`) and the state is stepped
+    as a tuple of floats through the kernel's derivative; each step is
+    written into the preallocated state array.  Returns a Trajectory; on
+    gimbal lock or a non-finite state the partial trajectory is returned
+    with the corresponding status flag and the index of the step that
+    failed."""
     if not (0.0 < dt <= 0.05):
         raise ValueError("dt must be in (0, 0.05]")
     if T <= 0:
@@ -153,53 +158,53 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     t = np.arange(n + 1) * dt
     states = np.empty((n + 1, 18))
     states[0] = state0.as_vector()
+    deriv = dynamics.bind(params, model, legacy).deriv
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
 
     status = "ok"
+    stop_step = None
     seg_idx = 0
     segs = sched.segments
     profile = np.zeros(0)
     prof_k0 = 0
     seg_planned = -1
 
-    y = states[0].copy()
-    k_end = n
+    y = tuple(states[0].tolist())
     for k in range(n):
         tk = t[k]
         while seg_idx + 1 < len(segs) and tk >= segs[seg_idx].t_end - 1e-9:
             seg_idx += 1
         seg = segs[seg_idx]
+        Fl, Fr = seg.Fl, seg.Fr
         if seg.mm_cmd == "goto" and seg_planned != seg_idx:
             target_x = params.rbar0[0] + seg.mm_target
             profile = plan_goto_profile(target_x - y[12], dt)
             prof_k0 = k
             seg_planned = seg_idx
-        fbar = np.zeros(3)
+        bx = 0.0
         if seg.mm_cmd == "goto" and prof_k0 <= k < prof_k0 + profile.size:
-            fbar[0] = profile[k - prof_k0]
+            bx = float(profile[k - prof_k0])
 
         try:
-            k1 = deriv_vector(y, seg.Fl, seg.Fr, fbar, params, model, legacy=legacy)
-            k2 = deriv_vector(y + 0.5 * dt * k1, seg.Fl, seg.Fr, fbar, params, model, legacy=legacy)
-            k3 = deriv_vector(y + 0.5 * dt * k2, seg.Fl, seg.Fr, fbar, params, model, legacy=legacy)
-            k4 = deriv_vector(y + dt * k3, seg.Fl, seg.Fr, fbar, params, model, legacy=legacy)
+            k1 = deriv(y, Fl, Fr, bx, 0.0, 0.0)
+            k2 = deriv([a + half_dt * b for a, b in zip(y, k1)], Fl, Fr, bx, 0.0, 0.0)
+            k3 = deriv([a + half_dt * b for a, b in zip(y, k2)], Fl, Fr, bx, 0.0, 0.0)
+            k4 = deriv([a + dt * b for a, b in zip(y, k3)], Fl, Fr, bx, 0.0, 0.0)
         except GimbalLock:
-            status = "gimbal_lock"
-            k_end = k
+            status, stop_step = "gimbal_lock", k
             break
         except ValueError:
             # An RK4 stage state with non-finite Euler angles.
-            status = "non_finite"
-            k_end = k
+            status, stop_step = "non_finite", k
             break
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            status = "non_finite"
-            k_end = k
+        y = tuple([a + sixth_dt * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                   for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+        if not all(map(math.isfinite, y)):
+            status, stop_step = "non_finite", k
             break
         states[k + 1] = y
-    t = t[: k_end + 1]
-    states = states[: k_end + 1]
-    return _finish_trajectory(t, states, dt, status)
+    k_end = n if stop_step is None else stop_step
+    return _finish_trajectory(t[: k_end + 1], states[: k_end + 1], dt, status, stop_step)
 
 
 def _inertial_velocity(states):
@@ -207,7 +212,7 @@ def _inertial_velocity(states):
     return np.einsum("nij,nj->ni", rotation_matrices(states[:, 3:6]), states[:, 6:9])
 
 
-def _finish_trajectory(t, states, dt, status):
+def _finish_trajectory(t, states, dt, status, stop_step):
     n = t.size
     alpha, beta, V = aero_angles_array(states[:, 6:9])
     Vz = _inertial_velocity(states)[:, 2]
@@ -217,7 +222,7 @@ def _finish_trajectory(t, states, dt, status):
     traj = Trajectory(
         t=t, states=states, dt=dt, status=status,
         V=V, alpha=alpha, beta=beta, Vz=Vz, psidot=psidot,
-        R=np.full(n, np.inf),
+        R=np.full(n, np.inf), stop_step=stop_step,
     )
     window = min(1.0, max(10 * dt, (n - 1) * dt)) if n > 1 else 10 * dt
     R_series = turning_radius_series(traj, window) if n >= 3 else np.full(n, np.inf)

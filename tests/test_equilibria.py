@@ -4,9 +4,9 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blimpdyn import equilibria
-from blimpdyn.aero import _body_load_partials, _body_loads
-from blimpdyn.dynamics import ControlInput, _balance, _balance_tangents, state_derivative
+from blimpdyn import aero, equilibria
+from blimpdyn.aero import _body_loads
+from blimpdyn.dynamics import ControlInput, _balance, _balance_tangents, bind, state_derivative
 from blimpdyn.equilibria import (
     DEFAULT_RAIL_LIMIT,
     NoConvergence,
@@ -55,8 +55,9 @@ def test_raw_jacobian_matches_central_differences(bundle, sym_bundle, x, dr_x, F
     differences to 1e-6 of the largest entry."""
     p, m = sym_bundle if symmetric else bundle
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
-    J = _raw_jacobian(np.array(x), rbar, p, m)
-    ref = _fd_jacobian(lambda xx: _raw_residual(xx, Fl, Fr, rbar, p, m), np.array(x))
+    kernel = bind(p, m)
+    J = _raw_jacobian(np.array(x), rbar, kernel)
+    ref = _fd_jacobian(lambda xx: _raw_residual(xx, Fl, Fr, rbar, kernel), np.array(x))
     np.testing.assert_allclose(J, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
 
 
@@ -70,12 +71,13 @@ def test_planar_jacobian_block_matches_central_differences(bundle, sym_bundle, x
     p, m = sym_bundle if symmetric else bundle
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     theta, _, _, V, alpha, _ = x
+    kernel = bind(p, m)
 
     def planar(x3):
         xx = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        return _raw_residual(xx, F, F, rbar, p, m)[[0, 2, 4]]
+        return _raw_residual(xx, F, F, rbar, kernel)[[0, 2, 4]]
 
-    J = _raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), rbar, p, m)
+    J = _raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), rbar, kernel)
     ref = _fd_jacobian(planar, np.array([theta, V, alpha]))
     np.testing.assert_allclose(J[np.ix_([0, 2, 4], [0, 3, 4])], ref,
                                rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
@@ -119,7 +121,7 @@ def test_body_load_partials_match_central_differences(bundle, sym_bundle, ang, V
     def loads(a, b, VV, ww):
         return np.array(_body_loads(m, a, b, VV, ww, rho))
 
-    d_alpha, d_beta, d_V, damping = _body_load_partials(m, alpha, beta, V, w, rho)
+    d_alpha, d_beta, d_V, damping = aero.bind(m, rho).body_load_partials(alpha, beta, V, *w)
     h = 1e-6
     refs = [
         (loads(alpha + h, beta, V, w) - loads(alpha - h, beta, V, w)) / (2.0 * h),
@@ -208,7 +210,7 @@ def test_balanced_configuration_is_exact_solution(params, model):
 
     # Direct residual of the exact rest solution.
     x0 = np.zeros(6)
-    assert np.allclose(_raw_residual(x0, 0.0, 0.0, np.zeros(3), p, m), 0.0,
+    assert np.allclose(_raw_residual(x0, 0.0, 0.0, np.zeros(3), bind(p, m)), 0.0,
                        atol=1e-15)
 
 
@@ -233,7 +235,7 @@ def test_raw_residual_matches_matrix_balance(params, model, reference_rhs, x, th
         rbar=rbar, rbardot=np.zeros(3),
     )
     ref = reference_rhs(s, Fl, Fr, np.zeros(3), params, model)[:6]
-    got = _raw_residual(np.array(x), Fl, Fr, rbar, params, model)
+    got = _raw_residual(np.array(x), Fl, Fr, rbar, bind(params, model))
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from reference_kernel import reference_integrate
 from scipy.signal import medfilt
 
+from blimpdyn import dynamics
 from blimpdyn.equilibria import solve_spiral, solve_straight, turning_radius
 from blimpdyn.frames import GF_TO_N, EulerAngles, State, aero_angles, rotation_body_to_inertial
 from blimpdyn.simulate import (
@@ -149,6 +151,7 @@ def test_gimbal_lock_returns_partial(params, model):
     traj = integrate(s0, InputSchedule.constant(F2, F2, 5.0), params, model, T=5.0)
     assert traj.status == "gimbal_lock"
     assert traj.t[-1] < 5.0
+    assert traj.stop_step == len(traj) - 1 == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -165,7 +168,92 @@ def test_non_finite_euler_angles_return_partial(params, model):
     assert traj.status == "non_finite"
     assert traj.t[-1] < 0.1
     assert len(traj) == traj.states.shape[0]
+    assert traj.stop_step == len(traj) - 1 == 0
     assert np.all(np.isfinite(traj.states[:, 3:6]))
+
+
+def _overflow_run():
+    """A run whose stage states are finite but whose RK4 combine step
+    overflows: at a 1e-300 s step, 1e307 N of thrust gives accelerations
+    near 1e308 whose weighted sum k1 + 2 k2 + 2 k3 + k4 is inf in the
+    velocity, while the Euler angles stay finite."""
+    return InputSchedule.constant(1e307, 1e307, 5e-300), 1e-300, 5e-300
+
+
+@pytest.mark.filterwarnings("error")
+def test_combine_overflow_returns_partial(params, model):
+    """A velocity that overflows in the combine step, not in an RK4 stage,
+    ends the run by the post-step finiteness check: status "non_finite"
+    at the step the unbound reference loop stops at, and no warning."""
+    sched, dt, T = _overflow_run()
+    traj = integrate(_rest_state(params, theta=0.1), sched, params, model, dt=dt, T=T)
+    ref_states, ref_status, ref_step = reference_integrate(
+        _rest_state(params, theta=0.1), sched, params, model, dt, T)
+    assert traj.status == ref_status == "non_finite"
+    assert traj.stop_step == ref_step == 0
+    assert np.array_equal(traj.states, ref_states)
+    assert np.all(np.isfinite(traj.states))
+
+
+def _reference_cases(params):
+    gf = GF_TO_N
+    maneuver = InputSchedule((
+        Segment(0.0, 0.3, 2.0 * gf, 2.0 * gf),
+        Segment(0.3, 1.0, 1.4 * gf, 2.6 * gf, mm_cmd="goto", mm_target=0.02),
+    ))
+    pitching = State(
+        p=np.zeros(3), e=EulerAngles(0.0, 1.3, 0.0),
+        v=np.array([0.0, 0.0, -1.0]), w=np.array([0.0, 6.0, 0.0]),
+        rbar=params.rbar0, rbardot=np.zeros(3),
+    )
+    euler_nan = State(
+        p=np.zeros(3), e=EulerAngles(0.0, 0.1, 0.0),
+        v=np.array([1e160, 0.0, 0.0]), w=np.array([0.0, 1e-3, 0.0]),
+        rbar=params.rbar0, rbardot=np.zeros(3),
+    )
+    overflow, dt_o, T_o = _overflow_run()
+    return {
+        "maneuver": (_rest_state(params), maneuver, 0.005, 1.0, False),
+        "maneuver_legacy": (_rest_state(params), maneuver, 0.005, 1.0, True),
+        "gimbal_lock": (pitching, InputSchedule.constant(F2, F2, 1.0), 0.005, 1.0, False),
+        "euler_nan": (euler_nan, InputSchedule.constant(0.02, 0.02, 0.1), 0.005, 0.1, False),
+        "combine_overflow": (_rest_state(params, theta=0.1), overflow, dt_o, T_o, False),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "gimbal_lock", "euler_nan",
+                                  "combine_overflow"])
+def test_integrate_matches_unbound_reference(params, model, case):
+    """The float RK4 on the bound kernel reproduces RK4 on numpy vectors
+    through the unbound reference kernel bit for bit: the states, the
+    status and the step at which a failed run stopped.  (The 1e160 m/s
+    start of "euler_nan" overflows the airspeed norm of the analysis.)"""
+    s0, sched, dt, T, legacy = _reference_cases(params)[case]
+    traj = integrate(s0, sched, params, model, dt=dt, T=T, legacy=legacy)
+    ref_states, ref_status, ref_step = reference_integrate(s0, sched, params, model, dt, T,
+                                                           legacy)
+    assert (traj.status, traj.stop_step) == (ref_status, ref_step)
+    assert traj.states.tobytes() == ref_states.tobytes()
+    if case == "gimbal_lock":
+        assert traj.stop_step > 5
+
+
+def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
+    """One run binds the vehicle exactly once and never falls back to the
+    unbound `deriv_vector`."""
+    binds = []
+    real_bind = dynamics.bind
+    monkeypatch.setattr(dynamics, "bind", lambda *a, **k: binds.append(1) or real_bind(*a, **k))
+
+    def unbound(*args, **kwargs):
+        raise AssertionError("integrate called dynamics.deriv_vector")
+
+    monkeypatch.setattr(dynamics, "deriv_vector", unbound)
+    s0, sched, dt, T, legacy = _reference_cases(params)["maneuver"]
+    traj = integrate(s0, sched, params, model, dt=dt, T=T, legacy=legacy)
+    assert traj.status == "ok" and traj.stop_step is None
+    assert len(binds) == 1
 
 
 def test_dt_validation(params, model):
