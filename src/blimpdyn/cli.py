@@ -20,7 +20,6 @@ from . import __version__
 from .aero import DegenerateModel, lift_drag_analysis
 from .dynamics import ControlInput
 from .equilibria import (
-    ContinuationBreakdown,
     NoConvergence,
     eigen_report,
     linearize,
@@ -60,7 +59,6 @@ STEADY_WINDOW_S = 4.0
 
 _DOMAIN_ERRORS = (
     NoConvergence,
-    ContinuationBreakdown,
     DegenerateModel,
     NotSteady,
     RankDeficient,
@@ -199,7 +197,7 @@ def cmd_spiral(args):
             try:
                 sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model, tol=args.tol)
                 rows.append(_steady_row(drx, Fl, Fr, sol))
-            except (NoConvergence, ContinuationBreakdown):
+            except NoConvergence:
                 rows.append(_fail_row(drx, Fl, Fr))
                 failures += 1
     _write_csv(os.path.join(args.out, "spiral.csv"), _STEADY_HEADER, rows)

@@ -7,7 +7,9 @@ derived from them, which keeps the Newton system 6x6 and well-scaled.
 Each Newton step uses the exact Jacobian of the residual in those
 unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
 aero partials and the balance tangents of the vehicle's bound kernel
-(`dynamics.bind`), which each solve binds once.
+(`dynamics.bind`), which each solve binds once.  A spiral is one Newton
+solve at its thrusts from the planar trim; only where that fails does
+`solve_spiral` fall back to a continuation along the moving-mass rail.
 """
 
 from dataclasses import dataclass
@@ -27,13 +29,17 @@ DEFAULT_RAIL_LIMIT = 0.06
 # Length scale floor for nondimensionalizing the moment residual [m].
 MOMENT_ARM_FLOOR = 0.1
 
+# Newton steps of the moving-mass continuation in the spiral fallback.
+RAIL_STEPS = 10
+
 
 class NoConvergence(RuntimeError):
     """Newton iteration failed to meet tolerance within the iteration cap."""
 
 
 class ContinuationBreakdown(NoConvergence):
-    """An intermediate step of the spiral thrust-ramp continuation failed."""
+    """An intermediate step of the spiral solver's moving-mass continuation
+    failed."""
 
 
 class EigenFailure(RuntimeError):
@@ -161,7 +167,7 @@ def steady_residual(sol, control, rbar, params, model):
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])
 
 
-def _damped_newton(fun, jac, x0, tol=1e-9, step_tol=1e-10, max_iter=100):
+def _damped_newton(fun, jac, x0, tol=1e-9, max_iter=100):
     """Newton with step halving; returns (x, residual_norm).
 
     `jac(x)` is the exact Jacobian of `fun` at x, so an iteration costs
@@ -196,8 +202,6 @@ def _damped_newton(fun, jac, x0, tol=1e-9, step_tol=1e-10, max_iter=100):
             raise NoConvergence("step halving exhausted")
         x, f = x_new, f_new
         fnorm = np.linalg.norm(f)
-        if fnorm < tol and lam * np.linalg.norm(dx) < step_tol:
-            return x, fnorm
     if fnorm < tol:
         return x, fnorm
     raise NoConvergence(f"residual {fnorm:.3e} after {max_iter} iterations")
@@ -276,63 +280,38 @@ def _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol):
     return _damped_newton(fun6, jac6, x0, tol=tol)
 
 
-def _solve_spiral_thrust_ramp(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol,
-                              max_ramp_steps):
+def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol):
+    """One Newton solve at the given thrusts, seeded from the planar trim
+    at the mean thrust."""
+    straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model,
+                              rail_limit=rail_limit, tol=tol)
+    x0 = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-    mean_F = 0.5 * (Fl + Fr)
-    straight = solve_straight(dr_x, mean_F, params, model, rail_limit=rail_limit, tol=tol)
-    x = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
-
-    diff = Fl - Fr
-    fnorm = straight.residual_norm
-    for frac in np.linspace(1.0 / max_ramp_steps, 1.0, max_ramp_steps):
-        fl_k = mean_F + 0.5 * diff * frac
-        fr_k = mean_F - 0.5 * diff * frac
-        try:
-            x, fnorm = _spiral_newton(x, fl_k, fr_k, rbar, params, kernel, tol)
-        except NoConvergence as exc:
-            if frac < 1.0:
-                raise ContinuationBreakdown(
-                    f"continuation failed at differential fraction {frac:.2f}: {exc}"
-                ) from exc
-            raise
-    return x, fnorm
+    return _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol)
 
 
-def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
-                 tol=1e-9, max_ramp_steps=10):
+def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT, tol=1e-9):
     """Steady spiral equilibrium under differential thrust.
 
-    Seeds from the straight solution at the mean thrust and ramps the
-    thrust differential to its target in at most `max_ramp_steps` Newton
-    continuation steps.  If the thrust ramp hits a fold (the straight and
-    spiral branches can separate at large forward moving-mass offsets),
-    falls back to ramping the moving-mass displacement at full thrust
-    differential from dr_x = 0."""
+    Seeds from the straight solution at the mean thrust and solves the
+    six-equation balance at the given thrusts in one Newton solve.  With
+    equal thrust the result has kind "straight": the solve absorbs the
+    mm-scale lateral asymmetries of the vehicle in (typically tiny) phi,
+    psidot, beta.  If that solve fails away from dr_x = 0 (at large
+    moving-mass offsets the equilibrium can lie on a branch that the
+    planar seed does not reach), solves the same thrusts at dr_x = 0 and
+    walks the moving mass out to dr_x in `RAIL_STEPS` Newton steps; a
+    failed intermediate step raises `ContinuationBreakdown`."""
     kernel = bind(params, model)
-    if Fl == Fr:
-        # Equal thrust: seed from the planar solution, then solve the full
-        # six-equation balance so that mm-scale lateral asymmetries of the
-        # vehicle are absorbed by (typically tiny) phi, psidot, beta.
-        straight = solve_straight(dr_x, Fl, params, model, rail_limit=rail_limit, tol=tol)
-        x0 = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
-        rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-        x, fnorm = _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol)
-        return _make_solution(x, fnorm, "straight")
-    if abs(dr_x) > rail_limit + 1e-12:
-        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{rail_limit} m")
+    kind = "straight" if Fl == Fr else "spiral"
     try:
-        x, fnorm = _solve_spiral_thrust_ramp(
-            dr_x, Fl, Fr, params, model, kernel, rail_limit, tol, max_ramp_steps
-        )
-        return _make_solution(x, fnorm, "spiral")
+        x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol)
+        return _make_solution(x, fnorm, kind)
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
-    x, fnorm = _solve_spiral_thrust_ramp(
-        0.0, Fl, Fr, params, model, kernel, rail_limit, tol, max_ramp_steps
-    )
-    for dr_k in np.linspace(dr_x / max_ramp_steps, dr_x, max_ramp_steps):
+    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, rail_limit, tol)
+    for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
         rbar = params.rbar0 + np.array([dr_k, 0.0, 0.0])
         try:
             x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel, tol)
@@ -342,7 +321,7 @@ def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
                     f"moving-mass continuation failed at dr_x {dr_k:.4f} m: {exc}"
                 ) from exc
             raise
-    return _make_solution(x, fnorm, "spiral")
+    return _make_solution(x, fnorm, kind)
 
 
 def turning_radius(sol):

@@ -262,7 +262,7 @@ def aero_angles_array(v):
     body-frame velocities, each row as in `aero_angles`."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
-    V = np.linalg.norm(v, axis=1)
+    V = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
     moving = V >= V_MIN
     alpha = np.where(moving, np.arctan2(v[:, 2], v[:, 0]), 0.0)
     ratio = np.divide(v[:, 1], V, out=np.zeros(n), where=moving)

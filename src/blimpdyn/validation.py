@@ -19,6 +19,7 @@ from .aero import PARAM_NAMES, aero_loads, lift_drag_analysis
 from .cli import SPIRAL_DIFF_GF, SPIRAL_DRX_CM, SPIRAL_TOTAL_GF, TRIM_DRX_CM, TRIM_THRUST_GF
 from .dynamics import ControlInput, mechanical_energy
 from .equilibria import (
+    NoConvergence,
     eigen_report,
     linearize,
     solve_spiral,
@@ -161,22 +162,34 @@ def criterion_5():
     )
 
 
-def criterion_6():
-    """Spiral sweep convergence, mirror symmetry, staircase radius match."""
-    params, model = _bundle()
-    worst_resid = 0.0
+def _converged_spirals(params, model, mirrored=False):
+    """{cell: solution} of the spiral-grid cells that converge; `mirrored`
+    swaps each cell's thrusts."""
+    sols = {}
     for dr_x, Fl, Fr in _spiral_cells():
-        sol = solve_spiral(dr_x, Fl, Fr, params, model)
-        worst_resid = max(worst_resid, sol.residual_norm)
-    converged = worst_resid < 1e-9
+        with contextlib.suppress(NoConvergence):
+            sols[dr_x, Fl, Fr] = (solve_spiral(dr_x, Fr, Fl, params, model) if mirrored
+                                  else solve_spiral(dr_x, Fl, Fr, params, model))
+    return sols
+
+
+def criterion_6():
+    """Spiral sweep convergence, mirror symmetry, staircase radius match.
+    A cell that does not converge fails the criterion."""
+    params, model = _bundle()
+    n_cells = len(SPIRAL_DRX_CM) * len(SPIRAL_DIFF_GF)
+    sols = _converged_spirals(params, model)
+    worst_resid = max((sol.residual_norm for sol in sols.values()), default=0.0)
+    converged = len(sols) == n_cells and worst_resid < 1e-9
 
     # Mirror symmetry is a property of the y-symmetric idealization; the
     # measured vehicle carries mm-scale lateral asymmetries that break it.
     ps, ms = params.symmetrized(), model.symmetrized()
-    worst_mirror = 0.0
-    for dr_x, Fl, Fr in _spiral_cells():
-        a = solve_spiral(dr_x, Fl, Fr, ps, ms)
-        b = solve_spiral(dr_x, Fr, Fl, ps, ms)
+    left = _converged_spirals(ps, ms)
+    right = _converged_spirals(ps, ms, mirrored=True)
+    worst_mirror = 0.0 if len(left) == len(right) == n_cells else np.inf
+    for cell in left.keys() & right.keys():
+        a, b = left[cell], right[cell]
         worst_mirror = max(
             worst_mirror,
             abs(a.phi + b.phi), abs(a.psidot + b.psidot), abs(a.beta + b.beta),
@@ -185,31 +198,34 @@ def criterion_6():
     mirror_ok = worst_mirror <= 1e-8
 
     # Staircase: two 25 s plateaus of differential thrust; the simulated
-    # turning radius on each plateau tail must match the equilibrium value.
+    # turning radius on each plateau tail must match the equilibrium value
+    # of the sweep cell at dr_x = 0.
     gf = GF_TO_N
     diffs = (-3.2, -4.4)
     plateau = 25.0
-    segs, sols = [], []
+    segs = []
     for k, diff in enumerate(diffs):
         Fl = 0.5 * (SPIRAL_TOTAL_GF + diff) * gf
         Fr = 0.5 * (SPIRAL_TOTAL_GF - diff) * gf
         segs.append(Segment(k * plateau, (k + 1) * plateau, Fl, Fr))
-        sols.append(solve_spiral(0.0, Fl, Fr, params, model))
-    state0 = sols[0].state(params.rbar0)
-    traj = integrate(state0, InputSchedule(tuple(segs)), params, model,
-                     T=plateau * len(diffs))
-    worst_plateau = 0.0
-    for k, sol in enumerate(sols):
-        mask = (traj.t >= (k + 1) * plateau - 10.0) & (traj.t <= (k + 1) * plateau - 1.0)
-        r_sim = float(np.median(traj.R[mask]))
-        r_eq = turning_radius(sol)
-        worst_plateau = max(worst_plateau, abs(r_sim - r_eq) / r_eq)
+    plateau_sols = [sols.get((0.0, seg.Fl, seg.Fr)) for seg in segs]
+    worst_plateau = np.inf
+    if None not in plateau_sols:
+        state0 = plateau_sols[0].state(params.rbar0)
+        traj = integrate(state0, InputSchedule(tuple(segs)), params, model,
+                         T=plateau * len(diffs))
+        worst_plateau = 0.0
+        for k, sol in enumerate(plateau_sols):
+            mask = (traj.t >= (k + 1) * plateau - 10.0) & (traj.t <= (k + 1) * plateau - 1.0)
+            r_sim = float(np.median(traj.R[mask]))
+            r_eq = turning_radius(sol)
+            worst_plateau = max(worst_plateau, abs(r_sim - r_eq) / r_eq)
     staircase_ok = worst_plateau < 0.02
 
     ok = converged and mirror_ok and staircase_ok
     return CriterionResult(
         6, "spiral suite", ok,
-        f"36/36 converged (worst residual {worst_resid:.1e}), "
+        f"{len(sols)}/{n_cells} converged (worst residual {worst_resid:.1e}), "
         f"mirror defect {worst_mirror:.1e} (<= 1e-8, symmetrized vehicle), "
         f"staircase radius error {worst_plateau:.2%} (< 2%)",
     )

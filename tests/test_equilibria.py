@@ -141,22 +141,30 @@ def test_body_load_partials_match_central_differences(bundle, sym_bundle, ang, V
                                rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("dr_x, diff, bound", [
-    (-0.01, -3.2, 90),     # thrust ramp only; 429 evaluations with difference Jacobians
-    (0.04, -4.9, 400),     # fold, then the moving-mass fallback; 1233 with them
+@pytest.mark.parametrize("dr_x, diff, bound, seeds", [
+    pytest.param(-0.01, -3.2, 20, 1, id="direct"),
+    pytest.param(0.04, -4.9, 200, 2, id="fallback"),
 ])
-def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff, bound):
+def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff, bound,
+                                          seeds):
     """Each Newton iteration evaluates the residual only for its step-halving
     trials, never to build the Jacobian, so a spiral solve costs a small,
-    deterministic number of residual evaluations."""
+    deterministic number of residual evaluations.  A direct cell is seeded
+    by one planar trim; a cell whose direct solve fails is seeded again at
+    dr_x = 0 for the moving-mass fallback."""
     calls = []
     raw = equilibria._raw_residual
     monkeypatch.setattr(equilibria, "_raw_residual", lambda *a: calls.append(1) or raw(*a))
+    straight_calls = []
+    straight = equilibria.solve_straight
+    monkeypatch.setattr(equilibria, "solve_straight",
+                        lambda *a, **k: straight_calls.append(a[0]) or straight(*a, **k))
     Fl = 0.5 * (7.0 + diff) * GF_TO_N
     Fr = 0.5 * (7.0 - diff) * GF_TO_N
     sol = solve_spiral(dr_x, Fl, Fr, params, model)
     assert sol.residual_norm < 1e-9
     assert 0 < len(calls) <= bound
+    assert len(straight_calls) == seeds
 
 
 def test_straight_trim_stock_point(params, model):
@@ -251,8 +259,9 @@ def test_spiral_grid_subset(params, model):
 
 
 def test_spiral_fold_fallback(params, model):
-    """At large forward moving-mass offset the thrust ramp hits a fold;
-    the displacement-ramp fallback must still converge."""
+    """At large forward moving-mass offset the direct Newton solve from the
+    planar trim fails; the fallback, which solves the cell at dr_x = 0 and
+    walks the moving mass along the rail, must still converge."""
     Fl = 0.5 * (7.0 - 4.9) * GF_TO_N
     Fr = 0.5 * (7.0 + 4.9) * GF_TO_N
     sol = solve_spiral(0.04, Fl, Fr, params, model)

@@ -154,10 +154,11 @@ def test_gimbal_lock_returns_partial(params, model):
     assert traj.stop_step == len(traj) - 1 == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_euler_angles_return_partial(params, model):
     """An RK4 stage whose Euler angles overflow to NaN ends the run with
-    status "non_finite" and the states up to the failed step."""
+    status "non_finite" and the states up to the failed step, whose
+    airspeed is analysed without an overflow warning."""
     s0 = State(
         p=np.zeros(3), e=EulerAngles(0.0, 0.1, 0.0),
         v=np.array([1e160, 0.0, 0.0]), w=np.array([0.0, 1e-3, 0.0]),
@@ -170,6 +171,7 @@ def test_non_finite_euler_angles_return_partial(params, model):
     assert len(traj) == traj.states.shape[0]
     assert traj.stop_step == len(traj) - 1 == 0
     assert np.all(np.isfinite(traj.states[:, 3:6]))
+    assert np.all(np.isfinite(traj.V))
 
 
 def _overflow_run():
