@@ -306,10 +306,11 @@ def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT, tol
     kind = "straight" if Fl == Fr else "spiral"
     try:
         x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol)
-        return _make_solution(x, fnorm, kind)
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
+    else:
+        return _make_solution(x, fnorm, kind)
     x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, rail_limit, tol)
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
         rbar = params.rbar0 + np.array([dr_k, 0.0, 0.0])
