@@ -40,7 +40,6 @@ from .sysid import (
     average_by_setting,
     extract_steady,
     fit,
-    invert_aero,
     load_trials,
     mirror_augment,
 )

@@ -5,8 +5,9 @@ and documented in each file's header comment:
 
   [mass]      stationary_kg, moving_kg, inertia_* [kg m^2],
               r_*_m, rbar0_*_m, buoyancy_n
-  [geometry]  prop_offset_m, helium_volume_m3, reference_area_m2 (optional),
-              reynolds
+  [geometry]  prop_offset_m, helium_volume_m3, air_density_kgm3 [kg/m^3],
+              gravity_ms2 [m/s^2], reference_area_m2 (optional),
+              reynolds (optional)
   [aero]      the 18 polynomial coefficients, k1..k3 [N m s/rad],
               beta_limit_deg (optional)
 """

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import medfilt
+from scipy.ndimage import median_filter
 
 from . import dynamics
 from .frames import GF_TO_N, GimbalLock, State, aero_angles_array, rotation_matrices
@@ -244,13 +244,15 @@ def turning_radius_series(traj, window):
         ksz += 1
     ksz = min(ksz, n if n % 2 == 1 else n - 1)
     if ksz >= 3:
+        # A running median over ksz samples, zero-padded at both ends.
         finite = np.isfinite(R)
         if finite.all():
-            R = medfilt(R, ksz)
+            R = median_filter(R, size=ksz, mode="constant", cval=0.0)
         else:
-            # medfilt cannot handle inf; substitute a large sentinel.
+            # Non-finite radii (inf, and NaN, which has no order) pass through
+            # the filter as a large sentinel.
             big = 1e12
-            Rs = medfilt(np.where(finite, R, big), ksz)
+            Rs = median_filter(np.where(finite, R, big), size=ksz, mode="constant", cval=0.0)
             R = np.where(Rs > big / 2, np.inf, Rs)
     return R
 

@@ -5,31 +5,33 @@ each log body into one array), reduce each to an averaged steady
 observation, invert the steady-state balance for the wind-frame
 aerodynamic loads, mirror-augment the spiral data about the vehicle's
 symmetry plane, reject outliers, and fit the polynomial coefficient model
-plus rotational damping.  The model is linear in its coefficients and each
-load channel has its own, so the fit is an exact weighted least-squares
-solve per channel, done as two stacked solves (the three forces and the
-three moments); the bound damping <= 0 is met by one active-set step.
+plus rotational damping.
+
+The position smoother is a Savitzky-Golay operator built once per window
+length: the least-squares projection onto quadratics, whose middle row is
+the interior convolution and whose outer rows are the edge fits.  The
+load inversion is one function of pure arithmetic (the bound balance of
+`dynamics._bind_balance` and the body-to-wind rotation), which `fit` runs
+once over arrays of all observations and `invert_aero` over the floats of
+one.  The model is linear in its coefficients and each load channel has
+its own, so the fit is an exact weighted least-squares solve per channel,
+done as two stacked solves (the three forces and the three moments), each
+one batched SVD that also gives the condition numbers; the bound
+damping <= 0 is met by one active-set step.
 """
 
 import csv
+import functools
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from . import aero as aeromod
-from .dynamics import _balance
-from .frames import (
-    GF_TO_N,
-    AeroAngles,
-    EulerAngles,
-    aero_angles_array,
-    rotation_body_to_inertial,
-    rotation_matrices,
-    wind_to_body,
-)
+from .dynamics import _bind_balance
+from .frames import GF_TO_N, AeroAngles, EulerAngles, aero_angles_array, rotation_matrices
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 2
@@ -220,12 +222,31 @@ def trajectory_to_trial(traj, trial_id, kind, dr_x, Fl, Fr):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _savgol_operator(win):
+    """The (win, win) least-squares projection of `win` equally spaced
+    samples onto polynomials of order SAVGOL_ORDER: row k weights the
+    window's samples into the fitted value at sample k.  Its middle row is
+    the Savitzky-Golay smoothing kernel; its first and last `win // 2` rows
+    fit the record's edges, as `scipy.signal.savgol_filter(mode="interp")`.
+    Read-only, since the cache hands the same array to every caller."""
+    x = np.arange(win, dtype=float) - win // 2
+    vander = np.vander(x, SAVGOL_ORDER + 1)
+    op = vander @ np.linalg.pinv(vander)
+    op.setflags(write=False)
+    return op
+
+
 def _smooth_velocity(t, pos):
     """Inertial velocity by central differences on locally smoothed position."""
     n = pos.shape[0]
     win = min(SAVGOL_WINDOW, n if n % 2 == 1 else n - 1)
     if win > SAVGOL_ORDER + 1:
-        sm = savgol_filter(pos, win, SAVGOL_ORDER, axis=0)
+        op, h = _savgol_operator(win), win // 2
+        sm = np.empty(pos.shape)
+        sm[h:n - h] = np.column_stack([np.correlate(col, op[h], "valid") for col in pos.T])
+        sm[:h] = op[:h] @ pos[:win]
+        sm[n - h:] = op[win - h:] @ pos[n - win:]
     else:
         sm = pos
     return np.gradient(sm, t, axis=0)
@@ -263,8 +284,10 @@ def extract_steady(rec, window, params):
             raise NotSteady(f"{rec.trial_id}: pitch unsteady in trailing window")
 
     sl = slice(n - wlen, n)
-    psi_unwrapped = np.unwrap(rec.euler[:, 2])
-    psidot = float(np.polyfit(rec.t[sl], psi_unwrapped[sl], 1)[0])
+    # Yaw rate: the least-squares slope of the unwrapped yaw over the window.
+    tc = rec.t[sl] - np.mean(rec.t[sl])
+    psi = np.unwrap(rec.euler[sl, 2])
+    psidot = float(tc @ (psi - np.mean(psi)) / (tc @ tc))
     theta_m = float(np.mean(theta[sl]))
     phi_m = float(np.mean(rec.euler[sl, 0]))
     sth, cth = np.sin(theta_m), np.cos(theta_m)
@@ -303,23 +326,78 @@ def observation_from_solution(sol, dr_x, Fl, Fr, params):
     )
 
 
-def invert_aero(obs, params):
-    """Wind-frame aerodynamic loads implied by one steady observation.
+def _bind_inversion(params):
+    """The load inversion of `params` as one function of pure arithmetic,
+    so that it takes floats or (n,) arrays alike.
 
     The steady balance says the aero loads cancel the rest of the
-    generalized force and torque (`dynamics._balance`, which is computable
-    from the observation and parameters); the negated remainder is resolved
-    into the wind frame with the sign conventions D = -x, S = +y, L = -z."""
-    aa = AeroAngles(obs.alpha, obs.beta, obs.V)
-    R = rotation_body_to_inertial(EulerAngles(obs.phi, obs.theta, 0.0))
-    Rvb = wind_to_body(aa)
-    rest = _balance((obs.V * Rvb[:, 0]).tolist(), np.asarray(obs.w_b, dtype=float).tolist(),
-                    R[2].tolist(), np.asarray(obs.rbar, dtype=float).tolist(), (0.0, 0.0, 0.0),
-                    obs.Fl, obs.Fr, params)
-    aero = -np.array(rest)
-    fw = Rvb.T @ aero[:3]
-    mw = Rvb.T @ aero[3:]
-    return aeromod.AeroLoads(D=-fw[0], S=fw[1], L=-fw[2], M1=mw[0], M2=mw[1], M3=mw[2])
+    generalized force and torque (the balance bound by
+    `dynamics._bind_balance`, computable from the observation and
+    parameters); the negated remainder is resolved into the wind frame by
+    the transpose of the wind-to-body rotation, with the sign conventions
+    D = -x, S = +y, L = -z.  The caller passes the cosines and sines of
+    alpha, beta, theta and phi, the body rates `w` and the moving-mass
+    position `rbar` as 3-sequences, and the thrusts."""
+    mass_terms, balance, _ = _bind_balance(params, False)
+
+    def invert(V, ca, sa, cb, sb, cth, sth, cphi, sphi, w, rbar, Fl, Fr):
+        """Wind-frame loads (D, S, L, M1, M2, M3)."""
+        # The body velocity is V times the first column of the wind-to-body
+        # rotation; gcol, the inertial down axis, is independent of yaw.
+        cacb, sacb = ca * cb, sa * cb
+        fx, fy, fz, tx, ty, tz = balance(
+            mass_terms(*rbar), (V * cacb, V * sb, V * sacb), w,
+            (-sth, cth * sphi, cth * cphi), rbar, (0.0, 0.0, 0.0), Fl, Fr)
+        casb, sasb = ca * sb, sa * sb
+        return (
+            cacb * fx + sb * fy + sacb * fz,
+            casb * fx - cb * fy + sasb * fz,
+            ca * fz - sa * fx,
+            -(cacb * tx + sb * ty + sacb * tz),
+            casb * tx - cb * ty + sasb * tz,
+            sa * tx - ca * tz,
+        )
+
+    return invert
+
+
+def _check_angles(obs):
+    """Raise the ValueError of `AeroAngles` or `EulerAngles` if the
+    observation's airspeed, sideslip or attitude is outside their domain."""
+    AeroAngles(obs.alpha, obs.beta, obs.V)
+    EulerAngles(obs.phi, obs.theta, 0.0)
+
+
+def invert_aero(obs, params):
+    """Wind-frame aerodynamic loads implied by one steady observation (see
+    `_bind_inversion`)."""
+    _check_angles(obs)
+    cos, sin = math.cos, math.sin
+    a, b, th, ph = obs.alpha, obs.beta, obs.theta, obs.phi
+    loads = _bind_inversion(params)(
+        obs.V, cos(a), sin(a), cos(b), sin(b), cos(th), sin(th), cos(ph), sin(ph),
+        np.asarray(obs.w_b, dtype=float).tolist(), np.asarray(obs.rbar, dtype=float).tolist(),
+        obs.Fl, obs.Fr)
+    return aeromod.AeroLoads(*loads)
+
+
+def _invert_loads(observations, params):
+    """`invert_aero` of every observation in one pass over arrays; an (n, 6)
+    array, one row of loads per observation."""
+    V, a, b, th, ph, Fl, Fr = np.array(
+        [(o.V, o.alpha, o.beta, o.theta, o.phi, o.Fl, o.Fr) for o in observations], dtype=float).T
+    # The domain of `_check_angles`; its error is that of the first
+    # observation outside it, as a per-observation loop would raise.
+    bad = np.flatnonzero((V < 0) | (np.abs(b) > np.pi / 2 + 1e-12)
+                         | ~np.isfinite(th) | ~np.isfinite(ph))
+    if bad.size:
+        _check_angles(observations[bad[0]])
+    w = np.array([o.w_b for o in observations], dtype=float).T
+    rbar = np.array([o.rbar for o in observations], dtype=float).T
+    cos, sin = np.cos, np.sin
+    return np.column_stack(_bind_inversion(params)(
+        V, cos(a), sin(a), cos(b), sin(b), cos(th), sin(th), cos(ph), sin(ph),
+        tuple(w), tuple(rbar), Fl, Fr))
 
 
 def average_by_setting(observations):
@@ -422,20 +500,36 @@ def _regressors(observations, params, a_ref):
     return forces, moments
 
 
+def _median(a):
+    """`np.median(a, axis=0)`, bitwise, from one sort: the middle row of the
+    sorted columns, or the mean of the two middle rows; NaN in a column
+    that holds one (the sort puts NaN last)."""
+    s = np.sort(a, axis=0)
+    h = s.shape[0] // 2
+    med = s[h] if s.shape[0] % 2 else (s[h - 1] + s[h]) / 2.0
+    return np.where(np.isnan(s[-1]), np.nan, med)
+
+
 def _weights(loads):
     """Relative-error weights of the (n, 6) loads: 1 / |load|, with a
     per-channel floor of 1e-3 of the channel's median magnitude so that
     near-zero loads do not dominate (measurement error is multiplicative)."""
     mag = np.abs(loads)
-    floor = np.maximum(1e-3 * np.median(mag, axis=0), 1e-12)
+    floor = np.maximum(1e-3 * _median(mag), 1e-12)
     return 1.0 / np.maximum(mag, floor)
 
 
 def _lstsq(X, y):
     """Least squares of the stacked (..., n, k) designs X and (..., n)
-    targets y by QR."""
-    Q, R = np.linalg.qr(X)
-    return np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0]
+    targets y by one batched SVD.  Returns the coefficients and the 2-norm
+    condition numbers of the designs, as `np.linalg.cond` gives them (inf
+    for a zero singular value); a singular design's coefficients are not
+    finite."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[..., 0] / s[..., -1]
+        uy = (np.swapaxes(U, -1, -2) @ y[..., None]) / s[..., None]
+    return (np.swapaxes(Vt, -1, -2) @ uy)[..., 0], np.where(np.isnan(cond), np.inf, cond)
 
 
 def _solve_channels(design, loads):
@@ -447,12 +541,12 @@ def _solve_channels(design, loads):
     W = _weights(loads).T
     Y = loads.T * W
     Xs = (design[0] * W[:3, :, None], design[1] * W[3:, :, None])
-    conds = np.concatenate([np.linalg.cond(X) for X in Xs])
+    (cf, cond_f), (cm, cond_m) = _lstsq(Xs[0], Y[:3]), _lstsq(Xs[1], Y[3:])
+    conds = np.concatenate([cond_f, cond_m])
     for ch, cond in zip(CHANNELS, conds):
         if cond > 1e10:
             raise RankDeficient(f"channel {ch}: design condition {cond:.2e} > 1e10")
-    coefs = (_lstsq(Xs[0], Y[:3]), _lstsq(Xs[1], Y[3:]))
-    return Xs, Y, coefs, conds
+    return Xs, Y, (cf, cm), conds
 
 
 def _apply(stacks, coefs):
@@ -468,9 +562,11 @@ def fit(observations, params, a_ref=None, loads=None):
     for the moments), so the fit is a weighted linear least-squares solve
     per channel, with each row weighted by the inverse of its load
     magnitude (relative error, floored at 1e-3 of the channel median).
-    The designs are built once, as arrays, and the six channels are solved
-    as two stacked problems, forces (3, n, 3) and moments (3, n, 4), each
-    with one batched condition number, QR and triangular solve.
+    Without `loads`, the loads of all observations are inverted in one
+    pass over arrays.  The designs are built once, as arrays, and the six
+    channels are solved as two stacked problems, forces (3, n, 3) and
+    moments (3, n, 4), each with one batched SVD that gives both the
+    condition numbers and the solution.
     After a first solve an outlier pass drops observations whose weighted
     residual on any channel exceeds 3x the channel MAD, capped at 20% of
     the data, and both stacks are solved again on the rest.  The damping
@@ -483,7 +579,7 @@ def fit(observations, params, a_ref=None, loads=None):
     if a_ref is None:
         a_ref = params.A_ref
     if loads is None:
-        loads = np.array([invert_aero(o, params).as_array() for o in observations])
+        loads = _invert_loads(observations, params)
     else:
         loads = np.asarray(loads, dtype=float).reshape(len(loads), 6)
         if len(loads) != len(observations):
@@ -495,9 +591,9 @@ def fit(observations, params, a_ref=None, loads=None):
     # Outlier pass: per-channel 3x MAD on the weighted (relative) residuals,
     # with an absolute floor well below any plausible measurement noise so
     # that machine-precision residuals on clean data never trigger drops.
-    r = np.abs(Y - _apply(Xs, coefs))
-    mad = np.median(np.abs(r - np.median(r, axis=1, keepdims=True)), axis=1)
-    scores = np.max(r / np.maximum(3.0 * mad, 1e-4)[:, None], axis=0)
+    r = np.abs(Y - _apply(Xs, coefs)).T
+    mad = _median(np.abs(r - _median(r)))
+    scores = np.max(r / np.maximum(3.0 * mad, 1e-4), axis=1)
     flagged = np.argsort(-scores)
     n_max = int(MAX_OUTLIER_FRAC * len(observations))
     drop = sorted(int(k) for k in flagged[:n_max] if scores[k] > 1.0)
@@ -516,7 +612,7 @@ def fit(observations, params, a_ref=None, loads=None):
     for j in np.flatnonzero(cm[:, 3] > 0.0):
         # Active-set step: the bound k <= 0 binds, so k = 0 and the
         # polynomial coefficients are refitted without the rate column.
-        cm[j] = np.append(_lstsq(Xs[1][j, :, :3], Y[3 + j]), 0.0)
+        cm[j] = np.append(_lstsq(Xs[1][j, :, :3], Y[3 + j])[0], 0.0)
 
     x = np.concatenate([cf.ravel(), cm[:, :3].ravel(), cm[:, 3]])
     model = aeromod.AeroModel(*x, a_ref=a_ref)

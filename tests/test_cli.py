@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blimpdyn
 from blimpdyn.cli import main
 
 
@@ -106,3 +111,17 @@ def test_line_endings_are_lf(tmp_path, capsys):
     main(["polar", "--out", str(tmp_path)])
     data = (tmp_path / "polar.csv").read_bytes()
     assert b"\r" not in data
+
+
+def test_import_leaves_out_scipy_signal():
+    """Importing the package and its CLI loads no scipy.signal (over a
+    second of start-up for every verb); the smoother and the median filter
+    need none of it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blimpdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, blimpdyn, blimpdyn.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -380,3 +380,54 @@ def test_trajectory_analysis_matches_per_sample_formulas(params, model, start):
     k0 = len(traj) // 2
     assert np.isclose(ratio, np.mean(ref["hs"][k0:]) / np.mean(ref["Vz"][k0:]),
                       rtol=1e-12, atol=0.0)
+
+
+def _medfilt_turning_radius_series(traj, window):
+    """`turning_radius_series` smoothed by scipy.signal.medfilt, with its
+    sentinel for non-finite radii: the reference for the zero-padded
+    scipy.ndimage median filter."""
+    from blimpdyn.simulate import _inertial_velocity
+
+    n = len(traj)
+    hs = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
+    slow = np.abs(traj.psidot) < PSIDOT_MIN
+    R = np.where(slow, np.inf, hs / np.maximum(np.abs(traj.psidot), PSIDOT_MIN))
+    ksz = int(round(window / traj.dt))
+    if ksz % 2 == 0:
+        ksz += 1
+    ksz = min(ksz, n if n % 2 == 1 else n - 1)
+    if ksz >= 3:
+        finite = np.isfinite(R)
+        if finite.all():
+            R = medfilt(R, ksz)
+        else:
+            big = 1e12
+            Rs = medfilt(np.where(finite, R, big), ksz)
+            R = np.where(Rs > big / 2, np.inf, Rs)
+    return R
+
+
+@pytest.mark.parametrize("T, window", [(0.01, 0.05), (0.5, 0.1), (0.5, 0.3), (0.5, 0.055)])
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_turning_radius_series_matches_medfilt(params, model, T, window, non_finite):
+    """The median filter gives the medfilt reference bit for bit: on n = 3
+    samples, on windows of an even number of steps (rounded up to odd) and
+    of an odd number, and on series with inf and NaN radii (a non-finite
+    velocity, a NaN yaw rate and a straight stretch)."""
+    from dataclasses import replace
+
+    Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
+    sol = solve_spiral(0.0, Fl, Fr, params, model)
+    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(Fl, Fr, T),
+                     params, model, T=T)
+    if non_finite:
+        states, psidot = traj.states.copy(), traj.psidot.copy()
+        psidot[:2] = 0.0, np.nan
+        if len(traj) > 3:
+            states[5, 6] = np.inf
+            psidot[20:90] = 0.0
+        traj = replace(traj, states=states, psidot=psidot)
+    got = turning_radius_series(traj, window)
+    ref = _medfilt_turning_radius_series(traj, window)
+    assert got.tobytes() == ref.tobytes()
+    assert np.isinf(got).any() == non_finite

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_sysid import reference_extract_steady, reference_invert_aero, reference_smooth_velocity
 
-from blimpdyn import aero
+from blimpdyn import aero, sysid
 from blimpdyn.aero import AeroModel, aero_loads, loads_to_body
 from blimpdyn.equilibria import solve_spiral, solve_straight
-from blimpdyn.frames import GF_TO_N, AeroAngles, EulerAngles, State, wind_to_body
-from blimpdyn.simulate import InputSchedule, integrate
+from blimpdyn.frames import (
+    GF_TO_N,
+    AeroAngles,
+    EulerAngles,
+    State,
+    rotation_body_to_inertial,
+    wind_to_body,
+)
+from blimpdyn.simulate import InputSchedule, Segment, integrate
 from blimpdyn.sysid import (
     CHANNELS,
     InsufficientSpan,
@@ -18,9 +26,13 @@ from blimpdyn.sysid import (
     RankDeficient,
     SchemaError,
     SteadyObservation,
+    TrialRecord,
     UnitError,
     _check_span,
+    _invert_loads,
+    _median,
     _read_trial_csv,
+    _smooth_velocity,
     average_by_setting,
     extract_steady,
     fit,
@@ -82,6 +94,56 @@ def steady_trial(params, model):
                      params, model, T=6.0)
     rec = trajectory_to_trial(traj, "t00", "spiral", 0.0, Fl, Fr)
     return sol, rec
+
+
+def _helix_record(sol, rng, psi0, pos_sigma, angle_sigma, dr_x, Fl, Fr, dt=0.005, T=6.0):
+    """A motion-capture log of the steady helix `sol` from heading `psi0`:
+    constant roll, pitch and body velocity, yaw advancing at psidot
+    (wrapped to (-pi, pi]), plus Gaussian noise of `pos_sigma` [m] and
+    `angle_sigma` [rad]."""
+    t = np.arange(int(round(T / dt)) + 1) * dt
+    psi = psi0 + sol.psidot * t
+    R0 = rotation_body_to_inertial(EulerAngles(sol.phi, sol.theta, 0.0))
+    vx, vy, vz = R0 @ sol.v_b
+    c, s, c0, s0 = np.cos(psi), np.sin(psi), np.cos(psi0), np.sin(psi0)
+    if abs(sol.psidot) > 1e-12:
+        x = (vx * (s - s0) + vy * (c - c0)) / sol.psidot
+        y = (vx * (c0 - c) + vy * (s - s0)) / sol.psidot
+    else:
+        x, y = (vx * c0 - vy * s0) * t, (vx * s0 + vy * c0) * t
+    pos = np.column_stack([x, y, vz * t]) + pos_sigma * rng.standard_normal((t.size, 3))
+    euler = np.column_stack([np.full(t.size, sol.phi), np.full(t.size, sol.theta), psi])
+    euler += angle_sigma * rng.standard_normal(euler.shape)
+    euler[:, 2] = (euler[:, 2] + np.pi) % (2.0 * np.pi) - np.pi
+    return TrialRecord(trial_id="h", kind=sol.kind, dr_x=dr_x, Fl=Fl, Fr=Fr, t=t, pos=pos,
+                       euler=euler)
+
+
+@pytest.fixture(scope="module")
+def helix_settings(params, model):
+    """A straight and a spiral equilibrium with their (dr_x, Fl, Fr)."""
+    Fl, Fr = 0.5 * (7.0 + 4.4) * GF_TO_N, 0.5 * (7.0 - 4.4) * GF_TO_N
+    return {
+        "straight": (solve_straight(0.01, F2, params, model), 0.01, F2, F2),
+        "spiral": (solve_spiral(0.02, Fl, Fr, params, model), 0.02, Fl, Fr),
+    }
+
+
+@pytest.fixture(scope="module")
+def transient_trial(params, model):
+    """A 6 s flight from rest whose thrust steps up 1.5 s before the end."""
+    s0 = State(p=np.zeros(3), e=EulerAngles(0.0, 0.0, 0.0), v=np.zeros(3), w=np.zeros(3),
+               rbar=params.rbar0, rbardot=np.zeros(3))
+    sched = InputSchedule((Segment(0.0, 4.5, F2, F2), Segment(4.5, 6.0, 5 * F2, 0.0)))
+    traj = integrate(s0, sched, params, model, T=6.0)
+    return trajectory_to_trial(traj, "t01", "spiral", 0.0, 4 * F2, F2)
+
+
+def _outcome(extract, rec, window, params):
+    try:
+        return extract(rec, window, params)
+    except ValueError as exc:
+        return exc
 
 
 @pytest.fixture(scope="module")
@@ -313,8 +375,7 @@ class TestExtractSteady:
         aero_angles, on a helix log with motion-capture noise."""
         from dataclasses import replace
 
-        from blimpdyn.frames import aero_angles, rotation_body_to_inertial
-        from blimpdyn.sysid import _smooth_velocity
+        from blimpdyn.frames import aero_angles
 
         _, rec = steady_trial
         rng = np.random.default_rng(3)
@@ -333,23 +394,70 @@ class TestExtractSteady:
         np.testing.assert_allclose([obs.V, obs.alpha, obs.beta], [V, alpha, beta],
                                    rtol=1e-12, atol=0)
 
-    def test_transient_rejected(self, params, model):
-        from blimpdyn.frames import EulerAngles, State
-
-        from blimpdyn.simulate import Segment
-
-        s0 = State(p=np.zeros(3), e=EulerAngles(0.0, 0.0, 0.0),
-                   v=np.zeros(3), w=np.zeros(3),
-                   rbar=params.rbar0, rbardot=np.zeros(3))
+    def test_transient_rejected(self, params, transient_trial):
         # A thrust step near the end keeps the tail of the record transient.
-        sched = InputSchedule((
-            Segment(0.0, 4.5, F2, F2),
-            Segment(4.5, 6.0, 5 * F2, 0.0),
-        ))
-        traj = integrate(s0, sched, params, model, T=6.0)
-        rec = trajectory_to_trial(traj, "t01", "spiral", 0.0, 4 * F2, F2)
         with pytest.raises(NotSteady):
-            extract_steady(rec, 2.0, params)
+            extract_steady(transient_trial, 2.0, params)
+
+    @given(
+        n=st.integers(3, 60) | st.just(1201),
+        jitter=st.booleans(),
+        offset=st.sampled_from([0.0, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_smooth_velocity_matches_savgol(self, n, jitter, offset, seed):
+        """The prebuilt Savitzky-Golay operator reproduces savgol_filter
+        (mode "interp", edges included) followed by np.gradient, within
+        1e-12 of the scale of a difference quotient of the positions."""
+        rng = np.random.default_rng(seed)
+        dt = 0.005
+        t = dt * (np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+                  if jitter else np.arange(n))
+        pos = offset + rng.standard_normal((n, 3))
+        ref = reference_smooth_velocity(t, pos)
+        got = _smooth_velocity(t, pos)
+        scale = np.max(np.abs(pos)) / np.min(np.diff(t))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @given(
+        case=st.sampled_from(["straight", "spiral", "transient"]),
+        pos_sigma=st.sampled_from([0.0, 3e-4]) | st.floats(0.0, 0.03),
+        angle_sigma=st.sampled_from([0.0, np.radians(0.1)]) | st.floats(0.0, 0.04),
+        window=st.sampled_from([1.0, 2.0]),
+        psi0=st.floats(-np.pi, np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_extraction(self, params, helix_settings, transient_trial,
+                                          case, pos_sigma, angle_sigma, window, psi0, seed):
+        """On noisy helix logs from any heading (so the yaw wraps inside the
+        averaging window in some), perturbed until they fail the steadiness
+        test, and on a transient flight, the extraction gives the reference
+        observation within 1e-12 relative (angles and rates also within
+        1e-12 absolute) or raises the reference's error."""
+        from dataclasses import replace
+
+        rng = np.random.default_rng(seed)
+        if case == "transient":
+            rec = transient_trial
+            rec = replace(rec, pos=rec.pos + pos_sigma * rng.standard_normal(rec.pos.shape),
+                          euler=rec.euler + angle_sigma * rng.standard_normal(rec.euler.shape))
+        else:
+            sol, dr_x, Fl, Fr = helix_settings[case]
+            rec = _helix_record(sol, rng, psi0, pos_sigma, angle_sigma, dr_x, Fl, Fr)
+        ref = _outcome(reference_extract_steady, rec, window, params)
+        got = _outcome(extract_steady, rec, window, params)
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+            return
+        assert not isinstance(got, Exception), got
+        for name in ("theta", "phi", "psidot", "alpha", "beta", "w_b"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got.V, ref.V, rtol=1e-12, atol=0)
+        assert (got.Fl, got.Fr, got.kind, got.mirrored) == (ref.Fl, ref.Fr, ref.kind, ref.mirrored)
+        np.testing.assert_array_equal(got.rbar, ref.rbar)
 
     def test_short_record_rejected(self, params, steady_trial):
         _, rec = steady_trial
@@ -400,6 +508,52 @@ class TestInvertAero:
         F, T = loads_to_body(a, invert_aero(obs, params))
         got = np.concatenate([F, T])
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+    @given(
+        xs=st.lists(
+            st.tuples(st.floats(-0.5, 0.5), st.floats(-0.8, 0.8), st.floats(-1.0, 1.0),
+                      st.floats(0.0, 2.0), st.floats(-0.4, 0.4), st.floats(-1.5, 1.5),
+                      st.floats(0.0, 0.05), st.floats(0.0, 0.05), st.floats(-0.06, 0.06)),
+            min_size=1, max_size=12),
+        faults=st.lists(st.tuples(
+            st.integers(0, 11),
+            st.sampled_from([("V", -1e-3), ("V", -1.0), ("beta", np.pi / 2 + 1e-9),
+                             ("beta", -2.0), ("phi", np.nan), ("theta", np.inf)])),
+            max_size=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_array_inversion_matches_per_observation(self, params, xs, faults):
+        """`fit`'s one-pass inversion over arrays equals `invert_aero` per
+        observation, and both equal the rotation-matrix reference, within
+        1e-12 of the largest force (moment) of the observation; an
+        observation outside the `AeroAngles`/`EulerAngles` domain raises
+        the reference's ValueError, that of the first such observation."""
+        from dataclasses import replace
+
+        obs = []
+        for theta, phi, psidot, V, alpha, beta, Fl, Fr, dr_x in xs:
+            w_b = psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
+                                     np.cos(phi) * np.cos(theta)])
+            obs.append(SteadyObservation(
+                theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta, w_b=w_b,
+                Fl=Fl, Fr=Fr, rbar=params.rbar0 + np.array([dr_x, 0.0, 0.0]), kind="spiral"))
+        for k, (field, value) in faults:
+            obs[k % len(obs)] = replace(obs[k % len(obs)], **{field: value})
+        try:
+            ref = np.array([reference_invert_aero(o, params).as_array() for o in obs])
+        except ValueError as exc:
+            for path in (_invert_loads, lambda o, p: [invert_aero(x, p) for x in o]):
+                with pytest.raises(ValueError) as raised:
+                    path(obs, params)
+                assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        scale = np.empty_like(ref)
+        scale[:, :3] = np.max(np.abs(ref[:, :3]), axis=1, keepdims=True)
+        scale[:, 3:] = np.max(np.abs(ref[:, 3:]), axis=1, keepdims=True)
+        single = np.array([invert_aero(o, params).as_array() for o in obs])
+        for got in (single, _invert_loads(obs, params)):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
 
 
 class TestMirrorAugment:
@@ -537,27 +691,71 @@ class TestFit:
     @pytest.mark.parametrize("damped", [None, "M2"])
     def test_stacked_solve_count(self, params, model, grid_obs, grid_loads, monkeypatch,
                                  damped):
-        """One QR per stack and solve (forces and moments, before and after
-        the outlier pass), plus one per active damping bound; the per-channel
-        fit made 12."""
+        """One batched SVD per stack and solve (forces and moments, before
+        and after the outlier pass), which also gives the condition numbers,
+        plus one per active damping bound; the per-channel fit made 12 QR
+        and 12 SVD calls."""
         loads = grid_loads.copy()
         if damped is not None:
             loads = _force_positive_damping(loads, grid_obs, model, damped)
         loads[10] *= 3.0
         calls = []
-        qr = np.linalg.qr
+        svd = np.linalg.svd
 
-        def counting_qr(*args, **kwargs):
+        def counting_svd(*args, **kwargs):
             calls.append(args[0].shape)
-            return qr(*args, **kwargs)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         result = fit(grid_obs, params, loads=list(loads))
         assert 10 in result.excluded
-        active = 0 if damped is None else 1
+        n, kept = len(grid_obs), len(grid_obs) - len(result.excluded)
+        stacks = [(3, n, 3), (3, n, 4), (3, kept, 3), (3, kept, 4)]
         if damped is not None:
             assert result.model.as_vector()[18 + ("M1", "M2", "M3").index(damped)] == 0.0
-        assert len(calls) <= 4 + active
+            stacks.append((kept, 3))
+        assert calls == stacks
+
+    def test_fit_inverts_without_invert_aero(self, params, grid_obs, grid_loads, monkeypatch):
+        """Without `loads`, fit inverts all observations in one pass over
+        arrays and never calls the per-observation `invert_aero`; the fit
+        equals the one on the per-observation loads."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit inverted the observations one at a time")
+
+        expected = fit(grid_obs, params, loads=list(grid_loads))
+        monkeypatch.setattr(sysid, "invert_aero", forbidden)
+        result = fit(grid_obs, params)
+        assert result.excluded == expected.excluded == ()
+        np.testing.assert_allclose(result.model.as_vector(), expected.model.as_vector(),
+                                   rtol=1e-9, atol=0)
+
+    @given(
+        n=st.integers(1, 60),
+        kind=st.sampled_from(["spread", "ties", "special"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sort_median_is_np_median(self, n, kind, seed):
+        """The channel medians from one sort equal np.median(axis=0) bit for
+        bit, for odd and even counts, tied values, and columns holding NaN
+        or infinities (with a warning where numpy warns: inf - inf)."""
+        rng = np.random.default_rng(seed)
+        if kind == "spread":
+            a = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-5, 6)
+        elif kind == "ties":
+            a = rng.integers(-3, 4, (n, 6)).astype(float)
+        else:
+            a = rng.choice([np.nan, np.inf, -np.inf, -1.0, 0.0, 2.5], size=(n, 6),
+                           p=[0.1, 0.2, 0.2, 0.2, 0.1, 0.2])
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            got = _median(a)
+        with warnings.catch_warnings(record=True) as numpy_s:
+            warnings.simplefilter("always")
+            ref = np.median(a, axis=0)
+        assert got.tobytes() == ref.tobytes()
+        assert [w.category for w in ours] == [w.category for w in numpy_s]
 
     def test_insufficient_count(self, params, grid_obs):
         with pytest.raises(InsufficientSpan):
