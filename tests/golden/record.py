@@ -9,6 +9,7 @@ compares with the frozen copies in this directory:
 - `aero_fit.ini` and `identify.csv` from the synthetic trial campaign of
   `validation._synthetic_trial_set`
 - `eigenvalues.csv` of the stock trim
+- `polar.csv`, the lift/drag polar of the stock model
 
 Re-record, only in a change that says why the outputs moved, with
 
@@ -37,6 +38,7 @@ RUNS = (
     ("aero_fit.ini", "identify", ["--manifest", "{manifest}"], "aero_fit.ini"),
     ("identify.csv", "identify", ["--manifest", "{manifest}"], "identify.csv"),
     ("eigenvalues.csv", "linearize", [], "eigenvalues.csv"),
+    ("polar.csv", "polar", [], "polar.csv"),
 )
 NAMES = tuple(run[0] for run in RUNS)
 

@@ -29,6 +29,7 @@ TOLERANCE = {
     "aero_fit.ini": FIT,
     "identify.csv": FIT,
     "eigenvalues.csv": EIGEN,
+    "polar.csv": STEADY,
 }
 
 
