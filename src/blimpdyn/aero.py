@@ -13,8 +13,8 @@ aerodynamic angles:
 The shapes are deliberately hard-coded: the identification pipeline fits
 exactly these regressors, and a configurable structure would change the
 design matrix silently.  `bind(model, rho)` binds a model's constants once
-for the dynamics hot paths; `eval_coeffs`, `aero_loads` and the scalar
-helpers evaluate the same polynomials and rotation per call.
+for the dynamics hot paths and `aero_loads`; `eval_coeffs` and
+`lift_drag_analysis` evaluate the same polynomials (`_polynomials`).
 """
 
 from dataclasses import dataclass, replace
@@ -23,11 +23,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frames import AeroAngles, wind_to_body
+from .frames import wind_to_body
 
 # Beyond this angle of attack the vehicle stalls and the polynomial model
 # is extrapolating; loads are still computed but flagged.
 STALL_ALPHA = np.radians(16.0)
+
+# Width [rad] at which the golden-section search of the L/D maximum stops.
+GOLDEN_TOL = 1e-4
 
 #: Ordered names of the 21 model parameters (18 polynomial + 3 damping).
 PARAM_NAMES = (
@@ -272,12 +275,6 @@ def bind(model, rho):
     return AeroKernel(wind_loads, body_loads, body_load_partials)
 
 
-def _wind_loads(model, alpha, beta, V, w, rho):
-    """`AeroKernel.wind_loads` of a freshly bound model; `w` is a
-    3-sequence of body rates."""
-    return bind(model, rho).wind_loads(float(alpha), float(beta), V, w[0], w[1], w[2])
-
-
 def aero_loads(model, a, w, rho):
     """Wind-frame loads at aerodynamic state `a` with body rates `w`.
 
@@ -286,8 +283,8 @@ def aero_loads(model, a, w, rho):
     """
     if rho <= 0:
         raise ValueError("air density must be positive")
-    w = np.asarray(w, dtype=float).reshape(3)
-    return AeroLoads(*_wind_loads(model, a.alpha, a.beta, a.V, w, rho))
+    p, q, r = np.asarray(w, dtype=float).reshape(3)
+    return AeroLoads(*bind(model, rho).wind_loads(float(a.alpha), float(a.beta), a.V, p, q, r))
 
 
 def loads_to_body(a, loads):
@@ -296,12 +293,6 @@ def loads_to_body(a, loads):
     F = R @ np.array([-loads.D, loads.S, -loads.L])
     T = R @ np.array([loads.M1, loads.M2, loads.M3])
     return F, T
-
-
-def _body_loads(model, alpha, beta, V, w, rho):
-    """`AeroKernel.body_loads` of a freshly bound model; `w` is a
-    3-sequence of body rates."""
-    return bind(model, rho).body_loads(alpha, beta, V, w[0], w[1], w[2])
 
 
 @dataclass(frozen=True)
@@ -316,21 +307,14 @@ class LiftDragTable:
     max_ld: float
 
 
-def _ld_ratio(model, beta):
-    def f(a):
-        c = eval_coeffs(model, a, beta)
-        return c.cl / c.cd
-    return f
-
-
-def _golden_max(f, lo, hi, tol=1e-4):
-    """Golden-section maximization of f on [lo, hi]."""
+def _golden_max(f, lo, hi):
+    """Golden-section maximization of f on [lo, hi], to GOLDEN_TOL."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -343,36 +327,40 @@ def _golden_max(f, lo, hi, tol=1e-4):
     return x, f(x)
 
 
-def lift_drag_analysis(model, alpha_range, beta=0.0):
-    """L/D table over `alpha_range` and the continuous-argmax maximum.
+def lift_drag_analysis(model, alpha_range):
+    """L/D table over `alpha_range` at zero sideslip and the continuous-argmax
+    maximum.
 
     The maximum is located by a 0.1 deg grid scan over the span of
-    `alpha_range` followed by golden-section refinement to 1e-4 rad.
+    `alpha_range` followed by golden-section refinement to GOLDEN_TOL.
+    The polynomials are evaluated over whole arrays (the scan, the table),
+    not point by point.
     """
     alpha = np.asarray(alpha_range, dtype=float)
     if alpha.size == 0:
         raise ValueError("alpha_range must be non-empty")
     lo, hi = float(alpha.min()), float(alpha.max())
+    values = _polynomials(model)[0]
+
+    def ld(a):
+        cd, _, cl, _, _, _ = values(a, 0.0)
+        return cl / cd
 
     scan = np.arange(lo, hi + 1e-12, np.radians(0.1))
     if scan.size < 2:
         scan = np.array([lo, hi])
-    cd_scan = np.array([eval_coeffs(model, a, beta).cd for a in scan])
-    if np.any(cd_scan <= 0):
+    if np.any(values(scan, 0.0)[0] <= 0):
         raise DegenerateModel("drag coefficient non-positive on the alpha range")
 
-    f = _ld_ratio(model, beta)
-    k = int(np.argmax([f(a) for a in scan]))
+    k = int(np.argmax(ld(scan)))
     win_lo = scan[max(0, k - 1)]
     win_hi = scan[min(scan.size - 1, k + 1)]
     if win_hi > win_lo:
-        alpha_star, max_ld = _golden_max(f, win_lo, win_hi)
+        alpha_star, max_ld = _golden_max(ld, win_lo, win_hi)
     else:
-        alpha_star, max_ld = float(scan[k]), f(scan[k])
+        alpha_star, max_ld = float(scan[k]), ld(scan[k])
 
-    coeffs = [eval_coeffs(model, a, beta) for a in alpha]
-    cl = np.array([c.cl for c in coeffs])
-    cd = np.array([c.cd for c in coeffs])
+    cd, _, cl, _, _, _ = values(alpha, 0.0)
     return LiftDragTable(
         alpha=alpha, cl=cl, cd=cd, ld=cl / cd, alpha_star=alpha_star, max_ld=max_ld
     )

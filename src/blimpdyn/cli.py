@@ -47,12 +47,18 @@ from .sysid import (
 FLOAT_FMT = "%.9g"
 
 # Survey grids from the steady-flight experiment campaign; the acceptance
-# criteria in `validation` use the same grids.
+# criteria in `validation` use the same grids.  Trim: equal thrust on each
+# propeller along the rail.  Spiral: a fixed total thrust split by each
+# differential (left minus right) at each rail position.  Polar: 0-16 deg of
+# angle of attack at 0.1 deg, in radians.
 TRIM_DRX_CM = tuple(range(-5, 6))
 TRIM_THRUST_GF = 2.0
+TRIM_THRUST = TRIM_THRUST_GF * GF_TO_N
 SPIRAL_DRX_CM = (-1, 0, 1, 2, 3, 4)
 SPIRAL_DIFF_GF = (-3.2, -3.7, -4.2, -4.3, -4.4, -4.9)
 SPIRAL_TOTAL_GF = 7.0
+POLAR_ALPHA = np.radians(np.arange(0.0, 16.0 + 1e-9, 0.1))
+POLAR_ALPHA.setflags(write=False)
 
 STEADY_WINDOW_S = 4.0
 
@@ -64,6 +70,21 @@ _DOMAIN_ERRORS = (
     InsufficientSpan,
 )
 _USAGE_ERRORS = (OSError, KeyError, ValueError, SchemaError, UnitError)
+
+
+def spiral_thrusts_gf(diff_gf):
+    """Left and right thrust [gf] of the spiral cell with differential
+    `diff_gf`: SPIRAL_TOTAL_GF split so that left minus right is diff_gf."""
+    return 0.5 * (SPIRAL_TOTAL_GF + diff_gf), 0.5 * (SPIRAL_TOTAL_GF - diff_gf)
+
+
+def spiral_cells():
+    """The spiral survey grid in CSV row order: (dr_x_cm, diff_gf, Fl, Fr)
+    per cell, the thrusts in N."""
+    for drx in SPIRAL_DRX_CM:
+        for diff in SPIRAL_DIFF_GF:
+            fl, fr = spiral_thrusts_gf(diff)
+            yield drx, diff, fl * GF_TO_N, fr * GF_TO_N
 
 
 def _fmt(x):
@@ -86,7 +107,7 @@ def _load_config(args):
         params_path = args.params or bundled_path("vehicle.ini")
         aero_path = args.aero or params_path
     params = read_params(params_path)
-    model = read_aero(aero_path)
+    model = read_aero(aero_path, a_ref=params.A_ref)
     return params, model, params_path, aero_path
 
 
@@ -133,8 +154,7 @@ def cmd_params_check(args):
 def cmd_polar(args):
     params, model, params_path, aero_path = _load_config(args)
     _write_manifest(args, [params_path, aero_path])
-    alpha = np.radians(np.arange(0.0, 16.0 + 1e-9, 0.1))
-    table = lift_drag_analysis(model, alpha)
+    table = lift_drag_analysis(model, POLAR_ALPHA)
     rows = [
         [_fmt(np.degrees(a)), _fmt(cl), _fmt(cd), _fmt(ld)]
         for a, cl, cd, ld in zip(table.alpha, table.cl, table.cd, table.ld)
@@ -169,7 +189,7 @@ def _fail_row(dr_x_cm, Fl, Fr):
 def cmd_trim(args):
     params, model, params_path, aero_path = _load_config(args)
     _write_manifest(args, [params_path, aero_path])
-    F = TRIM_THRUST_GF * GF_TO_N
+    F = TRIM_THRUST
     rows = []
     failures = 0
     for drx in TRIM_DRX_CM:
@@ -189,16 +209,13 @@ def cmd_spiral(args):
     _write_manifest(args, [params_path, aero_path])
     rows = []
     failures = 0
-    for drx in SPIRAL_DRX_CM:
-        for diff in SPIRAL_DIFF_GF:
-            Fl = 0.5 * (SPIRAL_TOTAL_GF + diff) * GF_TO_N
-            Fr = 0.5 * (SPIRAL_TOTAL_GF - diff) * GF_TO_N
-            try:
-                sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model, tol=args.tol)
-                rows.append(_steady_row(drx, Fl, Fr, sol))
-            except NoConvergence:
-                rows.append(_fail_row(drx, Fl, Fr))
-                failures += 1
+    for drx, _, Fl, Fr in spiral_cells():
+        try:
+            sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model, tol=args.tol)
+            rows.append(_steady_row(drx, Fl, Fr, sol))
+        except NoConvergence:
+            rows.append(_fail_row(drx, Fl, Fr))
+            failures += 1
     _write_csv(os.path.join(args.out, "spiral.csv"), _STEADY_HEADER, rows)
     print(f"spiral sweep: {len(rows) - failures}/{len(rows)} converged")
     return 1 if failures else 0
@@ -276,7 +293,7 @@ def cmd_identify(args):
 def cmd_linearize(args):
     params, model, params_path, aero_path = _load_config(args)
     _write_manifest(args, [params_path, aero_path])
-    F = TRIM_THRUST_GF * GF_TO_N
+    F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model, tol=args.tol)
     A = linearize(sol, ControlInput(F, F, np.zeros(3)), params.rbar0, params, model)
     report = eigen_report(A)

@@ -5,12 +5,11 @@ closures over the parameter and aero-model constants that hold the single
 copy of the mass terms, the generalized force and torque (the balance),
 the balance tangents and the state derivative, all in scalar float
 arithmetic.  The integrator, the steady-state residual and Jacobian and
-the linearization bind once and call the kernel; `deriv_vector`,
-`state_derivative`, `_balance` and `_balance_tangents` bind and call it
-per call.  The 9x9 mass matrix coupling body acceleration to moving-mass
-acceleration is kept in matrix form as the reference (`mass_matrix`,
-`thrust_columns`); the derivative solves the same system by its block
-structure, never inverting it.
+the linearization bind once and call the kernel; `deriv_vector` and
+`state_derivative` bind and call it per call.  The 9x9 mass matrix
+coupling body acceleration to moving-mass acceleration is kept in matrix
+form as the reference (`mass_matrix`, `thrust_columns`); the derivative
+solves the same system by its block structure, never inverting it.
 """
 
 from dataclasses import dataclass, field
@@ -348,20 +347,6 @@ def bind(params, model, legacy=False):
         )
 
     return Kernel(aero, mass_terms, balance, balance_tangents, deriv)
-
-
-def _balance(v, w, gcol, rbar, rbardot, Fl, Fr, params, legacy=False):
-    """`Kernel.balance` of freshly bound `params` at the moving-mass
-    position `rbar`."""
-    mass_terms, balance, _ = _bind_balance(params, legacy)
-    return balance(mass_terms(*rbar), v, w, gcol, rbar, rbardot, Fl, Fr)
-
-
-def _balance_tangents(v, w, gcol, rbar, tangents, params):
-    """`Kernel.balance_tangents` of freshly bound `params` at the
-    moving-mass position `rbar`."""
-    mass_terms, _, balance_tangents = _bind_balance(params, False)
-    return balance_tangents(mass_terms(*rbar), v, w, gcol, tangents)
 
 
 def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False):

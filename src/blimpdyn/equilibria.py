@@ -19,18 +19,22 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import bind
-from .frames import EulerAngles, State, rotation_body_to_inertial
-
-STALL_ALPHA = aeromod.STALL_ALPHA
-
-# Travel limit of the moving-mass rail [m] around its home position.
-DEFAULT_RAIL_LIMIT = 0.06
+from .frames import RAIL_LIMIT, EulerAngles, State, rotation_body_to_inertial
 
 # Length scale floor for nondimensionalizing the moment residual [m].
 MOMENT_ARM_FLOOR = 0.1
 
 # Newton steps of the moving-mass continuation in the spiral fallback.
 RAIL_STEPS = 10
+
+# Iteration cap of the damped Newton solve.
+MAX_NEWTON_ITER = 100
+
+# Airspeed [m/s] of the Newton seed of the planar trim.
+SEED_SPEED = 1.0
+
+# Eigenvalues of modulus at most this are neutral (the cyclic states).
+NEUTRAL_TOL = 1e-9
 
 
 class NoConvergence(RuntimeError):
@@ -167,7 +171,7 @@ def steady_residual(sol, control, rbar, params, model):
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])
 
 
-def _damped_newton(fun, jac, x0, tol=1e-9, max_iter=100):
+def _damped_newton(fun, jac, x0, tol):
     """Newton with step halving; returns (x, residual_norm).
 
     `jac(x)` is the exact Jacobian of `fun` at x, so an iteration costs
@@ -175,7 +179,7 @@ def _damped_newton(fun, jac, x0, tol=1e-9, max_iter=100):
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     fnorm = np.linalg.norm(f)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         if fnorm < tol:
             return x, fnorm
         J = jac(x)
@@ -204,7 +208,7 @@ def _damped_newton(fun, jac, x0, tol=1e-9, max_iter=100):
         fnorm = np.linalg.norm(f)
     if fnorm < tol:
         return x, fnorm
-    raise NoConvergence(f"residual {fnorm:.3e} after {max_iter} iterations")
+    raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
 
 
 def _make_solution(x, fnorm, kind):
@@ -220,13 +224,13 @@ def _make_solution(x, fnorm, kind):
         w_b=np.array(w_b),
         residual_norm=float(fnorm),
         kind=kind,
-        stalled=abs(x[4]) > STALL_ALPHA,
+        stalled=abs(x[4]) > aeromod.STALL_ALPHA,
     )
 
 
-def _initial_alpha(F_per_prop, params, model, V0=1.0):
-    """Crude lift-balance guess: C_L at V0 must carry the net weight."""
-    q = 0.5 * params.rho * V0 * V0 * model.a_ref
+def _initial_alpha(params, model):
+    """Crude lift-balance guess: C_L at SEED_SPEED must carry the net weight."""
+    q = 0.5 * params.rho * SEED_SPEED * SEED_SPEED * model.a_ref
     cl_needed = params.net_weight / q
     if abs(model.cl_a) > 1e-9:
         a0 = (cl_needed - model.cl0) / model.cl_a
@@ -235,13 +239,12 @@ def _initial_alpha(F_per_prop, params, model, V0=1.0):
     return float(np.clip(a0, -0.2, 0.3))
 
 
-def solve_straight(dr_x, F, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
-                   tol=1e-9, V0=1.0):
+def solve_straight(dr_x, F, params, model, tol=1e-9):
     """Planar straight-line trim at moving-mass displacement dr_x [m] with
     equal per-propeller thrust F [N].  Solves (theta, V, alpha) with
     beta = phi = psidot = 0."""
-    if abs(dr_x) > rail_limit + 1e-12:
-        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{rail_limit} m")
+    if abs(dr_x) > RAIL_LIMIT + 1e-12:
+        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
     fscale, tscale = _scales(params, rbar)
     scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
@@ -259,8 +262,8 @@ def solve_straight(dr_x, F, params, model, rail_limit=DEFAULT_RAIL_LIMIT,
         J = _raw_jacobian(x, rbar, kernel)
         return J[np.ix_(rows, cols)] / scale[rows, None]
 
-    a0 = _initial_alpha(F, params, model, V0)
-    x3, fnorm = _damped_newton(fun3, jac3, np.array([a0, V0, a0]), tol=tol)
+    a0 = _initial_alpha(params, model)
+    x3, fnorm = _damped_newton(fun3, jac3, np.array([a0, SEED_SPEED, a0]), tol)
     x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
@@ -277,20 +280,19 @@ def _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol):
     def jac6(xx):
         return _raw_jacobian(xx, rbar, kernel) / scale[:, None]
 
-    return _damped_newton(fun6, jac6, x0, tol=tol)
+    return _damped_newton(fun6, jac6, x0, tol)
 
 
-def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol):
+def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, tol):
     """One Newton solve at the given thrusts, seeded from the planar trim
     at the mean thrust."""
-    straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model,
-                              rail_limit=rail_limit, tol=tol)
+    straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model, tol=tol)
     x0 = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
     return _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol)
 
 
-def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT, tol=1e-9):
+def solve_spiral(dr_x, Fl, Fr, params, model, tol=1e-9):
     """Steady spiral equilibrium under differential thrust.
 
     Seeds from the straight solution at the mean thrust and solves the
@@ -305,13 +307,13 @@ def solve_spiral(dr_x, Fl, Fr, params, model, rail_limit=DEFAULT_RAIL_LIMIT, tol
     kernel = bind(params, model)
     kind = "straight" if Fl == Fr else "spiral"
     try:
-        x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, rail_limit, tol)
+        x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, tol)
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
     else:
         return _make_solution(x, fnorm, kind)
-    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, rail_limit, tol)
+    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, tol)
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
         rbar = params.rbar0 + np.array([dr_k, 0.0, 0.0])
         try:
@@ -367,7 +369,7 @@ def linearize(sol, control, rbar, params, model):
     return A
 
 
-def eigen_report(A, neutral_tol=1e-9):
+def eigen_report(A):
     """Eigenvalues, Hurwitz flag, and the slowest non-neutral mode."""
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -376,7 +378,7 @@ def eigen_report(A, neutral_tol=1e-9):
         eig = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    nonneutral = eig[np.abs(eig) > neutral_tol]
+    nonneutral = eig[np.abs(eig) > NEUTRAL_TOL]
     if nonneutral.size == 0:
         return StabilityReport(eigenvalues=eig, slowest_mode=0.0 + 0.0j, hurwitz=False)
     slowest = nonneutral[np.argmax(nonneutral.real)]

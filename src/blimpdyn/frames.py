@@ -24,6 +24,9 @@ V_MIN = 1e-6
 # 1 gram-force in newtons, using g = 9.80 m/s^2.
 GF_TO_N = 9.80e-3
 
+# Travel limit of the moving-mass rail [m] either side of its home position.
+RAIL_LIMIT = 0.06
+
 
 class GimbalLock(ValueError):
     """Pitch angle too close to +-90 deg for the Euler-rate kinematics."""

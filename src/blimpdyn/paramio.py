@@ -20,17 +20,6 @@ import numpy as np
 from .aero import PARAM_NAMES, AeroModel
 from .frames import VehicleParams
 
-AERO_KEYS = PARAM_NAMES
-
-_MASS_KEYS = (
-    "stationary_kg", "moving_kg",
-    "inertia_xx", "inertia_yy", "inertia_zz",
-    "inertia_xy", "inertia_xz", "inertia_yz",
-    "r_x_m", "r_y_m", "r_z_m",
-    "rbar0_x_m", "rbar0_y_m", "rbar0_z_m",
-    "buoyancy_n",
-)
-
 
 def _parser(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -75,20 +64,21 @@ def read_params(path):
 def read_aero(path, a_ref=None):
     """Load an AeroModel from the [aero] section of a file.
 
-    The reference area comes from the file's [geometry] section unless
-    overridden via `a_ref`."""
+    The reference area comes from the file's [geometry] section; `a_ref`
+    is the area of a file without one, such as the [aero]-only file
+    `write_aero_section` writes."""
     cp = _parser(path)
-    if a_ref is None:
-        if "geometry" not in cp:
-            raise KeyError(f"{path}: no [geometry] section and no a_ref given")
+    if "geometry" in cp:
         geom = cp["geometry"]
         if "reference_area_m2" in geom:
             a_ref = float(geom["reference_area_m2"])
         else:
             a_ref = float(geom["helium_volume_m3"]) ** (2.0 / 3.0)
+    elif a_ref is None:
+        raise KeyError(f"{path}: no [geometry] section and no a_ref given")
     try:
         sec = cp["aero"]
-        kwargs = {k: float(sec[k]) for k in AERO_KEYS}
+        kwargs = {k: float(sec[k]) for k in PARAM_NAMES}
     except KeyError as exc:
         raise KeyError(f"{path}: missing aero coefficient {exc}") from exc
     if "beta_limit_deg" in sec:
@@ -103,7 +93,7 @@ def write_aero_section(path, model, comment=None):
         for c in comment.splitlines():
             lines.append(f"# {c}")
     lines.append("[aero]")
-    for k in AERO_KEYS:
+    for k in PARAM_NAMES:
         lines.append(f"{k} = {getattr(model, k):.9g}")
     lines.append(f"beta_limit_deg = {np.degrees(model.beta_limit):.9g}")
     lines.append("")

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from . import dynamics
-from .frames import GF_TO_N, GimbalLock, State, aero_angles_array, rotation_matrices
+from .frames import GF_TO_N, RAIL_LIMIT, GimbalLock, State, aero_angles_array, rotation_matrices
 
 # Moving-mass rail motion limits for position-command ("goto") segments.
 MM_VMAX = 0.05   # m/s
@@ -34,7 +34,8 @@ class Segment:
 
     mm_cmd is "hold" (keep current position) or "goto" (drive the mass to
     displacement mm_target [m] from its home position with a trapezoidal
-    velocity profile).
+    velocity profile).  Thrusts must be non-negative and |mm_target| within
+    the rail limit.
     """
 
     t_start: float
@@ -49,6 +50,10 @@ class Segment:
             raise ValueError("segment must have positive duration")
         if self.mm_cmd not in ("hold", "goto"):
             raise ValueError(f"unknown moving-mass command {self.mm_cmd!r}")
+        if not (self.Fl >= 0 and self.Fr >= 0):
+            raise ValueError("thrusts must be non-negative")
+        if not abs(self.mm_target) <= RAIL_LIMIT + 1e-12:
+            raise ValueError(f"mm_target {self.mm_target} m outside rail limit +-{RAIL_LIMIT} m")
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class Trajectory:
         return State.from_vector(self.states[k])
 
 
-def plan_goto_profile(delta, dt, vmax=MM_VMAX, amax=MM_AMAX):
+def plan_goto_profile(delta, dt):
     """Per-step accelerations moving the mass by `delta` with zero final
     velocity.  The velocity profile is a grid-aligned trapezoid, so RK4
     (exact for piecewise-polynomial motion) lands on the target exactly."""
@@ -122,13 +127,13 @@ def plan_goto_profile(delta, dt, vmax=MM_VMAX, amax=MM_AMAX):
     if D < 1e-12:
         return np.zeros(0)
     s = 1.0 if delta > 0 else -1.0
-    n_a = max(1, math.ceil(vmax / (amax * dt)))
-    n_c = math.ceil(D / (vmax * dt)) - n_a
+    n_a = max(1, math.ceil(MM_VMAX / (MM_AMAX * dt)))
+    n_c = math.ceil(D / (MM_VMAX * dt)) - n_a
     if n_c >= 0:
         v_pk = D / (dt * (n_a + n_c))
     else:
         n_c = 0
-        n_a = max(1, math.ceil(math.sqrt(D / amax) / dt))
+        n_a = max(1, math.ceil(math.sqrt(D / MM_AMAX) / dt))
         v_pk = D / (dt * n_a)
     v = np.concatenate(
         [
@@ -257,18 +262,17 @@ def turning_radius_series(traj, window):
     return R
 
 
-def glide_metrics(traj, steady_fraction=0.5):
+def glide_metrics(traj):
     """Forward/descent speed series and glide ratio over the steady tail.
 
     Forward speed is the horizontal inertial speed; descent speed is the
     inertial sink rate (z down).  The glide ratio averages over the last
-    `steady_fraction` of the samples."""
+    half of the samples."""
     if traj.t[-1] - traj.t[0] < 2.0:
         raise ValueError("trajectory must be longer than 2 s")
-    n = len(traj)
     forward = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
     descent = traj.Vz
-    k0 = n // 2 if steady_fraction == 0.5 else int(n * (1.0 - steady_fraction))
+    k0 = len(traj) // 2
     mean_desc = float(np.mean(descent[k0:]))
     if mean_desc < 1e-3:
         raise DegenerateDescent(f"mean descent {mean_desc:.2e} m/s below 1e-3")

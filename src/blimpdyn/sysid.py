@@ -126,14 +126,17 @@ def load_trials(manifest_path):
             kind = row["kind"].strip()
             if kind not in ("straight", "spiral"):
                 raise SchemaError(f"manifest row {i}: unknown kind {kind!r}")
+            Fl, Fr = float(row["Fl_gf"]) * GF_TO_N, float(row["Fr_gf"]) * GF_TO_N
+            if not (Fl >= 0 and Fr >= 0):
+                raise SchemaError(f"manifest row {i}: thrusts must be non-negative")
             t, pos, euler = _read_trial_csv(path)
             records.append(
                 TrialRecord(
                     trial_id=row["trial_id"],
                     kind=kind,
                     dr_x=float(row["dr_x_cm"]) * 1e-2,
-                    Fl=float(row["Fl_gf"]) * GF_TO_N,
-                    Fr=float(row["Fr_gf"]) * GF_TO_N,
+                    Fl=Fl,
+                    Fr=Fr,
                     t=t,
                     pos=pos,
                     euler=euler,
@@ -471,7 +474,7 @@ def _check_span(observations):
         raise InsufficientSpan(f"need >= 3 distinct beta values, got {len(betas)}")
 
 
-def _regressors(observations, params, a_ref):
+def _regressors(observations, params):
     """Unweighted designs of the six channels as two stacks: forces
     (D, S, L) of shape (3, n, 3) and moments (M1, M2, M3) of shape (3, n, 4).
 
@@ -482,7 +485,7 @@ def _regressors(observations, params, a_ref):
     b = np.array([o.beta for o in observations])
     V = np.array([o.V for o in observations])
     w_b = np.array([o.w_b for o in observations], dtype=float)
-    q = 0.5 * params.rho * V * V * a_ref
+    q = 0.5 * params.rho * V * V * params.A_ref
     qa, qaa, qb, qbb = q * a, q * (a * a), q * b, q * (b * b)
     # float_power is libm pow, as Python's float ** is; the SIMD loop of
     # `b ** 4` may differ from it in the last bit.
@@ -554,7 +557,7 @@ def _apply(stacks, coefs):
     return np.concatenate([(X @ c[..., None])[..., 0] for X, c in zip(stacks, coefs)])
 
 
-def fit(observations, params, a_ref=None, loads=None):
+def fit(observations, params, loads=None):
     """Fit the aerodynamic model to steady observations.
 
     The model is linear in its coefficients and each load channel depends
@@ -573,11 +576,11 @@ def fit(observations, params, a_ref=None, loads=None):
     bound k <= 0 is then met exactly: a moment channel whose damping comes
     out positive is solved again without its rate column, with k = 0,
     which is the optimum of the convex problem with that one bound active.
+    The dynamic pressure of the designs and the fitted model use the
+    vehicle's reference area `params.A_ref`.
     """
     observations = list(observations)
     _check_span(observations)
-    if a_ref is None:
-        a_ref = params.A_ref
     if loads is None:
         loads = _invert_loads(observations, params)
     else:
@@ -585,7 +588,7 @@ def fit(observations, params, a_ref=None, loads=None):
         if len(loads) != len(observations):
             raise ValueError("loads must align with observations")
 
-    design = _regressors(observations, params, a_ref)
+    design = _regressors(observations, params)
     Xs, Y, coefs, conds = _solve_channels(design, loads)
 
     # Outlier pass: per-channel 3x MAD on the weighted (relative) residuals,
@@ -615,7 +618,7 @@ def fit(observations, params, a_ref=None, loads=None):
         cm[j] = np.append(_lstsq(Xs[1][j, :, :3], Y[3 + j])[0], 0.0)
 
     x = np.concatenate([cf.ravel(), cm[:, :3].ravel(), cm[:, 3]])
-    model = aeromod.AeroModel(*x, a_ref=a_ref)
+    model = aeromod.AeroModel(*x, a_ref=params.A_ref)
     # The model is linear in its coefficients, so the unweighted designs
     # times the coefficients are its predicted loads.
     per_ch = np.sqrt(np.mean((_apply(design, coefs) - loads.T) ** 2, axis=1))

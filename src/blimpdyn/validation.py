@@ -16,7 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aero import PARAM_NAMES, aero_loads, lift_drag_analysis
-from .cli import SPIRAL_DIFF_GF, SPIRAL_DRX_CM, SPIRAL_TOTAL_GF, TRIM_DRX_CM, TRIM_THRUST_GF
+from .cli import (
+    POLAR_ALPHA,
+    SPIRAL_DIFF_GF,
+    SPIRAL_DRX_CM,
+    TRIM_DRX_CM,
+    TRIM_THRUST,
+    TRIM_THRUST_GF,
+    spiral_cells,
+    spiral_thrusts_gf,
+)
 from .dynamics import ControlInput, mechanical_energy
 from .equilibria import (
     NoConvergence,
@@ -30,7 +39,6 @@ from .frames import GF_TO_N, AeroAngles, EulerAngles, State
 from .paramio import load_bundled
 from .simulate import InputSchedule, Segment, integrate
 from .sysid import (
-    extract_steady,
     fit,
     invert_aero,
     observation_from_solution,
@@ -65,18 +73,10 @@ def _bundle():
     return load_bundled()
 
 
-def _spiral_cells():
-    for drx in SPIRAL_DRX_CM:
-        for diff in SPIRAL_DIFF_GF:
-            Fl = 0.5 * (SPIRAL_TOTAL_GF + diff) * GF_TO_N
-            Fr = 0.5 * (SPIRAL_TOTAL_GF - diff) * GF_TO_N
-            yield drx * 1e-2, Fl, Fr
-
-
 def criterion_1():
     """Maximum lift-to-drag ratio and its angle of attack."""
     _, model = _bundle()
-    table = lift_drag_analysis(model, np.radians(np.linspace(0.0, 16.0, 161)))
+    table = lift_drag_analysis(model, POLAR_ALPHA)
     alpha_deg = np.degrees(table.alpha_star)
     ok = abs(table.max_ld - 1.78) <= 0.02 and abs(alpha_deg - 10.7) <= 0.3
     return CriterionResult(
@@ -113,7 +113,7 @@ def criterion_3():
 def criterion_4():
     """Slowest eigenvalue of the 8-state linearization at the stock trim."""
     params, model = _bundle()
-    F = TRIM_THRUST_GF * GF_TO_N
+    F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
     A = linearize(sol, ControlInput(F, F, np.zeros(3)), params.rbar0, params, model)
     report = eigen_report(A)
@@ -129,7 +129,7 @@ def criterion_4():
 def criterion_5():
     """Straight-trim sweep: convergence, pitch monotonicity, hold-drift."""
     params, model = _bundle()
-    F = TRIM_THRUST_GF * GF_TO_N
+    F = TRIM_THRUST
     thetas = []
     worst_resid = 0.0
     worst_drift = 0.0
@@ -163,13 +163,14 @@ def criterion_5():
 
 
 def _converged_spirals(params, model, mirrored=False):
-    """{cell: solution} of the spiral-grid cells that converge; `mirrored`
-    swaps each cell's thrusts."""
+    """{(dr_x_cm, diff_gf): solution} of the spiral-grid cells that
+    converge; `mirrored` swaps each cell's thrusts."""
     sols = {}
-    for dr_x, Fl, Fr in _spiral_cells():
+    for drx, diff, Fl, Fr in spiral_cells():
+        if mirrored:
+            Fl, Fr = Fr, Fl
         with contextlib.suppress(NoConvergence):
-            sols[dr_x, Fl, Fr] = (solve_spiral(dr_x, Fr, Fl, params, model) if mirrored
-                                  else solve_spiral(dr_x, Fl, Fr, params, model))
+            sols[drx, diff] = solve_spiral(drx * 1e-2, Fl, Fr, params, model)
     return sols
 
 
@@ -200,15 +201,12 @@ def criterion_6():
     # Staircase: two 25 s plateaus of differential thrust; the simulated
     # turning radius on each plateau tail must match the equilibrium value
     # of the sweep cell at dr_x = 0.
-    gf = GF_TO_N
     diffs = (-3.2, -4.4)
     plateau = 25.0
-    segs = []
-    for k, diff in enumerate(diffs):
-        Fl = 0.5 * (SPIRAL_TOTAL_GF + diff) * gf
-        Fr = 0.5 * (SPIRAL_TOTAL_GF - diff) * gf
-        segs.append(Segment(k * plateau, (k + 1) * plateau, Fl, Fr))
-    plateau_sols = [sols.get((0.0, seg.Fl, seg.Fr)) for seg in segs]
+    thrusts = {(drx, diff): (Fl, Fr) for drx, diff, Fl, Fr in spiral_cells()}
+    segs = [Segment(k * plateau, (k + 1) * plateau, *thrusts[0, diff])
+            for k, diff in enumerate(diffs)]
+    plateau_sols = [sols.get((0, diff)) for diff in diffs]
     worst_plateau = np.inf
     if None not in plateau_sols:
         state0 = plateau_sols[0].state(params.rbar0)
@@ -233,12 +231,13 @@ def criterion_6():
 
 def _grid_observations(params, model):
     obs = []
-    F = TRIM_THRUST_GF * GF_TO_N
+    F = TRIM_THRUST
     for drx_cm in TRIM_DRX_CM:
         dr_x = drx_cm * 1e-2
         sol = solve_spiral(dr_x, F, F, params, model)
         obs.append(observation_from_solution(sol, dr_x, F, F, params))
-    for dr_x, Fl, Fr in _spiral_cells():
+    for drx_cm, _, Fl, Fr in spiral_cells():
+        dr_x = drx_cm * 1e-2
         sol = solve_spiral(dr_x, Fl, Fr, params, model)
         obs.append(observation_from_solution(sol, dr_x, Fl, Fr, params))
     return obs
@@ -311,9 +310,10 @@ def _synthetic_trial_set(workdir):
     params, model = _bundle()
     gf = GF_TO_N
     rows = []
-    settings = [("straight", drx, 2.0, 2.0) for drx in (-5, -3, -1, 1, 3, 5)]
+    settings = [("straight", drx, TRIM_THRUST_GF, TRIM_THRUST_GF)
+                for drx in (-5, -3, -1, 1, 3, 5)]
     for k, diff in enumerate(SPIRAL_DIFF_GF):
-        settings.append(("spiral", k - 1, 0.5 * (7.0 + diff), 0.5 * (7.0 - diff)))
+        settings.append(("spiral", k - 1, *spiral_thrusts_gf(diff)))
     for i, (kind, drx_cm, fl_gf, fr_gf) in enumerate(settings):
         dr_x = drx_cm * 1e-2
         Fl, Fr = fl_gf * gf, fr_gf * gf

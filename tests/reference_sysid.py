@@ -8,14 +8,15 @@ the package against these.
 - `reference_extract_steady`: the steady extraction over it, with the yaw
   rate from `np.polyfit`.
 - `reference_invert_aero`: one observation at a time, through `AeroAngles`,
-  `EulerAngles`, the rotation matrices and `dynamics._balance`.
+  `EulerAngles`, the rotation matrices and the reference balance of
+  `reference_kernel`.
 """
 
 import numpy as np
+from reference_kernel import _balance
 from scipy.signal import savgol_filter
 
 from blimpdyn import aero as aeromod
-from blimpdyn.dynamics import _balance
 from blimpdyn.frames import (
     AeroAngles,
     EulerAngles,
@@ -97,7 +98,7 @@ def reference_invert_aero(obs, params):
     Rvb = wind_to_body(aa)
     rest = _balance((obs.V * Rvb[:, 0]).tolist(), np.asarray(obs.w_b, dtype=float).tolist(),
                     R[2].tolist(), np.asarray(obs.rbar, dtype=float).tolist(), (0.0, 0.0, 0.0),
-                    obs.Fl, obs.Fr, params)
+                    obs.Fl, obs.Fr, params, False)
     aero = -np.array(rest)
     fw = Rvb.T @ aero[:3]
     mw = Rvb.T @ aero[3:]

@@ -123,6 +123,21 @@ def test_max_lift_drag_against_dense_grid(model):
     assert abs(table.alpha_star - dense[k]) <= 2e-4
 
 
+@pytest.mark.parametrize("wingless", [False, True])
+def test_lift_drag_table_equals_pointwise_coefficients(wingless):
+    """The polynomials evaluated over the whole grid give the per-point
+    `eval_coeffs` values bit for bit."""
+    from blimpdyn import load_bundled
+
+    _, m = load_bundled(wingless=wingless)
+    alpha = np.radians(np.arange(0.0, 16.0 + 1e-9, 0.1))
+    table = lift_drag_analysis(m, alpha)
+    coeffs = [eval_coeffs(m, a, 0.0) for a in alpha]
+    assert np.array_equal(table.cl, [c.cl for c in coeffs])
+    assert np.array_equal(table.cd, [c.cd for c in coeffs])
+    assert np.array_equal(table.ld, [c.cl / c.cd for c in coeffs])
+
+
 def test_wingless_max_lift_drag():
     from blimpdyn import load_bundled
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blimpdyn
+from blimpdyn import validation
 from blimpdyn.cli import main
 
 
@@ -66,6 +67,42 @@ def test_simulate(tmp_path, capsys):
     assert len(lines) == 1 + 201 + 1
     manifest = (tmp_path / "run-manifest.txt").read_text()
     assert "sched.csv" in manifest
+
+
+@pytest.mark.parametrize("row", [
+    "0,2,-1,2,goto,20",     # negative thrust and a target 20 cm out on a 6 cm rail
+    "0,2,2,-0.5,hold,0",
+    "0,2,nan,2,hold,0",
+    "0,2,2,2,goto,-7",
+])
+def test_simulate_rejects_out_of_range_schedule(tmp_path, capsys, row):
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n" + row + "\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out"),
+                 "--T", "2"]) == 2
+    assert not (tmp_path / "out" / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("thrusts", ["-1,2", "2,-0.5", "2,nan"])
+def test_identify_rejects_out_of_range_manifest_thrust(tmp_path, capsys, thrusts):
+    (tmp_path / "trial.csv").write_text("t,x,y,z,phi,theta,psi\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n"
+                        f"t0,trial.csv,straight,0,{thrusts}\n")
+    assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_trim_with_identified_aero(tmp_path, capsys):
+    """identify -> trim --aero round trip: the fitted [aero]-only file takes
+    its reference area from the vehicle parameters, the area the fit used."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    manifest = validation._synthetic_trial_set(str(inputs))
+    assert main(["identify", "--manifest", manifest, "--out", str(tmp_path / "id")]) == 0
+    fitted = tmp_path / "id" / "aero_fit.ini"
+    assert "[geometry]" not in fitted.read_text()
+    assert main(["trim", "--aero", str(fitted), "--out", str(tmp_path / "trim")]) == 0
 
 
 def test_simulate_missing_schedule(tmp_path, capsys):

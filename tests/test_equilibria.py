@@ -3,12 +3,11 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernel import _balance, _body_loads
 
 from blimpdyn import aero, equilibria
-from blimpdyn.aero import _body_loads
-from blimpdyn.dynamics import ControlInput, _balance, _balance_tangents, bind, state_derivative
+from blimpdyn.dynamics import ControlInput, bind, state_derivative
 from blimpdyn.equilibria import (
-    DEFAULT_RAIL_LIMIT,
     NoConvergence,
     _raw_jacobian,
     _raw_residual,
@@ -19,7 +18,7 @@ from blimpdyn.equilibria import (
     steady_residual,
     turning_radius,
 )
-from blimpdyn.frames import GF_TO_N, EulerAngles, State, wind_matrix
+from blimpdyn.frames import GF_TO_N, RAIL_LIMIT, EulerAngles, State, wind_matrix
 
 
 F2 = 2.0 * GF_TO_N
@@ -89,21 +88,23 @@ _vec3 = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
 @given(v=_vec3, w=_vec3, g=_vec3, dv=_vec3, dw=_vec3, dg=_vec3, dr_x=_rail,
        Fl=_thrust, Fr=_thrust)
 @settings(max_examples=100, deadline=None)
-def test_balance_tangent_matches_central_difference(params, v, w, g, dv, dw, dg, dr_x, Fl, Fr):
-    """`_balance_tangents` is the directional derivative of `_balance` at
-    rbardot = 0; the balance is quadratic there, so central differences
-    are exact but for rounding."""
+def test_balance_tangent_matches_central_difference(params, model, v, w, g, dv, dw, dg, dr_x,
+                                                    Fl, Fr):
+    """The kernel's `balance_tangents` is the directional derivative of the
+    reference balance at rbardot = 0; the balance is quadratic there, so
+    central differences are exact but for rounding."""
     rbar = (params.rbar0 + np.array([dr_x, 0.0, 0.0])).tolist()
     zero = (0.0, 0.0, 0.0)
 
     def along(t):
         return np.array(_balance(
             [a + t * b for a, b in zip(v, dv)], [a + t * b for a, b in zip(w, dw)],
-            [a + t * b for a, b in zip(g, dg)], rbar, zero, Fl, Fr, params))
+            [a + t * b for a, b in zip(g, dg)], rbar, zero, Fl, Fr, params, False))
 
     h = 1e-4
     ref = (along(h) - along(-h)) / (2.0 * h)
-    got, = _balance_tangents(v, w, g, rbar, [(dv, dw, dg)], params)
+    kernel = bind(params, model)
+    got, = kernel.balance_tangents(kernel.mass_terms(*rbar), v, w, g, [(dv, dw, dg)])
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(ref))))
 
 
@@ -112,8 +113,9 @@ def test_balance_tangent_matches_central_difference(params, v, w, g, dv, dw, dg,
 @settings(max_examples=100, deadline=None)
 def test_body_load_partials_match_central_differences(bundle, sym_bundle, ang, V, w,
                                                       symmetric):
-    """The alpha, beta and V partials of `_body_loads` and its damping map
-    (torque per unit body rate) equal central differences."""
+    """The alpha, beta and V partials of the body loads and their damping
+    map (torque per unit body rate) equal central differences of the
+    reference body loads."""
     p, m = sym_bundle if symmetric else bundle
     alpha, beta = ang
     rho = p.rho
@@ -188,9 +190,9 @@ def test_straight_trim_sweep_monotone_pitch(params, model):
 
 def test_rail_limit_enforced(params, model):
     with pytest.raises(ValueError):
-        solve_straight(DEFAULT_RAIL_LIMIT + 0.01, F2, params, model)
+        solve_straight(RAIL_LIMIT + 0.01, F2, params, model)
     with pytest.raises(ValueError):
-        solve_spiral(-DEFAULT_RAIL_LIMIT - 0.01, F2, 2 * F2, params, model)
+        solve_spiral(-RAIL_LIMIT - 0.01, F2, 2 * F2, params, model)
 
 
 def test_planar_candidate_lateral_residuals_vanish(sym_bundle):
@@ -208,11 +210,11 @@ def test_planar_candidate_lateral_residuals_vanish(sym_bundle):
 def test_balanced_configuration_is_exact_solution(params, model):
     """Neutral buoyancy, no CG offsets, no pitch-moment aero: the at-rest
     level attitude solves the balance exactly, and the solver converges
-    onto the (degenerate) solution manifold from a nearby guess."""
+    onto the (degenerate) solution manifold from its usual seed."""
     p = replace(params, r=np.zeros(3), rbar0=np.zeros(3),
                 B=params.total_mass * params.g)
     m = replace(model.symmetrized(), cm2_0=0.0, cm2_a=0.0, cm2_b=0.0)
-    candidate = solve_straight(0.0, 0.0, p, m, V0=0.05)
+    candidate = solve_straight(0.0, 0.0, p, m)
     assert candidate.residual_norm < 1e-9
     assert candidate.V < 1e-3
 

@@ -53,6 +53,13 @@ def test_read_aero_requires_reference_area(tmp_path):
     assert np.allclose(m.as_vector(), model.as_vector())
 
 
+def test_read_aero_area_from_geometry_over_fallback():
+    """`a_ref` is the area of a file without [geometry] only; a file with
+    one keeps its own."""
+    _, model = load_bundled()
+    assert read_aero(bundled_path("vehicle.ini"), a_ref=123.0).a_ref == model.a_ref
+
+
 def test_write_aero_section_round_trip(tmp_path):
     _, model = load_bundled()
     out = tmp_path / "fit.ini"

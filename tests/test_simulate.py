@@ -5,7 +5,14 @@ from scipy.signal import medfilt
 
 from blimpdyn import dynamics
 from blimpdyn.equilibria import solve_spiral, solve_straight, turning_radius
-from blimpdyn.frames import GF_TO_N, EulerAngles, State, aero_angles, rotation_body_to_inertial
+from blimpdyn.frames import (
+    GF_TO_N,
+    RAIL_LIMIT,
+    EulerAngles,
+    State,
+    aero_angles,
+    rotation_body_to_inertial,
+)
 from blimpdyn.simulate import (
     MM_AMAX,
     MM_VMAX,
@@ -64,6 +71,15 @@ class TestSchedule:
     def test_unknown_command(self):
         with pytest.raises(ValueError):
             Segment(0.0, 1.0, 0.02, 0.02, mm_cmd="teleport")
+
+    def test_goto_target_within_rail(self):
+        """The goto target may reach the rail limit solve_straight checks,
+        but not pass it."""
+        for target in (RAIL_LIMIT, -RAIL_LIMIT):
+            Segment(0.0, 1.0, 0.02, 0.02, mm_cmd="goto", mm_target=target)
+        for target in (RAIL_LIMIT + 1e-6, -0.2):
+            with pytest.raises(ValueError, match="rail limit"):
+                Segment(0.0, 1.0, 0.02, 0.02, mm_cmd="goto", mm_target=target)
 
     def test_read_schedule(self, tmp_path):
         path = tmp_path / "sched.csv"

@@ -628,7 +628,7 @@ class TestFit:
         assert x[18 + j] == 0.0
         kept = [i for i in range(len(grid_obs)) if i not in result.excluded]
         w = _weights(loads[kept])[:, ci]
-        X = _regressors([grid_obs[i] for i in kept], params, params.A_ref)[1][j] * w[:, None]
+        X = _regressors([grid_obs[i] for i in kept], params)[1][j] * w[:, None]
         y = loads[kept, ci] * w
         ref = lsq_linear(X, y, bounds=([-np.inf] * 4, [np.inf] * 3 + [0.0]), method="bvls")
         assert ref.x[3] == 0.0
@@ -685,7 +685,7 @@ class TestFit:
             raise AssertionError("fit evaluated the aerodynamic model")
 
         monkeypatch.setattr(aero, "aero_loads", forbidden)
-        monkeypatch.setattr(aero, "_wind_loads", forbidden)
+        monkeypatch.setattr(aero, "bind", forbidden)
         assert fit(grid_obs, params).excluded == ()
 
     @pytest.mark.parametrize("damped", [None, "M2"])
