@@ -114,7 +114,7 @@ def _load_config(args):
 def _write_manifest(args, inputs):
     os.makedirs(args.out, exist_ok=True)
     lines = [f"verb = {args.verb}", f"version = {__version__}"]
-    for key in ("params", "aero", "schedule", "manifest", "dt", "T", "tol"):
+    for key in ("params", "aero", "schedule", "manifest", "dt", "T"):
         val = getattr(args, key, None)
         if val is not None:
             lines.append(f"{key} = {val}")
@@ -194,7 +194,7 @@ def cmd_trim(args):
     failures = 0
     for drx in TRIM_DRX_CM:
         try:
-            sol = solve_straight(drx * 1e-2, F, params, model, tol=args.tol)
+            sol = solve_straight(drx * 1e-2, F, params, model)
             rows.append(_steady_row(drx, F, F, sol))
         except NoConvergence:
             rows.append(_fail_row(drx, F, F))
@@ -211,7 +211,7 @@ def cmd_spiral(args):
     failures = 0
     for drx, _, Fl, Fr in spiral_cells():
         try:
-            sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model, tol=args.tol)
+            sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model)
             rows.append(_steady_row(drx, Fl, Fr, sol))
         except NoConvergence:
             rows.append(_fail_row(drx, Fl, Fr))
@@ -294,7 +294,7 @@ def cmd_linearize(args):
     params, model, params_path, aero_path = _load_config(args)
     _write_manifest(args, [params_path, aero_path])
     F = TRIM_THRUST
-    sol = solve_straight(0.0, F, params, model, tol=args.tol)
+    sol = solve_straight(0.0, F, params, model)
     A = linearize(sol, ControlInput(F, F, np.zeros(3)), params.rbar0, params, model)
     report = eigen_report(A)
     rows = [
@@ -353,7 +353,6 @@ def build_parser():
                    help="drop CG-offset coupling terms (comparison model)")
     p.add_argument("--wingless", action="store_true",
                    help="use the bundled wingless comparison vehicle")
-    p.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     p.add_argument("--average-settings", action="store_true",
                    help="average repeated trials per setting before fitting")
     return p

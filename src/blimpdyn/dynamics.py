@@ -265,7 +265,7 @@ def bind(params, model, legacy=False):
     mbar, m_tot = params.mbar, params.total_mass
     pitch_limit = math.pi / 2 - GIMBAL_EPS
     cos, sin, tan, sqrt = math.cos, math.sin, math.tan, math.sqrt
-    atan2, asin, isfinite = math.atan2, math.asin, math.isfinite
+    atan2, hypot, isfinite = math.atan2, math.hypot, math.isfinite
 
     def deriv(y, Fl, Fr, bx, by, bz):
         """State derivative of the packed 18-state `y` (a sequence of
@@ -299,7 +299,7 @@ def bind(params, model, legacy=False):
             alpha = beta = 0.0
         else:
             alpha = atan2(w, u)
-            beta = asin(min(1.0, max(-1.0, v / V)))
+            beta = atan2(v, hypot(u, w))
         fax, fay, faz, tax, tay, taz = body_loads(alpha, beta, V, p, q, r)
         terms = mass_terms(rx, ry, rz)
         fx, fy, fz, tx, ty, tz = balance(

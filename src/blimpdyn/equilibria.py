@@ -27,8 +27,9 @@ MOMENT_ARM_FLOOR = 0.1
 # Newton steps of the moving-mass continuation in the spiral fallback.
 RAIL_STEPS = 10
 
-# Iteration cap of the damped Newton solve.
+# Iteration cap and residual-norm tolerance of the damped Newton solve.
 MAX_NEWTON_ITER = 100
+TOL = 1e-9
 
 # Airspeed [m/s] of the Newton seed of the planar trim.
 SEED_SPEED = 1.0
@@ -171,7 +172,7 @@ def steady_residual(sol, control, rbar, params, model):
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])
 
 
-def _damped_newton(fun, jac, x0, tol):
+def _damped_newton(fun, jac, x0):
     """Newton with step halving; returns (x, residual_norm).
 
     `jac(x)` is the exact Jacobian of `fun` at x, so an iteration costs
@@ -180,7 +181,7 @@ def _damped_newton(fun, jac, x0, tol):
     f = fun(x)
     fnorm = np.linalg.norm(f)
     for _ in range(MAX_NEWTON_ITER):
-        if fnorm < tol:
+        if fnorm < TOL:
             return x, fnorm
         J = jac(x)
         try:
@@ -206,7 +207,7 @@ def _damped_newton(fun, jac, x0, tol):
             raise NoConvergence("step halving exhausted")
         x, f = x_new, f_new
         fnorm = np.linalg.norm(f)
-    if fnorm < tol:
+    if fnorm < TOL:
         return x, fnorm
     raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
 
@@ -239,7 +240,7 @@ def _initial_alpha(params, model):
     return float(np.clip(a0, -0.2, 0.3))
 
 
-def solve_straight(dr_x, F, params, model, tol=1e-9):
+def solve_straight(dr_x, F, params, model):
     """Planar straight-line trim at moving-mass displacement dr_x [m] with
     equal per-propeller thrust F [N].  Solves (theta, V, alpha) with
     beta = phi = psidot = 0."""
@@ -263,14 +264,14 @@ def solve_straight(dr_x, F, params, model, tol=1e-9):
         return J[np.ix_(rows, cols)] / scale[rows, None]
 
     a0 = _initial_alpha(params, model)
-    x3, fnorm = _damped_newton(fun3, jac3, np.array([a0, SEED_SPEED, a0]), tol)
+    x3, fnorm = _damped_newton(fun3, jac3, np.array([a0, SEED_SPEED, a0]))
     x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
     return _make_solution(x, fnorm, "straight")
 
 
-def _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol):
+def _spiral_newton(x0, Fl, Fr, rbar, params, kernel):
     fscale, tscale = _scales(params, rbar)
     scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
 
@@ -280,19 +281,19 @@ def _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol):
     def jac6(xx):
         return _raw_jacobian(xx, rbar, kernel) / scale[:, None]
 
-    return _damped_newton(fun6, jac6, x0, tol)
+    return _damped_newton(fun6, jac6, x0)
 
 
-def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, tol):
+def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel):
     """One Newton solve at the given thrusts, seeded from the planar trim
     at the mean thrust."""
-    straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model, tol=tol)
+    straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model)
     x0 = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-    return _spiral_newton(x0, Fl, Fr, rbar, params, kernel, tol)
+    return _spiral_newton(x0, Fl, Fr, rbar, params, kernel)
 
 
-def solve_spiral(dr_x, Fl, Fr, params, model, tol=1e-9):
+def solve_spiral(dr_x, Fl, Fr, params, model):
     """Steady spiral equilibrium under differential thrust.
 
     Seeds from the straight solution at the mean thrust and solves the
@@ -307,17 +308,17 @@ def solve_spiral(dr_x, Fl, Fr, params, model, tol=1e-9):
     kernel = bind(params, model)
     kind = "straight" if Fl == Fr else "spiral"
     try:
-        x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, tol)
+        x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel)
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
     else:
         return _make_solution(x, fnorm, kind)
-    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, tol)
+    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel)
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
         rbar = params.rbar0 + np.array([dr_k, 0.0, 0.0])
         try:
-            x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel, tol)
+            x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel)
         except NoConvergence as exc:
             if dr_k != dr_x:
                 raise ContinuationBreakdown(

@@ -248,7 +248,8 @@ def euler_rate_matrix(e):
 def aero_angles(v):
     """Aerodynamic angles and airspeed from a body-frame velocity vector.
 
-    alpha = atan2(w, u), beta = asin(v_y / V).  For V below V_MIN both
+    alpha = atan2(w, u), beta = atan2(v_y, hypot(u, w)), which stays well
+    conditioned at |beta| near 90 deg.  For V below V_MIN both
     angles are defined as zero; the aerodynamic loads vanish with V^2 anyway.
     """
     v = np.asarray(v, dtype=float).reshape(3)
@@ -256,7 +257,7 @@ def aero_angles(v):
     if V < V_MIN:
         return AeroAngles(0.0, 0.0, V)
     alpha = math.atan2(v[2], v[0])
-    beta = math.asin(min(1.0, max(-1.0, v[1] / V)))
+    beta = math.atan2(v[1], math.hypot(v[0], v[2]))
     return AeroAngles(alpha, beta, V)
 
 
@@ -264,12 +265,10 @@ def aero_angles_array(v):
     """Angle of attack, sideslip and airspeed arrays of an (n, 3) array of
     body-frame velocities, each row as in `aero_angles`."""
     v = np.asarray(v, dtype=float)
-    n = v.shape[0]
     V = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
     moving = V >= V_MIN
     alpha = np.where(moving, np.arctan2(v[:, 2], v[:, 0]), 0.0)
-    ratio = np.divide(v[:, 1], V, out=np.zeros(n), where=moving)
-    beta = np.where(moving, np.arcsin(np.clip(ratio, -1.0, 1.0)), 0.0)
+    beta = np.where(moving, np.arctan2(v[:, 1], np.hypot(v[:, 0], v[:, 2])), 0.0)
     return alpha, beta, V
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dynamics
 from .frames import GF_TO_N, RAIL_LIMIT, GimbalLock, State, aero_angles_array, rotation_matrices
@@ -32,10 +32,11 @@ class DegenerateDescent(ValueError):
 class Segment:
     """One schedule segment: constant thrusts plus a moving-mass command.
 
-    mm_cmd is "hold" (keep current position) or "goto" (drive the mass to
-    displacement mm_target [m] from its home position with a trapezoidal
-    velocity profile).  Thrusts must be non-negative and |mm_target| within
-    the rail limit.
+    mm_cmd is "goto" (drive the mass to displacement mm_target [m] from its
+    home position with a trapezoidal velocity profile) or "hold" (no new
+    command: a goto profile still under way runs to its end, so the mass
+    stops on that goto's target).  Thrusts must be non-negative and
+    |mm_target| within the rail limit.
     """
 
     t_start: float
@@ -187,7 +188,7 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
             prof_k0 = k
             seg_planned = seg_idx
         bx = 0.0
-        if seg.mm_cmd == "goto" and prof_k0 <= k < prof_k0 + profile.size:
+        if prof_k0 <= k < prof_k0 + profile.size:
             bx = float(profile[k - prof_k0])
 
         try:
@@ -249,16 +250,13 @@ def turning_radius_series(traj, window):
         ksz += 1
     ksz = min(ksz, n if n % 2 == 1 else n - 1)
     if ksz >= 3:
-        # A running median over ksz samples, zero-padded at both ends.
-        finite = np.isfinite(R)
-        if finite.all():
-            R = median_filter(R, size=ksz, mode="constant", cval=0.0)
-        else:
-            # Non-finite radii (inf, and NaN, which has no order) pass through
-            # the filter as a large sentinel.
-            big = 1e12
-            Rs = median_filter(np.where(finite, R, big), size=ksz, mode="constant", cval=0.0)
-            R = np.where(Rs > big / 2, np.inf, Rs)
+        # A running median over ksz samples, zero-padded at both ends; NaN,
+        # which has no order, counts as inf.  Rows are taken in blocks so the
+        # partitioned copy of the windows stays small.
+        h = ksz // 2
+        windows = sliding_window_view(np.pad(np.where(np.isnan(R), np.inf, R), h), ksz)
+        R = np.concatenate([np.partition(windows[i:i + 4096], h, axis=-1)[:, h]
+                            for i in range(0, n, 4096)])
     return R
 
 

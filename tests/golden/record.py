@@ -13,7 +13,10 @@ compares with the frozen copies in this directory:
 
 Re-record, only in a change that says why the outputs moved, with
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [NAME...]
+
+which re-records the named goldens (e.g. `spiral.csv`), or all of them
+when no name is given; an unknown name exits 2 and records nothing.
 """
 
 import contextlib
@@ -43,8 +46,9 @@ RUNS = (
 NAMES = tuple(run[0] for run in RUNS)
 
 
-def produce(workdir):
-    """Run every verb of `RUNS` under `workdir`; {golden name: artifact path}."""
+def produce(workdir, names=NAMES):
+    """Run the verbs of `RUNS` that make the goldens `names` under
+    `workdir`; {golden name: artifact path}."""
     inputs = os.path.join(workdir, "inputs")
     os.makedirs(inputs)
     schedule = os.path.join(inputs, "schedule.csv")
@@ -54,6 +58,8 @@ def produce(workdir):
     paths = {}
     done = {}
     for name, verb, extra, artifact in RUNS:
+        if name not in names:
+            continue
         argv = [verb] + [fill.get(a, a) for a in extra]
         key = tuple(argv)
         if key not in done:
@@ -68,10 +74,16 @@ def produce(workdir):
     return paths
 
 
-def main():
+def main(argv=None):
+    names = tuple(sys.argv[1:] if argv is None else argv) or NAMES
+    unknown = [name for name in names if name not in NAMES]
+    if unknown:
+        print(f"error: unknown golden {', '.join(unknown)}; known: {', '.join(NAMES)}",
+              file=sys.stderr)
+        return 2
     workdir = tempfile.mkdtemp(prefix="blimpdyn-golden-")
     try:
-        for name, path in produce(workdir).items():
+        for name, path in produce(workdir, names).items():
             shutil.copyfile(path, os.path.join(HERE, name))
             print(f"recorded {name}")
     finally:

@@ -125,7 +125,7 @@ def reference_deriv(y, Fl, Fr, Fbar, params, model, legacy=False):
         alpha = beta = 0.0
     else:
         alpha = math.atan2(w, u)
-        beta = math.asin(min(1.0, max(-1.0, v / V)))
+        beta = math.atan2(v, math.hypot(u, w))
     fax, fay, faz, tax, tay, taz = _body_loads(model, alpha, beta, V, (p, q, r), params.rho)
     fx, fy, fz, tx, ty, tz = _balance(
         (u, v, w), (p, q, r), (-sth, cth * sphi, cth * cphi), (rx, ry, rz), (sx, sy, sz),
@@ -194,7 +194,7 @@ def reference_integrate(state0, sched, params, model, dt, T, legacy=False):
             profile = plan_goto_profile(params.rbar0[0] + seg.mm_target - y[12], dt)
             prof_k0, seg_planned = k, seg_idx
         fbar = np.zeros(3)
-        if seg.mm_cmd == "goto" and prof_k0 <= k < prof_k0 + profile.size:
+        if prof_k0 <= k < prof_k0 + profile.size:
             fbar[0] = profile[k - prof_k0]
 
         def f(x):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -150,15 +151,27 @@ def test_line_endings_are_lf(tmp_path, capsys):
     assert b"\r" not in data
 
 
-def test_import_leaves_out_scipy_signal():
-    """Importing the package and its CLI loads no scipy.signal (over a
-    second of start-up for every verb); the smoother and the median filter
-    need none of it."""
+def test_import_loads_no_scipy():
+    """Importing the package and its CLI loads no scipy module: the package
+    runs on numpy and the standard library alone (scipy's import alone
+    would be about half the start-up of every verb)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(blimpdyn.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys, blimpdyn, blimpdyn.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """pyproject.toml lists numpy as the one runtime dependency; scipy is
+    only in the test extra, for the tests' reference implementations."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

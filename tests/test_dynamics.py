@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_kernel import reference_deriv
 
@@ -101,6 +101,10 @@ def test_thrust_columns_lever_arms(params):
     thrust=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
     legacy=st.booleans(),
 )
+# Sideslip 1e-8 rad short of 90 deg, where asin(v / V) lost about 1e-8 rad.
+@example(euler=(0.0, 0.0, 0.0), v=(1e-9, 0.0971, 0.0), w=(0.0, 0.0, 0.0),
+         drbar=(0.0, 0.0, 0.0), rbardot=(0.0, 0.0, 0.0), Fbar=(0.0, 0.0, 0.0),
+         thrust=(0.0, 0.0), legacy=False)
 @settings(max_examples=200, deadline=None)
 def test_derivative_solves_mass_matrix_exactly(params, model, reference_rhs, euler, v, w,
                                                drbar, rbardot, Fbar, thrust, legacy):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from blimpdyn.frames import (
     State,
     VehicleParams,
     aero_angles,
+    aero_angles_array,
     euler_rate_matrix,
     rotation_body_to_inertial,
     wind_to_body,
@@ -99,6 +102,16 @@ def test_aero_angles_below_speed_floor():
 def test_aero_angles_pure_sideslip():
     a = aero_angles([0.0, 1.0, 0.0])
     assert np.isclose(a.beta, np.pi / 2)
+
+
+@pytest.mark.parametrize("v", [(1e-9, 0.0971, 0.0), (0.0, -2.0, 3e-8), (-1e-7, 0.5, 1e-7)])
+def test_sideslip_near_90_degrees_is_accurate(v):
+    """Within 1e-8 rad of +-90 deg sideslip both angle functions keep full
+    precision; asin(v / V) lost about 1e-8 rad there."""
+    u, vy, w = v
+    exact = math.copysign(math.pi / 2 - math.atan(math.hypot(u, w) / abs(vy)), vy)
+    assert abs(aero_angles(v).beta - exact) < 1e-15
+    assert abs(aero_angles_array(np.array([v]))[1][0] - exact) < 1e-15
 
 
 @given(

@@ -118,3 +118,14 @@ def test_artifact_matches_golden(produced, name):
         return
     bad = _mismatches(got, ref, rtol, atol)
     assert not bad, f"{name}: {len(bad)} mismatches, first: {bad[:5]}"
+
+
+def test_record_writes_only_the_named_goldens(tmp_path, monkeypatch, capsys):
+    """`record.py NAME...` re-records the named goldens and no other; an
+    unknown name exits 2 and records nothing."""
+    monkeypatch.setattr(record, "HERE", str(tmp_path))
+    assert record.main(["polar.csv", "no-such.csv"]) == 2
+    assert "no-such.csv" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert record.main(["polar.csv"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["polar.csv"]

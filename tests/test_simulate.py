@@ -138,6 +138,20 @@ def test_goto_moves_mass_to_target(params, model):
     assert np.allclose(traj.states[-1][15:18], 0.0, atol=1e-12)
 
 
+def test_hold_lets_an_unfinished_goto_finish(params, model):
+    """A hold is no new command: a goto whose segment ends before its
+    profile does runs the profile to its end, and the mass stops on the
+    goto's target instead of coasting along the rail."""
+    sched = InputSchedule((
+        Segment(0.0, 0.5, F2, F2, mm_cmd="goto", mm_target=0.05),
+        Segment(0.5, 6.0, F2, F2, mm_cmd="hold"),
+    ))
+    traj = integrate(_rest_state(params), sched, params, model, T=6.0)
+    assert traj.status == "ok"
+    assert np.isclose(traj.states[-1][12], params.rbar0[0] + 0.05, atol=1e-12)
+    assert np.allclose(traj.states[-1][15:18], 0.0, atol=1e-12)
+
+
 def test_planar_invariance(sym_bundle):
     """y-symmetric start with a symmetric schedule keeps the motion in the
     x-O-z plane."""
@@ -229,9 +243,14 @@ def _reference_cases(params):
         v=np.array([1e160, 0.0, 0.0]), w=np.array([0.0, 1e-3, 0.0]),
         rbar=params.rbar0, rbardot=np.zeros(3),
     )
+    goto_then_hold = InputSchedule((
+        Segment(0.0, 0.5, 2.0 * gf, 2.0 * gf, mm_cmd="goto", mm_target=0.05),
+        Segment(0.5, 1.5, 1.4 * gf, 2.6 * gf),
+    ))
     overflow, dt_o, T_o = _overflow_run()
     return {
         "maneuver": (_rest_state(params), maneuver, 0.005, 1.0, False),
+        "goto_then_hold": (_rest_state(params), goto_then_hold, 0.005, 1.5, False),
         "maneuver_legacy": (_rest_state(params), maneuver, 0.005, 1.0, True),
         "gimbal_lock": (pitching, InputSchedule.constant(F2, F2, 1.0), 0.005, 1.0, False),
         "euler_nan": (euler_nan, InputSchedule.constant(0.02, 0.02, 0.1), 0.005, 0.1, False),
@@ -240,8 +259,8 @@ def _reference_cases(params):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "gimbal_lock", "euler_nan",
-                                  "combine_overflow"])
+@pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "goto_then_hold", "gimbal_lock",
+                                  "euler_nan", "combine_overflow"])
 def test_integrate_matches_unbound_reference(params, model, case):
     """The float RK4 on the bound kernel reproduces RK4 on numpy vectors
     through the unbound reference kernel bit for bit: the states, the
@@ -399,9 +418,9 @@ def test_trajectory_analysis_matches_per_sample_formulas(params, model, start):
 
 
 def _medfilt_turning_radius_series(traj, window):
-    """`turning_radius_series` smoothed by scipy.signal.medfilt, with its
-    sentinel for non-finite radii: the reference for the zero-padded
-    scipy.ndimage median filter."""
+    """`turning_radius_series` smoothed by scipy.signal.medfilt, NaN radii
+    counted as inf: the reference for the zero-padded numpy running
+    median."""
     from blimpdyn.simulate import _inertial_velocity
 
     n = len(traj)
@@ -413,13 +432,7 @@ def _medfilt_turning_radius_series(traj, window):
         ksz += 1
     ksz = min(ksz, n if n % 2 == 1 else n - 1)
     if ksz >= 3:
-        finite = np.isfinite(R)
-        if finite.all():
-            R = medfilt(R, ksz)
-        else:
-            big = 1e12
-            Rs = medfilt(np.where(finite, R, big), ksz)
-            R = np.where(Rs > big / 2, np.inf, Rs)
+        R = medfilt(np.where(np.isnan(R), np.inf, R), ksz)
     return R
 
 
@@ -447,3 +460,22 @@ def test_turning_radius_series_matches_medfilt(params, model, T, window, non_fin
     ref = _medfilt_turning_radius_series(traj, window)
     assert got.tobytes() == ref.tobytes()
     assert np.isinf(got).any() == non_finite
+
+
+def test_turning_radius_series_keeps_huge_finite_radii(params, model):
+    """A finite radius stays finite however large it is, also in a series
+    that holds inf and NaN radii (a run that has blown up): 1e12 m at a
+    horizontal speed of 1e9 m/s and the smallest counted yaw rate."""
+    from dataclasses import replace
+
+    traj = integrate(_rest_state(params), InputSchedule.constant(F2, F2, 0.5),
+                     params, model, T=0.5)
+    states, psidot = traj.states.copy(), np.full(len(traj), PSIDOT_MIN)
+    states[:, 6:9] = 1e9, 0.0, 0.0
+    states[:, 3:6] = 0.0
+    psidot[0:16:2], psidot[1:16:2] = np.nan, 0.0
+    traj = replace(traj, states=states, psidot=psidot)
+    got = turning_radius_series(traj, 0.1)
+    assert got.tobytes() == _medfilt_turning_radius_series(traj, 0.1).tobytes()
+    assert np.isinf(got[:6]).all()
+    np.testing.assert_allclose(got[30:-10], 1e12, rtol=1e-15)
