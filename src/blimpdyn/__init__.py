@@ -5,8 +5,8 @@ identification from steady-flight logs."""
 
 __version__ = "0.1.0"
 
-from .aero import AeroLoads, AeroModel, aero_loads, eval_coeffs, lift_drag_analysis, loads_to_body, stability_slopes
-from .dynamics import ControlInput, StateDerivative, composite_cg, mass_matrix, state_derivative
+from .aero import AeroLoads, AeroModel, aero_loads, lift_drag_analysis
+from .dynamics import ControlInput
 from .equilibria import (
     SteadySolution,
     StabilityReport,
@@ -14,7 +14,6 @@ from .equilibria import (
     linearize,
     solve_spiral,
     solve_straight,
-    steady_residual,
     turning_radius,
 )
 from .frames import (
@@ -23,10 +22,7 @@ from .frames import (
     GimbalLock,
     State,
     VehicleParams,
-    aero_angles,
-    euler_rate_matrix,
     rotation_body_to_inertial,
-    wind_to_body,
 )
 from .paramio import load_bundled, read_aero, read_params
 from .simulate import InputSchedule, Segment, Trajectory, glide_metrics, integrate, turning_radius_series

@@ -13,8 +13,8 @@ aerodynamic angles:
 The shapes are deliberately hard-coded: the identification pipeline fits
 exactly these regressors, and a configurable structure would change the
 design matrix silently.  `bind(model, rho)` binds a model's constants once
-for the dynamics hot paths and `aero_loads`; `eval_coeffs` and
-`lift_drag_analysis` evaluate the same polynomials (`_polynomials`).
+for the dynamics hot paths and `aero_loads`; `lift_drag_analysis`
+evaluates the same polynomials (`_polynomials`) over arrays.
 """
 
 from dataclasses import dataclass, replace
@@ -22,8 +22,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .frames import wind_to_body
 
 # Beyond this angle of attack the vehicle stalls and the polynomial model
 # is extrapolating; loads are still computed but flagged.
@@ -54,7 +52,7 @@ class AeroModel:
 
     Damping coefficients k1..k3 [N m s/rad] must be non-positive.
     beta_limit is the advisory sideslip validity bound (default 30 deg);
-    unlike the stall bound it is not reported by the model itself.
+    it is carried through the ini round trip, but no equation reads it.
     """
 
     cd0: float
@@ -82,6 +80,9 @@ class AeroModel:
     beta_limit: float = np.radians(30.0)
 
     def __post_init__(self):
+        for name in (*PARAM_NAMES, "a_ref", "beta_limit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.k1 > 0 or self.k2 > 0 or self.k3 > 0:
             raise ValueError("damping coefficients k1..k3 must be <= 0")
         if self.a_ref <= 0:
@@ -104,23 +105,6 @@ class AeroModel:
         constant and alpha-only terms are dropped."""
         return replace(self, cs0=0.0, cs_a=0.0, cm1_0=0.0, cm1_a=0.0,
                        cm3_0=0.0, cm3_a=0.0)
-
-
-@dataclass(frozen=True)
-class Coeffs:
-    """The six dimensionless coefficients at one (alpha, beta)."""
-
-    cd: float
-    cs: float
-    cl: float
-    cm1: float
-    cm2: float
-    cm3: float
-    stalled: bool
-    beta_exceeded: bool
-
-    def as_array(self):
-        return np.array([self.cd, self.cs, self.cl, self.cm1, self.cm2, self.cm3])
 
 
 @dataclass(frozen=True)
@@ -173,17 +157,6 @@ def _polynomials(model):
         )
 
     return values, partials
-
-
-def eval_coeffs(model, alpha, beta):
-    """Evaluate the six coefficient polynomials at (alpha, beta) [rad]."""
-    a, b = float(alpha), float(beta)
-    cd, cs, cl, cm1, cm2, cm3 = _polynomials(model)[0](a, b)
-    return Coeffs(
-        cd=cd, cs=cs, cl=cl, cm1=cm1, cm2=cm2, cm3=cm3,
-        stalled=abs(a) > STALL_ALPHA,
-        beta_exceeded=abs(b) > model.beta_limit,
-    )
 
 
 def _wind_to_body(ca, sa, cb, sb, D, S, L, M1, M2, M3):
@@ -287,14 +260,6 @@ def aero_loads(model, a, w, rho):
     return AeroLoads(*bind(model, rho).wind_loads(float(a.alpha), float(a.beta), a.V, p, q, r))
 
 
-def loads_to_body(a, loads):
-    """Resolve wind-frame loads into body-frame force and torque vectors."""
-    R = wind_to_body(a)
-    F = R @ np.array([-loads.D, loads.S, -loads.L])
-    T = R @ np.array([loads.M1, loads.M2, loads.M3])
-    return F, T
-
-
 @dataclass(frozen=True)
 class LiftDragTable:
     """Grid of (alpha, C_L, C_D, L/D) plus the refined maximum."""
@@ -364,8 +329,3 @@ def lift_drag_analysis(model, alpha_range):
     return LiftDragTable(
         alpha=alpha, cl=cl, cd=cd, ld=cl / cd, alpha_star=alpha_star, max_ld=max_ld
     )
-
-
-def stability_slopes(model):
-    """Static-stability slopes: pitch-moment vs alpha and yaw-moment vs beta."""
-    return model.cm2_a, model.cm3_b

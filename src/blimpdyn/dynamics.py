@@ -5,11 +5,17 @@ closures over the parameter and aero-model constants that hold the single
 copy of the mass terms, the generalized force and torque (the balance),
 the balance tangents and the state derivative, all in scalar float
 arithmetic.  The integrator, the steady-state residual and Jacobian and
-the linearization bind once and call the kernel; `deriv_vector` and
-`state_derivative` bind and call it per call.  The 9x9 mass matrix
-coupling body acceleration to moving-mass acceleration is kept in matrix
-form as the reference (`mass_matrix`, `thrust_columns`); the derivative
-solves the same system by its block structure, never inverting it.
+the linearization bind once and call the kernel.  The body accelerations
+and the moving-mass acceleration solve M a = rhs with the 9x9 block mass
+matrix
+
+    M = [(m+mbar) I3   -lg^x          mbar I3 ]
+        [ lg^x         I - mbar Sr^2  mbar Sr ]
+        [ 0            0              I3      ]
+
+(lg the first mass moment, Sr the cross-product matrix of rbar); the
+derivative solves it by its block structure, never forming or inverting
+it.  `tests/reference_matrix.py` keeps the matrix form as the reference.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import aero as aeromod
-from .frames import GIMBAL_EPS, V_MIN, GimbalLock, rotation_body_to_inertial
+from .frames import GIMBAL_EPS, V_MIN, GimbalLock
 
 
 class SingularMass(RuntimeError):
@@ -38,83 +44,6 @@ class ControlInput:
         object.__setattr__(self, "Fbar", np.asarray(self.Fbar, dtype=float).reshape(3))
         if self.Fl < 0 or self.Fr < 0:
             raise ValueError("thrusts must be non-negative")
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    pdot: np.ndarray
-    edot: np.ndarray
-    vdot: np.ndarray
-    wdot: np.ndarray
-    rbardot: np.ndarray
-    rbarddot: np.ndarray
-
-    def as_vector(self):
-        return np.concatenate(
-            [self.pdot, self.edot, self.vdot, self.wdot, self.rbardot, self.rbarddot]
-        )
-
-
-def skew(v):
-    """Cross-product matrix: skew(a) @ b == a x b."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
-def composite_cg(params, rbar):
-    """First mass moment l_g = m r + mbar rbar and the composite CG r_g."""
-    rbar = np.asarray(rbar, dtype=float).reshape(3)
-    l_g = params.m * params.r + params.mbar * rbar
-    return l_g, l_g / params.total_mass
-
-
-def total_inertia(params, rbar):
-    """Inertia about the CB including the moving point mass."""
-    S = skew(rbar)
-    return params.inertia - params.mbar * (S @ S)
-
-
-def mass_matrix(params, rbar, legacy=False):
-    """The 9x9 block mass matrix M; callers solve M x = rhs.
-
-    Blocks:  [(m+mbar) I3   -lg^x        mbar I3 ]
-             [ lg^x         I - mbar Sr^2  mbar Sr]
-             [ 0            0            I3      ]
-    """
-    rbar = np.asarray(rbar, dtype=float).reshape(3)
-    l_g, _ = composite_cg(params, rbar)
-    Sl = skew(l_g)
-    Sr = skew(rbar)
-    M = np.zeros((9, 9))
-    M[0:3, 0:3] = params.total_mass * np.eye(3)
-    M[3:6, 3:6] = params.inertia - params.mbar * (Sr @ Sr)
-    M[6:9, 6:9] = np.eye(3)
-    M[0:3, 6:9] = params.mbar * np.eye(3)
-    M[3:6, 6:9] = params.mbar * Sr
-    if not legacy:
-        M[0:3, 3:6] = -Sl
-        M[3:6, 0:3] = Sl
-    return M
-
-
-def thrust_columns(rbar, d):
-    """Raw 9x5 input map: columns for Fl, Fr, and the Fbar channel.
-
-    The yaw-moment lever arm of each propeller is the lateral moving-mass
-    offset rbar_y plus or minus the propeller offset d.
-    """
-    cols = np.zeros((9, 5))
-    cols[0, 0] = cols[0, 1] = 1.0
-    cols[4, 0] = cols[4, 1] = rbar[2]
-    cols[5, 0] = rbar[1] + d
-    cols[5, 1] = rbar[1] - d
-    cols[6:9, 2:5] = np.eye(3)
-    return cols
 
 
 def _solve3(a, b, c, d, e, f, g, h, i, x, y, z):
@@ -160,8 +89,8 @@ def _bind_balance(params, legacy):
         This is the first six rows of the right-hand side of M a = rhs
         without the aero loads: Coriolis and centripetal terms, net weight,
         the gravity torque of the composite CG, the moving-mass velocity
-        terms and the propeller thrusts (the first two columns of
-        `thrust_columns`).  `legacy` drops the CG-offset coupling terms.
+        terms and the propeller thrusts, whose yaw lever arms are rbar_y
+        plus or minus d.  `legacy` drops the CG-offset coupling terms.
         `terms` is `mass_terms(*rbar)`; `v`, `w`, `gcol` (the inertial
         down axis in body axes), `rbar` and `rbardot` are 3-sequences of
         floats.
@@ -272,10 +201,11 @@ def bind(params, model, legacy=False):
         floats) under thrusts Fl, Fr and moving-mass acceleration
         (bx, by, bz), as a tuple of 18 floats.
 
-        Solves M a = rhs by the block structure of `mass_matrix`.  Its last
-        block row is [0 0 I], so the moving-mass acceleration is Fbar
-        exactly; with f and t the force and torque less the Fbar reaction,
-        the rotational block reduces by Schur complement to the 3x3 system
+        Solves M a = rhs (see the module docstring) by its block
+        structure.  Its last block row is [0 0 I], so the moving-mass
+        acceleration is Fbar exactly; with f and t the force and torque
+        less the Fbar reaction, the rotational block reduces by Schur
+        complement to the 3x3 system
 
             (Itot + Sl Sl / m_tot) wdot = t - l_g x f / m_tot,
             vdot = (f + l_g x wdot) / m_tot,
@@ -349,41 +279,34 @@ def bind(params, model, legacy=False):
     return Kernel(aero, mass_terms, balance, balance_tangents, deriv)
 
 
-def deriv_vector(y, Fl, Fr, Fbar, params, model, legacy=False):
-    """State derivative on the packed 18-vector, as an array: `Kernel.deriv`
-    of a freshly bound vehicle.  Loops bind once with `bind` instead."""
-    bx, by, bz = np.asarray(Fbar, dtype=float).tolist()
-    return np.array(bind(params, model, legacy).deriv(
-        np.asarray(y, dtype=float).tolist(), Fl, Fr, bx, by, bz))
-
-
-def state_derivative(state, control, params, model, legacy=False):
-    """Full state derivative for a State/ControlInput pair."""
-    y = state.as_vector()
-    ydot = deriv_vector(y, control.Fl, control.Fr, control.Fbar, params, model, legacy=legacy)
-    return StateDerivative(
-        pdot=ydot[0:3],
-        edot=ydot[3:6],
-        vdot=ydot[6:9],
-        wdot=ydot[9:12],
-        rbardot=ydot[12:15],
-        rbarddot=ydot[15:18],
-    )
 
 
 def mechanical_energy(state, params):
-    """Kinetic plus potential energy [J] of the vehicle with the moving
-    mass frozen.  Conserved when aerodynamics, thrust, and moving-mass
-    actuation are all absent.
+    """Kinetic plus potential energy [J] of the vehicle and its moving mass.
 
-    Potential accounts for the attitude-dependent CG height as well as
+    Conserved when aerodynamics, thrust and moving-mass actuation are all
+    absent.  The kinetic energy is that of the rigid body with the moving
+    mass frozen at rbar, plus the terms of the mass's velocity rbardot
+    relative to the body, mbar (v + w x rbar) . rbardot + mbar |rbardot|^2 / 2.
+    The potential accounts for the attitude-dependent CG height as well as
     the net-buoyancy height term (z is positive down).
     """
-    M = mass_matrix(params, state.rbar)
-    x = np.concatenate([state.v, state.w, state.rbardot])
-    ke = 0.5 * x @ (M @ x)
-    R = rotation_body_to_inertial(state.e)
-    l_g, _ = composite_cg(params, state.rbar)
-    z_cg_rel = (R @ l_g)[2]
-    pe = -params.net_weight * state.p[2] - params.g * z_cg_rel
-    return ke + pe
+    rx, ry, rz = state.rbar.tolist()
+    (lx, ly, lz), (Ixx, Ixy, Ixz, Iyx, Iyy, Iyz, Izx, Izy, Izz) = (
+        _bind_balance(params, False)[0](rx, ry, rz))
+    u, v, w = state.v.tolist()
+    p, q, r = state.w.tolist()
+    sx, sy, sz = state.rbardot.tolist()
+    mbar = params.mbar
+    ke = (0.5 * params.total_mass * (u * u + v * v + w * w)
+          + lx * (v * r - w * q) + ly * (w * p - u * r) + lz * (u * q - v * p)   # l_g . (v x w)
+          + 0.5 * (p * (Ixx * p + Ixy * q + Ixz * r) + q * (Iyx * p + Iyy * q + Iyz * r)
+                   + r * (Izx * p + Izy * q + Izz * r))                          # w . Itot w / 2
+          # mbar (v + w x rbar) . rbardot + mbar |rbardot|^2 / 2
+          + mbar * ((u + q * rz - r * ry) * sx + (v + r * rx - p * rz) * sy
+                    + (w + p * ry - q * rx) * sz)
+          + 0.5 * mbar * (sx * sx + sy * sy + sz * sz))
+    sphi, cphi = math.sin(state.e.phi), math.cos(state.e.phi)
+    sth, cth = math.sin(state.e.theta), math.cos(state.e.theta)
+    z_cg_rel = -sth * lx + cth * sphi * ly + cth * cphi * lz                     # (R l_g)_z
+    return ke - params.net_weight * float(state.p[2]) - params.g * z_cg_rel

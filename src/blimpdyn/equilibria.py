@@ -163,15 +163,6 @@ def _scales(params, rbar):
     return fscale, tscale
 
 
-def steady_residual(sol, control, rbar, params, model):
-    """Nondimensional 6-vector steady residual of a candidate solution."""
-    rbar = np.asarray(rbar, dtype=float).reshape(3)
-    x = np.array([sol.theta, sol.phi, sol.psidot, sol.V, sol.alpha, sol.beta])
-    raw = _raw_residual(x, control.Fl, control.Fr, rbar, bind(params, model))
-    fscale, tscale = _scales(params, rbar)
-    return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])
-
-
 def _damped_newton(fun, jac, x0):
     """Newton with step halving; returns (x, residual_norm).
 

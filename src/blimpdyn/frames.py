@@ -114,10 +114,15 @@ class VehicleParams:
 
     def __post_init__(self):
         object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float).reshape(3, 3))
+        if not np.all(np.isfinite(self.inertia)):
+            raise ValueError("inertia must be finite")
         object.__setattr__(self, "r", _as_vec3(self.r, "r"))
         object.__setattr__(self, "rbar0", _as_vec3(self.rbar0, "rbar0"))
         if self.A_ref is None:
             object.__setattr__(self, "A_ref", float(self.V_He) ** (2.0 / 3.0))
+        for name in ("m", "mbar", "B", "rho", "g", "V_He", "A_ref", "d", "reynolds"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("m", "mbar", "B", "rho", "g", "V_He", "A_ref", "d"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -230,61 +235,17 @@ def rotation_matrices(euler):
     ).reshape(-1, 3, 3)
 
 
-def euler_rate_matrix(e):
-    """Matrix J relating body rates to Euler-angle rates: edot = J @ omega."""
-    if abs(e.theta) >= np.pi / 2 - GIMBAL_EPS:
-        raise GimbalLock(f"pitch angle {e.theta:.4f} rad too close to +-pi/2")
-    cphi, sphi = np.cos(e.phi), np.sin(e.phi)
-    cth, tth = np.cos(e.theta), np.tan(e.theta)
-    return np.array(
-        [
-            [1.0, sphi * tth, cphi * tth],
-            [0.0, cphi, -sphi],
-            [0.0, sphi / cth, cphi / cth],
-        ]
-    )
-
-
-def aero_angles(v):
-    """Aerodynamic angles and airspeed from a body-frame velocity vector.
-
-    alpha = atan2(w, u), beta = atan2(v_y, hypot(u, w)), which stays well
-    conditioned at |beta| near 90 deg.  For V below V_MIN both
-    angles are defined as zero; the aerodynamic loads vanish with V^2 anyway.
-    """
-    v = np.asarray(v, dtype=float).reshape(3)
-    V = float(np.linalg.norm(v))
-    if V < V_MIN:
-        return AeroAngles(0.0, 0.0, V)
-    alpha = math.atan2(v[2], v[0])
-    beta = math.atan2(v[1], math.hypot(v[0], v[2]))
-    return AeroAngles(alpha, beta, V)
-
-
 def aero_angles_array(v):
     """Angle of attack, sideslip and airspeed arrays of an (n, 3) array of
-    body-frame velocities, each row as in `aero_angles`."""
+    body-frame velocities (u, v, w).
+
+    alpha = atan2(w, u), beta = atan2(v, hypot(u, w)), which stays well
+    conditioned at |beta| near 90 deg.  Where V is below V_MIN both angles
+    are defined as zero; the aerodynamic loads vanish with V^2 anyway.
+    """
     v = np.asarray(v, dtype=float)
     V = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
     moving = V >= V_MIN
     alpha = np.where(moving, np.arctan2(v[:, 2], v[:, 0]), 0.0)
     beta = np.where(moving, np.arctan2(v[:, 1], np.hypot(v[:, 0], v[:, 2])), 0.0)
     return alpha, beta, V
-
-
-def wind_matrix(alpha, beta):
-    """Wind-to-body rotation from raw angles (no range validation)."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    return np.array(
-        [
-            [ca * cb, -ca * sb, -sa],
-            [sb, cb, 0.0],
-            [sa * cb, -sa * sb, ca],
-        ]
-    )
-
-
-def wind_to_body(a):
-    """Rotation matrix from the velocity (wind) frame to the body frame."""
-    return wind_matrix(a.alpha, a.beta)

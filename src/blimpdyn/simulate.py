@@ -158,8 +158,8 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     failed."""
     if not (0.0 < dt <= 0.05):
         raise ValueError("dt must be in (0, 0.05]")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     n = int(math.floor(T / dt + 1e-9))
     t = np.arange(n + 1) * dt
     states = np.empty((n + 1, 18))

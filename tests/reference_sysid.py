@@ -14,6 +14,7 @@ the package against these.
 
 import numpy as np
 from reference_kernel import _balance
+from reference_matrix import wind_to_body
 from scipy.signal import savgol_filter
 
 from blimpdyn import aero as aeromod
@@ -23,7 +24,6 @@ from blimpdyn.frames import (
     aero_angles_array,
     rotation_body_to_inertial,
     rotation_matrices,
-    wind_to_body,
 )
 from blimpdyn.sysid import (
     SAVGOL_ORDER,

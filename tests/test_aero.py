@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_matrix import eval_coeffs, loads_to_body
 
 from blimpdyn.aero import (
     PARAM_NAMES,
@@ -9,10 +10,7 @@ from blimpdyn.aero import (
     AeroModel,
     DegenerateModel,
     aero_loads,
-    eval_coeffs,
     lift_drag_analysis,
-    loads_to_body,
-    stability_slopes,
 )
 from blimpdyn.frames import AeroAngles
 
@@ -49,6 +47,17 @@ def test_stall_and_sideslip_advisories(model):
 def test_positive_damping_rejected(model):
     with pytest.raises(ValueError):
         model.with_vector(np.concatenate([model.as_vector()[:18], [0.1, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("field", [*PARAM_NAMES, "a_ref", "beta_limit"])
+def test_non_finite_fields_rejected(model, field):
+    """nan passes the sign checks of k1..k3 and a_ref, so every field is
+    checked by name."""
+    from dataclasses import replace
+
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            replace(model, **{field: value})
 
 
 def test_parameter_vector_round_trip(model):
@@ -152,12 +161,6 @@ def test_degenerate_drag_rejected(model):
     )
     with pytest.raises(DegenerateModel):
         lift_drag_analysis(bad, np.radians(np.linspace(0, 16, 161)))
-
-
-def test_stability_slopes(model):
-    cm2_a, cm3_b = stability_slopes(model)
-    assert cm2_a == model.cm2_a
-    assert cm3_b == model.cm3_b
 
 
 def test_table_values_match_bundle(model):

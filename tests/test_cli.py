@@ -122,6 +122,46 @@ def test_missing_file_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+def _spoiled_bundle(tmp_path, key, value):
+    """Copy of the stock vehicle file with `key` set to `value`."""
+    text = open(blimpdyn.paramio.bundled_path("vehicle.ini")).read()
+    spoiled, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    assert n == 1
+    path = tmp_path / "spoiled.ini"
+    path.write_text(spoiled)
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("buoyancy_n", "nan", "B"),
+    ("air_density_kgm3", "inf", "rho"),
+    ("inertia_xz", "nan", "inertia"),
+])
+def test_params_check_rejects_non_finite_parameters(tmp_path, capsys, key, value, field):
+    assert main(["params-check", "--params", _spoiled_bundle(tmp_path, key, value)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("cd0", "nan"), ("k1", "nan"), ("cl_a", "-inf"),
+                                       ("beta_limit_deg", "nan")])
+def test_trim_rejects_non_finite_aero_coefficients(tmp_path, capsys, key, value):
+    field = "beta_limit" if key == "beta_limit_deg" else key
+    assert main(["trim", "--aero", _spoiled_bundle(tmp_path, key, value),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trim.csv").exists()
+
+
+@pytest.mark.parametrize("T", ["inf", "nan"])
+def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, T):
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n0,2,2,2,hold,0\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out"),
+                 "--T", T]) == 2
+    assert "T must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sim.csv").exists()
+
+
 def test_linearize(tmp_path, capsys):
     assert main(["linearize", "--out", str(tmp_path)]) == 0
     lines = _read_lines(tmp_path / "eigenvalues.csv")

@@ -1,17 +1,25 @@
-"""Dead-code guard: every module-level private function, class or assignment
-of `src/blimpdyn` is used by some other statement of the package.
+"""Dead-code guards over the module-level functions, classes and
+assignments of `src/blimpdyn`.
 
-A private name that only the tests reach is a second entry point kept
-alive by its own tests; the tests should compare against their own
-references (`reference_kernel`, `reference_sysid`) instead.
+- A private name must be used by some other statement of the package.
+- A public name must be used by some other statement of the package, by
+  the demos, by the benchmark or by the README quick start.
+
+A name that only the tests reach is a second entry point kept alive by
+its own tests; the tests should compare against their own references
+(`reference_kernel`, `reference_matrix`, `reference_sysid`) instead.
+Imports are not uses, so a re-export from `blimpdyn/__init__` keeps
+nothing alive.
 """
 
 import ast
 import os
+import re
 
 import blimpdyn
 
 SRC = os.path.dirname(os.path.abspath(blimpdyn.__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _modules():
@@ -20,6 +28,26 @@ def _modules():
         if name.endswith(".py"):
             with open(os.path.join(SRC, name)) as fh:
                 yield name, ast.parse(fh.read(), filename=name)
+
+
+def _outside_trees():
+    """Parsed Python files of `demos/` and `bench/`, and the README quick
+    start: the callers of the package outside it."""
+    for sub in ("demos", "bench"):
+        for dirpath, _, filenames in os.walk(os.path.join(ROOT, sub)):
+            for name in filenames:
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name)) as fh:
+                        yield ast.parse(fh.read(), filename=name)
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        yield ast.parse(_quick_start(fh.read()))
+
+
+def _quick_start(readme):
+    """The Python block of the README's quick-start section."""
+    match = re.search(r"^## Quick start\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    assert match, "README has no Python quick-start block"
+    return match.group(1)
 
 
 def _defined(stmt):
@@ -45,22 +73,46 @@ def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def unreferenced_private_names():
-    """The private top-level names, as module.name, that no other top-level
-    statement of the package uses (a function calling only itself counts as
-    unused)."""
+def _is_public(name):
+    return not name.startswith("_")
+
+
+def _unreferenced(keep, outside=frozenset()):
+    """The top-level names `keep` selects, as module.name, that no other
+    top-level statement of the package uses and that are not in `outside`
+    (a function calling only itself counts as unused)."""
     statements = [(mod, stmt) for mod, tree in _modules() for stmt in tree.body]
     used = [set(_used(stmt)) for _, stmt in statements]
     unused = []
     for i, (mod, stmt) in enumerate(statements):
-        for name in filter(_is_private, _defined(stmt)):
+        for name in filter(keep, _defined(stmt)):
+            if name in outside:
+                continue
             if not any(name in names for j, names in enumerate(used) if j != i):
                 unused.append(f"{mod[:-3]}.{name}")
     return sorted(unused)
 
 
+def unreferenced_private_names():
+    """The private top-level names that no other top-level statement of
+    the package uses."""
+    return _unreferenced(_is_private)
+
+
+def unreferenced_public_names():
+    """The public top-level names that neither another top-level statement
+    of the package nor the demos, the benchmark or the README quick start
+    use."""
+    outside = {name for tree in _outside_trees() for name in _used(tree)}
+    return _unreferenced(_is_public, outside)
+
+
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names() == []
+
+
+def test_no_unreferenced_public_names():
+    assert unreferenced_public_names() == []
 
 
 def test_guard_sees_private_definitions():
@@ -69,3 +121,14 @@ def test_guard_sees_private_definitions():
     defined = {name for _, tree in _modules() for stmt in tree.body
                for name in _defined(stmt) if _is_private(name)}
     assert {"_bind_balance", "_polynomials", "_damped_newton", "_VERBS"} <= defined
+
+
+def test_guard_sees_public_definitions_and_outside_uses():
+    """The public scan finds the package's public names and the uses
+    outside it: `glide_metrics` is used only by the benchmark, and the
+    quick start calls `solve_spiral`."""
+    defined = {name for _, tree in _modules() for stmt in tree.body
+               for name in _defined(stmt) if _is_public(name)}
+    assert {"bind", "solve_spiral", "VehicleParams", "RAIL_LIMIT", "glide_metrics"} <= defined
+    outside = {name for tree in _outside_trees() for name in _used(tree)}
+    assert {"glide_metrics", "solve_spiral", "turning_radius"} <= outside

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_kernel import reference_deriv
-
-from blimpdyn.dynamics import (
-    ControlInput,
-    SingularMass,
-    bind,
+from reference_matrix import (
+    aero_angles,
     composite_cg,
-    deriv_vector,
+    euler_rate_matrix,
+    loads_to_body,
     mass_matrix,
-    mechanical_energy,
+    reference_rhs,
     skew,
-    state_derivative,
     thrust_columns,
     total_inertia,
 )
+
+from blimpdyn.aero import aero_loads
+from blimpdyn.dynamics import ControlInput, SingularMass, bind, mechanical_energy
 from blimpdyn.frames import (
     GIMBAL_EPS,
     V_MIN,
@@ -26,8 +26,15 @@ from blimpdyn.frames import (
     EulerAngles,
     GimbalLock,
     State,
-    aero_angles,
+    rotation_body_to_inertial,
 )
+
+
+def _deriv(y, Fl, Fr, Fbar, params, model, legacy=False):
+    """`Kernel.deriv` of a freshly bound vehicle at the packed state `y`,
+    as an 18-array."""
+    return np.array(bind(params, model, legacy).deriv(
+        np.asarray(y, dtype=float).tolist(), Fl, Fr, *np.asarray(Fbar, dtype=float).tolist()))
 
 
 def _state(phi=0.0, theta=0.1, psi=0.0, v=(0.8, 0.0, 0.1), w=(0.0, 0.0, 0.0),
@@ -106,15 +113,15 @@ def test_thrust_columns_lever_arms(params):
          drbar=(0.0, 0.0, 0.0), rbardot=(0.0, 0.0, 0.0), Fbar=(0.0, 0.0, 0.0),
          thrust=(0.0, 0.0), legacy=False)
 @settings(max_examples=200, deadline=None)
-def test_derivative_solves_mass_matrix_exactly(params, model, reference_rhs, euler, v, w,
+def test_derivative_solves_mass_matrix_exactly(params, model, euler, v, w,
                                                drbar, rbardot, Fbar, thrust, legacy):
-    """The block-structured solve in deriv_vector reproduces the 9x9 matrix
-    reference: the accelerations satisfy M a = rhs with the rhs assembled
-    independently, and agree with np.linalg.solve(M, rhs)."""
+    """The block-structured solve of the kernel's `deriv` reproduces the 9x9
+    matrix reference: the accelerations satisfy M a = rhs with the rhs
+    assembled independently, and agree with np.linalg.solve(M, rhs)."""
     s = _state(*euler, v=v, w=w, rbar=params.rbar0 + np.array(drbar), rbardot=rbardot,
                params=params)
     Fl, Fr = thrust
-    ydot = deriv_vector(s.as_vector(), Fl, Fr, np.array(Fbar), params, model, legacy=legacy)
+    ydot = _deriv(s.as_vector(), Fl, Fr, Fbar, params, model, legacy)
 
     rhs = reference_rhs(s, Fl, Fr, Fbar, params, model, legacy=legacy)
     M = mass_matrix(params, s.rbar, legacy=legacy)
@@ -160,9 +167,9 @@ def _vec(lo, hi):
 def test_bound_kernel_matches_unbound_reference(bundle, sym_bundle, pos, euler, spoil, v, w,
                                                 drbar, rbardot, Fbar, thrust, legacy,
                                                 symmetric):
-    """The bound `deriv` (and `deriv_vector` through it) is bitwise equal to
-    the unbound reference kernel, below V_MIN and at the gimbal boundary
-    too, and raises the same typed exception at the same inputs."""
+    """The bound `deriv` is bitwise equal to the unbound reference kernel,
+    below V_MIN and at the gimbal boundary too, and raises the same typed
+    exception at the same inputs."""
     p, m = sym_bundle if symmetric else bundle
     y = [*pos, *euler, *v, *w, *(p.rbar0 + np.array(drbar)).tolist(), *rbardot]
     if spoil[0] in (3, 4, 5):
@@ -177,8 +184,6 @@ def test_bound_kernel_matches_unbound_reference(bundle, sym_bundle, pos, euler, 
 
     ref = outcome(lambda: reference_deriv(np.array(y), Fl, Fr, np.array(Fbar), p, m, legacy))
     assert outcome(lambda: bind(p, m, legacy).deriv(y, Fl, Fr, *Fbar)) == ref
-    assert outcome(lambda: deriv_vector(np.array(y), Fl, Fr, np.array(Fbar), p, m,
-                                        legacy=legacy)) == ref
 
 
 @pytest.mark.parametrize("legacy", [False, True])
@@ -200,12 +205,10 @@ def test_bound_kernel_matches_unbound_reference_on_random_states(bundle, sym_bun
 def test_kinematic_rows(params, model):
     s = _state(phi=0.1, theta=0.2, psi=0.4, v=(0.6, 0.1, 0.05),
                w=(0.05, 0.1, 0.2), params=params)
-    d = state_derivative(s, ControlInput(0.01, 0.01, np.zeros(3)), params, model)
-    from blimpdyn.frames import euler_rate_matrix, rotation_body_to_inertial
-
-    assert np.allclose(d.pdot, rotation_body_to_inertial(s.e) @ s.v)
-    assert np.allclose(d.edot, euler_rate_matrix(s.e) @ s.w)
-    assert np.allclose(d.rbardot, s.rbardot)
+    d = _deriv(s.as_vector(), 0.01, 0.01, np.zeros(3), params, model)
+    assert np.allclose(d[0:3], rotation_body_to_inertial(s.e) @ s.v)
+    assert np.allclose(d[3:6], euler_rate_matrix(s.e) @ s.w)
+    assert np.allclose(d[12:15], s.rbardot)
 
 
 def test_planar_motion_stays_planar(sym_bundle):
@@ -216,12 +219,12 @@ def test_planar_motion_stays_planar(sym_bundle):
         v=np.array([0.8, 0.0, 0.1]), w=np.array([0.0, 0.05, 0.0]),
         rbar=p.rbar0, rbardot=np.array([0.01, 0.0, 0.0]),
     )
-    d = state_derivative(s, ControlInput(0.02, 0.02, np.zeros(3)), p, m)
-    assert abs(d.vdot[1]) < 1e-10
-    assert abs(d.wdot[0]) < 1e-10
-    assert abs(d.wdot[2]) < 1e-10
-    assert abs(d.edot[0]) < 1e-10  # roll rate
-    assert abs(d.edot[2]) < 1e-10  # yaw rate
+    d = _deriv(s.as_vector(), 0.02, 0.02, np.zeros(3), p, m)
+    assert abs(d[7]) < 1e-10   # vdot_y
+    assert abs(d[9]) < 1e-10   # wdot_x
+    assert abs(d[11]) < 1e-10  # wdot_z
+    assert abs(d[3]) < 1e-10   # roll rate
+    assert abs(d[5]) < 1e-10   # yaw rate
 
 
 def test_mirror_symmetry_of_derivative(sym_bundle):
@@ -239,27 +242,26 @@ def test_mirror_symmetry_of_derivative(sym_bundle):
         rbar=p.rbar0, rbardot=np.zeros(3),
     )
     Fl, Fr = 0.03, 0.01
-    d = state_derivative(s, ControlInput(Fl, Fr, np.zeros(3)), p, m)
-    d_m = state_derivative(s_m, ControlInput(Fr, Fl, np.zeros(3)), p, m)
+    d = _deriv(s.as_vector(), Fl, Fr, np.zeros(3), p, m)
+    d_m = _deriv(s_m.as_vector(), Fr, Fl, np.zeros(3), p, m)
     flip = np.array([1.0, -1.0, 1.0])
-    assert np.allclose(d_m.vdot, flip * d.vdot, atol=1e-12)
-    assert np.allclose(d_m.wdot, -flip * d.wdot, atol=1e-12)
+    assert np.allclose(d_m[6:9], flip * d[6:9], atol=1e-12)
+    assert np.allclose(d_m[9:12], -flip * d[9:12], atol=1e-12)
 
 
 def test_legacy_flag_changes_coupling_terms(params, model):
     s = _state(phi=0.05, theta=0.1, v=(0.7, 0.1, 0.1), w=(0.1, 0.05, 0.2),
                params=params)
-    c = ControlInput(0.02, 0.02, np.zeros(3))
-    full = state_derivative(s, c, params, model)
-    legacy = state_derivative(s, c, params, model, legacy=True)
-    assert not np.allclose(full.vdot, legacy.vdot)
-    assert not np.allclose(full.wdot, legacy.wdot)
+    full = _deriv(s.as_vector(), 0.02, 0.02, np.zeros(3), params, model)
+    legacy = _deriv(s.as_vector(), 0.02, 0.02, np.zeros(3), params, model, legacy=True)
+    assert not np.allclose(full[6:9], legacy[6:9])
+    assert not np.allclose(full[9:12], legacy[9:12])
 
 
 def test_gimbal_lock_raises_in_derivative(params, model):
     y = _state(theta=np.pi / 2 - 1e-4, params=params).as_vector()
     with pytest.raises(GimbalLock):
-        deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)
+        _deriv(y, 0.01, 0.01, np.zeros(3), params, model)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -269,9 +271,9 @@ def test_gimbal_lock_boundary_in_derivative(params, model, sign):
     edge = np.pi / 2 - GIMBAL_EPS
     y = _state(theta=sign * edge, params=params).as_vector()
     with pytest.raises(GimbalLock):
-        deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)
+        _deriv(y, 0.01, 0.01, np.zeros(3), params, model)
     y[4] = sign * np.nextafter(edge, 0.0)
-    assert np.all(np.isfinite(deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)))
+    assert np.all(np.isfinite(_deriv(y, 0.01, 0.01, np.zeros(3), params, model)))
 
 
 @pytest.mark.parametrize("index", [3, 4, 5])
@@ -279,20 +281,18 @@ def test_nan_euler_angle_rejected_in_derivative(params, model, index):
     y = _state(params=params).as_vector()
     y[index] = np.nan
     with pytest.raises(ValueError, match="non-finite Euler angles"):
-        deriv_vector(y, 0.01, 0.01, np.zeros(3), params, model)
+        _deriv(y, 0.01, 0.01, np.zeros(3), params, model)
 
 
 @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (-0.5 * V_MIN, 0.5 * V_MIN, 0.0)])
-def test_zero_aero_angles_at_rest(params, model, reference_rhs, v):
+def test_zero_aero_angles_at_rest(params, model, v):
     """Below V_MIN alpha = beta = 0, so the rotational damping acts along
     the body axes; a sideways, backwards velocity would otherwise rotate it."""
     s = _state(v=v, w=(0.3, -0.2, 0.4), params=params)
-    ydot = deriv_vector(s.as_vector(), 0.0, 0.0, np.zeros(3), params, model)
+    ydot = _deriv(s.as_vector(), 0.0, 0.0, np.zeros(3), params, model)
     rhs = reference_rhs(s, 0.0, 0.0, np.zeros(3), params, model)
     ref = np.linalg.solve(mass_matrix(params, s.rbar), rhs)
     np.testing.assert_allclose(ydot[6:12], ref[:6], rtol=1e-10, atol=1e-15)
-
-    from blimpdyn.aero import aero_loads, loads_to_body
 
     a = aero_angles(np.array(v))
     assert a.alpha == 0.0 and a.beta == 0.0
@@ -313,3 +313,33 @@ def test_mechanical_energy_kinetic_positive(params):
     s = _state(v=(0.5, 0.1, 0.05), w=(0.1, 0.2, 0.1), params=params)
     rest = _state(v=(0, 0, 0), w=(0, 0, 0), params=params)
     assert mechanical_energy(s, params) > mechanical_energy(rest, params)
+
+
+def test_mechanical_energy_with_the_moving_mass_in_motion(params):
+    """The energy is that of the stationary body plus the moving point mass
+    at its full velocity v + w x rbar + rbardot, written out here without
+    the mass terms; with rbardot = 0 it is also x.M x / 2 of the 9x9 mass
+    matrix, x = (v, w, rbardot), plus the same potential."""
+    rng = np.random.default_rng(11)
+    for k in range(50):
+        s = State(p=rng.uniform(-2.0, 2.0, 3), e=EulerAngles(*rng.uniform(-1.0, 1.0, 3)),
+                  v=rng.uniform(-1.0, 1.0, 3), w=rng.uniform(-1.0, 1.0, 3),
+                  rbar=params.rbar0 + rng.uniform(-0.06, 0.06, 3),
+                  rbardot=rng.uniform(-0.2, 0.2, 3) if k % 5 else np.zeros(3))
+        R = rotation_body_to_inertial(s.e)
+        body = (0.5 * params.m * s.v @ s.v + params.m * s.v @ np.cross(s.w, params.r)
+                + 0.5 * s.w @ params.inertia @ s.w)
+        u_mass = s.v + np.cross(s.w, s.rbar) + s.rbardot
+        # z is positive down: the weights lose height energy as z grows and
+        # the buoyancy, acting at the CB, gains it.
+        pe = (-params.m * params.g * (s.p[2] + (R @ params.r)[2])
+              - params.mbar * params.g * (s.p[2] + (R @ s.rbar)[2])
+              + params.B * s.p[2])
+        energy = mechanical_energy(s, params)
+        assert energy == pytest.approx(body + 0.5 * params.mbar * u_mass @ u_mass + pe,
+                                       rel=1e-12, abs=1e-14)
+        if not s.rbardot.any():
+            x = np.concatenate([s.v, s.w, s.rbardot])
+            assert energy == pytest.approx(0.5 * x @ mass_matrix(params, s.rbar) @ x + pe,
+                                           rel=1e-13, abs=1e-15)
+

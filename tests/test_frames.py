@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_matrix import aero_angles, euler_rate_matrix, wind_to_body
 
 from blimpdyn.frames import (
     GIMBAL_EPS,
@@ -13,11 +14,8 @@ from blimpdyn.frames import (
     GimbalLock,
     State,
     VehicleParams,
-    aero_angles,
     aero_angles_array,
-    euler_rate_matrix,
     rotation_body_to_inertial,
-    wind_to_body,
     wrap_angle,
 )
 
@@ -129,6 +127,21 @@ def test_wind_frame_round_trip(alpha, beta, V):
     assert np.isclose(a.beta, beta, atol=1e-9)
 
 
+@given(v=st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+@settings(max_examples=200, deadline=None)
+def test_aero_angles_array_matches_scalar_reference(v):
+    """Each row of `aero_angles_array` gives the angles and airspeed of the
+    scalar reference to within an ulp (numpy's and the math module's atan2
+    may round differently), below V_MIN too."""
+    alpha, beta, V = (float(x[0]) for x in aero_angles_array(np.array([v])))
+    ref = aero_angles(v)
+    assert alpha == pytest.approx(ref.alpha, rel=1e-15, abs=0.0)
+    assert beta == pytest.approx(ref.beta, rel=1e-15, abs=0.0)
+    # The reference's np.linalg.norm squares the components, so it
+    # underflows to 0 below about 1e-154 m/s; np.hypot does not.
+    assert V == pytest.approx(ref.V, rel=1e-15, abs=1e-150)
+
+
 def test_wind_matrix_orthonormal():
     R = wind_to_body(AeroAngles(0.3, -0.2, 1.0))
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
@@ -163,6 +176,16 @@ class TestVehicleParams:
 
         with pytest.raises(ValueError):
             replace(params, **{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["m", "mbar", "B", "rho", "g", "V_He", "A_ref", "d",
+                                       "reynolds"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalars_rejected(self, params, field, value):
+        """nan passes both `<= 0` and `> 0` tests, so it is rejected by name."""
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            replace(params, **{field: value})
 
     def test_inertia_must_be_symmetric_positive_definite(self, params):
         from dataclasses import replace

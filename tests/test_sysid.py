@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_matrix import aero_angles, loads_to_body, reference_rhs, wind_to_body
 from reference_sysid import reference_extract_steady, reference_invert_aero, reference_smooth_velocity
 
 from blimpdyn import aero, sysid
-from blimpdyn.aero import AeroModel, aero_loads, loads_to_body
+from blimpdyn.aero import AeroModel, aero_loads
 from blimpdyn.equilibria import solve_spiral, solve_straight
 from blimpdyn.frames import (
     GF_TO_N,
@@ -16,7 +17,6 @@ from blimpdyn.frames import (
     EulerAngles,
     State,
     rotation_body_to_inertial,
-    wind_to_body,
 )
 from blimpdyn.simulate import InputSchedule, Segment, integrate
 from blimpdyn.sysid import (
@@ -375,8 +375,6 @@ class TestExtractSteady:
         aero_angles, on a helix log with motion-capture noise."""
         from dataclasses import replace
 
-        from blimpdyn.frames import aero_angles
-
         _, rec = steady_trial
         rng = np.random.default_rng(3)
         rec = replace(rec, pos=rec.pos + 3e-4 * rng.standard_normal(rec.pos.shape),
@@ -490,7 +488,7 @@ class TestInvertAero:
         dr_x=st.floats(-0.06, 0.06),
     )
     @settings(max_examples=100, deadline=None)
-    def test_cancels_matrix_balance(self, params, model, reference_rhs, x, thrust, dr_x):
+    def test_cancels_matrix_balance(self, params, model, x, thrust, dr_x):
         """Resolved back into body axes, the inverted loads cancel the
         non-aero generalized force of the matrix reference."""
         theta, phi, psidot, V, alpha, beta = x
