@@ -7,9 +7,15 @@ derived from them, which keeps the Newton system 6x6 and well-scaled.
 Each Newton step uses the exact Jacobian of the residual in those
 unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
 aero partials and the balance tangents of the vehicle's bound kernel
-(`dynamics.bind`), which each solve binds once.  A spiral is one Newton
-solve at its thrusts from the planar trim; only where that fails does
-`solve_spiral` fall back to a continuation along the moving-mass rail.
+(`dynamics.bind`), which each solve binds once.  A Newton iteration
+tries at most `MAX_HALVINGS` steps, the full step and then half the last
+one, and then fails with the iteration and the residual norm in its
+message.  A spiral is one Newton solve at its thrusts from the planar
+trim; only where that fails does `solve_spiral` fall back to a
+continuation along the moving-mass rail: `RAIL_STEPS` Euler predictor
+steps along the branch tangent, from the closed-form derivative of the
+residual in the rail position (`_rail_derivative`), each corrected by a
+Newton solve.
 """
 
 from dataclasses import dataclass
@@ -24,12 +30,16 @@ from .frames import RAIL_LIMIT, EulerAngles, State, rotation_body_to_inertial
 # Length scale floor for nondimensionalizing the moment residual [m].
 MOMENT_ARM_FLOOR = 0.1
 
-# Newton steps of the moving-mass continuation in the spiral fallback.
-RAIL_STEPS = 10
+# Predictor-corrector steps of the moving-mass continuation in the spiral
+# fallback.
+RAIL_STEPS = 2
 
-# Iteration cap and residual-norm tolerance of the damped Newton solve.
+# Iteration cap and residual-norm tolerance of the damped Newton solve, and
+# the trial steps of its step-halving search (the full step, then halved
+# after each trial that does not lower the residual norm).
 MAX_NEWTON_ITER = 100
 TOL = 1e-9
+MAX_HALVINGS = 12
 
 # Airspeed [m/s] of the Newton seed of the planar trim.
 SEED_SPEED = 1.0
@@ -39,7 +49,9 @@ NEUTRAL_TOL = 1e-9
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration failed to meet tolerance within the iteration cap."""
+    """Newton iteration failed: its step-halving search found no step that
+    lowers the residual norm, or the residual missed tolerance within the
+    iteration cap."""
 
 
 class ContinuationBreakdown(NoConvergence):
@@ -157,6 +169,28 @@ def _raw_jacobian(x, rbar, kernel):
     return np.array(cols).T
 
 
+def _rail_derivative(x, rbar, kernel, mbar):
+    """Partial derivative of `_raw_residual` in the moving-mass position
+    rbar_x at the unknowns x.
+
+    At rbardot = 0, rbar_x enters the residual only through
+    `kernel.mass_terms`, whose derivative is d l_g = (mbar, 0, 0) and
+    d Itot = mbar (2 r_x I - e_x r^T - r e_x^T); the aero loads and the
+    thrust lever arms do not depend on it.  The balance is affine in the
+    mass terms, so the derivative is the balance at the differentiated
+    terms less the balance at zero terms."""
+    v_b, w_b, gcol = _unknowns_to_kinematics(np.asarray(x, dtype=float).tolist())
+    rx, ry, rz = rbar = np.asarray(rbar, dtype=float).tolist()
+    d_terms = ((mbar, 0.0, 0.0),
+               (0.0, -mbar * ry, -mbar * rz,
+                -mbar * ry, 2.0 * mbar * rx, 0.0,
+                -mbar * rz, 0.0, 2.0 * mbar * rx))
+    zero = (0.0, 0.0, 0.0)
+    at_d = kernel.balance(d_terms, v_b, w_b, gcol, rbar, zero, 0.0, 0.0)
+    at_zero = kernel.balance((zero, (0.0,) * 9), v_b, w_b, gcol, rbar, zero, 0.0, 0.0)
+    return np.subtract(at_d, at_zero)
+
+
 def _scales(params, rbar):
     fscale = params.total_mass * params.g
     tscale = fscale * max(float(np.linalg.norm(rbar)), MOMENT_ARM_FLOOR)
@@ -171,7 +205,7 @@ def _damped_newton(fun, jac, x0):
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     fnorm = np.linalg.norm(f)
-    for _ in range(MAX_NEWTON_ITER):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         if fnorm < TOL:
             return x, fnorm
         J = jac(x)
@@ -186,16 +220,18 @@ def _damped_newton(fun, jac, x0):
             # directions untouched.
             dx = np.linalg.lstsq(J, -f, rcond=None)[0]
             if not np.all(np.isfinite(dx)):
-                raise NoConvergence("singular Jacobian with no usable step")
+                raise NoConvergence(f"singular Jacobian with no usable step at iteration "
+                                    f"{it} (residual {fnorm:.3e})")
         lam = 1.0
-        for _ in range(20):
+        for _ in range(MAX_HALVINGS):
             x_new = x + lam * dx
             f_new = fun(x_new)
             if np.linalg.norm(f_new) < fnorm:
                 break
             lam *= 0.5
         else:
-            raise NoConvergence("step halving exhausted")
+            raise NoConvergence(f"step halving exhausted at iteration {it} "
+                                f"(residual {fnorm:.3e})")
         x, f = x_new, f_new
         fnorm = np.linalg.norm(f)
     if fnorm < TOL:
@@ -294,7 +330,10 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     psidot, beta.  If that solve fails away from dr_x = 0 (at large
     moving-mass offsets the equilibrium can lie on a branch that the
     planar seed does not reach), solves the same thrusts at dr_x = 0 and
-    walks the moving mass out to dr_x in `RAIL_STEPS` Newton steps; a
+    walks the moving mass out to dr_x in `RAIL_STEPS` equal steps.  Each
+    step predicts the unknowns at the next rail position from the branch
+    tangent, dx/d(dr_x) = -J^-1 dR/d(dr_x) (natural-parameter continuation
+    with an Euler predictor), and corrects them with a Newton solve; a
     failed intermediate step raises `ContinuationBreakdown`."""
     kernel = bind(params, model)
     kind = "straight" if Fl == Fr else "spiral"
@@ -306,8 +345,14 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     else:
         return _make_solution(x, fnorm, kind)
     x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel)
+    dr_prev, rbar = 0.0, params.rbar0
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
-        rbar = params.rbar0 + np.array([dr_k, 0.0, 0.0])
+        # Euler predictor; the least-norm solve leaves flat directions of a
+        # singular J untouched, as the Newton step does.
+        tangent = np.linalg.lstsq(_raw_jacobian(x, rbar, kernel),
+                                  -_rail_derivative(x, rbar, kernel, params.mbar), rcond=None)[0]
+        x = x + (dr_k - dr_prev) * tangent
+        dr_prev, rbar = dr_k, params.rbar0 + np.array([dr_k, 0.0, 0.0])
         try:
             x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel)
         except NoConvergence as exc:

@@ -35,7 +35,7 @@ class Segment:
     mm_cmd is "goto" (drive the mass to displacement mm_target [m] from its
     home position with a trapezoidal velocity profile) or "hold" (no new
     command: a goto profile still under way runs to its end, so the mass
-    stops on that goto's target).  Thrusts must be non-negative and
+    stops on that goto's target).  Thrusts must be finite and non-negative and
     |mm_target| within the rail limit.
     """
 
@@ -51,8 +51,8 @@ class Segment:
             raise ValueError("segment must have positive duration")
         if self.mm_cmd not in ("hold", "goto"):
             raise ValueError(f"unknown moving-mass command {self.mm_cmd!r}")
-        if not (self.Fl >= 0 and self.Fr >= 0):
-            raise ValueError("thrusts must be non-negative")
+        if not (0 <= self.Fl < math.inf and 0 <= self.Fr < math.inf):
+            raise ValueError("thrusts must be finite and non-negative")
         if not abs(self.mm_target) <= RAIL_LIMIT + 1e-12:
             raise ValueError(f"mm_target {self.mm_target} m outside rail limit +-{RAIL_LIMIT} m")
 

@@ -127,8 +127,8 @@ def load_trials(manifest_path):
             if kind not in ("straight", "spiral"):
                 raise SchemaError(f"manifest row {i}: unknown kind {kind!r}")
             Fl, Fr = float(row["Fl_gf"]) * GF_TO_N, float(row["Fr_gf"]) * GF_TO_N
-            if not (Fl >= 0 and Fr >= 0):
-                raise SchemaError(f"manifest row {i}: thrusts must be non-negative")
+            if not (0 <= Fl < math.inf and 0 <= Fr < math.inf):
+                raise SchemaError(f"manifest row {i}: thrusts must be finite and non-negative")
             t, pos, euler = _read_trial_csv(path)
             records.append(
                 TrialRecord(

@@ -74,6 +74,7 @@ def test_simulate(tmp_path, capsys):
     "0,2,-1,2,goto,20",     # negative thrust and a target 20 cm out on a 6 cm rail
     "0,2,2,-0.5,hold,0",
     "0,2,nan,2,hold,0",
+    "0,2,inf,2,hold,0",
     "0,2,2,2,goto,-7",
 ])
 def test_simulate_rejects_out_of_range_schedule(tmp_path, capsys, row):
@@ -84,14 +85,14 @@ def test_simulate_rejects_out_of_range_schedule(tmp_path, capsys, row):
     assert not (tmp_path / "out" / "sim.csv").exists()
 
 
-@pytest.mark.parametrize("thrusts", ["-1,2", "2,-0.5", "2,nan"])
+@pytest.mark.parametrize("thrusts", ["-1,2", "2,-0.5", "2,nan", "inf,2"])
 def test_identify_rejects_out_of_range_manifest_thrust(tmp_path, capsys, thrusts):
     (tmp_path / "trial.csv").write_text("t,x,y,z,phi,theta,psi\n")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n"
                         f"t0,trial.csv,straight,0,{thrusts}\n")
     assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
-    assert "non-negative" in capsys.readouterr().err
+    assert "thrusts must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_trim_with_identified_aero(tmp_path, capsys):

@@ -9,7 +9,10 @@ from reference_matrix import reference_rhs, steady_residual, wind_matrix
 from blimpdyn import aero, equilibria
 from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
+    MAX_HALVINGS,
     NoConvergence,
+    _damped_newton,
+    _rail_derivative,
     _raw_jacobian,
     _raw_residual,
     eigen_report,
@@ -143,17 +146,51 @@ def test_body_load_partials_match_central_differences(bundle, sym_bundle, ang, V
                                rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@given(x=_unknowns, dr_x=_rail, Fl=_thrust, Fr=_thrust, symmetric=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_rail_derivative_matches_central_differences(bundle, sym_bundle, x, dr_x, Fl, Fr,
+                                                     symmetric):
+    """The closed-form derivative of the steady residual in the moving-mass
+    position rbar_x equals its central difference to 1e-6 of the largest
+    entry, at any thrusts (the thrust lever arms do not involve rbar_x)."""
+    p, m = sym_bundle if symmetric else bundle
+    kernel = bind(p, m)
+    rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
+    h = 1e-6
+    ref = (_raw_residual(np.array(x), Fl, Fr, rbar + [h, 0.0, 0.0], kernel)
+           - _raw_residual(np.array(x), Fl, Fr, rbar - [h, 0.0, 0.0], kernel)) / (2.0 * h)
+    got = _rail_derivative(np.array(x), rbar, kernel, p.mbar)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
+
+
+def test_damped_newton_gives_up_after_max_halvings():
+    """A residual whose norm never decreases ends the halving search after
+    MAX_HALVINGS trial steps: one evaluation at the seed plus one per trial."""
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return np.array([1.0, 1.0])
+
+    with pytest.raises(NoConvergence, match=r"step halving exhausted at iteration 1 "
+                                            r"\(residual 1\.414e\+00\)"):
+        _damped_newton(fun, lambda x: np.eye(2), np.zeros(2))
+    assert len(calls) == 1 + MAX_HALVINGS
+
+
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [
     pytest.param(-0.01, -3.2, 20, 1, id="direct"),
-    pytest.param(0.04, -4.9, 200, 2, id="fallback"),
+    pytest.param(0.04, -4.9, 70, 2, id="fallback"),
 ])
 def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff, bound,
                                           seeds):
     """Each Newton iteration evaluates the residual only for its step-halving
     trials, never to build the Jacobian, so a spiral solve costs a small,
     deterministic number of residual evaluations.  A direct cell is seeded
-    by one planar trim; a cell whose direct solve fails is seeded again at
-    dr_x = 0 for the moving-mass fallback."""
+    by one planar trim.  A cell whose direct solve fails is seeded again at
+    dr_x = 0 for the moving-mass fallback, which reaches dr_x in RAIL_STEPS
+    tangent-predictor steps, each corrected by one Newton solve; the
+    predictor uses the closed-form rail derivative, not the residual."""
     calls = []
     raw = equilibria._raw_residual
     monkeypatch.setattr(equilibria, "_raw_residual", lambda *a: calls.append(1) or raw(*a))
@@ -263,7 +300,8 @@ def test_spiral_grid_subset(params, model):
 def test_spiral_fold_fallback(params, model):
     """At large forward moving-mass offset the direct Newton solve from the
     planar trim fails; the fallback, which solves the cell at dr_x = 0 and
-    walks the moving mass along the rail, must still converge."""
+    walks the moving mass along the rail with a tangent predictor and a
+    Newton corrector per step, must still converge."""
     Fl = 0.5 * (7.0 - 4.9) * GF_TO_N
     Fr = 0.5 * (7.0 + 4.9) * GF_TO_N
     sol = solve_spiral(0.04, Fl, Fr, params, model)
