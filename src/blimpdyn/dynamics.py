@@ -14,8 +14,9 @@ matrix
         [ 0            0              I3      ]
 
 (lg the first mass moment, Sr the cross-product matrix of rbar); the
-derivative solves it by its block structure, never forming or inverting
-it.  `tests/reference_matrix.py` keeps the matrix form as the reference.
+derivative solves it by its block structure without forming it, and
+rebuilds the mass terms, adj K and det K of its rotational block K only
+when rbar moves.  `tests/reference_matrix.py` keeps the matrix form.
 """
 
 from dataclasses import dataclass, field
@@ -42,21 +43,8 @@ class ControlInput:
 
     def __post_init__(self):
         object.__setattr__(self, "Fbar", np.asarray(self.Fbar, dtype=float).reshape(3))
-        if self.Fl < 0 or self.Fr < 0:
-            raise ValueError("thrusts must be non-negative")
-
-
-def _solve3(a, b, c, d, e, f, g, h, i, x, y, z):
-    """Solve [[a b c] [d e f] [g h i]] u = (x, y, z) by the adjugate."""
-    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
-    det = a * A + b * B + c * C
-    if det == 0.0:
-        raise SingularMass("singular rotational block of the mass matrix")
-    return (
-        (A * x + (c * h - b * i) * y + (b * f - c * e) * z) / det,
-        (B * x + (a * i - c * g) * y + (c * d - a * f) * z) / det,
-        (C * x + (b * g - a * h) * y + (a * e - b * d) * z) / det,
-    )
+        if not (0 <= self.Fl < math.inf and 0 <= self.Fr < math.inf):
+            raise ValueError("thrusts must be finite and non-negative")
 
 
 def _bind_balance(params, legacy):
@@ -167,8 +155,7 @@ def _bind_balance(params, legacy):
 
 
 class Kernel(NamedTuple):
-    """The dynamics of one vehicle, as closures over its constants (see
-    `bind`)."""
+    """The dynamics of one vehicle, as closures over its constants (see `bind`)."""
 
     aero: aeromod.AeroKernel     # body loads of the model at params.rho
     mass_terms: Callable         # (rx, ry, rz) -> l_g, Itot
@@ -183,10 +170,11 @@ def bind(params, model, legacy=False):
     The parameters and the aero model are read once, into locals of the
     kernel's closures, so the integrator, the steady solvers and the
     linearization pay no attribute lookup, array conversion or dataclass
-    construction per evaluation.  The kernel holds the single copy of the
-    mass terms, the balance, its tangents and the state derivative.
-    `legacy` drops the CG-offset coupling terms (the balance tangents are
-    those of the full model).
+    construction per evaluation.  `legacy` drops the CG-offset coupling
+    terms (the balance tangents are those of the full model).  `deriv`
+    keeps the mass terms, adj K and det K of the last rbar it saw and
+    rebuilds them at an rbar unequal as floats (nan always is), which, as
+    `VehicleParams` holds no -0.0, gives fresh-kernel bits; one thread only.
     """
     mass_terms, balance, balance_tangents = _bind_balance(params, legacy)
     aero = aeromod.bind(model, params.rho)
@@ -195,6 +183,8 @@ def bind(params, model, legacy=False):
     pitch_limit = math.pi / 2 - GIMBAL_EPS
     cos, sin, tan, sqrt = math.cos, math.sin, math.tan, math.sqrt
     atan2, hypot, isfinite = math.atan2, math.hypot, math.isfinite
+    crx = cry = crz = math.nan      # the rbar of deriv's entry below; nan: none yet
+    terms = lx = ly = lz = det = Axx = Axy = Axz = Ayx = Ayy = Ayz = Azx = Azy = Azz = None
 
     def deriv(y, Fl, Fr, bx, by, bz):
         """State derivative of the packed 18-state `y` (a sequence of
@@ -207,14 +197,14 @@ def bind(params, model, legacy=False):
         less the Fbar reaction, the rotational block reduces by Schur
         complement to the 3x3 system
 
-            (Itot + Sl Sl / m_tot) wdot = t - l_g x f / m_tot,
+            K wdot = t - l_g x f / m_tot,    K = Itot + Sl Sl / m_tot,
             vdot = (f + l_g x wdot) / m_tot,
 
-        whose matrix is the inertia about the composite CG.  The legacy
-        model has no l_g coupling, so there the blocks decouple.
+        K the inertia about the composite CG (Itot in the legacy model, whose
+        blocks decouple), solved as adj K rhs / det K, kept per rbar (`bind`).
         """
-        (_, _, _, phi, theta, psi, u, v, w, p, q, r,
-         rx, ry, rz, sx, sy, sz) = y
+        nonlocal crx, cry, crz, terms, lx, ly, lz, det, Axx, Axy, Axz, Ayx, Ayy, Ayz, Azx, Azy, Azz
+        (_, _, _, phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz) = y
         if abs(theta) >= pitch_limit:
             raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
         if not (isfinite(phi) and isfinite(theta) and isfinite(psi)):
@@ -231,7 +221,24 @@ def bind(params, model, legacy=False):
             alpha = atan2(w, u)
             beta = atan2(v, hypot(u, w))
         fax, fay, faz, tax, tay, taz = body_loads(alpha, beta, V, p, q, r)
-        terms = mass_terms(rx, ry, rz)
+        if rx != crx or ry != cry or rz != crz:
+            terms = mass_terms(rx, ry, rz)
+            (lx, ly, lz), (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = terms
+            if not legacy:
+                # K = Itot + Sl Sl / m_tot = Itot + (l l^T - |l|^2 I) / m_tot
+                l2 = lx * lx + ly * ly + lz * lz
+                xy, xz, yz = lx * ly / m_tot, lx * lz / m_tot, ly * lz / m_tot     # float * commutes
+                Kxx, Kxy, Kxz = Kxx + (lx * lx - l2) / m_tot, Kxy + xy, Kxz + xz
+                Kyx, Kyy, Kyz = Kyx + xy, Kyy + (ly * ly - l2) / m_tot, Kyz + yz
+                Kzx, Kzy, Kzz = Kzx + xz, Kzy + yz, Kzz + (lz * lz - l2) / m_tot
+            Axx, Ayx, Azx = Kyy * Kzz - Kyz * Kzy, Kyz * Kzx - Kyx * Kzz, Kyx * Kzy - Kyy * Kzx
+            det = Kxx * Axx + Kxy * Ayx + Kxz * Azx
+            if det == 0.0:
+                crx = math.nan      # the entry is half rebuilt: match no position
+                raise SingularMass("singular rotational block of the mass matrix")
+            Axy, Ayy, Azy = Kxz * Kzy - Kxy * Kzz, Kxx * Kzz - Kxz * Kzx, Kxy * Kzx - Kxx * Kzy
+            Axz, Ayz, Azz = Kxy * Kyz - Kxz * Kyy, Kxz * Kyx - Kxx * Kyz, Kxx * Kyy - Kxy * Kyx
+            crx, cry, crz = rx, ry, rz
         fx, fy, fz, tx, ty, tz = balance(
             terms, (u, v, w), (p, q, r), (-sth, cth * sphi, cth * cphi), (rx, ry, rz),
             (sx, sy, sz), Fl, Fr,
@@ -244,21 +251,16 @@ def bind(params, model, legacy=False):
         ty += tay - mbar * (rz * bx - rx * bz)
         tz += taz - mbar * (rx * by - ry * bx)
 
-        (lx, ly, lz), (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = terms
         if legacy:
-            wdx, wdy, wdz = _solve3(Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz, tx, ty, tz)
             vdx, vdy, vdz = fx / m_tot, fy / m_tot, fz / m_tot
         else:
-            # K = Itot + Sl Sl / m_tot = Itot + (l l^T - |l|^2 I) / m_tot
-            l2 = lx * lx + ly * ly + lz * lz
-            wdx, wdy, wdz = _solve3(
-                Kxx + (lx * lx - l2) / m_tot, Kxy + lx * ly / m_tot, Kxz + lx * lz / m_tot,
-                Kyx + ly * lx / m_tot, Kyy + (ly * ly - l2) / m_tot, Kyz + ly * lz / m_tot,
-                Kzx + lz * lx / m_tot, Kzy + lz * ly / m_tot, Kzz + (lz * lz - l2) / m_tot,
-                tx - (ly * fz - lz * fy) / m_tot,
-                ty - (lz * fx - lx * fz) / m_tot,
-                tz - (lx * fy - ly * fx) / m_tot,
-            )
+            tx -= (ly * fz - lz * fy) / m_tot             # rhs = t - l_g x f / m_tot
+            ty -= (lz * fx - lx * fz) / m_tot
+            tz -= (lx * fy - ly * fx) / m_tot
+        wdx = (Axx * tx + Axy * ty + Axz * tz) / det       # wdot = adj K rhs / det K
+        wdy = (Ayx * tx + Ayy * ty + Ayz * tz) / det
+        wdz = (Azx * tx + Azy * ty + Azz * tz) / det
+        if not legacy:
             vdx = (fx + ly * wdz - lz * wdy) / m_tot
             vdy = (fy + lz * wdx - lx * wdz) / m_tot
             vdz = (fz + lx * wdy - ly * wdx) / m_tot
@@ -277,8 +279,6 @@ def bind(params, model, legacy=False):
         )
 
     return Kernel(aero, mass_terms, balance, balance_tangents, deriv)
-
-
 
 
 def mechanical_energy(state, params):

@@ -113,10 +113,10 @@ class VehicleParams:
     reynolds: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float).reshape(3, 3))
+        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float).reshape(3, 3) + 0.0)
         if not np.all(np.isfinite(self.inertia)):
             raise ValueError("inertia must be finite")
-        object.__setattr__(self, "r", _as_vec3(self.r, "r"))
+        object.__setattr__(self, "r", _as_vec3(self.r, "r") + 0.0)   # no -0.0 (see dynamics.bind)
         object.__setattr__(self, "rbar0", _as_vec3(self.rbar0, "rbar0"))
         if self.A_ref is None:
             object.__setattr__(self, "A_ref", float(self.V_He) ** (2.0 / 3.0))

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from reference_matrix import (
     total_inertia,
 )
 
+from blimpdyn import dynamics
 from blimpdyn.aero import aero_loads
 from blimpdyn.dynamics import ControlInput, SingularMass, bind, mechanical_energy
 from blimpdyn.frames import (
@@ -175,15 +178,134 @@ def test_bound_kernel_matches_unbound_reference(bundle, sym_bundle, pos, euler, 
     if spoil[0] in (3, 4, 5):
         y[spoil[0]] = spoil[1]
     Fl, Fr = thrust
+    ref = _outcome(lambda: reference_deriv(np.array(y), Fl, Fr, np.array(Fbar), p, m, legacy))
+    assert _outcome(lambda: bind(p, m, legacy).deriv(y, Fl, Fr, *Fbar)) == ref
 
-    def outcome(f):
-        try:
-            return np.asarray(f(), dtype=float).tobytes()
-        except (ValueError, SingularMass) as exc:      # GimbalLock is a ValueError
-            return type(exc), str(exc)
 
-    ref = outcome(lambda: reference_deriv(np.array(y), Fl, Fr, np.array(Fbar), p, m, legacy))
-    assert outcome(lambda: bind(p, m, legacy).deriv(y, Fl, Fr, *Fbar)) == ref
+def _outcome(f):
+    """The bytes of what `f` returns, or the type and message it raised."""
+    try:
+        return np.asarray(f(), dtype=float).tobytes()
+    except (ValueError, SingularMass) as exc:      # GimbalLock is a ValueError
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def vehicles(bundle, sym_bundle):
+    """The stock and symmetrized vehicles; the symmetrized one written with
+    negative zeros in r and the inertia products; and a vehicle with a
+    1e-110 kg m^2 inertia about its CB, whose rotational block has
+    determinant 1e-330, which is 0.0 in floats, at rbar = 0."""
+    p, m = sym_bundle
+    inertia = p.inertia.copy()
+    inertia[0, 1] = inertia[1, 0] = inertia[1, 2] = inertia[2, 1] = -0.0
+    return {
+        "stock": bundle,
+        "symmetric": sym_bundle,
+        "signed_zero": (replace(p, r=np.array([p.r[0], -0.0, p.r[2]]), inertia=inertia), m),
+        "singular": (replace(p, r=np.zeros(3), inertia=1e-110 * np.eye(3)), m),
+    }
+
+
+# One call of a kernel: the index of its rbar in the example's pool, then
+# the Euler angles (at the gimbal guard in some draws), one Euler angle
+# spoiled, v, w, rbardot, Fbar and the thrusts.
+_call = st.tuples(
+    st.integers(0, 3), st.tuples(st.floats(-1.0, 1.0), _pitch, st.floats(-1.0, 1.0)), _spoil,
+    _vec(-3.0, 3.0), _vec(-3.0, 3.0), _vec(-0.1, 0.1), _vec(-0.5, 0.5),
+    st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1)),
+)
+
+
+@st.composite
+def _pools(draw):
+    """Up to four rbar positions built from at most three coordinate values
+    (on a generous rail, a zero of either sign, or nan), so that positions
+    often share some components and differ in others."""
+    coordinate = st.one_of(st.floats(-0.3, 0.3), st.sampled_from([0.0, -0.0, math.nan]))
+    values = draw(st.lists(coordinate, min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(*[st.sampled_from(values)] * 3), min_size=1, max_size=4))
+
+
+def _c(i, theta=0.1, spoil=(0, 0.0)):
+    """A scripted `_call` at pool index `i`."""
+    return (i, (0.2, theta, -0.3), spoil, (0.8, 0.1, 0.1), (0.05, 0.1, -0.2),
+            (0.01, 0.0, 0.0), (0.3, 0.0, -0.1), (0.02, 0.01))
+
+
+def _rest(i):
+    """A scripted `_call` at rest, level, under equal thrusts, where many
+    terms of the derivative are signed zeros."""
+    return (i, (0.0, 0.0, 0.0), (0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.02, 0.02))
+
+
+@given(vehicle=st.sampled_from(["stock", "symmetric", "signed_zero", "singular"]),
+       legacy=st.booleans(), pool=_pools(), calls=st.lists(_call, min_size=2, max_size=12))
+# rbar_y flips the sign of its zero, rbar_z alone moves, rbar_x is nan twice.
+@example(vehicle="signed_zero", legacy=False,
+         pool=[(0.1, 0.0, 0.3), (0.1, -0.0, 0.3), (0.1, 0.0, 0.25), (math.nan, 0.0, 0.3)],
+         calls=[_c(0), _c(1), _c(1), _c(2), _c(0), _c(3), _c(3), _c(0), _rest(0), _rest(1),
+                _rest(0)])
+# The rotational block is singular at rbar = 0: the failed rebuild must not
+# leave its half-written entry under the rbar before it.
+@example(vehicle="singular", legacy=False,
+         pool=[(0.1, 0.02, 0.3), (0.0, -0.0, 0.0), (0.1, 0.02, 0.3)],
+         calls=[_c(0), _c(1), _c(0), _c(1), _c(1), _c(2), _c(1, theta=1.6), _c(0),
+                _c(1, spoil=(4, math.nan)), _c(0)])
+@settings(max_examples=200, deadline=None)
+def test_one_kernel_matches_reference_over_a_call_sequence(vehicles, vehicle, legacy, pool,
+                                                           calls):
+    """One bound kernel, called on a sequence of states that repeats rbar,
+    changes it, flips the sign of a zero component, passes nan and raises,
+    stays bitwise equal to the unbound reference at every call: the entry
+    it keeps per rbar is never stale."""
+    p, m = vehicles[vehicle]
+    deriv = bind(p, m, legacy).deriv
+    for k, (i, euler, spoil, v, w, rbardot, Fbar, thrust) in enumerate(calls):
+        y = [0.0, 0.0, 0.0, *euler, *v, *w, *pool[i % len(pool)], *rbardot]
+        if spoil[0] in (3, 4, 5):
+            y[spoil[0]] = spoil[1]
+        ref = _outcome(lambda: reference_deriv(np.array(y), *thrust, np.array(Fbar), p, m,
+                                               legacy))
+        assert _outcome(lambda: deriv(y, *thrust, *Fbar)) == ref, f"call {k}"
+
+
+def test_mass_terms_ignore_the_sign_of_a_zero(vehicles):
+    """`deriv` reuses its entry at an rbar equal as floats, so the mass terms
+    at components of either zero sign must be the same bits, also for a
+    vehicle given with negative zeros in r and the inertia products."""
+    for p, m in vehicles.values():
+        mass_terms = bind(p, m).mass_terms
+        for rbar in itertools.product((0.1, 0.0, -0.0), (0.0, -0.0), (0.3, 0.0, -0.0)):
+            l_g, Itot = mass_terms(*rbar)
+            l_plus, I_plus = mass_terms(*[x + 0.0 for x in rbar])
+            assert np.array(l_g + Itot).tobytes() == np.array(l_plus + I_plus).tobytes()
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_deriv_rebuilds_its_entry_only_when_rbar_moves(bundle, monkeypatch, legacy):
+    """A run of calls at one rbar builds the mass terms once; each change of
+    any component rebuilds them, and a nan component rebuilds at every call."""
+    calls = []
+    real = dynamics._bind_balance
+
+    def counting(params, legacy):
+        mass_terms, balance, tangents = real(params, legacy)
+        return (lambda *rbar: calls.append(rbar) or mass_terms(*rbar)), balance, tangents
+
+    monkeypatch.setattr(dynamics, "_bind_balance", counting)
+    p, m = bundle
+    deriv = bind(p, m, legacy).deriv
+    y = [0.0, 0.0, 0.0, 0.1, 0.1, 0.0, 0.8, 0.0, 0.1, 0.0, 0.05, 0.0] + [0.0] * 6
+    # From `start`, rbar_z moves, then rbar_x, then rbar_y; rbar_x turns nan.
+    start, dz, dx, dy, nan = ((0.1, 0.0, 0.3), (0.1, 0.0, 0.2), (0.2, 0.0, 0.2),
+                              (0.2, 0.1, 0.2), (math.nan, 0.1, 0.2))
+    for k, rbar in enumerate([start, start, start, dz, dx, dy, dy, nan, nan, dy]):
+        y[12:15] = rbar
+        y[6] = 0.8 + 0.01 * k
+        deriv(y, 0.02, 0.02, 0.0, 0.0, 0.0)
+    assert [str(r) for r in calls] == [str(r) for r in [start, dz, dx, dy, nan, nan, dy]]
 
 
 @pytest.mark.parametrize("legacy", [False, True])
@@ -307,6 +429,15 @@ def test_zero_aero_angles_at_rest(params, model, v):
 def test_negative_thrust_rejected():
     with pytest.raises(ValueError):
         ControlInput(-0.01, 0.01)
+
+
+@pytest.mark.parametrize("thrusts", [(math.nan, 0.01), (math.inf, 0.01), (0.01, math.nan),
+                                     (0.01, -math.inf)])
+def test_non_finite_thrust_rejected(thrusts):
+    """nan passes `F < 0`, so the range is tested as 0 <= F < inf."""
+    with pytest.raises(ValueError, match="thrusts must be finite and non-negative"):
+        ControlInput(*thrusts)
+    assert ControlInput(0.0, 0.02).Fr == 0.02
 
 
 def test_mechanical_energy_kinetic_positive(params):

@@ -227,7 +227,7 @@ def test_combine_overflow_returns_partial(params, model):
     assert np.all(np.isfinite(traj.states))
 
 
-def _reference_cases(params):
+def _reference_cases(params, model):
     gf = GF_TO_N
     maneuver = InputSchedule((
         Segment(0.0, 0.3, 2.0 * gf, 2.0 * gf),
@@ -247,11 +247,20 @@ def _reference_cases(params):
         Segment(0.0, 0.5, 2.0 * gf, 2.0 * gf, mm_cmd="goto", mm_target=0.05),
         Segment(0.5, 1.5, 1.4 * gf, 2.6 * gf),
     ))
+    # Holds from the steady 2 gf glide: rbar never moves, so every stage
+    # reuses the kernel's entry for it.
+    glide = solve_straight(0.0, F2, params, model).state(params.rbar0)
+    hold = InputSchedule((
+        Segment(0.0, 0.5, 2.0 * gf, 2.0 * gf),
+        Segment(0.5, 1.5, 1.4 * gf, 2.6 * gf),
+    ))
     overflow, dt_o, T_o = _overflow_run()
     return {
         "maneuver": (_rest_state(params), maneuver, 0.005, 1.0, False),
         "goto_then_hold": (_rest_state(params), goto_then_hold, 0.005, 1.5, False),
         "maneuver_legacy": (_rest_state(params), maneuver, 0.005, 1.0, True),
+        "hold_from_glide": (glide, hold, 0.005, 1.5, False),
+        "hold_legacy": (glide, hold, 0.005, 1.5, True),
         "gimbal_lock": (pitching, InputSchedule.constant(F2, F2, 1.0), 0.005, 1.0, False),
         "euler_nan": (euler_nan, InputSchedule.constant(0.02, 0.02, 0.1), 0.005, 0.1, False),
         "combine_overflow": (_rest_state(params, theta=0.1), overflow, dt_o, T_o, False),
@@ -259,14 +268,15 @@ def _reference_cases(params):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "goto_then_hold", "gimbal_lock",
-                                  "euler_nan", "combine_overflow"])
+@pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "goto_then_hold",
+                                  "hold_from_glide", "hold_legacy", "gimbal_lock", "euler_nan",
+                                  "combine_overflow"])
 def test_integrate_matches_unbound_reference(params, model, case):
     """The float RK4 on the bound kernel reproduces RK4 on numpy vectors
     through the unbound reference kernel bit for bit: the states, the
     status and the step at which a failed run stopped.  (The 1e160 m/s
     start of "euler_nan" overflows the airspeed norm of the analysis.)"""
-    s0, sched, dt, T, legacy = _reference_cases(params)[case]
+    s0, sched, dt, T, legacy = _reference_cases(params, model)[case]
     traj = integrate(s0, sched, params, model, dt=dt, T=T, legacy=legacy)
     ref_states, ref_status, ref_step = reference_integrate(s0, sched, params, model, dt, T,
                                                            legacy)
@@ -281,7 +291,7 @@ def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
     binds = []
     real_bind = dynamics.bind
     monkeypatch.setattr(dynamics, "bind", lambda *a, **k: binds.append(1) or real_bind(*a, **k))
-    s0, sched, dt, T, legacy = _reference_cases(params)["maneuver"]
+    s0, sched, dt, T, legacy = _reference_cases(params, model)["maneuver"]
     traj = integrate(s0, sched, params, model, dt=dt, T=T, legacy=legacy)
     assert traj.status == "ok" and traj.stop_step is None
     assert len(binds) == 1
