@@ -295,7 +295,7 @@ def cmd_linearize(args):
     _write_manifest(args, [params_path, aero_path])
     F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
-    A = linearize(sol, ControlInput(F, F, np.zeros(3)), params.rbar0, params, model)
+    A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
     report = eigen_report(A)
     rows = [
         [str(i), _fmt(ev.real), _fmt(ev.imag)]

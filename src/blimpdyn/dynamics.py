@@ -19,11 +19,9 @@ rebuilds the mass terms, adj K and det K of its rotational block K only
 when rbar moves.  `tests/reference_matrix.py` keeps the matrix form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import aero as aeromod
 from .frames import GIMBAL_EPS, V_MIN, GimbalLock
@@ -35,14 +33,14 @@ class SingularMass(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlInput:
-    """Propeller thrusts [N] and commanded moving-mass acceleration [m/s^2]."""
+    """Left and right propeller thrusts [N] of a linearization, finite and
+    non-negative; `equilibria.linearize` freezes the moving mass, so there
+    is no moving-mass input."""
 
     Fl: float
     Fr: float
-    Fbar: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "Fbar", np.asarray(self.Fbar, dtype=float).reshape(3))
         if not (0 <= self.Fl < math.inf and 0 <= self.Fr < math.inf):
             raise ValueError("thrusts must be finite and non-negative")
 

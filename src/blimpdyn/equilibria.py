@@ -7,15 +7,17 @@ derived from them, which keeps the Newton system 6x6 and well-scaled.
 Each Newton step uses the exact Jacobian of the residual in those
 unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
 aero partials and the balance tangents of the vehicle's bound kernel
-(`dynamics.bind`), which each solve binds once.  A Newton iteration
-tries at most `MAX_HALVINGS` steps, the full step and then half the last
-one, and then fails with the iteration and the residual norm in its
-message.  A spiral is one Newton solve at its thrusts from the planar
-trim; only where that fails does `solve_spiral` fall back to a
-continuation along the moving-mass rail: `RAIL_STEPS` Euler predictor
-steps along the branch tangent, from the closed-form derivative of the
-residual in the rail position (`_rail_derivative`), each corrected by a
-Newton solve.
+(`dynamics.bind`), which each solve binds once.  The residual, the
+Jacobian (as its six columns), the trial steps and the norms are Python
+float arithmetic; numpy does only the linear solve of each Newton step.
+A Newton iteration tries at most `MAX_HALVINGS` steps, the full step and
+then half the last one, and then fails with the iteration and the
+residual norm in its message.  A spiral is one Newton solve at its
+thrusts from the planar trim; only where that fails does `solve_spiral`
+fall back to a continuation along the moving-mass rail: `RAIL_STEPS`
+Euler predictor steps along the branch tangent, from the closed-form
+derivative of the residual in the rail position (`_rail_derivative`),
+each corrected by a Newton solve.
 """
 
 from dataclasses import dataclass
@@ -116,24 +118,22 @@ def _unknowns_to_kinematics(x):
 
 def _raw_residual(x, Fl, Fr, rbar, kernel):
     """Unscaled force/moment balance of the steady-state equations of the
-    vehicle bound in `kernel` (`dynamics.bind`)."""
-    x = np.asarray(x, dtype=float).tolist()
+    vehicle bound in `kernel` (`dynamics.bind`), at the unknowns `x` and
+    the moving-mass position `rbar` (float sequences); six floats."""
     v_b, w_b, gcol = _unknowns_to_kinematics(x)
-    rbar = np.asarray(rbar, dtype=float).tolist()
     aero = kernel.aero.body_loads(x[4], x[5], x[3], *w_b)
     rest = kernel.balance(kernel.mass_terms(*rbar), v_b, w_b, gcol, rbar, (0.0, 0.0, 0.0),
                           Fl, Fr)
-    return np.array([a + b for a, b in zip(aero, rest)])
+    return tuple(a + b for a, b in zip(aero, rest))
 
 
 def _raw_jacobian(x, rbar, kernel):
-    """Exact 6x6 Jacobian of `_raw_residual` in the unknowns
+    """Exact Jacobian of `_raw_residual` in the unknowns
     (theta, phi, psidot, V, alpha, beta), by the chain rule through
-    `_unknowns_to_kinematics`; the thrusts do not enter it."""
-    x = np.asarray(x, dtype=float).tolist()
+    `_unknowns_to_kinematics`, as its six columns (one 6-tuple of floats
+    per unknown); the thrusts do not enter it."""
     theta, phi, psidot, V, alpha, beta = x
     v_b, w_b, gcol = _unknowns_to_kinematics(x)
-    rbar = np.asarray(rbar, dtype=float).tolist()
     d_alpha, d_beta, d_V, (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = (
         kernel.aero.body_load_partials(alpha, beta, V, *w_b))
     sth, cth = math.sin(theta), math.cos(theta)
@@ -166,12 +166,12 @@ def _raw_jacobian(x, rbar, kernel):
     for j, (ax, ay, az, amx, amy, amz) in zip((3, 4, 5), (d_V, d_alpha, d_beta)):
         fx, fy, fz, tx, ty, tz = cols[j]
         cols[j] = (fx + ax, fy + ay, fz + az, tx + amx, ty + amy, tz + amz)
-    return np.array(cols).T
+    return cols
 
 
 def _rail_derivative(x, rbar, kernel, mbar):
     """Partial derivative of `_raw_residual` in the moving-mass position
-    rbar_x at the unknowns x.
+    rbar_x at the unknowns x (float sequences, as `rbar`); six floats.
 
     At rbardot = 0, rbar_x enters the residual only through
     `kernel.mass_terms`, whose derivative is d l_g = (mbar, 0, 0) and
@@ -179,8 +179,8 @@ def _rail_derivative(x, rbar, kernel, mbar):
     thrust lever arms do not depend on it.  The balance is affine in the
     mass terms, so the derivative is the balance at the differentiated
     terms less the balance at zero terms."""
-    v_b, w_b, gcol = _unknowns_to_kinematics(np.asarray(x, dtype=float).tolist())
-    rx, ry, rz = rbar = np.asarray(rbar, dtype=float).tolist()
+    v_b, w_b, gcol = _unknowns_to_kinematics(x)
+    rx, ry, rz = rbar
     d_terms = ((mbar, 0.0, 0.0),
                (0.0, -mbar * ry, -mbar * rz,
                 -mbar * ry, 2.0 * mbar * rx, 0.0,
@@ -188,7 +188,12 @@ def _rail_derivative(x, rbar, kernel, mbar):
     zero = (0.0, 0.0, 0.0)
     at_d = kernel.balance(d_terms, v_b, w_b, gcol, rbar, zero, 0.0, 0.0)
     at_zero = kernel.balance((zero, (0.0,) * 9), v_b, w_b, gcol, rbar, zero, 0.0, 0.0)
-    return np.subtract(at_d, at_zero)
+    return tuple(a - b for a, b in zip(at_d, at_zero))
+
+
+def _rail_position(params, dr_x):
+    """Moving-mass position at rail offset dr_x from home, as a float list."""
+    return (params.rbar0 + np.array([dr_x, 0.0, 0.0])).tolist()
 
 
 def _scales(params, rbar):
@@ -198,44 +203,50 @@ def _scales(params, rbar):
 
 
 def _damped_newton(fun, jac, x0):
-    """Newton with step halving; returns (x, residual_norm).
+    """Newton with step halving; returns (x, residual_norm), x an array.
 
-    `jac(x)` is the exact Jacobian of `fun` at x, so an iteration costs
-    one Jacobian and one residual per trial step of the halving search."""
-    x = np.asarray(x0, dtype=float).copy()
+    `fun(x)` is the residual and `jac(x)` its exact Jacobian (rows) at the
+    float list x, so an iteration costs one Jacobian and one residual per
+    trial step of the halving search.  The loop steps Python floats;
+    numpy does only the linear solve of each Newton step."""
+    x = [float(v) for v in x0]
     f = fun(x)
-    fnorm = np.linalg.norm(f)
+    fnorm = math.sqrt(sum(v * v for v in f))
     for it in range(1, MAX_NEWTON_ITER + 1):
         if fnorm < TOL:
-            return x, fnorm
-        J = jac(x)
+            return np.array(x), fnorm
+        J = np.array(jac(x))
+        minus_f = np.array([-v for v in f])
         try:
-            dx = np.linalg.solve(J, -f)
-            if not np.all(np.isfinite(dx)):
+            dx = np.linalg.solve(J, minus_f).tolist()
+            if not all(map(math.isfinite, dx)):
                 raise np.linalg.LinAlgError("non-finite Newton step")
         except np.linalg.LinAlgError:
+            if not (np.isfinite(J).all() and np.isfinite(minus_f).all()):
+                raise NoConvergence(f"non-finite Jacobian or residual at iteration {it} "
+                                    f"(residual {fnorm:.3e})") from None
             # Singular Jacobian: fully balanced configurations have flat
             # directions (e.g. pitch with zero CG offset and no pitch
             # stiffness).  Take the least-norm step, which leaves flat
             # directions untouched.
-            dx = np.linalg.lstsq(J, -f, rcond=None)[0]
-            if not np.all(np.isfinite(dx)):
+            dx = np.linalg.lstsq(J, minus_f, rcond=None)[0].tolist()
+            if not all(map(math.isfinite, dx)):
                 raise NoConvergence(f"singular Jacobian with no usable step at iteration "
                                     f"{it} (residual {fnorm:.3e})")
         lam = 1.0
         for _ in range(MAX_HALVINGS):
-            x_new = x + lam * dx
+            x_new = [a + lam * b for a, b in zip(x, dx)]
             f_new = fun(x_new)
-            if np.linalg.norm(f_new) < fnorm:
+            fnorm_new = math.sqrt(sum(v * v for v in f_new))
+            if fnorm_new < fnorm:
                 break
             lam *= 0.5
         else:
             raise NoConvergence(f"step halving exhausted at iteration {it} "
                                 f"(residual {fnorm:.3e})")
-        x, f = x_new, f_new
-        fnorm = np.linalg.norm(f)
+        x, f, fnorm = x_new, f_new, fnorm_new
     if fnorm < TOL:
-        return x, fnorm
+        return np.array(x), fnorm
     raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
 
 
@@ -273,25 +284,26 @@ def solve_straight(dr_x, F, params, model):
     beta = phi = psidot = 0."""
     if abs(dr_x) > RAIL_LIMIT + 1e-12:
         raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
-    rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
+    rbar = _rail_position(params, dr_x)
     fscale, tscale = _scales(params, rbar)
-    scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
-
-    rows, cols = [0, 2, 4], [0, 3, 4]
     kernel = bind(params, model)
 
+    # Rows (fx, fz, ty), columns (theta, V, alpha) of the full system.
     def fun3(x3):
-        x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        raw = _raw_residual(x, F, F, rbar, kernel)
-        return raw[rows] / scale[rows]
+        theta, V, alpha = x3
+        fx, _, fz, _, ty, _ = _raw_residual((theta, 0.0, 0.0, V, alpha, 0.0), F, F, rbar,
+                                            kernel)
+        return (fx / fscale, fz / fscale, ty / tscale)
 
     def jac3(x3):
-        x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        J = _raw_jacobian(x, rbar, kernel)
-        return J[np.ix_(rows, cols)] / scale[rows, None]
+        theta, V, alpha = x3
+        c_theta, _, _, c_V, c_alpha, _ = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0),
+                                                        rbar, kernel)
+        return [[c_theta[i] / s, c_V[i] / s, c_alpha[i] / s]
+                for i, s in ((0, fscale), (2, fscale), (4, tscale))]
 
     a0 = _initial_alpha(params, model)
-    x3, fnorm = _damped_newton(fun3, jac3, np.array([a0, SEED_SPEED, a0]))
+    x3, fnorm = _damped_newton(fun3, jac3, (a0, SEED_SPEED, a0))
     x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
@@ -300,13 +312,15 @@ def solve_straight(dr_x, F, params, model):
 
 def _spiral_newton(x0, Fl, Fr, rbar, params, kernel):
     fscale, tscale = _scales(params, rbar)
-    scale = np.concatenate([np.full(3, fscale), np.full(3, tscale)])
 
     def fun6(xx):
-        return _raw_residual(xx, Fl, Fr, rbar, kernel) / scale
+        fx, fy, fz, tx, ty, tz = _raw_residual(xx, Fl, Fr, rbar, kernel)
+        return (fx / fscale, fy / fscale, fz / fscale, tx / tscale, ty / tscale, tz / tscale)
 
     def jac6(xx):
-        return _raw_jacobian(xx, rbar, kernel) / scale[:, None]
+        rows = list(zip(*_raw_jacobian(xx, rbar, kernel)))
+        return ([[v / fscale for v in row] for row in rows[:3]]
+                + [[v / tscale for v in row] for row in rows[3:]])
 
     return _damped_newton(fun6, jac6, x0)
 
@@ -315,9 +329,8 @@ def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel):
     """One Newton solve at the given thrusts, seeded from the planar trim
     at the mean thrust."""
     straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model)
-    x0 = np.array([straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0])
-    rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-    return _spiral_newton(x0, Fl, Fr, rbar, params, kernel)
+    x0 = (straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0)
+    return _spiral_newton(x0, Fl, Fr, _rail_position(params, dr_x), params, kernel)
 
 
 def solve_spiral(dr_x, Fl, Fr, params, model):
@@ -345,14 +358,15 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     else:
         return _make_solution(x, fnorm, kind)
     x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel)
-    dr_prev, rbar = 0.0, params.rbar0
+    dr_prev, rbar = 0.0, params.rbar0.tolist()
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
         # Euler predictor; the least-norm solve leaves flat directions of a
         # singular J untouched, as the Newton step does.
-        tangent = np.linalg.lstsq(_raw_jacobian(x, rbar, kernel),
-                                  -_rail_derivative(x, rbar, kernel, params.mbar), rcond=None)[0]
+        tangent = np.linalg.lstsq(np.array(_raw_jacobian(x, rbar, kernel)).T,
+                                  np.negative(_rail_derivative(x, rbar, kernel, params.mbar)),
+                                  rcond=None)[0]
         x = x + (dr_k - dr_prev) * tangent
-        dr_prev, rbar = dr_k, params.rbar0 + np.array([dr_k, 0.0, 0.0])
+        dr_prev, rbar = dr_k, _rail_position(params, dr_k)
         try:
             x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel)
         except NoConvergence as exc:

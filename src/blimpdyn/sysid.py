@@ -267,18 +267,23 @@ def extract_steady(rec, window, params):
 
     vel = _smooth_velocity(rec.t, rec.pos)
     n = rec.t.size
-    # Body-frame velocity R(e)^T v of every sample.
-    v_b = np.einsum("nji,nj->ni", rotation_matrices(rec.euler), vel)
-    alpha, beta, V = aero_angles_array(v_b)
-
     dt_med = float(np.median(np.diff(rec.t)))
     wlen = max(2, int(round(window / dt_med)))
-    tail_start = n // 2
-    theta = rec.euler[:, 1]
+    # Every window below lies in the tail: the trailing half, or the final
+    # window where that is longer (the whole record if the window is longer
+    # still).  Indices from here on count from its first sample.
+    head = max(0, min(n // 2, n - wlen))
+    t, euler = rec.t[head:], rec.euler[head:]
+    m = n - head
+    # Body-frame velocity R(e)^T v of every tail sample.
+    v_b = np.einsum("nji,nj->ni", rotation_matrices(euler), vel[head:])
+    alpha, beta, V = aero_angles_array(v_b)
+
+    theta = euler[:, 1]
     # Slide the steadiness window over the trailing half at half-window stride.
-    starts = list(range(tail_start, n - wlen + 1, max(1, wlen // 2)))
-    if not starts or starts[-1] != n - wlen:
-        starts.append(n - wlen)
+    starts = list(range(n // 2 - head, m - wlen + 1, max(1, wlen // 2)))
+    if not starts or starts[-1] != m - wlen:
+        starts.append(m - wlen)
     for s0 in starts:
         sl = slice(s0, s0 + wlen)
         if np.std(V[sl]) >= STEADY_V_FRAC * np.mean(V[sl]):
@@ -286,13 +291,13 @@ def extract_steady(rec, window, params):
         if np.std(theta[sl]) >= STEADY_THETA_STD:
             raise NotSteady(f"{rec.trial_id}: pitch unsteady in trailing window")
 
-    sl = slice(n - wlen, n)
+    sl = slice(m - wlen, m)
     # Yaw rate: the least-squares slope of the unwrapped yaw over the window.
-    tc = rec.t[sl] - np.mean(rec.t[sl])
-    psi = np.unwrap(rec.euler[sl, 2])
+    tc = t[sl] - np.mean(t[sl])
+    psi = np.unwrap(euler[sl, 2])
     psidot = float(tc @ (psi - np.mean(psi)) / (tc @ tc))
     theta_m = float(np.mean(theta[sl]))
-    phi_m = float(np.mean(rec.euler[sl, 0]))
+    phi_m = float(np.mean(euler[sl, 0]))
     sth, cth = np.sin(theta_m), np.cos(theta_m)
     sphi, cphi = np.sin(phi_m), np.cos(phi_m)
     w_b = psidot * np.array([-sth, sphi * cth, cphi * cth])

@@ -115,7 +115,7 @@ def criterion_4():
     params, model = _bundle()
     F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
-    A = linearize(sol, ControlInput(F, F, np.zeros(3)), params.rbar0, params, model)
+    A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
     report = eigen_report(A)
     slowest = max(ev.real for ev in report.eigenvalues)
     primary = report.hurwitz and abs(slowest - (-0.37)) <= 0.10

@@ -1,13 +1,17 @@
-"""The unbound dynamics kernel and RK4 loop: the reference that the bound
-kernel (`dynamics.bind`) and the float RK4 of `simulate.integrate` must
-reproduce bit for bit.
+"""The unbound dynamics kernel, the RK4 loop and the damped Newton loop:
+the reference that the bound kernel (`dynamics.bind`), the float RK4 of
+`simulate.integrate` and the float Newton loop of
+`equilibria._damped_newton` must reproduce bit for bit.
 
 This is the state derivative as it was written before the kernel was
 bound: every call reads the `VehicleParams`/`AeroModel` attributes,
 evaluates the coefficient polynomials, the wind-to-body rotation, the mass
 terms and the balance from its own copies below, and returns a numpy
 18-vector; the integrator steps numpy 18-vectors.  The arithmetic of each
-expression, and its order, is the one the bound kernel must keep.
+expression, and its order, is the one the bound kernel must keep.  The
+Newton loop steps numpy vectors and takes numpy norms; the float loop
+keeps its arithmetic but sums the squares of its norm in another order,
+so its norms may differ in the last bits.
 """
 
 import math
@@ -15,6 +19,7 @@ import math
 import numpy as np
 
 from blimpdyn.dynamics import SingularMass
+from blimpdyn.equilibria import MAX_HALVINGS, MAX_NEWTON_ITER, TOL, NoConvergence
 from blimpdyn.frames import GIMBAL_EPS, V_MIN, GimbalLock
 from blimpdyn.simulate import plan_goto_profile
 
@@ -215,3 +220,39 @@ def reference_integrate(state0, sched, params, model, dt, T, legacy=False):
             return states[: k + 1], "non_finite", k
         states[k + 1] = y
     return states, "ok", None
+
+
+def reference_damped_newton(fun, jac, x0):
+    """Newton with step halving on numpy vectors: (x, residual_norm).
+    `fun` and `jac` return numpy arrays (the residual and the Jacobian)."""
+    x = np.asarray(x0, dtype=float).copy()
+    f = fun(x)
+    fnorm = np.linalg.norm(f)
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        if fnorm < TOL:
+            return x, fnorm
+        J = jac(x)
+        try:
+            dx = np.linalg.solve(J, -f)
+            if not np.all(np.isfinite(dx)):
+                raise np.linalg.LinAlgError("non-finite Newton step")
+        except np.linalg.LinAlgError:
+            dx = np.linalg.lstsq(J, -f, rcond=None)[0]
+            if not np.all(np.isfinite(dx)):
+                raise NoConvergence(f"singular Jacobian with no usable step at iteration "
+                                    f"{it} (residual {fnorm:.3e})")
+        lam = 1.0
+        for _ in range(MAX_HALVINGS):
+            x_new = x + lam * dx
+            f_new = fun(x_new)
+            if np.linalg.norm(f_new) < fnorm:
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergence(f"step halving exhausted at iteration {it} "
+                                f"(residual {fnorm:.3e})")
+        x, f = x_new, f_new
+        fnorm = np.linalg.norm(f)
+    if fnorm < TOL:
+        return x, fnorm
+    raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")

@@ -204,6 +204,6 @@ def steady_residual(sol, control, rbar, params, model):
     """Nondimensional 6-vector steady residual of a candidate solution."""
     rbar = np.asarray(rbar, dtype=float).reshape(3)
     x = np.array([sol.theta, sol.phi, sol.psidot, sol.V, sol.alpha, sol.beta])
-    raw = _raw_residual(x, control.Fl, control.Fr, rbar, bind(params, model))
+    raw = np.asarray(_raw_residual(x, control.Fl, control.Fr, rbar, bind(params, model)))
     fscale, tscale = _scales(params, rbar)
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])

@@ -440,6 +440,13 @@ def test_non_finite_thrust_rejected(thrusts):
     assert ControlInput(0.0, 0.02).Fr == 0.02
 
 
+def test_control_input_has_no_moving_mass_input():
+    """`linearize` freezes the moving mass, so a control input is the two
+    thrusts alone; a third (moving-mass) argument is refused, not dropped."""
+    with pytest.raises(TypeError):
+        ControlInput(0.02, 0.02, [math.nan, 0.0, 0.0])
+
+
 def test_mechanical_energy_kinetic_positive(params):
     s = _state(v=(0.5, 0.1, 0.05), w=(0.1, 0.2, 0.1), params=params)
     rest = _state(v=(0, 0, 0), w=(0, 0, 0), params=params)

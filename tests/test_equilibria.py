@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_kernel import _balance, _body_loads
+from reference_kernel import _balance, _body_loads, reference_damped_newton
 from reference_matrix import reference_rhs, steady_residual, wind_matrix
 
 from blimpdyn import aero, equilibria
@@ -58,8 +58,9 @@ def test_raw_jacobian_matches_central_differences(bundle, sym_bundle, x, dr_x, F
     p, m = sym_bundle if symmetric else bundle
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     kernel = bind(p, m)
-    J = _raw_jacobian(np.array(x), rbar, kernel)
-    ref = _fd_jacobian(lambda xx: _raw_residual(xx, Fl, Fr, rbar, kernel), np.array(x))
+    J = np.asarray(_raw_jacobian(np.array(x), rbar, kernel)).T
+    ref = _fd_jacobian(lambda xx: np.asarray(_raw_residual(xx, Fl, Fr, rbar, kernel)),
+                       np.array(x))
     np.testing.assert_allclose(J, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
 
 
@@ -77,9 +78,9 @@ def test_planar_jacobian_block_matches_central_differences(bundle, sym_bundle, x
 
     def planar(x3):
         xx = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        return _raw_residual(xx, F, F, rbar, kernel)[[0, 2, 4]]
+        return np.asarray(_raw_residual(xx, F, F, rbar, kernel))[[0, 2, 4]]
 
-    J = _raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), rbar, kernel)
+    J = np.asarray(_raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), rbar, kernel)).T
     ref = _fd_jacobian(planar, np.array([theta, V, alpha]))
     np.testing.assert_allclose(J[np.ix_([0, 2, 4], [0, 3, 4])], ref,
                                rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
@@ -157,9 +158,10 @@ def test_rail_derivative_matches_central_differences(bundle, sym_bundle, x, dr_x
     kernel = bind(p, m)
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     h = 1e-6
-    ref = (_raw_residual(np.array(x), Fl, Fr, rbar + [h, 0.0, 0.0], kernel)
-           - _raw_residual(np.array(x), Fl, Fr, rbar - [h, 0.0, 0.0], kernel)) / (2.0 * h)
-    got = _rail_derivative(np.array(x), rbar, kernel, p.mbar)
+    ref = (np.asarray(_raw_residual(np.array(x), Fl, Fr, rbar + [h, 0.0, 0.0], kernel))
+           - np.asarray(_raw_residual(np.array(x), Fl, Fr, rbar - [h, 0.0, 0.0], kernel))
+           ) / (2.0 * h)
+    got = np.asarray(_rail_derivative(np.array(x), rbar, kernel, p.mbar))
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
 
 
@@ -176,6 +178,52 @@ def test_damped_newton_gives_up_after_max_halvings():
                                             r"\(residual 1\.414e\+00\)"):
         _damped_newton(fun, lambda x: np.eye(2), np.zeros(2))
     assert len(calls) == 1 + MAX_HALVINGS
+
+
+@pytest.mark.parametrize("fun, jac", [
+    pytest.param(lambda x: np.array([1.0, 1.0]), lambda x: np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                 id="jacobian"),
+    pytest.param(lambda x: np.array([np.inf, 1.0]), lambda x: np.eye(2), id="residual"),
+])
+def test_damped_newton_non_finite_system_raises_no_convergence(capfd, fun, jac):
+    """A non-finite Jacobian or residual ends the solve with the typed
+    failure, before the least-squares fallback, which LAPACK would refuse
+    with a message on stderr."""
+    with pytest.raises(NoConvergence, match=r"non-finite Jacobian or residual at iteration 1 "):
+        _damped_newton(fun, jac, [0.0, 0.0])
+    assert capfd.readouterr().err == ""
+
+
+def _solve_cell(solve, params, model):
+    if solve == "straight":
+        return solve_straight(0.01, F2, params, model)
+    diff, dr_x = {"direct": (-3.2, -0.01), "fallback": (-4.9, 0.04)}[solve]
+    return solve_spiral(dr_x, 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N,
+                        params, model)
+
+
+@pytest.mark.parametrize("solve", ["straight", "direct", "fallback"])
+def test_float_newton_matches_array_reference(params, model, monkeypatch, solve):
+    """The float Newton loop reaches the unknowns of the numpy-vector loop
+    it replaced bit for bit, on a planar trim, a direct spiral cell and a
+    cell that takes the moving-mass fallback; the residual norms, summed
+    in another order, agree within 4 ulp."""
+    got = _solve_cell(solve, params, model)
+    calls = []
+
+    def array_newton(fun, jac, x0):
+        calls.append(1)
+        return reference_damped_newton(lambda x: np.array(fun(x)), lambda x: np.array(jac(x)),
+                                       x0)
+
+    monkeypatch.setattr(equilibria, "_damped_newton", array_newton)
+    ref = _solve_cell(solve, params, model)
+    assert calls
+    unknowns = ("theta", "phi", "psidot", "V", "alpha", "beta")
+    assert ([getattr(got, k).hex() for k in unknowns]
+            == [getattr(ref, k).hex() for k in unknowns])
+    assert got.v_b.tobytes() == ref.v_b.tobytes() and got.w_b.tobytes() == ref.w_b.tobytes()
+    assert abs(got.residual_norm - ref.residual_norm) <= 4 * np.spacing(ref.residual_norm)
 
 
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [
@@ -237,7 +285,7 @@ def test_planar_candidate_lateral_residuals_vanish(sym_bundle):
     equilibrium: lateral residual components are zero."""
     p, m = sym_bundle
     sol = solve_straight(0.0, F2, p, m)
-    res = steady_residual(sol, ControlInput(F2, F2, np.zeros(3)), p.rbar0, p, m)
+    res = steady_residual(sol, ControlInput(F2, F2), p.rbar0, p, m)
     assert abs(res[1]) < 1e-12  # side force
     assert abs(res[3]) < 1e-12  # roll moment
     assert abs(res[5]) < 1e-12  # yaw moment
@@ -356,7 +404,7 @@ def test_spiral_radius_decreases_with_differential(params, model):
 
 def test_linearize_shape_and_stability(params, model):
     sol = solve_straight(0.0, F2, params, model)
-    A = linearize(sol, ControlInput(F2, F2, np.zeros(3)), params.rbar0,
+    A = linearize(sol, ControlInput(F2, F2), params.rbar0,
                   params, model)
     assert A.shape == (8, 8)
     report = eigen_report(A)
@@ -370,7 +418,7 @@ def test_wingless_slowest_mode():
 
     p, m = load_bundled(wingless=True)
     sol = solve_straight(0.0, F2, p, m)
-    A = linearize(sol, ControlInput(F2, F2, np.zeros(3)), p.rbar0, p, m)
+    A = linearize(sol, ControlInput(F2, F2), p.rbar0, p, m)
     report = eigen_report(A)
     assert report.hurwitz
     slowest = max(ev.real for ev in report.eigenvalues)
