@@ -128,10 +128,12 @@ def _write_manifest(args, inputs):
 
 
 def _write_csv(path, header, rows, footer=()):
+    """Write the header cells, the `rows` (each a formatted CSV line) and
+    the footer lines."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(row + "\n")
         for line in footer:
             fh.write(line + "\n")
 
@@ -156,7 +158,7 @@ def cmd_polar(args):
     _write_manifest(args, [params_path, aero_path])
     table = lift_drag_analysis(model, POLAR_ALPHA)
     rows = [
-        [_fmt(np.degrees(a)), _fmt(cl), _fmt(cd), _fmt(ld)]
+        ",".join([_fmt(np.degrees(a)), _fmt(cl), _fmt(cd), _fmt(ld)])
         for a, cl, cd, ld in zip(table.alpha, table.cl, table.cd, table.ld)
     ]
     footer = [f"# max_LD={_fmt(table.max_ld)} at alpha_deg={_fmt(np.degrees(table.alpha_star))}"]
@@ -173,17 +175,17 @@ _STEADY_HEADER = [
 
 
 def _steady_row(dr_x_cm, Fl, Fr, sol):
-    return [
+    return ",".join([
         _fmt(dr_x_cm), _fmt(Fl / GF_TO_N), _fmt(Fr / GF_TO_N),
         _fmt(np.degrees(sol.theta)), _fmt(np.degrees(sol.phi)),
         _fmt(np.degrees(sol.psidot)), _fmt(sol.V),
         _fmt(np.degrees(sol.alpha)), _fmt(np.degrees(sol.beta)),
         _fmt(turning_radius(sol)), _fmt(sol.residual_norm), "ok",
-    ]
+    ])
 
 
 def _fail_row(dr_x_cm, Fl, Fr):
-    return [_fmt(dr_x_cm), _fmt(Fl / GF_TO_N), _fmt(Fr / GF_TO_N)] + [""] * 8 + ["fail"]
+    return ",".join([_fmt(dr_x_cm), _fmt(Fl / GF_TO_N), _fmt(Fr / GF_TO_N)] + [""] * 8 + ["fail"])
 
 
 def cmd_trim(args):
@@ -237,13 +239,12 @@ def cmd_simulate(args):
     header = ["t", "x", "y", "z", "phi", "theta", "psi",
               "u", "v", "w", "p", "q", "r", "rbar_x",
               "alpha", "beta", "V", "R", "Vz"]
-    rows = []
-    for k in range(len(traj)):
-        y = traj.states[k]
-        rows.append([_fmt(v) for v in (
-            traj.t[k], *y[0:3], *y[3:6], *y[6:9], *y[9:12], y[12],
-            traj.alpha[k], traj.beta[k], traj.V[k], traj.R[k], traj.Vz[k],
-        )])
+    # One format per row, over Python floats: t, the first 13 states
+    # (through rbar_x) and the analysis columns.
+    row_fmt = ",".join([FLOAT_FMT] * len(header))
+    rows = [row_fmt % (t, *y, *rest) for t, y, *rest in zip(
+        traj.t.tolist(), traj.states[:, :13].tolist(), traj.alpha.tolist(), traj.beta.tolist(),
+        traj.V.tolist(), traj.R.tolist(), traj.Vz.tolist())]
     footer = [f"# status={traj.status}"]
     _write_csv(os.path.join(args.out, "sim.csv"), header, rows, footer)
     print(f"simulated {traj.t[-1]:.2f} s, status {traj.status}")
@@ -278,11 +279,11 @@ def cmd_identify(args):
     }
     for ch in CHANNELS:
         c0, ca, cb, K = groups[ch]
-        rows.append([
+        rows.append(",".join([
             ch, _fmt(c0), _fmt(ca), _fmt(cb),
             _fmt(K) if K != "" else "",
             _fmt(result.rms[ch]), _fmt(result.condition[ch]),
-        ])
+        ]))
     _write_csv(os.path.join(args.out, "identify.csv"),
                ["channel", "c0", "c_alpha", "c_beta", "K", "rms", "condition"], rows)
     print(f"fitted {len(observations)} observations, "
@@ -298,7 +299,7 @@ def cmd_linearize(args):
     A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
     report = eigen_report(A)
     rows = [
-        [str(i), _fmt(ev.real), _fmt(ev.imag)]
+        ",".join([str(i), _fmt(ev.real), _fmt(ev.imag)])
         for i, ev in enumerate(sorted(report.eigenvalues, key=lambda z: z.real))
     ]
     slowest = max(ev.real for ev in report.eigenvalues)

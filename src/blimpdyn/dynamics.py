@@ -3,20 +3,22 @@
 `bind(params, model, legacy)` binds one vehicle and returns its `Kernel`:
 closures over the parameter and aero-model constants that hold the single
 copy of the mass terms, the generalized force and torque (the balance),
-the balance tangents and the state derivative, all in scalar float
-arithmetic.  The integrator, the steady-state residual and Jacobian and
-the linearization bind once and call the kernel.  The body accelerations
-and the moving-mass acceleration solve M a = rhs with the 9x9 block mass
-matrix
+its tangents in two families (rates and gravity; velocity), the state
+derivative and its block solve of the body accelerations, all in scalar
+float arithmetic.  The integrator, the steady-state residual and Jacobian
+and the linearization bind once and call the kernel.  The body
+accelerations and the moving-mass acceleration solve M a = rhs with the
+9x9 block mass matrix
 
     M = [(m+mbar) I3   -lg^x          mbar I3 ]
         [ lg^x         I - mbar Sr^2  mbar Sr ]
         [ 0            0              I3      ]
 
 (lg the first mass moment, Sr the cross-product matrix of rbar); the
-derivative solves it by its block structure without forming it, and
-rebuilds the mass terms, adj K and det K of its rotational block K only
-when rbar moves.  `tests/reference_matrix.py` keeps the matrix form.
+derivative and `accelerations` solve it by its block structure without
+forming it, and one helper rebuilds the mass terms, adj K and det K of
+its rotational block K only when rbar moves.  `tests/reference_matrix.py`
+keeps the matrix form.
 """
 
 from dataclasses import dataclass
@@ -112,15 +114,17 @@ def _bind_balance(params, legacy):
             tz += lx * cy - ly * cx
         return fx, fy, fz, tx, ty, tz
 
-    def balance_tangents(terms, v, w, gcol, tangents):
+    def rate_tangents(terms, v, w, tangents):
         """Directional derivatives of the full-model `balance` at
-        rbardot = 0 as `v`, `w` and `gcol` move along each (dv, dw, dg) of
-        `tangents`; a list of 6-tuples of floats, one per tangent.
+        rbardot = 0 as `w` and `gcol` move along each (dw, dg) of
+        `tangents`, `v` fixed; a list of 6-tuples of floats, one per
+        tangent.
 
         With rbardot = 0 every term is bilinear in (v, w) or linear in
         gcol, so this is the product rule applied term by term; the thrusts
         and the moving-mass position are fixed and drop out.  The steady
-        solvers use the full model, so `legacy` does not apply here.
+        solvers and the linearization use the full model, so `legacy` does
+        not apply here (nor in `velocity_tangents`).
         """
         vx, vy, vz = v
         wx, wy, wz = w
@@ -131,10 +135,8 @@ def _bind_balance(params, legacy):
         ex, ey, ez = wy * lz - wz * ly, wz * lx - wx * lz, wx * ly - wy * lx      # w x l_g
 
         out = []
-        for (ux, uy, uz), (px, py, pz), (gx, gy, gz) in tangents:
-            cx = uy * wz - uz * wy + vy * pz - vz * py                            # d(v x w)
-            cy = uz * wx - ux * wz + vz * px - vx * pz
-            cz = ux * wy - uy * wx + vx * py - vy * px
+        for (px, py, pz), (gx, gy, gz) in tangents:
+            cx, cy, cz = vy * pz - vz * py, vz * px - vx * pz, vx * py - vy * px  # v x dw
             kx = Ixx * px + Ixy * py + Ixz * pz                                   # Itot dw
             ky = Iyx * px + Iyy * py + Iyz * pz
             kz = Izx * px + Izy * py + Izz * pz
@@ -149,7 +151,25 @@ def _bind_balance(params, legacy):
             ))
         return out
 
-    return mass_terms, balance, balance_tangents
+    def velocity_tangents(terms, w, tangents):
+        """Directional derivatives of the full-model `balance` at
+        rbardot = 0 as `v` moves along each dv of `tangents`, `w` and
+        `gcol` fixed; a list of 6-tuples of floats, one per tangent.
+
+        Only m_tot (v x w) and l_g x (v x w) involve v, so the tangent is
+        m_tot (dv x w) and l_g x (dv x w).  A mixed tangent (dv, dw, dg) is
+        the sum of its `velocity_tangents` and `rate_tangents` parts.
+        """
+        wx, wy, wz = w
+        lx, ly, lz = terms[0]
+        out = []
+        for ux, uy, uz in tangents:
+            cx, cy, cz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx  # dv x w
+            out.append((m_tot * cx, m_tot * cy, m_tot * cz,
+                        ly * cz - lz * cy, lz * cx - lx * cz, lx * cy - ly * cx))
+        return out
+
+    return mass_terms, balance, rate_tangents, velocity_tangents
 
 
 class Kernel(NamedTuple):
@@ -158,8 +178,10 @@ class Kernel(NamedTuple):
     aero: aeromod.AeroKernel     # body loads of the model at params.rho
     mass_terms: Callable         # (rx, ry, rz) -> l_g, Itot
     balance: Callable            # (terms, v, w, gcol, rbar, rbardot, Fl, Fr) -> 6 floats
-    balance_tangents: Callable   # (terms, v, w, gcol, tangents) -> list of 6-tuples
+    rate_tangents: Callable      # (terms, v, w, [(dw, dg), ...]) -> list of 6-tuples
+    velocity_tangents: Callable  # (terms, w, [dv, ...]) -> list of 6-tuples
     deriv: Callable              # (y, Fl, Fr, bx, by, bz) -> 18 floats
+    accelerations: Callable      # (rx, ry, rz, [6 floats (f, t), ...]) -> list of (vdot, wdot) 6-tuples
 
 
 def bind(params, model, legacy=False):
@@ -170,19 +192,42 @@ def bind(params, model, legacy=False):
     linearization pay no attribute lookup, array conversion or dataclass
     construction per evaluation.  `legacy` drops the CG-offset coupling
     terms (the balance tangents are those of the full model).  `deriv`
-    keeps the mass terms, adj K and det K of the last rbar it saw and
-    rebuilds them at an rbar unequal as floats (nan always is), which, as
-    `VehicleParams` holds no -0.0, gives fresh-kernel bits; one thread only.
+    and `accelerations` keep the mass terms, adj K and det K of the last
+    rbar either saw (their entry) and rebuild them at an rbar unequal as
+    floats (nan always is), which, as `VehicleParams` holds no -0.0, gives
+    fresh-kernel bits; one thread only.
     """
-    mass_terms, balance, balance_tangents = _bind_balance(params, legacy)
+    mass_terms, balance, rate_tangents, velocity_tangents = _bind_balance(params, legacy)
     aero = aeromod.bind(model, params.rho)
     body_loads = aero.body_loads
     mbar, m_tot = params.mbar, params.total_mass
     pitch_limit = math.pi / 2 - GIMBAL_EPS
     cos, sin, tan, sqrt = math.cos, math.sin, math.tan, math.sqrt
     atan2, hypot, isfinite = math.atan2, math.hypot, math.isfinite
-    crx = cry = crz = math.nan      # the rbar of deriv's entry below; nan: none yet
+    crx = cry = crz = math.nan      # the rbar of the entry below; nan: none yet
     terms = lx = ly = lz = det = Axx = Axy = Axz = Ayx = Ayy = Ayz = Azx = Azy = Azz = None
+
+    def rebuild(rx, ry, rz):
+        """Make (rx, ry, rz) the entry: its mass terms, and adj K and det K
+        of the rotational block K (see `deriv`)."""
+        nonlocal crx, cry, crz, terms, lx, ly, lz, det, Axx, Axy, Axz, Ayx, Ayy, Ayz, Azx, Azy, Azz
+        terms = mass_terms(rx, ry, rz)
+        (lx, ly, lz), (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = terms
+        if not legacy:
+            # K = Itot + Sl Sl / m_tot = Itot + (l l^T - |l|^2 I) / m_tot
+            l2 = lx * lx + ly * ly + lz * lz
+            xy, xz, yz = lx * ly / m_tot, lx * lz / m_tot, ly * lz / m_tot     # float * commutes
+            Kxx, Kxy, Kxz = Kxx + (lx * lx - l2) / m_tot, Kxy + xy, Kxz + xz
+            Kyx, Kyy, Kyz = Kyx + xy, Kyy + (ly * ly - l2) / m_tot, Kyz + yz
+            Kzx, Kzy, Kzz = Kzx + xz, Kzy + yz, Kzz + (lz * lz - l2) / m_tot
+        Axx, Ayx, Azx = Kyy * Kzz - Kyz * Kzy, Kyz * Kzx - Kyx * Kzz, Kyx * Kzy - Kyy * Kzx
+        det = Kxx * Axx + Kxy * Ayx + Kxz * Azx
+        if det == 0.0:
+            crx = math.nan      # the entry is half rebuilt: match no position
+            raise SingularMass("singular rotational block of the mass matrix")
+        Axy, Ayy, Azy = Kxz * Kzy - Kxy * Kzz, Kxx * Kzz - Kxz * Kzx, Kxy * Kzx - Kxx * Kzy
+        Axz, Ayz, Azz = Kxy * Kyz - Kxz * Kyy, Kxz * Kyx - Kxx * Kyz, Kxx * Kyy - Kxy * Kyx
+        crx, cry, crz = rx, ry, rz
 
     def deriv(y, Fl, Fr, bx, by, bz):
         """State derivative of the packed 18-state `y` (a sequence of
@@ -201,7 +246,6 @@ def bind(params, model, legacy=False):
         K the inertia about the composite CG (Itot in the legacy model, whose
         blocks decouple), solved as adj K rhs / det K, kept per rbar (`bind`).
         """
-        nonlocal crx, cry, crz, terms, lx, ly, lz, det, Axx, Axy, Axz, Ayx, Ayy, Ayz, Azx, Azy, Azz
         (_, _, _, phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz) = y
         if abs(theta) >= pitch_limit:
             raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
@@ -220,23 +264,7 @@ def bind(params, model, legacy=False):
             beta = atan2(v, hypot(u, w))
         fax, fay, faz, tax, tay, taz = body_loads(alpha, beta, V, p, q, r)
         if rx != crx or ry != cry or rz != crz:
-            terms = mass_terms(rx, ry, rz)
-            (lx, ly, lz), (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = terms
-            if not legacy:
-                # K = Itot + Sl Sl / m_tot = Itot + (l l^T - |l|^2 I) / m_tot
-                l2 = lx * lx + ly * ly + lz * lz
-                xy, xz, yz = lx * ly / m_tot, lx * lz / m_tot, ly * lz / m_tot     # float * commutes
-                Kxx, Kxy, Kxz = Kxx + (lx * lx - l2) / m_tot, Kxy + xy, Kxz + xz
-                Kyx, Kyy, Kyz = Kyx + xy, Kyy + (ly * ly - l2) / m_tot, Kyz + yz
-                Kzx, Kzy, Kzz = Kzx + xz, Kzy + yz, Kzz + (lz * lz - l2) / m_tot
-            Axx, Ayx, Azx = Kyy * Kzz - Kyz * Kzy, Kyz * Kzx - Kyx * Kzz, Kyx * Kzy - Kyy * Kzx
-            det = Kxx * Axx + Kxy * Ayx + Kxz * Azx
-            if det == 0.0:
-                crx = math.nan      # the entry is half rebuilt: match no position
-                raise SingularMass("singular rotational block of the mass matrix")
-            Axy, Ayy, Azy = Kxz * Kzy - Kxy * Kzz, Kxx * Kzz - Kxz * Kzx, Kxy * Kzx - Kxx * Kzy
-            Axz, Ayz, Azz = Kxy * Kyz - Kxz * Kyy, Kxz * Kyx - Kxx * Kyz, Kxx * Kyy - Kxy * Kyx
-            crx, cry, crz = rx, ry, rz
+            rebuild(rx, ry, rz)
         fx, fy, fz, tx, ty, tz = balance(
             terms, (u, v, w), (p, q, r), (-sth, cth * sphi, cth * cphi), (rx, ry, rz),
             (sx, sy, sz), Fl, Fr,
@@ -276,7 +304,37 @@ def bind(params, model, legacy=False):
             bx, by, bz,
         )
 
-    return Kernel(aero, mass_terms, balance, balance_tangents, deriv)
+    def accelerations(rx, ry, rz, loads):
+        """Body accelerations of each generalized force and torque
+        (fx, fy, fz, tx, ty, tz) of `loads` with the moving mass at
+        (rx, ry, rz) and not accelerating: `deriv`'s block solve, as one
+        (vdot, wdot) 6-tuple of floats per load.
+
+        M depends on rbar alone, so this maps tangents of the right-hand
+        side to tangents of the accelerations as well.
+        """
+        if rx != crx or ry != cry or rz != crz:
+            rebuild(rx, ry, rz)
+        out = []
+        for fx, fy, fz, tx, ty, tz in loads:
+            if legacy:
+                vdx, vdy, vdz = fx / m_tot, fy / m_tot, fz / m_tot
+            else:
+                tx -= (ly * fz - lz * fy) / m_tot         # rhs = t - l_g x f / m_tot
+                ty -= (lz * fx - lx * fz) / m_tot
+                tz -= (lx * fy - ly * fx) / m_tot
+            wdx = (Axx * tx + Axy * ty + Axz * tz) / det   # wdot = adj K rhs / det K
+            wdy = (Ayx * tx + Ayy * ty + Ayz * tz) / det
+            wdz = (Azx * tx + Azy * ty + Azz * tz) / det
+            if not legacy:
+                vdx = (fx + ly * wdz - lz * wdy) / m_tot
+                vdy = (fy + lz * wdx - lx * wdz) / m_tot
+                vdz = (fz + lx * wdy - ly * wdx) / m_tot
+            out.append((vdx, vdy, vdz, wdx, wdy, wdz))
+        return out
+
+    return Kernel(aero, mass_terms, balance, rate_tangents, velocity_tangents, deriv,
+                  accelerations)
 
 
 def mechanical_energy(state, params):

@@ -7,9 +7,11 @@ derived from them, which keeps the Newton system 6x6 and well-scaled.
 Each Newton step uses the exact Jacobian of the residual in those
 unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
 aero partials and the balance tangents of the vehicle's bound kernel
-(`dynamics.bind`), which each solve binds once.  The residual, the
-Jacobian (as its six columns), the trial steps and the norms are Python
-float arithmetic; numpy does only the linear solve of each Newton step.
+(`dynamics.bind`), which each solve binds once: theta, phi and psidot
+are rate tangents, V, alpha and beta velocity tangents.  A Newton solve
+builds the mass terms once.  The residual, the Jacobian (as its six
+columns), the trial steps and the norms are Python float arithmetic;
+numpy does only the linear solve of each Newton step.
 A Newton iteration tries at most `MAX_HALVINGS` steps, the full step and
 then half the last one, and then fails with the iteration and the
 residual norm in its message.  A spiral is one Newton solve at its
@@ -17,7 +19,9 @@ thrusts from the planar trim; only where that fails does `solve_spiral`
 fall back to a continuation along the moving-mass rail: `RAIL_STEPS`
 Euler predictor steps along the branch tangent, from the closed-form
 derivative of the residual in the rail position (`_rail_derivative`),
-each corrected by a Newton solve.
+each corrected by a Newton solve.  `linearize` is exact from the same
+tangents and the kernel's block solve; nothing here is differentiated by
+finite differences.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,15 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import bind
-from .frames import RAIL_LIMIT, EulerAngles, State, rotation_body_to_inertial
+from .frames import (
+    GIMBAL_EPS,
+    RAIL_LIMIT,
+    V_MIN,
+    EulerAngles,
+    GimbalLock,
+    State,
+    rotation_body_to_inertial,
+)
 
 # Length scale floor for nondimensionalizing the moment residual [m].
 MOMENT_ARM_FLOOR = 0.1
@@ -116,56 +128,53 @@ def _unknowns_to_kinematics(x):
     return v_b, w_b, gcol
 
 
-def _raw_residual(x, Fl, Fr, rbar, kernel):
+def _raw_residual(x, Fl, Fr, rbar, terms, kernel):
     """Unscaled force/moment balance of the steady-state equations of the
     vehicle bound in `kernel` (`dynamics.bind`), at the unknowns `x` and
-    the moving-mass position `rbar` (float sequences); six floats."""
+    the moving-mass position `rbar` (float sequences), whose mass terms
+    are `terms` (`kernel.mass_terms(*rbar)`); six floats."""
     v_b, w_b, gcol = _unknowns_to_kinematics(x)
-    aero = kernel.aero.body_loads(x[4], x[5], x[3], *w_b)
-    rest = kernel.balance(kernel.mass_terms(*rbar), v_b, w_b, gcol, rbar, (0.0, 0.0, 0.0),
-                          Fl, Fr)
-    return tuple(a + b for a, b in zip(aero, rest))
+    ax, ay, az, amx, amy, amz = kernel.aero.body_loads(x[4], x[5], x[3], *w_b)
+    fx, fy, fz, tx, ty, tz = kernel.balance(terms, v_b, w_b, gcol, rbar, (0.0, 0.0, 0.0), Fl, Fr)
+    return (ax + fx, ay + fy, az + fz, amx + tx, amy + ty, amz + tz)
 
 
-def _raw_jacobian(x, rbar, kernel):
+def _raw_jacobian(x, terms, kernel):
     """Exact Jacobian of `_raw_residual` in the unknowns
-    (theta, phi, psidot, V, alpha, beta), by the chain rule through
+    (theta, phi, psidot, V, alpha, beta) at the moving-mass position whose
+    mass terms are `terms`, by the chain rule through
     `_unknowns_to_kinematics`, as its six columns (one 6-tuple of floats
-    per unknown); the thrusts do not enter it."""
+    per unknown); the thrusts do not enter it.
+
+    theta and phi turn the down axis, and the rates w = psidot * gcol
+    follow it; psidot moves the rates along gcol: these three are rate
+    tangents, plus the aero damping map.  V, alpha and beta move the body
+    velocity: velocity tangents, plus the aero partials."""
     theta, phi, psidot, V, alpha, beta = x
-    v_b, w_b, gcol = _unknowns_to_kinematics(x)
-    d_alpha, d_beta, d_V, (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = (
-        kernel.aero.body_load_partials(alpha, beta, V, *w_b))
     sth, cth = math.sin(theta), math.cos(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
-    zero = (0.0, 0.0, 0.0)
-    # theta, phi: the down axis turns and the rates w = psidot * gcol follow
-    # it; psidot: the rates move along gcol.  V, alpha, beta: the body
-    # velocity moves.
+    gcol = (-sth, sphi * cth, cphi * cth)
+    w_b = (psidot * gcol[0], psidot * gcol[1], psidot * gcol[2])
+    d_alpha, d_beta, d_V, (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = (
+        kernel.aero.body_load_partials(alpha, beta, V, *w_b))
     g_theta = (-cth, -sphi * sth, -cphi * sth)
     g_phi = (0.0, cphi * cth, -sphi * cth)
-    tangents = (
-        (zero, (psidot * g_theta[0], psidot * g_theta[1], psidot * g_theta[2]), g_theta),
-        (zero, (0.0, psidot * g_phi[1], psidot * g_phi[2]), g_phi),
-        (zero, gcol, zero),
-        ((ca * cb, sb, sa * cb), zero, zero),
-        ((-sa * cb * V, 0.0, ca * cb * V), zero, zero),
-        ((-ca * sb * V, cb * V, -sa * sb * V), zero, zero),
-    )
-    cols = kernel.balance_tangents(kernel.mass_terms(*rbar), v_b, w_b, gcol, tangents)
-    # The aero loads see the rates only through their damping map.
-    for j in range(3):
-        fx, fy, fz, tx, ty, tz = cols[j]
-        px, py, pz = tangents[j][1]
-        cols[j] = (fx, fy, fz,
-                   tx + Kxx * px + Kxy * py + Kxz * pz,
-                   ty + Kyx * px + Kyy * py + Kyz * pz,
-                   tz + Kzx * px + Kzy * py + Kzz * pz)
-    for j, (ax, ay, az, amx, amy, amz) in zip((3, 4, 5), (d_V, d_alpha, d_beta)):
-        fx, fy, fz, tx, ty, tz = cols[j]
-        cols[j] = (fx + ax, fy + ay, fz + az, tx + amx, ty + amy, tz + amz)
+    w_theta = (psidot * g_theta[0], psidot * g_theta[1], psidot * g_theta[2])
+    w_phi = (0.0, psidot * g_phi[1], psidot * g_phi[2])
+    rate = kernel.rate_tangents(terms, (ca * cb * V, sb * V, sa * cb * V), w_b, (
+        (w_theta, g_theta), (w_phi, g_phi), (gcol, (0.0, 0.0, 0.0))))
+    vel = kernel.velocity_tangents(terms, w_b, (
+        (ca * cb, sb, sa * cb), (-sa * cb * V, 0.0, ca * cb * V), (-ca * sb * V, cb * V, -sa * sb * V)))
+    cols = [(fx, fy, fz,
+             tx + Kxx * px + Kxy * py + Kxz * pz,
+             ty + Kyx * px + Kyy * py + Kyz * pz,
+             tz + Kzx * px + Kzy * py + Kzz * pz)
+            for (fx, fy, fz, tx, ty, tz), (px, py, pz) in zip(rate, (w_theta, w_phi, gcol))]
+    cols += [(fx + ax, fy + ay, fz + az, tx + amx, ty + amy, tz + amz)
+             for (fx, fy, fz, tx, ty, tz), (ax, ay, az, amx, amy, amz)
+             in zip(vel, (d_V, d_alpha, d_beta))]
     return cols
 
 
@@ -278,33 +287,39 @@ def _initial_alpha(params, model):
     return float(np.clip(a0, -0.2, 0.3))
 
 
-def solve_straight(dr_x, F, params, model):
-    """Planar straight-line trim at moving-mass displacement dr_x [m] with
-    equal per-propeller thrust F [N].  Solves (theta, V, alpha) with
-    beta = phi = psidot = 0."""
+def _straight_trim(dr_x, F, params, model, kernel):
+    """The planar trim of `solve_straight` on the vehicle bound in
+    `kernel`: (x, residual_norm), x the six unknowns as an array."""
     if abs(dr_x) > RAIL_LIMIT + 1e-12:
         raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
     rbar = _rail_position(params, dr_x)
+    terms = kernel.mass_terms(*rbar)
     fscale, tscale = _scales(params, rbar)
-    kernel = bind(params, model)
 
     # Rows (fx, fz, ty), columns (theta, V, alpha) of the full system.
     def fun3(x3):
         theta, V, alpha = x3
         fx, _, fz, _, ty, _ = _raw_residual((theta, 0.0, 0.0, V, alpha, 0.0), F, F, rbar,
-                                            kernel)
+                                            terms, kernel)
         return (fx / fscale, fz / fscale, ty / tscale)
 
     def jac3(x3):
         theta, V, alpha = x3
         c_theta, _, _, c_V, c_alpha, _ = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0),
-                                                        rbar, kernel)
+                                                        terms, kernel)
         return [[c_theta[i] / s, c_V[i] / s, c_alpha[i] / s]
                 for i, s in ((0, fscale), (2, fscale), (4, tscale))]
 
     a0 = _initial_alpha(params, model)
     x3, fnorm = _damped_newton(fun3, jac3, (a0, SEED_SPEED, a0))
-    x = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
+    return np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0]), fnorm
+
+
+def solve_straight(dr_x, F, params, model):
+    """Planar straight-line trim at moving-mass displacement dr_x [m] with
+    equal per-propeller thrust F [N].  Solves (theta, V, alpha) with
+    beta = phi = psidot = 0."""
+    x, fnorm = _straight_trim(dr_x, F, params, model, bind(params, model))
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
     return _make_solution(x, fnorm, "straight")
@@ -312,13 +327,14 @@ def solve_straight(dr_x, F, params, model):
 
 def _spiral_newton(x0, Fl, Fr, rbar, params, kernel):
     fscale, tscale = _scales(params, rbar)
+    terms = kernel.mass_terms(*rbar)
 
     def fun6(xx):
-        fx, fy, fz, tx, ty, tz = _raw_residual(xx, Fl, Fr, rbar, kernel)
+        fx, fy, fz, tx, ty, tz = _raw_residual(xx, Fl, Fr, rbar, terms, kernel)
         return (fx / fscale, fy / fscale, fz / fscale, tx / tscale, ty / tscale, tz / tscale)
 
     def jac6(xx):
-        rows = list(zip(*_raw_jacobian(xx, rbar, kernel)))
+        rows = list(zip(*_raw_jacobian(xx, terms, kernel)))
         return ([[v / fscale for v in row] for row in rows[:3]]
                 + [[v / tscale for v in row] for row in rows[3:]])
 
@@ -328,8 +344,7 @@ def _spiral_newton(x0, Fl, Fr, rbar, params, kernel):
 def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel):
     """One Newton solve at the given thrusts, seeded from the planar trim
     at the mean thrust."""
-    straight = solve_straight(dr_x, 0.5 * (Fl + Fr), params, model)
-    x0 = (straight.theta, 0.0, 0.0, straight.V, straight.alpha, 0.0)
+    x0, _ = _straight_trim(dr_x, 0.5 * (Fl + Fr), params, model, kernel)
     return _spiral_newton(x0, Fl, Fr, _rail_position(params, dr_x), params, kernel)
 
 
@@ -362,7 +377,7 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
         # Euler predictor; the least-norm solve leaves flat directions of a
         # singular J untouched, as the Newton step does.
-        tangent = np.linalg.lstsq(np.array(_raw_jacobian(x, rbar, kernel)).T,
+        tangent = np.linalg.lstsq(np.array(_raw_jacobian(x, kernel.mass_terms(*rbar), kernel)).T,
                                   np.negative(_rail_derivative(x, rbar, kernel, params.mbar)),
                                   rcond=None)[0]
         x = x + (dr_k - dr_prev) * tangent
@@ -387,36 +402,68 @@ def turning_radius(sol):
     return float(np.hypot(v_in[0], v_in[1]) / abs(sol.psidot))
 
 
-# Indices of the reduced linearization state within the 18-vector:
-# (phi, theta, u, v, w, p, q, r).  Position and yaw are cyclic; the
-# moving mass is frozen.
-_LIN_IDX = np.array([3, 4, 6, 7, 8, 9, 10, 11])
-
-
 def linearize(sol, control, rbar, params, model):
-    """8x8 Jacobian of the reduced dynamics about a converged equilibrium,
-    by central finite differences with per-component steps."""
-    rbar = np.asarray(rbar, dtype=float).reshape(3)
-    y0 = sol.state(rbar).as_vector()
-    deriv = bind(params, model).deriv
-    lin_idx = _LIN_IDX.tolist()
+    """8x8 Jacobian A of the reduced dynamics in (phi, theta, u, v, w, p, q, r)
+    about the state of `sol` with the moving mass frozen at `rbar`; exact.
 
-    def f8(x8):
-        y = y0.tolist()
-        for i, xi in zip(lin_idx, x8.tolist()):
-            y[i] = xi
-        ydot = deriv(y, control.Fl, control.Fr, 0.0, 0.0, 0.0)
-        return np.array([ydot[i] for i in lin_idx])
+    Position and yaw are cyclic.  The thrusts of `control` enter the
+    dynamics additively, so they do not change A.  The phi and theta rows
+    are the closed-form derivatives of the Euler-angle rates.  The other
+    rows are the body accelerations, and M depends on rbar alone, so each
+    column is the kernel's block solve (`Kernel.accelerations`) of the
+    tangent of the generalized force and torque:
+    - phi and theta turn the down axis: rate tangents (0, dg);
+    - p, q and r: rate tangents (e_i, 0), plus the aero damping map;
+    - u, v and w: velocity tangents e_i, plus the aero partials chained
+      through V = |v|, alpha = atan2(w, u) and beta = atan2(v, hypot(u, w)).
+    The aero angles have no derivative where the airspeed or hypot(u, w)
+    is below `V_MIN` (`deriv` switches them off there).  That, and
+    non-finite Euler angles, raise ValueError; a pitch near +-pi/2 raises
+    GimbalLock, as in `deriv`.
+    """
+    rx, ry, rz = np.asarray(rbar, dtype=float).reshape(3).tolist()
+    phi, theta = sol.phi, sol.theta
+    u, v, w = sol.v_b.tolist()
+    p, q, r = sol.w_b.tolist()
+    if abs(theta) >= math.pi / 2 - GIMBAL_EPS:
+        raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
+    if not (math.isfinite(phi) and math.isfinite(theta)):
+        raise ValueError("non-finite Euler angles")
+    V2, h2 = u * u + v * v + w * w, u * u + w * w
+    V, h = math.sqrt(V2), math.sqrt(h2)
+    if V < V_MIN or h < V_MIN:
+        raise ValueError(f"airspeed {V:.3g} m/s or hypot(u, w) {h:.3g} m/s below V_MIN: "
+                         "the aero angles have no derivative there")
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    tth = math.tan(theta)
+    kernel = bind(params, model)
+    terms = kernel.mass_terms(rx, ry, rz)
+    d_alpha, d_beta, d_V, damping = kernel.aero.body_load_partials(
+        math.atan2(w, u), math.atan2(v, h), V, p, q, r)
 
-    x0 = y0[_LIN_IDX]
+    zero = (0.0, 0.0, 0.0)
+    c_phi, c_theta, *c_rate = kernel.rate_tangents(terms, (u, v, w), (p, q, r), (
+        (zero, (0.0, cth * cphi, -cth * sphi)),
+        (zero, (-cth, -sth * sphi, -sth * cphi)),
+        ((1.0, 0.0, 0.0), zero), ((0.0, 1.0, 0.0), zero), ((0.0, 0.0, 1.0), zero)))
+    c_rate = [(fx, fy, fz, tx + damping[i], ty + damping[3 + i], tz + damping[6 + i])
+              for i, (fx, fy, fz, tx, ty, tz) in enumerate(c_rate)]
+    # d(V, alpha, beta)/d(u, v, w), one triple per velocity component.
+    chain = ((u / V, -w / h2, -u * v / (h * V2)),
+             (v / V, 0.0, h / V2),
+             (w / V, u / h2, -w * v / (h * V2)))
+    c_vel = [tuple(c + kV * a + ka * b + kb * e for c, a, b, e in zip(col, d_V, d_alpha, d_beta))
+             for col, (kV, ka, kb) in zip(
+                 kernel.velocity_tangents(terms, (p, q, r),
+                                          ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+                 chain)]
     A = np.empty((8, 8))
-    for i in range(8):
-        h = max(1e-6, 1e-4 * abs(x0[i]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        A[:, i] = (f8(xp) - f8(xm)) / (2.0 * h)
+    # phidot = p + tan(theta) (sin(phi) q + cos(phi) r), thetadot = cos(phi) q - sin(phi) r
+    A[0] = (tth * (cphi * q - sphi * r), (sphi * q + cphi * r) / (cth * cth), 0.0, 0.0, 0.0,
+            1.0, sphi * tth, cphi * tth)
+    A[1] = (-sphi * q - cphi * r, 0.0, 0.0, 0.0, 0.0, 0.0, cphi, -sphi)
+    A[2:] = np.array(kernel.accelerations(rx, ry, rz, [c_phi, c_theta, *c_vel, *c_rate])).T
     return A
 
 

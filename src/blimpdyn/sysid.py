@@ -258,9 +258,14 @@ def _smooth_velocity(t, pos):
 def extract_steady(rec, window, params):
     """Reduce a trial to one averaged SteadyObservation over its tail.
 
-    The steadiness test (std(V) < 5% of mean V, std(theta) < 1 deg) must
-    hold on windows sliding over the trailing 50% of the record; the
-    observation averages over the final window."""
+    A window is `window` seconds of samples at the median sample spacing
+    (`wlen` samples), and the final window is the last `wlen` samples.  The
+    steadiness test (std(V) < 5% of mean V, std(theta) < 1 deg) must hold
+    on windows sliding at half-window stride over the trailing half of the
+    record, and on the final window; the observation averages over the
+    final window.  Where the window is longer than half the record, the
+    final window is the only one and starts before the half: the 4 s
+    window on a 6 s log covers its last two thirds."""
     duration = rec.t[-1] - rec.t[0]
     if duration < window + 1.0:
         raise ValueError("record shorter than window + 1 s")
@@ -346,7 +351,7 @@ def _bind_inversion(params):
     D = -x, S = +y, L = -z.  The caller passes the cosines and sines of
     alpha, beta, theta and phi, the body rates `w` and the moving-mass
     position `rbar` as 3-sequences, and the thrusts."""
-    mass_terms, balance, _ = _bind_balance(params, False)
+    mass_terms, balance = _bind_balance(params, False)[:2]
 
     def invert(V, ca, sa, cb, sb, cth, sth, cphi, sphi, w, rbar, Fl, Fr):
         """Wind-frame loads (D, S, L, M1, M2, M3)."""

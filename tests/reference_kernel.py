@@ -1,7 +1,10 @@
-"""The unbound dynamics kernel, the RK4 loop and the damped Newton loop:
-the reference that the bound kernel (`dynamics.bind`), the float RK4 of
-`simulate.integrate` and the float Newton loop of
-`equilibria._damped_newton` must reproduce bit for bit.
+"""The unbound dynamics kernel, the RK4 loop, the damped Newton loop and
+the general-tangent steady Jacobian: the reference that the bound kernel
+(`dynamics.bind`), the float RK4 of `simulate.integrate`, the float Newton
+loop of `equilibria._damped_newton` and the split-family
+`equilibria._raw_jacobian` must reproduce bit for bit; and the
+finite-difference linearization that the exact `equilibria.linearize`
+must match to a stated tolerance.
 
 This is the state derivative as it was written before the kernel was
 bound: every call reads the `VehicleParams`/`AeroModel` attributes,
@@ -11,14 +14,17 @@ terms and the balance from its own copies below, and returns a numpy
 expression, and its order, is the one the bound kernel must keep.  The
 Newton loop steps numpy vectors and takes numpy norms; the float loop
 keeps its arithmetic but sums the squares of its norm in another order,
-so its norms may differ in the last bits.
+so its norms may differ in the last bits.  The steady Jacobian applies the
+product rule to one general (dv, dw, dg) tangent per unknown, as it did
+before the kernel split its tangents into a velocity and a rate family.
 """
 
 import math
 
 import numpy as np
 
-from blimpdyn.dynamics import SingularMass
+from blimpdyn import aero
+from blimpdyn.dynamics import SingularMass, bind
 from blimpdyn.equilibria import MAX_HALVINGS, MAX_NEWTON_ITER, TOL, NoConvergence
 from blimpdyn.frames import GIMBAL_EPS, V_MIN, GimbalLock
 from blimpdyn.simulate import plan_goto_profile
@@ -256,3 +262,107 @@ def reference_damped_newton(fun, jac, x0):
     if fnorm < TOL:
         return x, fnorm
     raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
+
+
+def reference_balance_tangents(terms, v, w, gcol, tangents, params):
+    """Directional derivatives of the full-model balance at rbardot = 0
+    along each general (dv, dw, dg) of `tangents`: a list of 6-tuples."""
+    m_tot, W, g = params.total_mass, params.net_weight, params.g
+    vx, vy, vz = v
+    wx, wy, wz = w
+    (lx, ly, lz), (Ixx, Ixy, Ixz, Iyx, Iyy, Iyz, Izx, Izy, Izz) = terms
+    hx = Ixx * wx + Ixy * wy + Ixz * wz
+    hy = Iyx * wx + Iyy * wy + Iyz * wz
+    hz = Izx * wx + Izy * wy + Izz * wz
+    ex, ey, ez = wy * lz - wz * ly, wz * lx - wx * lz, wx * ly - wy * lx
+
+    out = []
+    for (ux, uy, uz), (px, py, pz), (gx, gy, gz) in tangents:
+        cx = uy * wz - uz * wy + vy * pz - vz * py
+        cy = uz * wx - ux * wz + vz * px - vx * pz
+        cz = ux * wy - uy * wx + vx * py - vy * px
+        kx = Ixx * px + Ixy * py + Ixz * pz
+        ky = Iyx * px + Iyy * py + Iyz * pz
+        kz = Izx * px + Izy * py + Izz * pz
+        qx, qy, qz = py * lz - pz * ly, pz * lx - px * lz, px * ly - py * lx
+        out.append((
+            m_tot * cx + W * gx + qy * wz - qz * wy + ey * pz - ez * py,
+            m_tot * cy + W * gy + qz * wx - qx * wz + ez * px - ex * pz,
+            m_tot * cz + W * gz + qx * wy - qy * wx + ex * py - ey * px,
+            ky * wz + hy * pz - kz * wy - hz * py + g * (ly * gz - lz * gy) + ly * cz - lz * cy,
+            kz * wx + hz * px - kx * wz - hx * pz + g * (lz * gx - lx * gz) + lz * cx - lx * cz,
+            kx * wy + hx * py - ky * wx - hy * px + g * (lx * gy - ly * gx) + lx * cy - ly * cx,
+        ))
+    return out
+
+
+def reference_raw_jacobian(x, rbar, params, model):
+    """The six columns of the steady Jacobian in
+    (theta, phi, psidot, V, alpha, beta), each from one general tangent."""
+    theta, phi, psidot, V, alpha, beta = x
+    sth, cth = math.sin(theta), math.cos(theta)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    v_b = (ca * cb * V, sb * V, sa * cb * V)
+    gcol = (-sth, sphi * cth, cphi * cth)
+    w_b = (psidot * gcol[0], psidot * gcol[1], psidot * gcol[2])
+    d_alpha, d_beta, d_V, (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = (
+        aero.bind(model, params.rho).body_load_partials(alpha, beta, V, *w_b))
+    zero = (0.0, 0.0, 0.0)
+    g_theta = (-cth, -sphi * sth, -cphi * sth)
+    g_phi = (0.0, cphi * cth, -sphi * cth)
+    tangents = (
+        (zero, (psidot * g_theta[0], psidot * g_theta[1], psidot * g_theta[2]), g_theta),
+        (zero, (0.0, psidot * g_phi[1], psidot * g_phi[2]), g_phi),
+        (zero, gcol, zero),
+        ((ca * cb, sb, sa * cb), zero, zero),
+        ((-sa * cb * V, 0.0, ca * cb * V), zero, zero),
+        ((-ca * sb * V, cb * V, -sa * sb * V), zero, zero),
+    )
+    cols = reference_balance_tangents(_mass_terms(params, *rbar), v_b, w_b, gcol, tangents,
+                                      params)
+    for j in range(3):
+        fx, fy, fz, tx, ty, tz = cols[j]
+        px, py, pz = tangents[j][1]
+        cols[j] = (fx, fy, fz,
+                   tx + Kxx * px + Kxy * py + Kxz * pz,
+                   ty + Kyx * px + Kyy * py + Kyz * pz,
+                   tz + Kzx * px + Kzy * py + Kzz * pz)
+    for j, (ax, ay, az, amx, amy, amz) in zip((3, 4, 5), (d_V, d_alpha, d_beta)):
+        fx, fy, fz, tx, ty, tz = cols[j]
+        cols[j] = (fx + ax, fy + ay, fz + az, tx + amx, ty + amy, tz + amz)
+    return cols
+
+
+# Indices of the reduced linearization state within the 18-vector:
+# (phi, theta, u, v, w, p, q, r).  Position and yaw are cyclic; the
+# moving mass is frozen.
+_LIN_IDX = np.array([3, 4, 6, 7, 8, 9, 10, 11])
+
+
+def reference_linearize(sol, control, rbar, params, model):
+    """8x8 Jacobian of the reduced dynamics about a converged equilibrium,
+    by central finite differences with per-component steps."""
+    rbar = np.asarray(rbar, dtype=float).reshape(3)
+    y0 = sol.state(rbar).as_vector()
+    deriv = bind(params, model).deriv
+    lin_idx = _LIN_IDX.tolist()
+
+    def f8(x8):
+        y = y0.tolist()
+        for i, xi in zip(lin_idx, x8.tolist()):
+            y[i] = xi
+        ydot = deriv(y, control.Fl, control.Fr, 0.0, 0.0, 0.0)
+        return np.array([ydot[i] for i in lin_idx])
+
+    x0 = y0[_LIN_IDX]
+    A = np.empty((8, 8))
+    for i in range(8):
+        h = max(1e-6, 1e-4 * abs(x0[i]))
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[i] += h
+        xm[i] -= h
+        A[:, i] = (f8(xp) - f8(xm)) / (2.0 * h)
+    return A

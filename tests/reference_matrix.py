@@ -204,6 +204,8 @@ def steady_residual(sol, control, rbar, params, model):
     """Nondimensional 6-vector steady residual of a candidate solution."""
     rbar = np.asarray(rbar, dtype=float).reshape(3)
     x = np.array([sol.theta, sol.phi, sol.psidot, sol.V, sol.alpha, sol.beta])
-    raw = np.asarray(_raw_residual(x, control.Fl, control.Fr, rbar, bind(params, model)))
+    kernel = bind(params, model)
+    raw = np.asarray(_raw_residual(x, control.Fl, control.Fr, rbar, kernel.mass_terms(*rbar),
+                                   kernel))
     fscale, tscale = _scales(params, rbar)
     return np.concatenate([raw[:3] / fscale, raw[3:] / tscale])

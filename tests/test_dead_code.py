@@ -1,9 +1,13 @@
 """Dead-code guards over the module-level functions, classes and
-assignments of `src/blimpdyn`.
+assignments of `src/blimpdyn`, and a guard against finite-difference
+derivatives there.
 
 - A private name must be used by some other statement of the package.
 - A public name must be used by some other statement of the package, by
   the demos, by the benchmark or by the README quick start.
+- No derivative of a model function is taken by finite differences: the
+  package differentiates its model exactly (the kernel's tangents), and
+  the finite-difference forms live in the tests as references.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -132,3 +136,46 @@ def test_guard_sees_public_definitions_and_outside_uses():
     assert {"bind", "solve_spiral", "VehicleParams", "RAIL_LIMIT", "glide_metrics"} <= defined
     outside = {name for tree in _outside_trees() for name in _used(tree)}
     assert {"glide_metrics", "solve_spiral", "turning_radius"} <= outside
+
+
+def finite_difference_derivatives(tree):
+    """Where a parsed module takes a finite-difference derivative, as
+    (line, form) pairs: a difference of two calls of one function divided
+    by a step, f(x + h) - f(x - h) over 2 h (a difference quotient), or a
+    component of a point stepped in place by a variable, xp[i] += h (the
+    step loop of a finite-difference Jacobian; a counter, n[k] += 1, is
+    not one)."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+                and isinstance(node.left.left, ast.Call) and isinstance(node.left.right, ast.Call)
+                and ast.dump(node.left.left.func) == ast.dump(node.left.right.func)):
+            found.append((node.lineno, "difference quotient"))
+        elif (isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub))
+              and isinstance(node.target, ast.Subscript)
+              and not isinstance(node.value, ast.Constant)):
+            found.append((node.lineno, "stepped component"))
+    return found
+
+
+def test_no_finite_difference_derivatives():
+    assert [(name, *hit) for name, tree in _modules()
+            for hit in finite_difference_derivatives(tree)] == []
+
+
+def test_guard_sees_finite_difference_derivatives():
+    """The finite-difference guard fires on the finite-difference
+    linearization the tests keep as a reference (its step loop and its
+    central quotient), and on the forms the tests' central differences take."""
+    with open(os.path.join(ROOT, "tests", "reference_kernel.py")) as fh:
+        tree = ast.parse(fh.read())
+    lin = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "reference_linearize")
+    assert sorted(form for _, form in finite_difference_derivatives(lin)) == [
+        "difference quotient", "stepped component", "stepped component"]
+    for src in ("(fun(xp) - fun(xm)) / (2.0 * h)", "(along(h) - along(-h)) / (2.0 * h)",
+                "(loads(a + h, b) - loads(a - h, b)) / (2.0 * h)"):
+        assert finite_difference_derivatives(ast.parse(src)) == [(1, "difference quotient")]
+    assert finite_difference_derivatives(ast.parse("(f(x) - g(x)) / 2.0")) == []
+    assert finite_difference_derivatives(ast.parse("counts[k] += 1")) == []

@@ -291,8 +291,8 @@ def test_deriv_rebuilds_its_entry_only_when_rbar_moves(bundle, monkeypatch, lega
     real = dynamics._bind_balance
 
     def counting(params, legacy):
-        mass_terms, balance, tangents = real(params, legacy)
-        return (lambda *rbar: calls.append(rbar) or mass_terms(*rbar)), balance, tangents
+        mass_terms, *rest = real(params, legacy)
+        return (lambda *rbar: calls.append(rbar) or mass_terms(*rbar)), *rest
 
     monkeypatch.setattr(dynamics, "_bind_balance", counting)
     p, m = bundle
@@ -322,6 +322,37 @@ def test_bound_kernel_matches_unbound_reference_on_random_states(bundle, sym_bun
         Fl, Fr = rng.uniform(0.0, 0.1, 2).tolist()
         got = bind(p, m, legacy).deriv(y.tolist(), Fl, Fr, *Fbar.tolist())
         assert np.array(got).tobytes() == reference_deriv(y, Fl, Fr, Fbar, p, m, legacy).tobytes()
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_accelerations_are_the_block_solve_of_deriv(bundle, sym_bundle, legacy):
+    """`accelerations` of the balance plus the aero loads is the (vdot, wdot)
+    of the unbound reference bitwise, with the moving mass at rest and not
+    accelerating; one kernel alternates it with `deriv` over three rbar
+    values, so the entry the two closures share is never stale."""
+    rng = np.random.default_rng(20261020)
+    for p, m in (bundle, sym_bundle):
+        kernel = bind(p, m, legacy)
+        pool = [p.rbar0 + rng.uniform(-0.06, 0.06, 3) * [1.0, 0.2, 0.3] for _ in range(3)]
+        for k in range(300):
+            rbar = pool[rng.integers(3)].tolist()
+            y = rng.uniform(-1.0, 1.0, 18)
+            y[12:15], y[15:18] = rbar, 0.0
+            Fl, Fr = rng.uniform(0.0, 0.1, 2).tolist()
+            ref = reference_deriv(y, Fl, Fr, np.zeros(3), p, m, legacy)
+            if k % 2:
+                assert np.array(kernel.deriv(y.tolist(), Fl, Fr, 0.0, 0.0, 0.0)).tobytes() \
+                    == ref.tobytes()
+                continue
+            phi, theta, u, v, w = y[3], y[4], *y[6:9]
+            sth, cth = math.sin(theta), math.cos(theta)
+            rest = kernel.balance(kernel.mass_terms(*rbar), y[6:9].tolist(), y[9:12].tolist(),
+                                  (-sth, cth * math.sin(phi), cth * math.cos(phi)), rbar,
+                                  (0.0, 0.0, 0.0), Fl, Fr)
+            aero = kernel.aero.body_loads(math.atan2(w, u), math.atan2(v, math.hypot(u, w)),
+                                          math.sqrt(u * u + v * v + w * w), *y[9:12])
+            got, = kernel.accelerations(*rbar, [[a + b for a, b in zip(rest, aero)]])
+            assert np.array(got).tobytes() == ref[6:12].tobytes()
 
 
 def test_kinematic_rows(params, model):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_kernel import _balance, _body_loads, reference_damped_newton
+from reference_kernel import (
+    _balance,
+    _body_loads,
+    reference_damped_newton,
+    reference_linearize,
+    reference_raw_jacobian,
+)
 from reference_matrix import reference_rhs, steady_residual, wind_matrix
 
 from blimpdyn import aero, equilibria
@@ -58,8 +64,9 @@ def test_raw_jacobian_matches_central_differences(bundle, sym_bundle, x, dr_x, F
     p, m = sym_bundle if symmetric else bundle
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     kernel = bind(p, m)
-    J = np.asarray(_raw_jacobian(np.array(x), rbar, kernel)).T
-    ref = _fd_jacobian(lambda xx: np.asarray(_raw_residual(xx, Fl, Fr, rbar, kernel)),
+    terms = kernel.mass_terms(*rbar)
+    J = np.asarray(_raw_jacobian(np.array(x), terms, kernel)).T
+    ref = _fd_jacobian(lambda xx: np.asarray(_raw_residual(xx, Fl, Fr, rbar, terms, kernel)),
                        np.array(x))
     np.testing.assert_allclose(J, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
 
@@ -75,12 +82,13 @@ def test_planar_jacobian_block_matches_central_differences(bundle, sym_bundle, x
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     theta, _, _, V, alpha, _ = x
     kernel = bind(p, m)
+    terms = kernel.mass_terms(*rbar)
 
     def planar(x3):
         xx = np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0])
-        return np.asarray(_raw_residual(xx, F, F, rbar, kernel))[[0, 2, 4]]
+        return np.asarray(_raw_residual(xx, F, F, rbar, terms, kernel))[[0, 2, 4]]
 
-    J = np.asarray(_raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), rbar, kernel)).T
+    J = np.asarray(_raw_jacobian(np.array([theta, 0.0, 0.0, V, alpha, 0.0]), terms, kernel)).T
     ref = _fd_jacobian(planar, np.array([theta, V, alpha]))
     np.testing.assert_allclose(J[np.ix_([0, 2, 4], [0, 3, 4])], ref,
                                rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
@@ -94,22 +102,50 @@ _vec3 = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
 @settings(max_examples=100, deadline=None)
 def test_balance_tangent_matches_central_difference(params, model, v, w, g, dv, dw, dg, dr_x,
                                                     Fl, Fr):
-    """The kernel's `balance_tangents` is the directional derivative of the
-    reference balance at rbardot = 0; the balance is quadratic there, so
-    central differences are exact but for rounding."""
+    """Each tangent family of the kernel is the directional derivative of
+    the reference balance at rbardot = 0: `velocity_tangents` along dv,
+    `rate_tangents` along (dw, dg), and their sum along the mixed
+    (dv, dw, dg).  The balance is quadratic there, so central differences
+    are exact but for rounding."""
     rbar = (params.rbar0 + np.array([dr_x, 0.0, 0.0])).tolist()
     zero = (0.0, 0.0, 0.0)
 
-    def along(t):
-        return np.array(_balance(
-            [a + t * b for a, b in zip(v, dv)], [a + t * b for a, b in zip(w, dw)],
-            [a + t * b for a, b in zip(g, dg)], rbar, zero, Fl, Fr, params, False))
+    def central(du, dp, dq):
+        def along(t):
+            return np.array(_balance(
+                [a + t * b for a, b in zip(v, du)], [a + t * b for a, b in zip(w, dp)],
+                [a + t * b for a, b in zip(g, dq)], rbar, zero, Fl, Fr, params, False))
 
-    h = 1e-4
-    ref = (along(h) - along(-h)) / (2.0 * h)
+        h = 1e-4
+        return (along(h) - along(-h)) / (2.0 * h)
+
     kernel = bind(params, model)
-    got, = kernel.balance_tangents(kernel.mass_terms(*rbar), v, w, g, [(dv, dw, dg)])
-    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(ref))))
+    terms = kernel.mass_terms(*rbar)
+    vel, = kernel.velocity_tangents(terms, w, [dv])
+    rate, = kernel.rate_tangents(terms, v, w, [(dw, dg)])
+    for got, ref in ((vel, central(dv, zero, zero)), (rate, central(zero, dw, dg)),
+                     (np.add(vel, rate), central(dv, dw, dg))):
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=1e-9 * max(1.0, np.max(np.abs(ref))))
+
+
+def test_raw_jacobian_equals_general_tangent_form(bundle, sym_bundle):
+    """The split-family Jacobian is bitwise equal (zero signs included) to
+    the product rule on one general (dv, dw, dg) tangent per unknown, on
+    3,000 uniformly random unknowns and rail positions of the stock and
+    symmetrized vehicles; every third draw is planar (phi = psidot =
+    beta = 0), as in the trim solve, where many tangent terms are zero."""
+    rng = np.random.default_rng(20261019)
+    for k in range(3000):
+        p, m = sym_bundle if k % 2 else bundle
+        x = rng.uniform([-0.5, -0.5, -1.0, 0.3, -0.3, -0.3], [0.5, 0.5, 1.0, 2.0, 0.3, 0.3])
+        if k % 3 == 0:
+            x[[1, 2, 5]] = 0.0
+        rbar = (p.rbar0 + [rng.uniform(-0.06, 0.06), 0.0, 0.0]).tolist()
+        kernel = bind(p, m)
+        got = _raw_jacobian(x.tolist(), kernel.mass_terms(*rbar), kernel)
+        ref = reference_raw_jacobian(x.tolist(), rbar, p, m)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), f"draw {k}"
 
 
 @given(ang=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), V=st.floats(0.3, 2.0),
@@ -158,9 +194,11 @@ def test_rail_derivative_matches_central_differences(bundle, sym_bundle, x, dr_x
     kernel = bind(p, m)
     rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     h = 1e-6
-    ref = (np.asarray(_raw_residual(np.array(x), Fl, Fr, rbar + [h, 0.0, 0.0], kernel))
-           - np.asarray(_raw_residual(np.array(x), Fl, Fr, rbar - [h, 0.0, 0.0], kernel))
-           ) / (2.0 * h)
+
+    def residual(rb):
+        return np.asarray(_raw_residual(np.array(x), Fl, Fr, rb, kernel.mass_terms(*rb), kernel))
+
+    ref = (residual(rbar + [h, 0.0, 0.0]) - residual(rbar - [h, 0.0, 0.0])) / (2.0 * h)
     got = np.asarray(_rail_derivative(np.array(x), rbar, kernel, p.mbar))
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
 
@@ -234,24 +272,28 @@ def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff
                                           seeds):
     """Each Newton iteration evaluates the residual only for its step-halving
     trials, never to build the Jacobian, so a spiral solve costs a small,
-    deterministic number of residual evaluations.  A direct cell is seeded
-    by one planar trim.  A cell whose direct solve fails is seeded again at
-    dr_x = 0 for the moving-mass fallback, which reaches dr_x in RAIL_STEPS
-    tangent-predictor steps, each corrected by one Newton solve; the
-    predictor uses the closed-form rail derivative, not the residual."""
+    deterministic number of residual evaluations, and binds the vehicle
+    once.  A direct cell is seeded by one planar trim.  A cell whose direct
+    solve fails is seeded again at dr_x = 0 for the moving-mass fallback,
+    which reaches dr_x in RAIL_STEPS tangent-predictor steps, each
+    corrected by one Newton solve; the predictor uses the closed-form rail
+    derivative, not the residual."""
     calls = []
     raw = equilibria._raw_residual
     monkeypatch.setattr(equilibria, "_raw_residual", lambda *a: calls.append(1) or raw(*a))
     straight_calls = []
-    straight = equilibria.solve_straight
-    monkeypatch.setattr(equilibria, "solve_straight",
-                        lambda *a, **k: straight_calls.append(a[0]) or straight(*a, **k))
+    straight = equilibria._straight_trim
+    monkeypatch.setattr(equilibria, "_straight_trim",
+                        lambda *a: straight_calls.append(a[0]) or straight(*a))
+    binds = []
+    monkeypatch.setattr(equilibria, "bind", lambda *a: binds.append(1) or bind(*a))
     Fl = 0.5 * (7.0 + diff) * GF_TO_N
     Fr = 0.5 * (7.0 - diff) * GF_TO_N
     sol = solve_spiral(dr_x, Fl, Fr, params, model)
     assert sol.residual_norm < 1e-9
     assert 0 < len(calls) <= bound
     assert len(straight_calls) == seeds
+    assert len(binds) == 1
 
 
 def test_straight_trim_stock_point(params, model):
@@ -305,8 +347,9 @@ def test_balanced_configuration_is_exact_solution(params, model):
 
     # Direct residual of the exact rest solution.
     x0 = np.zeros(6)
-    assert np.allclose(_raw_residual(x0, 0.0, 0.0, np.zeros(3), bind(p, m)), 0.0,
-                       atol=1e-15)
+    kernel = bind(p, m)
+    assert np.allclose(_raw_residual(x0, 0.0, 0.0, np.zeros(3), kernel.mass_terms(0.0, 0.0, 0.0),
+                                     kernel), 0.0, atol=1e-15)
 
 
 @given(
@@ -330,7 +373,8 @@ def test_raw_residual_matches_matrix_balance(params, model, x, thrust, dr_x):
         rbar=rbar, rbardot=np.zeros(3),
     )
     ref = reference_rhs(s, Fl, Fr, np.zeros(3), params, model)[:6]
-    got = _raw_residual(np.array(x), Fl, Fr, rbar, bind(params, model))
+    kernel = bind(params, model)
+    got = _raw_residual(np.array(x), Fl, Fr, rbar, kernel.mass_terms(*rbar), kernel)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 
@@ -411,6 +455,56 @@ def test_linearize_shape_and_stability(params, model):
     assert report.hurwitz
     slowest = max(ev.real for ev in report.eigenvalues)
     assert abs(slowest - (-0.37)) <= 0.10
+
+
+@pytest.fixture(scope="module")
+def lin_vehicles(bundle, sym_bundle):
+    from blimpdyn import load_bundled
+
+    return {"stock": bundle, "symmetrized": sym_bundle, "wingless": load_bundled(wingless=True)}
+
+
+@given(vehicle=st.sampled_from(["stock", "symmetrized", "wingless"]),
+       drx_cm=st.integers(-6, 6), total_gf=st.floats(2.0, 8.0),
+       ratio=st.just(0.0) | st.floats(-0.7, 0.7))
+@settings(max_examples=60, deadline=None)
+def test_linearize_matches_finite_differences(lin_vehicles, vehicle, drx_cm, total_gf, ratio):
+    """The exact linearization equals the central-difference reference
+    within 1e-6 of its largest entry, on trims and spirals of the stock,
+    symmetrized and wingless vehicles."""
+    p, m = lin_vehicles[vehicle]
+    Fl = 0.5 * total_gf * (1.0 + ratio) * GF_TO_N
+    Fr = 0.5 * total_gf * (1.0 - ratio) * GF_TO_N
+    dr_x = drx_cm * 1e-2
+    try:
+        sol = (solve_straight(dr_x, Fl, p, m) if ratio == 0.0
+               else solve_spiral(dr_x, Fl, Fr, p, m))
+    except NoConvergence:
+        assume(False)
+    rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
+    control = ControlInput(Fl, Fr)
+    A = linearize(sol, control, rbar, p, m)
+    ref = reference_linearize(sol, control, rbar, p, m)
+    np.testing.assert_allclose(A, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("v_b", [(0.0, 0.0, 0.0), (0.5e-6, 0.0, -0.5e-6), (0.0, 0.8, 0.0),
+                                 (0.4e-6, -0.8, 0.0)])
+def test_linearize_rejects_airspeed_below_v_min(params, model, v_b):
+    """Below V_MIN in airspeed or in hypot(u, w) `deriv` switches the aero
+    angles off, and they have no derivative: a ValueError, not a matrix."""
+    sol = replace(solve_straight(0.0, F2, params, model), v_b=np.array(v_b))
+    with pytest.raises(ValueError, match="V_MIN"):
+        linearize(sol, ControlInput(F2, F2), params.rbar0, params, model)
+
+
+@pytest.mark.parametrize("field", ["phi", "theta"])
+def test_linearize_rejects_non_finite_euler_angles(params, model, field):
+    """A non-finite phi or theta is a ValueError, as in `deriv`, not a
+    matrix of nan."""
+    sol = replace(solve_straight(0.0, F2, params, model), **{field: float("nan")})
+    with pytest.raises(ValueError, match="non-finite Euler angles"):
+        linearize(sol, ControlInput(F2, F2), params.rbar0, params, model)
 
 
 def test_wingless_slowest_mode():

@@ -392,6 +392,35 @@ class TestExtractSteady:
         np.testing.assert_allclose([obs.V, obs.alpha, obs.beta], [V, alpha, beta],
                                    rtol=1e-12, atol=0)
 
+    def test_final_window_longer_than_half_the_record(self, params, helix_settings):
+        """The final window is the last `wlen` samples, also where it starts
+        before the half of the record: the 4 s window of the CLI on a 6 s
+        log (1201 samples, 800 in the window) covers samples 401 to 1200.
+        A pitch disturbance there, in the first half, fails the steadiness
+        test and a small one moves the average; one before sample 401 does
+        neither."""
+        from dataclasses import replace
+
+        sol, dr_x, Fl, Fr = helix_settings["straight"]
+        rec = _helix_record(sol, np.random.default_rng(0), 0.0, 0.0, 0.0, dr_x, Fl, Fr)
+        n, wlen = rec.t.size, 800
+        assert (n, n // 2) == (1201, 600)
+
+        def pitched(lo, hi, deg):
+            euler = rec.euler.copy()
+            euler[lo:hi, 1] += np.radians(deg)
+            return replace(rec, euler=euler)
+
+        with pytest.raises(NotSteady, match="pitch"):
+            extract_steady(pitched(n - wlen, n // 2, 10.0), 4.0, params)
+        before = extract_steady(pitched(100, n - wlen, 10.0), 4.0, params)
+        assert before.theta == np.mean(rec.euler[n - wlen:, 1])
+        small = pitched(n - wlen, n - wlen + 50, 0.5)
+        obs = extract_steady(small, 4.0, params)
+        np.testing.assert_allclose(obs.theta, np.mean(small.euler[n - wlen:, 1]),
+                                   rtol=1e-14, atol=0)
+        assert obs.theta > np.mean(small.euler[n // 2:, 1]) + 1e-4
+
     def test_transient_rejected(self, params, transient_trial):
         # A thrust step near the end keeps the tail of the record transient.
         with pytest.raises(NotSteady):
