@@ -118,12 +118,6 @@ class AeroLoads:
     M2: float
     M3: float
 
-    def forces(self):
-        return np.array([self.D, self.S, self.L])
-
-    def moments(self):
-        return np.array([self.M1, self.M2, self.M3])
-
     def as_array(self):
         return np.array([self.D, self.S, self.L, self.M1, self.M2, self.M3])
 

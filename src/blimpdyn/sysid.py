@@ -1,11 +1,14 @@
 """Aerodynamic identification from steady-flight logs.
 
 Pipeline: load motion-capture trial logs (numpy's C text reader parses
-each log body into one array), reduce each to an averaged steady
-observation, invert the steady-state balance for the wind-frame
-aerodynamic loads, mirror-augment the spiral data about the vehicle's
-symmetry plane, reject outliers, and fit the polynomial coefficient model
-plus rotational damping.
+each log body into one array; a log holding a non-finite value, and a
+manifest row whose moving mass lies off the rail, are rejected), reduce
+each to an averaged steady observation, invert the steady-state balance
+for the wind-frame aerodynamic loads, mirror-augment the spiral data
+about the vehicle's symmetry plane, reject outliers, and fit the
+polynomial coefficient model plus rotational damping.  `write_trial`
+writes a log in one formatting pass: one "%.9g" template over the Python
+floats of the whole table.
 
 The position smoother is a Savitzky-Golay operator built once per window
 length: the least-squares projection onto quadratics, whose middle row is
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import _bind_balance
-from .frames import GF_TO_N, AeroAngles, EulerAngles, aero_angles_array, rotation_matrices
+from .frames import GF_TO_N, RAIL_LIMIT, AeroAngles, EulerAngles, aero_angles_array, rotation_matrices
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 2
@@ -104,6 +107,8 @@ class FitResult:
 
 MANIFEST_COLUMNS = ["trial_id", "file", "kind", "dr_x_cm", "Fl_gf", "Fr_gf"]
 TRIAL_COLUMNS = ["t", "x", "y", "z", "phi", "theta", "psi"]
+# One row of a written trial log; no "%.9g" text holds a comma or a quote.
+_TRIAL_ROW = ",".join(["%.9g"] * len(TRIAL_COLUMNS)) + "\n"
 
 
 def load_trials(manifest_path):
@@ -129,12 +134,16 @@ def load_trials(manifest_path):
             Fl, Fr = float(row["Fl_gf"]) * GF_TO_N, float(row["Fr_gf"]) * GF_TO_N
             if not (0 <= Fl < math.inf and 0 <= Fr < math.inf):
                 raise SchemaError(f"manifest row {i}: thrusts must be finite and non-negative")
+            dr_x = float(row["dr_x_cm"]) * 1e-2
+            if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
+                raise SchemaError(f"manifest row {i}: dr_x_cm must be finite and within "
+                                  f"the rail limit +-{RAIL_LIMIT * 1e2:g} cm")
             t, pos, euler = _read_trial_csv(path)
             records.append(
                 TrialRecord(
                     trial_id=row["trial_id"],
                     kind=kind,
-                    dr_x=float(row["dr_x_cm"]) * 1e-2,
+                    dr_x=dr_x,
                     Fl=Fl,
                     Fr=Fr,
                     t=t,
@@ -159,6 +168,8 @@ def _read_trial_csv(path):
             raise SchemaError(_bad_trial_row(path)) from exc
     if data.shape[1] != 7 or data.shape[0] < 2:
         raise SchemaError(f"{path}: malformed trial data")
+    if not np.isfinite(data).all():
+        raise SchemaError(_bad_trial_row(path))
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
         raise SchemaError(f"{path}: time must be strictly increasing")
@@ -175,8 +186,8 @@ def _read_trial_csv(path):
 
 def _bad_trial_row(path):
     """Message naming the first data row of a trial CSV that is not seven
-    numbers, by its line in the file; empty lines are skipped, as the
-    reader skips them."""
+    finite numbers, by its line in the file; empty lines are skipped, as
+    the reader skips them."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -188,21 +199,26 @@ def _bad_trial_row(path):
                         f"expected {len(TRIAL_COLUMNS)}")
             for v in row:
                 try:
-                    float(v)
+                    x = float(v)
                 except ValueError:
                     return f"{path}: line {reader.line_num}: non-numeric value {v!r}"
+                if not math.isfinite(x):
+                    return f"{path}: line {reader.line_num}: non-finite value {v!r}"
     return f"{path}: malformed trial data"
 
 
 def write_trial(path, t, pos, euler):
-    """Write a trial CSV (t,x,y,z,phi,theta,psi in s, m, rad)."""
+    """Write a trial CSV (t,x,y,z,phi,theta,psi in s, m, rad): `t` of shape
+    (n,), `pos` and `euler` of shape (n, 3).  Every value is printed with
+    "%.9g" from a Python float, the whole body in one formatting pass."""
+    t, pos, euler = np.asarray(t), np.asarray(pos), np.asarray(euler)
+    if t.ndim != 1 or pos.shape != (t.size, 3) or euler.shape != (t.size, 3):
+        raise ValueError(f"write_trial needs t of shape (n,) and pos, euler of shape (n, 3), "
+                         f"got {t.shape}, {pos.shape}, {euler.shape}")
+    flat = np.column_stack((t, pos, euler)).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRIAL_COLUMNS)
-        for k in range(len(t)):
-            w.writerow(
-                ["%.9g" % v for v in (t[k], *pos[k], *euler[k])]
-            )
+        fh.write(",".join(TRIAL_COLUMNS) + "\n")
+        fh.write((_TRIAL_ROW * t.size) % tuple(flat))
 
 
 def trajectory_to_trial(traj, trial_id, kind, dr_x, Fl, Fr):

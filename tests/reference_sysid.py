@@ -10,7 +10,11 @@ the package against these.
 - `reference_invert_aero`: one observation at a time, through `AeroAngles`,
   `EulerAngles`, the rotation matrices and the reference balance of
   `reference_kernel`.
+- `reference_write_trial`: the trial-log writer that formats each cell
+  ("%.9g" of the numpy scalar) and writes it through `csv.writer`.
 """
+
+import csv
 
 import numpy as np
 from reference_kernel import _balance
@@ -30,6 +34,7 @@ from blimpdyn.sysid import (
     SAVGOL_WINDOW,
     STEADY_THETA_STD,
     STEADY_V_FRAC,
+    TRIAL_COLUMNS,
     NotSteady,
     SteadyObservation,
 )
@@ -103,3 +108,13 @@ def reference_invert_aero(obs, params):
     fw = Rvb.T @ aero[:3]
     mw = Rvb.T @ aero[3:]
     return aeromod.AeroLoads(D=-fw[0], S=fw[1], L=-fw[2], M1=mw[0], M2=mw[1], M3=mw[2])
+
+
+def reference_write_trial(path, t, pos, euler):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(TRIAL_COLUMNS)
+        for k in range(len(t)):
+            w.writerow(
+                ["%.9g" % v for v in (t[k], *pos[k], *euler[k])]
+            )

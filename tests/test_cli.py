@@ -95,6 +95,17 @@ def test_identify_rejects_out_of_range_manifest_thrust(tmp_path, capsys, thrusts
     assert "thrusts must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dr_x_cm", ["inf", "nan", "50", "-6.5"])
+def test_identify_rejects_off_rail_manifest_dr_x(tmp_path, capsys, dr_x_cm):
+    (tmp_path / "trial.csv").write_text("t,x,y,z,phi,theta,psi\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n"
+                        f"t0,trial.csv,straight,{dr_x_cm},2,2\n")
+    assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert "manifest row 2: dr_x_cm must be finite and within the rail limit" in (
+        capsys.readouterr().err)
+
+
 def test_trim_with_identified_aero(tmp_path, capsys):
     """identify -> trim --aero round trip: the fitted [aero]-only file takes
     its reference area from the vehicle parameters, the area the fit used."""

@@ -1,10 +1,13 @@
 """Dead-code guards over the module-level functions, classes and
-assignments of `src/blimpdyn`, and a guard against finite-difference
-derivatives there.
+assignments of `src/blimpdyn` and over the methods of its public classes,
+and a guard against finite-difference derivatives there.
 
 - A private name must be used by some other statement of the package.
 - A public name must be used by some other statement of the package, by
   the demos, by the benchmark or by the README quick start.
+- A method (not a dunder) of a public class must be called or read as an
+  attribute outside its own body: by the package if it is private, also
+  by the demos, the benchmark or the README quick start if it is public.
 - No derivative of a model function is taken by finite differences: the
   package differentiates its model exactly (the kernel's tangents), and
   the finite-difference forms live in the tests as references.
@@ -17,6 +20,7 @@ nothing alive.
 """
 
 import ast
+import collections
 import os
 import re
 
@@ -73,8 +77,12 @@ def _used(stmt):
             yield node.attr
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _is_private(name):
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _is_dunder(name)
 
 
 def _is_public(name):
@@ -111,12 +119,76 @@ def unreferenced_public_names():
     return _unreferenced(_is_public, outside)
 
 
+def _attributes(tree):
+    """Attribute names a parsed tree reads, as obj.name."""
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def _outside_attributes():
+    """Attribute names the demos, the benchmark and the README quick start read."""
+    return {name for tree in _outside_trees() for name in _attributes(tree)}
+
+
+def _public_class_methods(modules):
+    """(module.Class.method, method definition) of every method of the
+    public classes of `modules`, (file name, parsed module) pairs; dunders
+    are left out."""
+    for mod, tree in modules:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_public(cls.name):
+                for node in cls.body:
+                    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not _is_dunder(node.name)):
+                        yield f"{mod[:-3]}.{cls.name}.{node.name}", node
+
+
+def unreferenced_methods(modules, outside):
+    """The methods of the public classes of `modules` that no attribute
+    read outside their own body reaches: one of `modules` for a private
+    method, also one of the `outside` names for a public one (a method
+    calling only itself counts as unused)."""
+    used = collections.Counter(name for _, tree in modules for name in _attributes(tree))
+    unused = []
+    for qualname, node in _public_class_methods(modules):
+        if used[node.name] > _attributes(node).count(node.name):
+            continue
+        if _is_public(node.name) and node.name in outside:
+            continue
+        unused.append(qualname)
+    return sorted(unused)
+
+
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names() == []
 
 
 def test_no_unreferenced_public_names():
     assert unreferenced_public_names() == []
+
+
+def test_no_unreferenced_methods():
+    assert unreferenced_methods(list(_modules()), _outside_attributes()) == []
+
+
+def test_guard_sees_methods_and_their_uses():
+    """The method scan finds the methods of the package's public classes,
+    and on a made-up module reports a method that only calls itself and a
+    private method that only the outside callers read, but not a method
+    another method calls, a public method the outside callers read, a
+    dunder, or a method of a private class."""
+    methods = {name for name, _ in _public_class_methods(_modules())}
+    assert {"aero.AeroModel.with_vector", "frames.State.from_vector",
+            "equilibria.SteadySolution.state", "validation.CriterionResult.line"} <= methods
+    assert {"as_array", "state"} <= _outside_attributes()
+    src = ("class Loads:\n"
+           "    def total(self):\n        return self.total()\n"
+           "    def _half(self):\n        return self.double() / 2\n"
+           "    def double(self):\n        return 2\n"
+           "    def shown(self):\n        return 1\n"
+           "    def __len__(self):\n        return 0\n"
+           "class _Hidden:\n    def never(self):\n        pass\n")
+    assert unreferenced_methods([("m.py", ast.parse(src))], {"shown", "_half"}) == [
+        "m.Loads._half", "m.Loads.total"]
 
 
 def test_guard_sees_private_definitions():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_matrix import aero_angles, loads_to_body, reference_rhs, wind_to_body
-from reference_sysid import reference_extract_steady, reference_invert_aero, reference_smooth_velocity
+from reference_sysid import (
+    reference_extract_steady,
+    reference_invert_aero,
+    reference_smooth_velocity,
+    reference_write_trial,
+)
 
 from blimpdyn import aero, sysid
 from blimpdyn.aero import AeroModel, aero_loads
@@ -344,6 +349,65 @@ class TestTrialIO:
         write_trial(path, rec.t, rec.pos, rec.euler)
         for a, b in zip(_read_trial_csv(path), _reference_trial_parse(path)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @given(
+        n=st.integers(0, 5),
+        times=st.sampled_from(["float", "integer-valued", "int64"]),
+        values=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_writer_bytes_match_reference(self, tmp_path_factory, n, times, values):
+        """The one-pass writer gives the bytes of the per-cell csv.writer
+        reference, on signed zeros, infinities, nan, subnormals, extremes
+        and integer-valued times (float or int64 arrays)."""
+        cell = st.floats() | st.sampled_from([
+            -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
+            0.1, 123456789.0, 1234567891.0])
+        if times == "float":
+            t = np.array(values.draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+        else:
+            t = np.array(values.draw(st.lists(st.integers(-2**40, 2**40), min_size=n,
+                                              max_size=n)),
+                         dtype=np.int64 if times == "int64" else float)
+        pos, euler = (np.array(values.draw(st.lists(cell, min_size=3 * n, max_size=3 * n)),
+                               dtype=float).reshape(n, 3) for _ in range(2))
+        d = tmp_path_factory.mktemp("writer", numbered=True)
+        write_trial(str(d / "got.csv"), t, pos, euler)
+        reference_write_trial(str(d / "ref.csv"), t, pos, euler)
+        assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("t, pos, euler", [
+        ((5,), (6, 3), (5, 3)),
+        ((5,), (5, 2), (5, 3)),
+        ((5,), (5, 3), (4, 3)),
+        ((5, 1), (5, 3), (5, 3)),
+        ((5,), (15,), (5, 3)),
+    ])
+    def test_writer_rejects_mismatched_shapes(self, tmp_path, t, pos, euler):
+        path = tmp_path / "trial.csv"
+        with pytest.raises(ValueError, match="shape"):
+            write_trial(str(path), np.zeros(t), np.zeros(pos), np.zeros(euler))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row, cell", [(3, 1), (3, 0), (40, 6), (41, 2)])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_names_its_line(self, tmp_path, row, cell, value):
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(41)]
+        fields = rows[row].split(",")
+        fields[cell] = value
+        rows[row] = ",".join(fields)
+        rows.insert(2, "")  # counted as a line of the file, skipped as a row
+        with pytest.raises(SchemaError,
+                           match=f"trial.csv: line {row + 2}: non-finite value '{value}'"):
+            _load_trial_text(tmp_path, "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("dr_x_cm", ["6", "-6", "6.00000000005"])
+    def test_manifest_dr_x_at_rail_limit_accepted(self, tmp_path, dr_x_cm):
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(41)]
+        (tmp_path / "trial.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "manifest.csv").write_text(MANIFEST.replace(",0,2,2", f",{dr_x_cm},2,2"))
+        (rec,) = load_trials(str(tmp_path / "manifest.csv"))
+        assert rec.dr_x == float(dr_x_cm) * 1e-2
 
     def test_non_monotonic_time_rejected(self, tmp_path):
         trial = tmp_path / "trial.csv"
