@@ -1,26 +1,30 @@
 """Aerodynamic identification from steady-flight logs.
 
 Pipeline: load motion-capture trial logs (numpy's C text reader parses
-each log body into one array; a log holding a non-finite value, and a
-manifest row whose moving mass lies off the rail, are rejected), reduce
-each to an averaged steady observation, invert the steady-state balance
-for the wind-frame aerodynamic loads, mirror-augment the spiral data
-about the vehicle's symmetry plane, reject outliers, and fit the
-polynomial coefficient model plus rotational damping.  `write_trial`
-writes a log in one formatting pass: one "%.9g" template over the Python
-floats of the whole table.
+each log body into one array, given the log's path so that it reads the
+file in chunks, not line by line; a log holding a non-finite value, and a
+manifest row of the wrong length, with a non-numeric number field or
+whose moving mass lies off the rail, are rejected), reduce each to an
+averaged steady observation, invert the steady-state balance for the
+wind-frame aerodynamic loads, mirror-augment the spiral data about the
+vehicle's symmetry plane, reject outliers, and fit the polynomial
+coefficient model plus rotational damping.  `write_trial` writes a log in
+one formatting pass: one "%.9g" template over the Python floats of the
+whole table.
 
 The position smoother is a Savitzky-Golay operator built once per window
 length: the least-squares projection onto quadratics, whose middle row is
 the interior convolution and whose outer rows are the edge fits.  The
-load inversion is one function of pure arithmetic (the bound balance of
-`dynamics._bind_balance` and the body-to-wind rotation), which `fit` runs
-once over arrays of all observations and `invert_aero` over the floats of
-one.  The model is linear in its coefficients and each load channel has
-its own, so the fit is an exact weighted least-squares solve per channel,
-done as two stacked solves (the three forces and the three moments), each
-one batched SVD that also gives the condition numbers; the bound
-damping <= 0 is met by one active-set step.
+extraction smooths and differentiates only the tail of a log that its
+windows read.  The load inversion is one function of pure arithmetic
+(the bound balance of `dynamics._bind_balance` and the body-to-wind
+rotation), which `fit` runs once over arrays of all observations and
+`invert_aero` over the floats of one.  The model is linear in its
+coefficients and each load channel has its own, so the fit is an exact
+weighted least-squares solve per channel, done as two stacked solves (the
+three forces and the three moments), each one batched SVD that also gives
+the condition numbers; the bound damping <= 0 is met by one active-set
+step.
 """
 
 import csv
@@ -112,17 +116,25 @@ _TRIAL_ROW = ",".join(["%.9g"] * len(TRIAL_COLUMNS)) + "\n"
 
 
 def load_trials(manifest_path):
-    """Load a manifest CSV and its referenced trial CSVs, converting to SI."""
+    """Load a manifest CSV and its referenced trial CSVs, converting to SI.
+
+    Each manifest row must hold the six fields of MANIFEST_COLUMNS, with
+    numbers in dr_x_cm, Fl_gf and Fr_gf; blank lines are skipped."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     records = []
     with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_COLUMNS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != MANIFEST_COLUMNS:
             raise SchemaError(
                 f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
-                f"got {reader.fieldnames}"
+                f"got {header}"
             )
-        for i, row in enumerate(reader, start=2):
+        for i, row in enumerate((r for r in reader if r), start=2):
+            if len(row) != len(MANIFEST_COLUMNS):
+                raise SchemaError(f"manifest row {i}: {len(row)} fields, "
+                                  f"expected {len(MANIFEST_COLUMNS)}")
+            row = dict(zip(MANIFEST_COLUMNS, row))
             path = row["file"]
             if not os.path.isabs(path):
                 path = os.path.join(base, path)
@@ -131,10 +143,10 @@ def load_trials(manifest_path):
             kind = row["kind"].strip()
             if kind not in ("straight", "spiral"):
                 raise SchemaError(f"manifest row {i}: unknown kind {kind!r}")
-            Fl, Fr = float(row["Fl_gf"]) * GF_TO_N, float(row["Fr_gf"]) * GF_TO_N
+            Fl, Fr = (_manifest_number(i, row, f) * GF_TO_N for f in ("Fl_gf", "Fr_gf"))
             if not (0 <= Fl < math.inf and 0 <= Fr < math.inf):
                 raise SchemaError(f"manifest row {i}: thrusts must be finite and non-negative")
-            dr_x = float(row["dr_x_cm"]) * 1e-2
+            dr_x = _manifest_number(i, row, "dr_x_cm") * 1e-2
             if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
                 raise SchemaError(f"manifest row {i}: dr_x_cm must be finite and within "
                                   f"the rail limit +-{RAIL_LIMIT * 1e2:g} cm")
@@ -154,34 +166,47 @@ def load_trials(manifest_path):
     return records
 
 
+def _manifest_number(i, row, field):
+    """The number in `field` of manifest row `i`, or SchemaError naming both."""
+    try:
+        return float(row[field])
+    except ValueError:
+        raise SchemaError(f"manifest row {i}: {field} must be a number, "
+                          f"got {row[field]!r}") from None
+
+
 def _read_trial_csv(path):
+    """Time, position and Euler angles of a trial log.  The header line is
+    checked with the csv module; numpy reads the body from the path, in
+    chunks, and one column-wise max of |data| gives the finiteness and unit
+    checks (NaN propagates through it)."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
-        if header != TRIAL_COLUMNS:
-            raise SchemaError(f"{path}: trial header must be {','.join(TRIAL_COLUMNS)}")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is reported below as malformed data.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except ValueError as exc:
-            raise SchemaError(_bad_trial_row(path)) from exc
+    if header != TRIAL_COLUMNS:
+        raise SchemaError(f"{path}: trial header must be {','.join(TRIAL_COLUMNS)}")
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is reported below as malformed data.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                              skiprows=1)
+    except ValueError as exc:
+        raise SchemaError(_bad_trial_row(path)) from exc
     if data.shape[1] != 7 or data.shape[0] < 2:
         raise SchemaError(f"{path}: malformed trial data")
-    if not np.isfinite(data).all():
+    peak = np.abs(data).max(axis=0)
+    if not np.isfinite(peak).all():
         raise SchemaError(_bad_trial_row(path))
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
         raise SchemaError(f"{path}: time must be strictly increasing")
     if t[-1] - t[0] < 2.0:
         raise SchemaError(f"{path}: trial shorter than 2 s")
-    pos = data[:, 1:4]
-    euler = data[:, 4:7]
-    if np.max(np.abs(pos)) > 20.0:
+    if peak[1:4].max() > 20.0:
         raise UnitError(f"{path}: |position| exceeds 20 m; wrong units?")
-    if np.max(np.abs(euler)) > np.pi + 1e-9:
+    if peak[4:7].max() > np.pi + 1e-9:
         raise UnitError(f"{path}: |angle| exceeds pi rad; wrong units?")
-    return t, pos, euler
+    return t, data[:, 1:4], data[:, 4:7]
 
 
 def _bad_trial_row(path):
@@ -256,19 +281,38 @@ def _savgol_operator(win):
     return op
 
 
-def _smooth_velocity(t, pos):
-    """Inertial velocity by central differences on locally smoothed position."""
+def _smooth_velocity(dt, pos, head):
+    """Inertial velocity of samples `head` to n - 1 (0 <= head <= n // 2),
+    from the spacings `dt = np.diff(t)` of the n sample times: np.gradient
+    (edge order 1) of the locally smoothed position, bit for bit, from the
+    smoothed rows `head - 1` on (row 0 if `head` is 0)."""
     n = pos.shape[0]
+    lo = max(head - 1, 0)
     win = min(SAVGOL_WINDOW, n if n % 2 == 1 else n - 1)
     if win > SAVGOL_ORDER + 1:
         op, h = _savgol_operator(win), win // 2
-        sm = np.empty(pos.shape)
-        sm[h:n - h] = np.column_stack([np.correlate(col, op[h], "valid") for col in pos.T])
-        sm[:h] = op[:h] @ pos[:win]
-        sm[n - h:] = op[win - h:] @ pos[n - win:]
+        # Rows lo to n - 1: the front edge fits (none unless lo < h), the
+        # interior convolution and the back edge fits.
+        mid = max(lo, h)
+        sm = np.concatenate([
+            (op[:h] @ pos[:win])[lo:],
+            np.column_stack([np.correlate(col, op[h], "valid") for col in pos[mid - h:].T]),
+            op[win - h:] @ pos[n - win:],
+        ])
     else:
-        sm = pos
-    return np.gradient(sm, t, axis=0)
+        sm = pos[lo:]
+    vel = np.empty(sm.shape)
+    vel[0] = (sm[1] - sm[0]) / dt[lo]          # the first-row edge, kept only if head is 0
+    vel[-1] = (sm[-1] - sm[-2]) / dt[-1]
+    if (dt == dt[0]).all():
+        # np.gradient's form for uniform spacing, which it takes when every
+        # spacing of the record is equal.
+        vel[1:-1] = (sm[2:] - sm[:-2]) / (2.0 * dt[0])
+    else:
+        dx1, dx2 = dt[lo:-1, None], dt[lo + 1:, None]
+        vel[1:-1] = (-dx2 / (dx1 * (dx1 + dx2)) * sm[:-2] + (dx2 - dx1) / (dx1 * dx2) * sm[1:-1]
+                     + dx1 / (dx2 * (dx1 + dx2)) * sm[2:])
+    return vel[head - lo:]
 
 
 def extract_steady(rec, window, params):
@@ -281,14 +325,17 @@ def extract_steady(rec, window, params):
     record, and on the final window; the observation averages over the
     final window.  Where the window is longer than half the record, the
     final window is the only one and starts before the half: the 4 s
-    window on a 6 s log covers its last two thirds."""
+    window on a 6 s log covers its last two thirds.  Velocities are
+    smoothed and differentiated on the tail only."""
     duration = rec.t[-1] - rec.t[0]
     if duration < window + 1.0:
         raise ValueError("record shorter than window + 1 s")
 
-    vel = _smooth_velocity(rec.t, rec.pos)
     n = rec.t.size
-    dt_med = float(np.median(np.diff(rec.t)))
+    dt = np.diff(rec.t)
+    # np.median of the spacings, from one partition.
+    part = np.partition(dt, ((n - 2) // 2, (n - 1) // 2))
+    dt_med = float((part[(n - 2) // 2] + part[(n - 1) // 2]) / 2.0)
     wlen = max(2, int(round(window / dt_med)))
     # Every window below lies in the tail: the trailing half, or the final
     # window where that is longer (the whole record if the window is longer
@@ -297,7 +344,7 @@ def extract_steady(rec, window, params):
     t, euler = rec.t[head:], rec.euler[head:]
     m = n - head
     # Body-frame velocity R(e)^T v of every tail sample.
-    v_b = np.einsum("nji,nj->ni", rotation_matrices(euler), vel[head:])
+    v_b = np.einsum("nji,nj->ni", rotation_matrices(euler), _smooth_velocity(dt, rec.pos, head))
     alpha, beta, V = aero_angles_array(v_b)
 
     theta = euler[:, 1]
@@ -313,12 +360,13 @@ def extract_steady(rec, window, params):
             raise NotSteady(f"{rec.trial_id}: pitch unsteady in trailing window")
 
     sl = slice(m - wlen, m)
-    # Yaw rate: the least-squares slope of the unwrapped yaw over the window.
-    tc = t[sl] - np.mean(t[sl])
     psi = np.unwrap(euler[sl, 2])
-    psidot = float(tc @ (psi - np.mean(psi)) / (tc @ tc))
-    theta_m = float(np.mean(theta[sl]))
-    phi_m = float(np.mean(euler[sl, 0]))
+    # The means over the final window, one row each, from one reduction.
+    t_m, psi_m, theta_m, phi_m, V_m, alpha_m, beta_m = np.array(
+        [t[sl], psi, theta[sl], euler[sl, 0], V[sl], alpha[sl], beta[sl]]).mean(axis=1).tolist()
+    # Yaw rate: the least-squares slope of the unwrapped yaw over the window.
+    tc = t[sl] - t_m
+    psidot = float(tc @ (psi - psi_m) / (tc @ tc))
     sth, cth = np.sin(theta_m), np.cos(theta_m)
     sphi, cphi = np.sin(phi_m), np.cos(phi_m)
     w_b = psidot * np.array([-sth, sphi * cth, cphi * cth])
@@ -326,9 +374,9 @@ def extract_steady(rec, window, params):
         theta=theta_m,
         phi=phi_m,
         psidot=psidot,
-        V=float(np.mean(V[sl])),
-        alpha=float(np.mean(alpha[sl])),
-        beta=float(np.mean(beta[sl])),
+        V=V_m,
+        alpha=alpha_m,
+        beta=beta_m,
         w_b=w_b,
         Fl=rec.Fl,
         Fr=rec.Fr,
@@ -489,44 +537,48 @@ def mirror_augment(observations):
     return out
 
 
-def _check_span(observations):
-    if len(observations) < 12:
-        raise InsufficientSpan(f"need >= 12 observations, got {len(observations)}")
-    alphas = {round(o.alpha, 6) for o in observations}
-    betas = {round(o.beta, 6) for o in observations}
+def _check_span(angles):
+    """Raise InsufficientSpan unless the observations' (alpha, beta) pairs
+    `angles`, each rounded to 6 decimals, number at least 12 and span at
+    least 4 distinct alpha and 3 distinct beta values."""
+    if len(angles) < 12:
+        raise InsufficientSpan(f"need >= 12 observations, got {len(angles)}")
+    alphas = {a for a, _ in angles}
+    betas = {b for _, b in angles}
     if len(alphas) < 4:
         raise InsufficientSpan(f"need >= 4 distinct alpha values, got {len(alphas)}")
     if len(betas) < 3:
         raise InsufficientSpan(f"need >= 3 distinct beta values, got {len(betas)}")
 
 
-def _regressors(observations, params):
+# Columns of the array that `_regressors` gathers both stacks from, with Q
+# the dynamic pressure times the reference area and p, q, r the body rates:
+# Q, Q a, Q a^2, Q b, Q b^2, Q b^4, p, q, r.
+_FORCE_COLUMNS = np.array([[0, 2, 4],          # D: 1, a^2, b^2
+                           [0, 2, 3],          # S: 1, a^2, b
+                           [0, 1, 4]])         # L: 1, a, b^2
+_MOMENT_COLUMNS = np.array([[0, 1, 3, 6],      # M1: 1, a, b; p
+                            [0, 1, 5, 7],      # M2: 1, a, b^4; q
+                            [0, 1, 3, 8]])     # M3: 1, a, b; r
+
+
+def _regressors(x, params):
     """Unweighted designs of the six channels as two stacks: forces
-    (D, S, L) of shape (3, n, 3) and moments (M1, M2, M3) of shape (3, n, 4).
+    (D, S, L) of shape (3, n, 3) and moments (M1, M2, M3) of shape (3, n, 4),
+    from the (n, 6) rows (alpha, beta, V, p, q, r) of the observations.
 
     Each force channel is dynamic pressure times three basis functions of
     (alpha, beta); each moment channel adds its damping column, the
-    matching body rate."""
-    a = np.array([o.alpha for o in observations])
-    b = np.array([o.beta for o in observations])
-    V = np.array([o.V for o in observations])
-    w_b = np.array([o.w_b for o in observations], dtype=float)
+    matching body rate.  Both stacks are gathered from one array of the
+    nine distinct columns."""
+    a, b, V = x[:, 0], x[:, 1], x[:, 2]
     q = 0.5 * params.rho * V * V * params.A_ref
-    qa, qaa, qb, qbb = q * a, q * (a * a), q * b, q * (b * b)
     # float_power is libm pow, as Python's float ** is; the SIMD loop of
     # `b ** 4` may differ from it in the last bit.
-    qb4 = q * np.float_power(b, 4)
-    forces = np.stack([
-        np.stack([q, qaa, qbb], axis=-1),            # D: 1, a^2, b^2
-        np.stack([q, qaa, qb], axis=-1),             # S: 1, a^2, b
-        np.stack([q, qa, qbb], axis=-1),             # L: 1, a, b^2
-    ])
-    moments = np.stack([
-        np.stack([q, qa, qb, w_b[:, 0]], axis=-1),           # M1: 1, a, b; p
-        np.stack([q, qa, qb4, w_b[:, 1]], axis=-1),          # M2: 1, a, b^4; q
-        np.stack([q, qa, qb, w_b[:, 2]], axis=-1),           # M3: 1, a, b; r
-    ])
-    return forces, moments
+    cols = np.column_stack([q, q * a, q * (a * a), q * b, q * (b * b), q * np.float_power(b, 4),
+                            x[:, 3:]])
+    rows = np.arange(x.shape[0])[:, None]
+    return cols[rows, _FORCE_COLUMNS[:, None]], cols[rows, _MOMENT_COLUMNS[:, None]]
 
 
 def _median(a):
@@ -565,13 +617,13 @@ def _solve_channels(design, loads):
     """Unconstrained weighted least squares of the six channels, as one
     batched solve per stack of `design` (see `_regressors`) against the
     (n, 6) `loads`.  Returns the two weighted design stacks, the (6, n)
-    weighted targets, the coefficients of each stack and the six condition
-    numbers."""
+    weighted targets, the coefficients of each stack and the list of the
+    six condition numbers."""
     W = _weights(loads).T
     Y = loads.T * W
     Xs = (design[0] * W[:3, :, None], design[1] * W[3:, :, None])
     (cf, cond_f), (cm, cond_m) = _lstsq(Xs[0], Y[:3]), _lstsq(Xs[1], Y[3:])
-    conds = np.concatenate([cond_f, cond_m])
+    conds = np.concatenate([cond_f, cond_m]).tolist()
     for ch, cond in zip(CHANNELS, conds):
         if cond > 1e10:
             raise RankDeficient(f"channel {ch}: design condition {cond:.2e} > 1e10")
@@ -606,7 +658,9 @@ def fit(observations, params, loads=None):
     vehicle's reference area `params.A_ref`.
     """
     observations = list(observations)
-    _check_span(observations)
+    # Rounded once, for the span checks before and after the outlier pass.
+    angles = [(round(o.alpha, 6), round(o.beta, 6)) for o in observations]
+    _check_span(angles)
     if loads is None:
         loads = _invert_loads(observations, params)
     else:
@@ -614,7 +668,8 @@ def fit(observations, params, loads=None):
         if len(loads) != len(observations):
             raise ValueError("loads must align with observations")
 
-    design = _regressors(observations, params)
+    x = np.array([(o.alpha, o.beta, o.V, *o.w_b.tolist()) for o in observations], dtype=float)
+    design = _regressors(x, params)
     Xs, Y, coefs, conds = _solve_channels(design, loads)
 
     # Outlier pass: per-channel 3x MAD on the weighted (relative) residuals,
@@ -627,9 +682,9 @@ def fit(observations, params, loads=None):
     n_max = int(MAX_OUTLIER_FRAC * len(observations))
     drop = sorted(int(k) for k in flagged[:n_max] if scores[k] > 1.0)
     if drop:
-        kept = np.delete(np.arange(len(observations)), drop)
+        kept = [i for i in range(len(observations)) if i not in drop]
         try:
-            _check_span([observations[i] for i in kept])
+            _check_span([angles[i] for i in kept])
         except InsufficientSpan:
             drop = []
         else:
@@ -650,8 +705,8 @@ def fit(observations, params, loads=None):
     per_ch = np.sqrt(np.mean((_apply(design, coefs) - loads.T) ** 2, axis=1))
     return FitResult(
         model=model,
-        rms={ch: float(per_ch[i]) for i, ch in enumerate(CHANNELS)},
-        condition={ch: float(c) for ch, c in zip(CHANNELS, conds)},
+        rms=dict(zip(CHANNELS, per_ch.tolist())),
+        condition=dict(zip(CHANNELS, conds)),
         excluded=tuple(drop),
         final_rms=float(np.sqrt(np.mean((Y - _apply(Xs, coefs)) ** 2))),
     )

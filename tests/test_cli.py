@@ -106,6 +106,22 @@ def test_identify_rejects_off_rail_manifest_dr_x(tmp_path, capsys, dr_x_cm):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("t0,trial.csv,straight,0,2", "manifest row 2: 5 fields, expected 6"),
+    ("t0,trial.csv,straight,0,2,2,9", "manifest row 2: 7 fields, expected 6"),
+    ("t0,trial.csv,straight,x,2,2", "manifest row 2: dr_x_cm must be a number, got 'x'"),
+    ("t0,trial.csv,straight,0,x,2", "manifest row 2: Fl_gf must be a number, got 'x'"),
+    ("t0,trial.csv,straight,0,2,x", "manifest row 2: Fr_gf must be a number, got 'x'"),
+])
+def test_identify_rejects_malformed_manifest_row(tmp_path, capsys, row, message):
+    (tmp_path / "trial.csv").write_text("t,x,y,z,phi,theta,psi\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n" + row + "\n")
+    assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_trim_with_identified_aero(tmp_path, capsys):
     """identify -> trim --aero round trip: the fitted [aero]-only file takes
     its reference area from the vehicle parameters, the area the fit used."""

@@ -7,6 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_matrix import aero_angles, loads_to_body, reference_rhs, wind_to_body
 from reference_sysid import (
+    prior_check_span,
+    prior_extract_steady,
+    prior_fit,
+    prior_read_trial_csv,
+    prior_smooth_velocity,
     reference_extract_steady,
     reference_invert_aero,
     reference_smooth_velocity,
@@ -33,7 +38,6 @@ from blimpdyn.sysid import (
     SteadyObservation,
     TrialRecord,
     UnitError,
-    _check_span,
     _invert_loads,
     _median,
     _read_trial_csv,
@@ -151,6 +155,41 @@ def _outcome(extract, rec, window, params):
         return exc
 
 
+def _assert_same_bits(got, ref):
+    """`got` and `ref` are the same exception, or equal field by field with
+    every number bit for bit (dataclasses of floats, arrays and dicts)."""
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref), (got, ref)
+        return
+    assert not isinstance(got, Exception), got
+    for name in ref.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(ref, name)
+        if name == "model":
+            a, b = a.as_vector(), b.as_vector()
+        if isinstance(b, dict):
+            assert list(a) == list(b), name
+            a, b = list(a.values()), list(b.values())
+        if isinstance(b, str):
+            assert a == b, name
+            continue
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.fixture(scope="module")
+def campaign_settings(params, model):
+    """The identification campaign of the benchmark: six equal-thrust trims
+    along the rail and six spirals, each an equilibrium with its (dr_x, Fl,
+    Fr)."""
+    out = []
+    for drx_cm in (-5, -3, -1, 1, 3, 5):
+        out.append((solve_straight(drx_cm * 1e-2, F2, params, model), drx_cm * 1e-2, F2, F2))
+    for drx_cm, diff in zip(range(-1, 5), (-3.2, -4.4, -3.2, -4.4, -4.4, -3.2)):
+        Fl, Fr = 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N
+        out.append((solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model), drx_cm * 1e-2, Fl, Fr))
+    return out
+
+
 @pytest.fixture(scope="module")
 def grid_loads(params, grid_obs):
     """Inverted loads of the grid observations, one (6,) row each."""
@@ -224,7 +263,7 @@ def _reference_fit(observations, params, loads):
     if drop:
         idx = [i for i in idx if i not in set(drop)]
         try:
-            _check_span([observations[i] for i in idx])
+            prior_check_span([observations[i] for i in idx])
         except InsufficientSpan:
             idx, drop = list(range(len(observations))), []
         else:
@@ -421,6 +460,94 @@ class TestTrialIO:
         with pytest.raises(SchemaError):
             load_trials(str(manifest))
 
+    @pytest.mark.parametrize("row, message", [
+        ("t1,trial.csv,straight,0,2", "manifest row 3: 5 fields, expected 6"),
+        ("t1,trial.csv,straight,0,2,2,9", "manifest row 3: 7 fields, expected 6"),
+        ("t1,trial.csv,straight,x,2,2", "manifest row 3: dr_x_cm must be a number, got 'x'"),
+        ("t1,trial.csv,straight,0,,2", "manifest row 3: Fl_gf must be a number, got ''"),
+        ("t1,trial.csv,straight,0,2,2 gf", "manifest row 3: Fr_gf must be a number, got '2 gf'"),
+    ])
+    def test_malformed_manifest_row_named(self, tmp_path, row, message):
+        """A manifest row of the wrong length or with a non-numeric number
+        field raises SchemaError naming the row (counted as before, blank
+        lines skipped) and the field."""
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(41)]
+        (tmp_path / "trial.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "manifest.csv").write_text(MANIFEST + "\n" + row + "\n")
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_trials(str(tmp_path / "manifest.csv"))
+
+    def test_line_endings_parse_alike(self, tmp_path, steady_trial):
+        """CRLF and CR copies of a written log parse bit for bit as the LF
+        log, also by the handle-fed prior reader; a bad row in a CRLF log is
+        still named by its line."""
+        _, rec = steady_trial
+        lf = tmp_path / "lf.csv"
+        write_trial(str(lf), rec.t, rec.pos, rec.euler)
+        text = lf.read_bytes()
+        ref = _read_trial_csv(str(lf))
+        for name, ending in (("crlf.csv", b"\r\n"), ("cr.csv", b"\r")):
+            path = tmp_path / name
+            path.write_bytes(text.replace(b"\n", ending))
+            for got in (_read_trial_csv(str(path)), prior_read_trial_csv(str(path))):
+                for a, b in zip(got, ref):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        lines = text.split(b"\n")
+        lines[7] = b"0.2,0,0,0,0,0"
+        (tmp_path / "bad.csv").write_bytes(b"\r\n".join(lines))
+        with pytest.raises(SchemaError, match="bad.csv: line 8: 6 fields, expected 7"):
+            _read_trial_csv(str(tmp_path / "bad.csv"))
+
+    def test_loadtxt_reads_each_log_by_path(self, tmp_path, steady_trial, monkeypatch):
+        """load_trials hands np.loadtxt each log's path, a str, once per
+        log, never an open file, which numpy would read line by line."""
+        _, rec = steady_trial
+        for name in ("a.csv", "b.csv"):
+            write_trial(str(tmp_path / name), rec.t, rec.pos, rec.euler)
+        (tmp_path / "manifest.csv").write_text(
+            "trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n"
+            "t0,a.csv,spiral,0,5.7,1.3\nt1,b.csv,spiral,0,5.7,1.3\n")
+        calls = []
+        loadtxt = np.loadtxt
+
+        def recording_loadtxt(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        assert len(load_trials(str(tmp_path / "manifest.csv"))) == 2
+        assert calls == [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        assert all(type(c) is str for c in calls)
+
+    @pytest.mark.parametrize("n, edit", [
+        (41, {}),
+        (41, {5: "0.4,0,0,0,0,0,0"}),                              # time not increasing
+        (41, {9: "0.8,21,0,0,0,0,0"}),                             # |position| > 20 m
+        (41, {9: "0.8,0,0,0,0,0,-3.2"}),                           # |angle| > pi
+        (41, {9: "0.8,nan,0,0,0,0,0"}),
+        (41, {40: "3.9,0,0,inf,0,0,0"}),
+        (41, {3: "0.2,0,0,0,0,0"}),                                # six fields
+        (41, {3: '"0.2","1e-3"," 0.25",0,"-0.5",0,"3.0"'}),        # quoted cells
+        (41, {2: ""}),                                             # blank line
+        (20, {}),                                                  # 1.9 s long
+    ])
+    def test_read_matches_prior(self, tmp_path, n, edit):
+        """The path reader gives the prior handle reader's arrays bit for
+        bit, or its exception and message, on valid, quoted, short,
+        non-monotonic, out-of-unit and non-finite logs."""
+        rows = [TRIAL_HEADER] + [f"{0.1 * k},{0.01 * k},0,0,0,{0.001 * k},0" for k in range(n)]
+        for k, row in edit.items():
+            rows[k] = row
+        path = str(tmp_path / "trial.csv")
+        (tmp_path / "trial.csv").write_text("\n".join(rows) + "\n")
+        outcomes = []
+        for read in (_read_trial_csv, prior_read_trial_csv):
+            try:
+                outcomes.append([a.tobytes() for a in read(path)])
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestExtractSteady:
     def test_recovers_equilibrium(self, params, steady_trial):
@@ -446,7 +573,7 @@ class TestExtractSteady:
         window = 2.0
         obs = extract_steady(rec, window, params)
 
-        vel = _smooth_velocity(rec.t, rec.pos)
+        vel = _smooth_velocity(np.diff(rec.t), rec.pos, 0)
         ref = np.empty((rec.t.size, 3))
         for k in range(rec.t.size):
             a = aero_angles(rotation_body_to_inertial(EulerAngles(*rec.euler[k])).T @ vel[k])
@@ -495,20 +622,24 @@ class TestExtractSteady:
         jitter=st.booleans(),
         offset=st.sampled_from([0.0, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
+        head=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_smooth_velocity_matches_savgol(self, n, jitter, offset, seed):
+    def test_smooth_velocity_matches_savgol(self, n, jitter, offset, seed, head):
         """The prebuilt Savitzky-Golay operator reproduces savgol_filter
         (mode "interp", edges included) followed by np.gradient, within
-        1e-12 of the scale of a difference quotient of the positions."""
+        1e-12 of the scale of a difference quotient of the positions, on
+        the rows from any `head` up to n // 2 on."""
         rng = np.random.default_rng(seed)
         dt = 0.005
         t = dt * (np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
                   if jitter else np.arange(n))
         pos = offset + rng.standard_normal((n, 3))
-        ref = reference_smooth_velocity(t, pos)
-        got = _smooth_velocity(t, pos)
+        head = head.draw(st.integers(0, n // 2))
+        ref = reference_smooth_velocity(t, pos)[head:]
+        got = _smooth_velocity(np.diff(t), pos, head)
         scale = np.max(np.abs(pos)) / np.min(np.diff(t))
+        assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
     @given(
@@ -555,6 +686,82 @@ class TestExtractSteady:
         _, rec = steady_trial
         with pytest.raises(ValueError):
             extract_steady(rec, 10.0, params)
+
+    @given(
+        pos_sigma=st.sampled_from([0.0, 3e-4]) | st.floats(0.0, 0.01),
+        angle_sigma=st.sampled_from([0.0, np.radians(0.1)]) | st.floats(0.0, 0.02),
+        window=st.sampled_from([1.0, 2.0, 4.0]),
+        psi0=st.floats(-np.pi, np.pi),
+        seed=st.integers(0, 2**32 - 1),
+        outlier=st.none() | st.integers(0, 17),
+        damped=st.none() | st.sampled_from(("M1", "M2", "M3")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_campaign_matches_prior_bitwise(self, params, model, campaign_settings, pos_sigma,
+                                            angle_sigma, window, psi0, seed, outlier, damped):
+        """On noisy steady-helix campaigns, the tail-only extraction gives
+        the prior extraction's observations bit for bit, and the fit the
+        prior fit's model, rms, condition numbers, exclusions and final rms,
+        with its own load inversion, and with an outlier row and an active
+        damping bound in the loads."""
+        rng = np.random.default_rng(seed)
+        obs = []
+        for k, (sol, dr_x, Fl, Fr) in enumerate(campaign_settings):
+            rec = _helix_record(sol, rng, psi0 + k, pos_sigma, angle_sigma, dr_x, Fl, Fr)
+            got = _outcome(extract_steady, rec, window, params)
+            _assert_same_bits(got, _outcome(prior_extract_steady, rec, window, params))
+            if not isinstance(got, Exception):
+                obs.append(got)
+        obs = mirror_augment(obs)
+        loads = _invert_loads(obs, params) if len(obs) >= 12 else np.zeros((len(obs), 6))
+        if damped is not None:
+            loads = _force_positive_damping(loads, obs, model, damped)
+        if outlier is not None and outlier < len(obs):
+            loads[outlier] *= 3.0
+        for kwargs in ({}, {"loads": list(loads)}):
+            outcomes = []
+            for f in (fit, prior_fit):
+                try:
+                    outcomes.append(f(obs, params, **kwargs))
+                except (InsufficientSpan, RankDeficient) as exc:
+                    outcomes.append(exc)
+            _assert_same_bits(*outcomes)
+
+    @given(
+        n=st.integers(3, 40),
+        spacing=st.sampled_from(["jitter", "uniform", "ragged"]),
+        slack=st.floats(0.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_short_records_match_prior_bitwise(self, params, n, spacing, slack, seed):
+        """On short records with non-uniform, exactly uniform or ragged
+        sample times, and a window that reaches back into the edge-fit rows
+        of the smoother (or, with ragged times, to the first sample), the
+        tail velocities are the prior ones and the extraction gives the
+        prior extraction's observation or exception, bit for bit."""
+        rng = np.random.default_rng(seed)
+        if spacing == "uniform":
+            # Exactly uniform, and not a power of two, so that np.gradient's
+            # uniform form rounds differently from its general one.
+            dt = np.full(n - 1, 0.75)
+        elif spacing == "jitter":
+            dt = 0.3 * rng.uniform(0.95, 1.05, n - 1)
+        else:
+            dt = np.where(rng.random(n - 1) < 0.6, 1e-3, 1.0)
+        t = 10.0 + np.concatenate([[0.0], np.cumsum(dt)])
+        v = np.array([1.0, 0.1, 0.2])
+        pos = t[:, None] * v + 1e-4 * rng.standard_normal((n, 3))
+        euler = np.array([0.05, 0.1, -3.1]) + 1e-3 * rng.standard_normal((n, 3))
+        rec = TrialRecord(trial_id="s", kind="spiral", dr_x=0.01, Fl=0.02, Fr=0.03, t=t,
+                          pos=pos, euler=euler)
+        window = max(t[-1] - t[0] - 1.0 - slack, 0.0)
+        head = max(0, min(n // 2, n - max(2, int(round(window / float(np.median(dt)))))))
+        got = _smooth_velocity(np.diff(t), pos, head)
+        ref = prior_smooth_velocity(t, pos)[head:]
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        _assert_same_bits(_outcome(extract_steady, rec, window, params),
+                          _outcome(prior_extract_steady, rec, window, params))
 
 
 class TestInvertAero:
@@ -720,7 +927,8 @@ class TestFit:
         assert x[18 + j] == 0.0
         kept = [i for i in range(len(grid_obs)) if i not in result.excluded]
         w = _weights(loads[kept])[:, ci]
-        X = _regressors([grid_obs[i] for i in kept], params)[1][j] * w[:, None]
+        x_kept = np.array([(o.alpha, o.beta, o.V, *o.w_b) for o in (grid_obs[i] for i in kept)])
+        X = _regressors(x_kept, params)[1][j] * w[:, None]
         y = loads[kept, ci] * w
         ref = lsq_linear(X, y, bounds=([-np.inf] * 4, [np.inf] * 3 + [0.0]), method="bvls")
         assert ref.x[3] == 0.0
