@@ -199,10 +199,13 @@ def bind(model, rho):
                 qd * cm1 + k1 * p, qd * cm2 + k2 * q, qd * cm3 + k3 * r)
 
     def body_loads(alpha, beta, V, p, q, r):
-        """Body-frame force and torque: `wind_loads` resolved by the
-        wind-to-body rotation."""
+        """Body-frame force and torque: the `wind_loads` expressions
+        resolved by the wind-to-body rotation, without the call."""
+        cd, cs, cl, cm1, cm2, cm3 = coeffs(alpha, beta)
+        qd = half_rho * V * V * a_ref
         return _wind_to_body(cos(alpha), sin(alpha), cos(beta), sin(beta),
-                             *wind_loads(alpha, beta, V, p, q, r))
+                             qd * cd, qd * cs, qd * cl,
+                             qd * cm1 + k1 * p, qd * cm2 + k2 * q, qd * cm3 + k3 * r)
 
     def body_load_partials(alpha, beta, V, p, q, r):
         """Partials of `body_loads` in alpha, beta and V, three 6-tuples,

@@ -128,8 +128,8 @@ def _write_manifest(args, inputs):
 
 
 def _write_csv(path, header, rows, footer=()):
-    """Write the header cells, the `rows` (each a formatted CSV line) and
-    the footer lines."""
+    """Write the header cells, the `rows` (each one or more formatted CSV
+    lines, without the last newline) and the footer lines."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -239,14 +239,13 @@ def cmd_simulate(args):
     header = ["t", "x", "y", "z", "phi", "theta", "psi",
               "u", "v", "w", "p", "q", "r", "rbar_x",
               "alpha", "beta", "V", "R", "Vz"]
-    # One format per row, over Python floats: t, the first 13 states
-    # (through rbar_x) and the analysis columns.
-    row_fmt = ",".join([FLOAT_FMT] * len(header))
-    rows = [row_fmt % (t, *y, *rest) for t, y, *rest in zip(
-        traj.t.tolist(), traj.states[:, :13].tolist(), traj.alpha.tolist(), traj.beta.tolist(),
-        traj.V.tolist(), traj.R.tolist(), traj.Vz.tolist())]
+    # The body in one formatting pass over Python floats: per sample t,
+    # the first 13 states (through rbar_x) and the analysis columns.
+    flat = np.column_stack((traj.t, traj.states[:, :13], traj.alpha, traj.beta, traj.V,
+                            traj.R, traj.Vz)).ravel().tolist()
+    body = "\n".join([",".join([FLOAT_FMT] * len(header))] * len(traj)) % tuple(flat)
     footer = [f"# status={traj.status}"]
-    _write_csv(os.path.join(args.out, "sim.csv"), header, rows, footer)
+    _write_csv(os.path.join(args.out, "sim.csv"), header, [body], footer)
     print(f"simulated {traj.t[-1]:.2f} s, status {traj.status}")
     return 0 if traj.status == "ok" else 1
 

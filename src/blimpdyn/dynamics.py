@@ -6,7 +6,10 @@ copy of the mass terms, the generalized force and torque (the balance),
 its tangents in two families (rates and gravity; velocity), the state
 derivative and its block solve of the body accelerations, all in scalar
 float arithmetic.  The integrator, the steady-state residual and Jacobian
-and the linearization bind once and call the kernel.  The body
+and the linearization bind once and call the kernel.  The derivative
+takes the 15 state components it reads (the Euler angles, v, w, rbar and
+rbardot) as separate floats, so the RK4 loop passes its stage states
+without packing them, and returns all 18 components.  The body
 accelerations and the moving-mass acceleration solve M a = rhs with the
 9x9 block mass matrix
 
@@ -180,7 +183,8 @@ class Kernel(NamedTuple):
     balance: Callable            # (terms, v, w, gcol, rbar, rbardot, Fl, Fr) -> 6 floats
     rate_tangents: Callable      # (terms, v, w, [(dw, dg), ...]) -> list of 6-tuples
     velocity_tangents: Callable  # (terms, w, [dv, ...]) -> list of 6-tuples
-    deriv: Callable              # (y, Fl, Fr, bx, by, bz) -> 18 floats
+    deriv: Callable              # (phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz,
+                                 #  Fl, Fr, bx, by, bz) -> 18 floats
     accelerations: Callable      # (rx, ry, rz, [6 floats (f, t), ...]) -> list of (vdot, wdot) 6-tuples
 
 
@@ -229,10 +233,12 @@ def bind(params, model, legacy=False):
         Axz, Ayz, Azz = Kxy * Kyz - Kxz * Kyy, Kxz * Kyx - Kxx * Kyz, Kxx * Kyy - Kxy * Kyx
         crx, cry, crz = rx, ry, rz
 
-    def deriv(y, Fl, Fr, bx, by, bz):
-        """State derivative of the packed 18-state `y` (a sequence of
-        floats) under thrusts Fl, Fr and moving-mass acceleration
-        (bx, by, bz), as a tuple of 18 floats.
+    def deriv(phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz, Fl, Fr, bx, by, bz):
+        """State derivative under thrusts Fl, Fr and moving-mass
+        acceleration (bx, by, bz), as a tuple of 18 floats in the order of
+        the packed state (`State.as_vector`).  The arguments are the 15
+        state components it reads, as floats: the Euler angles, v, w, rbar
+        and rbardot (the position does not enter the dynamics).
 
         Solves M a = rhs (see the module docstring) by its block
         structure.  Its last block row is [0 0 I], so the moving-mass
@@ -246,7 +252,6 @@ def bind(params, model, legacy=False):
         K the inertia about the composite CG (Itot in the legacy model, whose
         blocks decouple), solved as adj K rhs / det K, kept per rbar (`bind`).
         """
-        (_, _, _, phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz) = y
         if abs(theta) >= pitch_limit:
             raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
         if not (isfinite(phi) and isfinite(theta) and isfinite(psi)):

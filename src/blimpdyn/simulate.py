@@ -35,8 +35,8 @@ class Segment:
     mm_cmd is "goto" (drive the mass to displacement mm_target [m] from its
     home position with a trapezoidal velocity profile) or "hold" (no new
     command: a goto profile still under way runs to its end, so the mass
-    stops on that goto's target).  Thrusts must be finite and non-negative and
-    |mm_target| within the rail limit.
+    stops on that goto's target).  The times must be finite, thrusts finite
+    and non-negative and |mm_target| within the rail limit.
     """
 
     t_start: float
@@ -47,6 +47,8 @@ class Segment:
     mm_target: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError("segment times must be finite")
         if self.t_end <= self.t_start:
             raise ValueError("segment must have positive duration")
         if self.mm_cmd not in ("hold", "goto"):
@@ -75,26 +77,44 @@ class InputSchedule:
         return cls((Segment(0.0, T, Fl, Fr),))
 
 
+_SCHEDULE_COLUMNS = ["t_start", "t_end", "Fl_gf", "Fr_gf", "mm_cmd", "mm_target_cm"]
+
+
 def read_schedule(path):
-    """Load a schedule CSV: t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm."""
+    """Load a schedule CSV: t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm.
+
+    Each row must hold the six fields, with numbers in all but mm_cmd;
+    blank lines are skipped.  A malformed or invalid row raises ValueError
+    naming the file, its line and, for a bad number, the field."""
     segs = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["t_start", "t_end", "Fl_gf", "Fr_gf", "mm_cmd", "mm_target_cm"]
-        if reader.fieldnames != expected:
-            raise ValueError(f"schedule header must be {','.join(expected)}")
+        reader = csv.reader(fh)
+        if next(reader, None) != _SCHEDULE_COLUMNS:
+            raise ValueError(f"{path}: schedule header must be {','.join(_SCHEDULE_COLUMNS)}")
         for row in reader:
-            segs.append(
-                Segment(
-                    t_start=float(row["t_start"]),
-                    t_end=float(row["t_end"]),
-                    Fl=float(row["Fl_gf"]) * GF_TO_N,
-                    Fr=float(row["Fr_gf"]) * GF_TO_N,
-                    mm_cmd=row["mm_cmd"].strip(),
-                    mm_target=float(row["mm_target_cm"]) * 1e-2,
-                )
-            )
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(_SCHEDULE_COLUMNS):
+                raise ValueError(f"{where}: {len(row)} fields, expected {len(_SCHEDULE_COLUMNS)}")
+            t_start, t_end, Fl_gf, Fr_gf, mm_target_cm = (
+                _schedule_number(where, name, cell)
+                for name, cell in zip(_SCHEDULE_COLUMNS, row) if name != "mm_cmd")
+            try:
+                segs.append(Segment(t_start=t_start, t_end=t_end,
+                                    Fl=Fl_gf * GF_TO_N, Fr=Fr_gf * GF_TO_N,
+                                    mm_cmd=row[4].strip(), mm_target=mm_target_cm * 1e-2))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return InputSchedule(tuple(segs))
+
+
+def _schedule_number(where, field, cell):
+    """The number in `cell`, or ValueError naming the row and the field."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{where}: {field} must be a number, got {cell!r}") from None
 
 
 @dataclass(frozen=True)
@@ -150,67 +170,116 @@ def plan_goto_profile(delta, dt):
 def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     """Classical RK4 integration over [0, T] at fixed step dt.
 
-    The vehicle is bound once (`dynamics.bind`) and the state is stepped
-    as a tuple of floats through the kernel's derivative; each step is
-    written into the preallocated state array.  Returns a Trajectory; on
-    gimbal lock or a non-finite state the partial trajectory is returned
-    with the corresponding status flag and the index of the step that
-    failed."""
+    The vehicle is bound once (`dynamics.bind`).  The loop walks the
+    schedule one segment at a time and takes each step on float locals:
+    every stage passes the kernel's derivative the 15 components it reads,
+    y_i + h k_i written out, and the step combines the four stages
+    component by component into the row of the preallocated state array.
+    Returns a Trajectory; on gimbal lock or a non-finite state the partial
+    trajectory is returned with the corresponding status flag and the
+    index of the step that failed."""
     if not (0.0 < dt <= 0.05):
         raise ValueError("dt must be in (0, 0.05]")
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     n = int(math.floor(T / dt + 1e-9))
-    t = np.arange(n + 1) * dt
-    states = np.empty((n + 1, 18))
-    states[0] = state0.as_vector()
     deriv = dynamics.bind(params, model, legacy).deriv
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    isfinite = math.isfinite
+    home_x = float(params.rbar0[0])
 
+    states = np.empty((n + 1, 18))
+    states[0] = state0.as_vector()
+    (xe, ye, ze, phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz) = states[0].tolist()
     status = "ok"
     stop_step = None
-    seg_idx = 0
     segs = sched.segments
-    profile = np.zeros(0)
+    last = len(segs) - 1
+    profile = []          # moving-mass accelerations of the last goto, from step prof_k0
     prof_k0 = 0
-    seg_planned = -1
-
-    y = tuple(states[0].tolist())
-    for k in range(n):
-        tk = t[k]
-        while seg_idx + 1 < len(segs) and tk >= segs[seg_idx].t_end - 1e-9:
-            seg_idx += 1
-        seg = segs[seg_idx]
+    k0 = 0
+    for i, seg in enumerate(segs):
+        # The segment holds from step k0 until the step time reaches its
+        # end (the last segment holds to T); a segment no step starts in
+        # is skipped, its goto unplanned.
+        k1 = n
+        if i < last:
+            k1 = k0
+            while k1 < n and k1 * dt < seg.t_end - 1e-9:
+                k1 += 1
+        if k1 == k0:
+            continue
         Fl, Fr = seg.Fl, seg.Fr
-        if seg.mm_cmd == "goto" and seg_planned != seg_idx:
-            target_x = params.rbar0[0] + seg.mm_target
-            profile = plan_goto_profile(target_x - y[12], dt)
-            prof_k0 = k
-            seg_planned = seg_idx
-        bx = 0.0
-        if prof_k0 <= k < prof_k0 + profile.size:
-            bx = float(profile[k - prof_k0])
-
-        try:
-            k1 = deriv(y, Fl, Fr, bx, 0.0, 0.0)
-            k2 = deriv([a + half_dt * b for a, b in zip(y, k1)], Fl, Fr, bx, 0.0, 0.0)
-            k3 = deriv([a + half_dt * b for a, b in zip(y, k2)], Fl, Fr, bx, 0.0, 0.0)
-            k4 = deriv([a + dt * b for a, b in zip(y, k3)], Fl, Fr, bx, 0.0, 0.0)
-        except GimbalLock:
-            status, stop_step = "gimbal_lock", k
+        if seg.mm_cmd == "goto":
+            profile = plan_goto_profile(home_x + seg.mm_target - rx, dt).tolist()
+            prof_k0 = k0
+        prof_end = prof_k0 + len(profile)
+        for k in range(k0, k1):
+            bx = profile[k - prof_k0] if k < prof_end else 0.0
+            try:
+                (dxe1, dye1, dze1, dphi1, dth1, dpsi1, du1, dv1, dw1, dp1, dq1, dr1,
+                 drx1, dry1, drz1, dsx1, dsy1, dsz1) = deriv(
+                    phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz,
+                    Fl, Fr, bx, 0.0, 0.0)
+                (dxe2, dye2, dze2, dphi2, dth2, dpsi2, du2, dv2, dw2, dp2, dq2, dr2,
+                 drx2, dry2, drz2, dsx2, dsy2, dsz2) = deriv(
+                    phi + half_dt * dphi1, theta + half_dt * dth1, psi + half_dt * dpsi1,
+                    u + half_dt * du1, v + half_dt * dv1, w + half_dt * dw1,
+                    p + half_dt * dp1, q + half_dt * dq1, r + half_dt * dr1,
+                    rx + half_dt * drx1, ry + half_dt * dry1, rz + half_dt * drz1,
+                    sx + half_dt * dsx1, sy + half_dt * dsy1, sz + half_dt * dsz1,
+                    Fl, Fr, bx, 0.0, 0.0)
+                (dxe3, dye3, dze3, dphi3, dth3, dpsi3, du3, dv3, dw3, dp3, dq3, dr3,
+                 drx3, dry3, drz3, dsx3, dsy3, dsz3) = deriv(
+                    phi + half_dt * dphi2, theta + half_dt * dth2, psi + half_dt * dpsi2,
+                    u + half_dt * du2, v + half_dt * dv2, w + half_dt * dw2,
+                    p + half_dt * dp2, q + half_dt * dq2, r + half_dt * dr2,
+                    rx + half_dt * drx2, ry + half_dt * dry2, rz + half_dt * drz2,
+                    sx + half_dt * dsx2, sy + half_dt * dsy2, sz + half_dt * dsz2,
+                    Fl, Fr, bx, 0.0, 0.0)
+                (dxe4, dye4, dze4, dphi4, dth4, dpsi4, du4, dv4, dw4, dp4, dq4, dr4,
+                 drx4, dry4, drz4, dsx4, dsy4, dsz4) = deriv(
+                    phi + dt * dphi3, theta + dt * dth3, psi + dt * dpsi3,
+                    u + dt * du3, v + dt * dv3, w + dt * dw3,
+                    p + dt * dp3, q + dt * dq3, r + dt * dr3,
+                    rx + dt * drx3, ry + dt * dry3, rz + dt * drz3,
+                    sx + dt * dsx3, sy + dt * dsy3, sz + dt * dsz3,
+                    Fl, Fr, bx, 0.0, 0.0)
+            except GimbalLock:
+                status, stop_step = "gimbal_lock", k
+                break
+            except ValueError:
+                # An RK4 stage state with non-finite Euler angles.
+                status, stop_step = "non_finite", k
+                break
+            xe += sixth_dt * (dxe1 + 2.0 * dxe2 + 2.0 * dxe3 + dxe4)
+            ye += sixth_dt * (dye1 + 2.0 * dye2 + 2.0 * dye3 + dye4)
+            ze += sixth_dt * (dze1 + 2.0 * dze2 + 2.0 * dze3 + dze4)
+            phi += sixth_dt * (dphi1 + 2.0 * dphi2 + 2.0 * dphi3 + dphi4)
+            theta += sixth_dt * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4)
+            psi += sixth_dt * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4)
+            u += sixth_dt * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+            v += sixth_dt * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            w += sixth_dt * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+            p += sixth_dt * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
+            q += sixth_dt * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
+            r += sixth_dt * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+            rx += sixth_dt * (drx1 + 2.0 * drx2 + 2.0 * drx3 + drx4)
+            ry += sixth_dt * (dry1 + 2.0 * dry2 + 2.0 * dry3 + dry4)
+            rz += sixth_dt * (drz1 + 2.0 * drz2 + 2.0 * drz3 + drz4)
+            sx += sixth_dt * (dsx1 + 2.0 * dsx2 + 2.0 * dsx3 + dsx4)
+            sy += sixth_dt * (dsy1 + 2.0 * dsy2 + 2.0 * dsy3 + dsy4)
+            sz += sixth_dt * (dsz1 + 2.0 * dsz2 + 2.0 * dsz3 + dsz4)
+            y = (xe, ye, ze, phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz)
+            if not all(map(isfinite, y)):
+                status, stop_step = "non_finite", k
+                break
+            states[k + 1] = y
+        if stop_step is not None:
             break
-        except ValueError:
-            # An RK4 stage state with non-finite Euler angles.
-            status, stop_step = "non_finite", k
-            break
-        y = tuple([a + sixth_dt * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                   for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
-        if not all(map(math.isfinite, y)):
-            status, stop_step = "non_finite", k
-            break
-        states[k + 1] = y
-    k_end = n if stop_step is None else stop_step
-    return _finish_trajectory(t[: k_end + 1], states[: k_end + 1], dt, status, stop_step)
+        k0 = k1
+    m = n + 1 if stop_step is None else stop_step + 1
+    return _finish_trajectory(np.arange(m) * dt, states[:m], dt, status, stop_step)
 
 
 def _inertial_velocity(states):

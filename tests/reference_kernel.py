@@ -353,7 +353,7 @@ def reference_linearize(sol, control, rbar, params, model):
         y = y0.tolist()
         for i, xi in zip(lin_idx, x8.tolist()):
             y[i] = xi
-        ydot = deriv(y, control.Fl, control.Fr, 0.0, 0.0, 0.0)
+        ydot = deriv(*y[3:], control.Fl, control.Fr, 0.0, 0.0, 0.0)
         return np.array([ydot[i] for i in lin_idx])
 
     x0 = y0[_LIN_IDX]

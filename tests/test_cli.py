@@ -9,6 +9,9 @@ import pytest
 import blimpdyn
 from blimpdyn import validation
 from blimpdyn.cli import main
+from blimpdyn.frames import EulerAngles, State
+from blimpdyn.paramio import load_bundled
+from blimpdyn.simulate import integrate, read_schedule
 
 
 def _read_lines(path):
@@ -76,6 +79,8 @@ def test_simulate(tmp_path, capsys):
     "0,2,nan,2,hold,0",
     "0,2,inf,2,hold,0",
     "0,2,2,2,goto,-7",
+    "nan,1,2,2,hold,0",     # a nan start time never compares, so it was accepted
+    "0,inf,2,2,hold,0",
 ])
 def test_simulate_rejects_out_of_range_schedule(tmp_path, capsys, row):
     sched = tmp_path / "sched.csv"
@@ -83,6 +88,44 @@ def test_simulate_rejects_out_of_range_schedule(tmp_path, capsys, row):
     assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out"),
                  "--T", "2"]) == 2
     assert not (tmp_path / "out" / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,2,2,2,hold", "line 2: 5 fields, expected 6"),
+    ("0,2,2,2,hold,0,9", "line 2: 7 fields, expected 6"),
+    ("0,2,x,2,hold,0", "line 2: Fl_gf must be a number, got 'x'"),
+    ("0,x,2,2,hold,0", "line 2: t_end must be a number, got 'x'"),
+])
+def test_simulate_rejects_malformed_schedule_row(tmp_path, capsys, row, message):
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n" + row + "\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out"),
+                 "--T", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"{sched}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "sim.csv").exists()
+
+
+def test_simulate_body_matches_per_row_formatting(tmp_path, capsys):
+    """sim.csv's body, formatted in one pass, is byte for byte the rows
+    formatted one at a time from Python floats, inf radii included."""
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n"
+                     "0,0.2,2,2,hold,0\n0.2,0.3,1.4,2.6,goto,2\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path),
+                 "--T", "0.3", "--dt", "0.01"]) == 0
+    params, model = load_bundled()
+    state0 = State(p=np.zeros(3), e=EulerAngles(0.0, 0.0, 0.0), v=np.zeros(3), w=np.zeros(3),
+                   rbar=params.rbar0, rbardot=np.zeros(3))
+    traj = integrate(state0, read_schedule(str(sched)), params, model, dt=0.01, T=0.3)
+    assert np.isinf(traj.R).any() and np.isfinite(traj.R).any()
+    row_fmt = ",".join(["%.9g"] * 19)
+    rows = [row_fmt % (t, *y, *rest) for t, y, *rest in zip(
+        traj.t.tolist(), traj.states[:, :13].tolist(), traj.alpha.tolist(), traj.beta.tolist(),
+        traj.V.tolist(), traj.R.tolist(), traj.Vz.tolist())]
+    text = (tmp_path / "sim.csv").read_text()
+    assert text.split("\n", 1)[1] == "".join(row + "\n" for row in rows) + "# status=ok\n"
+    assert ",inf," in text
 
 
 @pytest.mark.parametrize("thrusts", ["-1,2", "2,-0.5", "2,nan", "inf,2"])

@@ -11,6 +11,8 @@ and a guard against finite-difference derivatives there.
 - No derivative of a model function is taken by finite differences: the
   package differentiates its model exactly (the kernel's tangents), and
   the finite-difference forms live in the tests as references.
+- The RK4 step of `simulate.integrate`, and the kernel closures it calls,
+  call nothing from numpy: the step runs on Python floats.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -251,3 +253,89 @@ def test_guard_sees_finite_difference_derivatives():
         assert finite_difference_derivatives(ast.parse(src)) == [(1, "difference quotient")]
     assert finite_difference_derivatives(ast.parse("(f(x) - g(x)) / 2.0")) == []
     assert finite_difference_derivatives(ast.parse("counts[k] += 1")) == []
+
+
+def _function(tree, name):
+    """The top-level function `name` of a parsed module."""
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _step_loop(tree):
+    """The RK4 step loop of a parsed module's `integrate`: its one `for k`
+    loop."""
+    loops = [node for node in ast.walk(_function(tree, "integrate"))
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and node.target.id == "k"]
+    assert len(loops) == 1, "integrate has no single `for k` step loop"
+    return loops[0]
+
+
+def _call_root(call):
+    """The name a call's callee starts from (np for np.linalg.solve(...)),
+    or None when it starts from something else (a subscript, a call)."""
+    node = call.func
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def numpy_calls(tree, body):
+    """Where `body`, a node of the parsed module `tree`, calls numpy, as
+    (line, callee) pairs: a call through a name the module binds to numpy
+    or imports from it, or a call of one of the module's top-level
+    functions that calls numpy, however indirectly."""
+    numpy_names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            numpy_names.update(alias.asname or alias.name for alias in node.names
+                               if alias.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            numpy_names.update(alias.asname or alias.name for alias in node.names)
+    calls = {node.name: [_call_root(c) for c in ast.walk(node) if isinstance(c, ast.Call)]
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tainted = set(numpy_names)
+    grown = True
+    while grown:
+        more = {name for name, roots in calls.items() if tainted.intersection(roots)}
+        grown = not more <= tainted
+        tainted |= more
+    return sorted((node.lineno, ast.unparse(node.func)) for node in ast.walk(body)
+                  if isinstance(node, ast.Call) and _call_root(node) in tainted)
+
+
+def test_rk4_step_calls_no_numpy():
+    """The step loop of `simulate.integrate` (its four derivative stages
+    and the combine) and the kernel closures the stages run, those of
+    `dynamics.bind` and `aero.bind`, call nothing from numpy."""
+    trees = dict(_modules())
+    loop = _step_loop(trees["simulate.py"])
+    assert [_call_root(node) for node in ast.walk(loop)
+            if isinstance(node, ast.Call)].count("deriv") == 4
+    assert numpy_calls(trees["simulate.py"], loop) == []
+    for name in ("dynamics.py", "aero.py"):
+        assert numpy_calls(trees[name], _function(trees[name], "bind")) == []
+
+
+def test_numpy_gate_sees_a_violation():
+    """The numpy gate reports a call through the numpy alias, through a
+    name imported from numpy and through a module function that calls
+    numpy by way of another, but not a math call, a method of an array or
+    a call outside the step loop."""
+    src = ("import math\n"
+           "import numpy as np\n"
+           "from numpy.linalg import norm as vnorm\n"
+           "def helper(x):\n    return np.sqrt(x)\n"
+           "def outer(x):\n    return helper(x) + 1.0\n"
+           "def pure(x):\n    return math.sqrt(x)\n"
+           "def integrate(n):\n"
+           "    y = np.zeros(3)\n"
+           "    for k in range(n):\n"
+           "        a = np.linalg.norm(y)\n"
+           "        b = vnorm(y)\n"
+           "        c = outer(k)\n"
+           "        d = pure(k) + math.sqrt(k)\n"
+           "        e = y.tolist()\n")
+    tree = ast.parse(src)
+    assert numpy_calls(tree, _step_loop(tree)) == [
+        (13, "np.linalg.norm"), (14, "vnorm"), (15, "outer")]

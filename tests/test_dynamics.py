@@ -34,10 +34,11 @@ from blimpdyn.frames import (
 
 
 def _deriv(y, Fl, Fr, Fbar, params, model, legacy=False):
-    """`Kernel.deriv` of a freshly bound vehicle at the packed state `y`,
-    as an 18-array."""
+    """`Kernel.deriv` of a freshly bound vehicle at the packed state `y`
+    (its 15 components after the position), as an 18-array."""
     return np.array(bind(params, model, legacy).deriv(
-        np.asarray(y, dtype=float).tolist(), Fl, Fr, *np.asarray(Fbar, dtype=float).tolist()))
+        *np.asarray(y, dtype=float).tolist()[3:], Fl, Fr,
+        *np.asarray(Fbar, dtype=float).tolist()))
 
 
 def _state(phi=0.0, theta=0.1, psi=0.0, v=(0.8, 0.0, 0.1), w=(0.0, 0.0, 0.0),
@@ -179,7 +180,7 @@ def test_bound_kernel_matches_unbound_reference(bundle, sym_bundle, pos, euler, 
         y[spoil[0]] = spoil[1]
     Fl, Fr = thrust
     ref = _outcome(lambda: reference_deriv(np.array(y), Fl, Fr, np.array(Fbar), p, m, legacy))
-    assert _outcome(lambda: bind(p, m, legacy).deriv(y, Fl, Fr, *Fbar)) == ref
+    assert _outcome(lambda: bind(p, m, legacy).deriv(*y[3:], Fl, Fr, *Fbar)) == ref
 
 
 def _outcome(f):
@@ -268,7 +269,7 @@ def test_one_kernel_matches_reference_over_a_call_sequence(vehicles, vehicle, le
             y[spoil[0]] = spoil[1]
         ref = _outcome(lambda: reference_deriv(np.array(y), *thrust, np.array(Fbar), p, m,
                                                legacy))
-        assert _outcome(lambda: deriv(y, *thrust, *Fbar)) == ref, f"call {k}"
+        assert _outcome(lambda: deriv(*y[3:], *thrust, *Fbar)) == ref, f"call {k}"
 
 
 def test_mass_terms_ignore_the_sign_of_a_zero(vehicles):
@@ -304,7 +305,7 @@ def test_deriv_rebuilds_its_entry_only_when_rbar_moves(bundle, monkeypatch, lega
     for k, rbar in enumerate([start, start, start, dz, dx, dy, dy, nan, nan, dy]):
         y[12:15] = rbar
         y[6] = 0.8 + 0.01 * k
-        deriv(y, 0.02, 0.02, 0.0, 0.0, 0.0)
+        deriv(*y[3:], 0.02, 0.02, 0.0, 0.0, 0.0)
     assert [str(r) for r in calls] == [str(r) for r in [start, dz, dx, dy, nan, nan, dy]]
 
 
@@ -320,7 +321,7 @@ def test_bound_kernel_matches_unbound_reference_on_random_states(bundle, sym_bun
         y[12:15] = p.rbar0 + rng.uniform(-0.06, 0.06, 3) * [1.0, 0.2, 0.3]
         Fbar = rng.uniform(-0.5, 0.5, 3)
         Fl, Fr = rng.uniform(0.0, 0.1, 2).tolist()
-        got = bind(p, m, legacy).deriv(y.tolist(), Fl, Fr, *Fbar.tolist())
+        got = bind(p, m, legacy).deriv(*y[3:].tolist(), Fl, Fr, *Fbar.tolist())
         assert np.array(got).tobytes() == reference_deriv(y, Fl, Fr, Fbar, p, m, legacy).tobytes()
 
 
@@ -341,7 +342,7 @@ def test_accelerations_are_the_block_solve_of_deriv(bundle, sym_bundle, legacy):
             Fl, Fr = rng.uniform(0.0, 0.1, 2).tolist()
             ref = reference_deriv(y, Fl, Fr, np.zeros(3), p, m, legacy)
             if k % 2:
-                assert np.array(kernel.deriv(y.tolist(), Fl, Fr, 0.0, 0.0, 0.0)).tobytes() \
+                assert np.array(kernel.deriv(*y[3:].tolist(), Fl, Fr, 0.0, 0.0, 0.0)).tobytes() \
                     == ref.tobytes()
                 continue
             phi, theta, u, v, w = y[3], y[4], *y[6:9]

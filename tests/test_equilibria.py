@@ -432,7 +432,8 @@ def test_solution_state_is_dynamic_equilibrium(params, model):
     dr_x = 0.02
     sol = solve_spiral(dr_x, Fl, Fr, params, model)
     rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-    d = bind(params, model).deriv(sol.state(rbar).as_vector().tolist(), Fl, Fr, 0.0, 0.0, 0.0)
+    d = bind(params, model).deriv(*sol.state(rbar).as_vector()[3:].tolist(), Fl, Fr,
+                                  0.0, 0.0, 0.0)
     assert np.max(np.abs(d[6:9])) < 1e-8
     assert np.max(np.abs(d[9:12])) < 1e-8
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from reference_kernel import reference_integrate
@@ -65,8 +67,14 @@ class TestSchedule:
             InputSchedule((Segment(0, 1, 0.02, 0.02), Segment(2, 3, 0.02, 0.02)))
 
     def test_positive_duration(self):
-        with pytest.raises(ValueError):
+        """A segment needs finite times and a positive duration: nan never
+        compares, so a nan time must be rejected by name."""
+        with pytest.raises(ValueError, match="positive duration"):
             Segment(1.0, 1.0, 0.02, 0.02)
+        for t_start, t_end in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+                               (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)):
+            with pytest.raises(ValueError, match="times must be finite"):
+                Segment(t_start, t_end, 0.02, 0.02)
 
     def test_unknown_command(self):
         with pytest.raises(ValueError):
@@ -99,6 +107,34 @@ class TestSchedule:
         path.write_text("start,end\n0,1\n")
         with pytest.raises(ValueError):
             read_schedule(str(path))
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,5,2,2,hold", "line 3: 5 fields, expected 6"),
+        ("0,5,2,2,hold,0,9", "line 3: 7 fields, expected 6"),
+        ("0", "line 3: 1 fields, expected 6"),
+        ("x,5,2,2,hold,0", "line 3: t_start must be a number, got 'x'"),
+        ("0,5,2,x,hold,0", "line 3: Fr_gf must be a number, got 'x'"),
+        ("0,5,2,2,hold,", "line 3: mm_target_cm must be a number, got ''"),
+        ("nan,5,2,2,hold,0", "line 3: segment times must be finite"),
+        ("0,5,2,2,teleport,0", "line 3: unknown moving-mass command 'teleport'"),
+    ])
+    def test_read_schedule_names_a_malformed_row(self, tmp_path, row, message):
+        """A row of the wrong length, a cell that is no number and a row
+        `Segment` rejects each raise ValueError naming the file and the
+        line (blank lines count as lines), and the field of a bad number."""
+        path = tmp_path / "sched.csv"
+        path.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n\n" + row + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_schedule(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_read_schedule_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n\n"
+                        "0,5,2,2,hold,0\n\n5,10,1.4,2.6,goto,2\n\n")
+        assert read_schedule(str(path)) == InputSchedule((
+            Segment(0.0, 5.0, 2.0 * GF_TO_N, 2.0 * GF_TO_N),
+            Segment(5.0, 10.0, 1.4 * GF_TO_N, 2.6 * GF_TO_N, "goto", 0.02)))
 
 
 class TestGotoProfile:
@@ -255,6 +291,36 @@ def _reference_cases(params, model):
         Segment(0.5, 1.5, 1.4 * gf, 2.6 * gf),
     ))
     overflow, dt_o, T_o = _overflow_run()
+    # The sim_maneuver shape: five back-to-back 0.6 s gotos from rest, each
+    # after the first starting while the mass still moves, under changing
+    # thrusts.
+    gotos = InputSchedule(tuple(
+        Segment(round(0.6 * i, 1), round(0.6 * (i + 1), 1), fl * gf, fr * gf, "goto", target)
+        for i, (fl, fr, target) in enumerate([(1.2, 1.8, 0.03), (2.0, 2.0, -0.015),
+                                               (0.9, 0.4, 0.05), (1.5, 2.5, -0.05),
+                                               (2.2, 0.7, 0.0)])))
+    ends_early = InputSchedule((
+        Segment(0.0, 0.3, 2.0 * gf, 2.0 * gf, mm_cmd="goto", mm_target=0.03),
+        Segment(0.3, 0.7, 1.4 * gf, 2.6 * gf),
+    ))
+    # A segment shorter than dt that holds one step (its goto is planned
+    # there and runs on through the next hold), and one that holds no step
+    # (its goto is never planned); the first ends within the 1e-9 s
+    # tolerance after a grid time, so the second starts at that step.
+    short = InputSchedule((
+        Segment(0.0, 0.3 + 5e-10, 2.0 * gf, 2.0 * gf),
+        Segment(0.3 + 5e-10, 0.302, 1.4 * gf, 2.6 * gf, mm_cmd="goto", mm_target=0.03),
+        Segment(0.302, 0.501, 2.0 * gf, 2.0 * gf),
+        Segment(0.501, 0.503, 0.0, 0.0, mm_cmd="goto", mm_target=-0.05),
+        Segment(0.503, 1.0, 2.6 * gf, 1.4 * gf),
+    ))
+    # Gimbal lock raised by the second stage (at step 2) and by the third
+    # (at step 0); "gimbal_lock" raises it in the fourth.
+    def pitched(theta, v, q):
+        return State(p=np.zeros(3), e=EulerAngles(0.0, theta, 0.0), v=np.array(v),
+                     w=np.array([0.0, q, 0.0]), rbar=params.rbar0, rbardot=np.zeros(3))
+    lock2 = pitched(1.5, [0.0, 0.0, -1.0], 6.0)
+    lock3 = pitched(1.56729, [3.0, 0.0, 1.0], 1.0)
     return {
         "maneuver": (_rest_state(params), maneuver, 0.005, 1.0, False),
         "goto_then_hold": (_rest_state(params), goto_then_hold, 0.005, 1.5, False),
@@ -264,13 +330,21 @@ def _reference_cases(params, model):
         "gimbal_lock": (pitching, InputSchedule.constant(F2, F2, 1.0), 0.005, 1.0, False),
         "euler_nan": (euler_nan, InputSchedule.constant(0.02, 0.02, 0.1), 0.005, 0.1, False),
         "combine_overflow": (_rest_state(params, theta=0.1), overflow, dt_o, T_o, False),
+        "five_gotos": (_rest_state(params), gotos, 0.005, 3.0, False),
+        "five_gotos_legacy": (_rest_state(params), gotos, 0.005, 3.0, True),
+        "ends_before_T": (_rest_state(params), ends_early, 0.005, 1.0, False),
+        "short_segments": (_rest_state(params), short, 0.005, 1.0, False),
+        "gimbal_lock_stage2": (lock2, InputSchedule.constant(F2, F2, 0.05), 0.005, 0.05, False),
+        "gimbal_lock_stage3": (lock3, InputSchedule.constant(F2, F2, 0.05), 0.005, 0.05, False),
     }
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "goto_then_hold",
                                   "hold_from_glide", "hold_legacy", "gimbal_lock", "euler_nan",
-                                  "combine_overflow"])
+                                  "combine_overflow", "five_gotos", "five_gotos_legacy",
+                                  "ends_before_T", "short_segments", "gimbal_lock_stage2",
+                                  "gimbal_lock_stage3"])
 def test_integrate_matches_unbound_reference(params, model, case):
     """The float RK4 on the bound kernel reproduces RK4 on numpy vectors
     through the unbound reference kernel bit for bit: the states, the
@@ -284,6 +358,35 @@ def test_integrate_matches_unbound_reference(params, model, case):
     assert traj.states.tobytes() == ref_states.tobytes()
     if case == "gimbal_lock":
         assert traj.stop_step > 5
+
+
+# The RK4 stage that raises in each failing reference case: a failed step
+# evaluates the derivative up to that stage.
+_FAILED_STAGE = {"gimbal_lock": 4, "gimbal_lock_stage2": 2, "gimbal_lock_stage3": 3,
+                 "euler_nan": 3, "combine_overflow": 4}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["maneuver", "five_gotos", "short_segments", "ends_before_T",
+                                  *_FAILED_STAGE])
+def test_integrate_evaluates_the_derivative_four_times_per_step(params, model, monkeypatch,
+                                                               case):
+    """Each completed step evaluates the derivative exactly four times; a
+    failed step stops at the stage that raised (or after the fourth, when
+    the combined state is not finite)."""
+    calls = []
+    real_bind = dynamics.bind
+
+    def counting_bind(*args, **kwargs):
+        kernel = real_bind(*args, **kwargs)
+        return kernel._replace(deriv=lambda *a: calls.append(1) or kernel.deriv(*a))
+
+    monkeypatch.setattr(dynamics, "bind", counting_bind)
+    s0, sched, dt, T, legacy = _reference_cases(params, model)[case]
+    traj = integrate(s0, sched, params, model, dt=dt, T=T, legacy=legacy)
+    failed_stage = _FAILED_STAGE.get(case, 0)
+    assert (traj.status == "ok") == (traj.stop_step is None) == (not failed_stage)
+    assert len(calls) == 4 * (len(traj) - 1) + failed_stage
 
 
 def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
