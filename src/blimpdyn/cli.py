@@ -301,7 +301,7 @@ def cmd_linearize(args):
         ",".join([str(i), _fmt(ev.real), _fmt(ev.imag)])
         for i, ev in enumerate(sorted(report.eigenvalues, key=lambda z: z.real))
     ]
-    slowest = max(ev.real for ev in report.eigenvalues)
+    slowest = report.slowest_mode.real
     footer = [f"# hurwitz={'true' if report.hurwitz else 'false'}",
               f"# slowest_real={_fmt(slowest)}"]
     _write_csv(os.path.join(args.out, "eigenvalues.csv"),

@@ -9,9 +9,13 @@ unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
 aero partials and the balance tangents of the vehicle's bound kernel
 (`dynamics.bind`), which each solve binds once: theta, phi and psidot
 are rate tangents, V, alpha and beta velocity tangents.  A Newton solve
-builds the mass terms once.  The residual, the Jacobian (as its six
-columns), the trial steps and the norms are Python float arithmetic;
-numpy does only the linear solve of each Newton step.
+builds the mass terms once.  The residual, the Jacobian (as its columns,
+built only for the unknowns being solved for), the trial steps and the
+norms are Python float arithmetic; numpy does only the linear solve of
+each Newton step, by LAPACK's dgesv gufunc
+(`numpy.linalg._umath_linalg.solve1`, the one `np.linalg.solve` calls for a
+vector right-hand side), called directly because the argument checks of
+`np.linalg.solve` cost about three times the solve itself at 3x3 and 6x6.
 A Newton iteration tries at most `MAX_HALVINGS` steps, the full step and
 then half the last one, and then fails with the iteration and the
 residual norm in its message.  A spiral is one Newton solve at its
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from . import aero as aeromod
 from .dynamics import bind
@@ -54,6 +59,10 @@ RAIL_STEPS = 2
 MAX_NEWTON_ITER = 100
 TOL = 1e-9
 MAX_HALVINGS = 12
+
+# The unknowns (theta, V, alpha) of the planar trim, as indices into the six
+# (theta, phi, psidot, V, alpha, beta).
+PLANAR_UNKNOWNS = (0, 3, 4)
 
 # Airspeed [m/s] of the Newton seed of the planar trim.
 SEED_SPEED = 1.0
@@ -139,12 +148,14 @@ def _raw_residual(x, Fl, Fr, rbar, terms, kernel):
     return (ax + fx, ay + fy, az + fz, amx + tx, amy + ty, amz + tz)
 
 
-def _raw_jacobian(x, terms, kernel):
+def _raw_jacobian(x, terms, kernel, unknowns=range(6)):
     """Exact Jacobian of `_raw_residual` in the unknowns
     (theta, phi, psidot, V, alpha, beta) at the moving-mass position whose
     mass terms are `terms`, by the chain rule through
-    `_unknowns_to_kinematics`, as its six columns (one 6-tuple of floats
-    per unknown); the thrusts do not enter it.
+    `_unknowns_to_kinematics`, as the columns of `unknowns` (ascending
+    indices into the six; all six by default), one 6-tuple of floats per
+    unknown; the thrusts do not enter it.  A column is built only when it
+    is asked for, so the planar trim (`PLANAR_UNKNOWNS`) pays for three.
 
     theta and phi turn the down axis, and the rates w = psidot * gcol
     follow it; psidot moves the rates along gcol: these three are rate
@@ -163,18 +174,23 @@ def _raw_jacobian(x, terms, kernel):
     g_phi = (0.0, cphi * cth, -sphi * cth)
     w_theta = (psidot * g_theta[0], psidot * g_theta[1], psidot * g_theta[2])
     w_phi = (0.0, psidot * g_phi[1], psidot * g_phi[2])
-    rate = kernel.rate_tangents(terms, (ca * cb * V, sb * V, sa * cb * V), w_b, (
-        (w_theta, g_theta), (w_phi, g_phi), (gcol, (0.0, 0.0, 0.0))))
-    vel = kernel.velocity_tangents(terms, w_b, (
-        (ca * cb, sb, sa * cb), (-sa * cb * V, 0.0, ca * cb * V), (-ca * sb * V, cb * V, -sa * sb * V)))
+    # (dw, dg) of each rate unknown, and (dv, aero partial) of each velocity one.
+    rate_dirs = ((w_theta, g_theta), (w_phi, g_phi), (gcol, (0.0, 0.0, 0.0)))
+    vel_dirs = (((ca * cb, sb, sa * cb), d_V),
+                ((-sa * cb * V, 0.0, ca * cb * V), d_alpha),
+                ((-ca * sb * V, cb * V, -sa * sb * V), d_beta))
+    rate = [rate_dirs[i] for i in unknowns if i < 3]
+    vel = [vel_dirs[i - 3] for i in unknowns if i >= 3]
     cols = [(fx, fy, fz,
              tx + Kxx * px + Kxy * py + Kxz * pz,
              ty + Kyx * px + Kyy * py + Kyz * pz,
              tz + Kzx * px + Kzy * py + Kzz * pz)
-            for (fx, fy, fz, tx, ty, tz), (px, py, pz) in zip(rate, (w_theta, w_phi, gcol))]
+            for (fx, fy, fz, tx, ty, tz), ((px, py, pz), _)
+            in zip(kernel.rate_tangents(terms, (ca * cb * V, sb * V, sa * cb * V), w_b, rate),
+                   rate)]
     cols += [(fx + ax, fy + ay, fz + az, tx + amx, ty + amy, tz + amz)
-             for (fx, fy, fz, tx, ty, tz), (ax, ay, az, amx, amy, amz)
-             in zip(vel, (d_V, d_alpha, d_beta))]
+             for (fx, fy, fz, tx, ty, tz), (_, (ax, ay, az, amx, amy, amz))
+             in zip(kernel.velocity_tangents(terms, w_b, [dv for dv, _ in vel]), vel)]
     return cols
 
 
@@ -202,7 +218,9 @@ def _rail_derivative(x, rbar, kernel, mbar):
 
 def _rail_position(params, dr_x):
     """Moving-mass position at rail offset dr_x from home, as a float list."""
-    return (params.rbar0 + np.array([dr_x, 0.0, 0.0])).tolist()
+    rx, ry, rz = params.rbar0.tolist()
+    # The adds of the array form it replaces: -0.0 + 0.0 is 0.0.
+    return [rx + float(dr_x), ry + 0.0, rz + 0.0]
 
 
 def _scales(params, rbar):
@@ -217,7 +235,13 @@ def _damped_newton(fun, jac, x0):
     `fun(x)` is the residual and `jac(x)` its exact Jacobian (rows) at the
     float list x, so an iteration costs one Jacobian and one residual per
     trial step of the halving search.  The loop steps Python floats;
-    numpy does only the linear solve of each Newton step."""
+    numpy does only the linear solve of each Newton step, through
+    `_lapack_solve`, LAPACK's dgesv gufunc (`solve1`) that
+    `np.linalg.solve` calls for a vector right-hand side: the same bits,
+    without the argument checks and error-state set-up that cost
+    `np.linalg.solve` about three times the solve.  A singular J gives a
+    non-finite step, which the finite check turns into the least-norm
+    step."""
     x = [float(v) for v in x0]
     f = fun(x)
     fnorm = math.sqrt(sum(v * v for v in f))
@@ -227,7 +251,10 @@ def _damped_newton(fun, jac, x0):
         J = np.array(jac(x))
         minus_f = np.array([-v for v in f])
         try:
-            dx = np.linalg.solve(J, minus_f).tolist()
+            # The gufunc clears every floating-point flag but `invalid`,
+            # which it raises (with a non-finite step) on a singular J.
+            with np.errstate(invalid="ignore"):
+                dx = _lapack_solve(J, minus_f).tolist()
             if not all(map(math.isfinite, dx)):
                 raise np.linalg.LinAlgError("non-finite Newton step")
         except np.linalg.LinAlgError:
@@ -284,7 +311,7 @@ def _initial_alpha(params, model):
         a0 = (cl_needed - model.cl0) / model.cl_a
     else:
         a0 = 0.0
-    return float(np.clip(a0, -0.2, 0.3))
+    return float(min(max(a0, -0.2), 0.3))
 
 
 def _straight_trim(dr_x, F, params, model, kernel):
@@ -305,8 +332,8 @@ def _straight_trim(dr_x, F, params, model, kernel):
 
     def jac3(x3):
         theta, V, alpha = x3
-        c_theta, _, _, c_V, c_alpha, _ = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0),
-                                                        terms, kernel)
+        c_theta, c_V, c_alpha = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel,
+                                              PLANAR_UNKNOWNS)
         return [[c_theta[i] / s, c_V[i] / s, c_alpha[i] / s]
                 for i, s in ((0, fscale), (2, fscale), (4, tscale))]
 

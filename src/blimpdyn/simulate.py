@@ -168,7 +168,9 @@ def plan_goto_profile(delta, dt):
 
 
 def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
-    """Classical RK4 integration over [0, T] at fixed step dt.
+    """Classical RK4 integration over [0, T] at fixed step dt.  The
+    schedule must cover [0, T]: its first segment starts at 0 and its last
+    ends at T or later, to within 1e-9 s; ValueError otherwise.
 
     The vehicle is bound once (`dynamics.bind`).  The loop walks the
     schedule one segment at a time and takes each step on float locals:
@@ -182,6 +184,10 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
         raise ValueError("dt must be in (0, 0.05]")
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
+    t_first, t_last = sched.segments[0].t_start, sched.segments[-1].t_end
+    if abs(t_first) > 1e-9 or t_last < T - 1e-9:
+        raise ValueError(f"schedule covers [{t_first:g}, {t_last:g}] s, "
+                         f"but the run needs [0, {T:g}] s")
     n = int(math.floor(T / dt + 1e-9))
     deriv = dynamics.bind(params, model, legacy).deriv
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0

@@ -90,6 +90,19 @@ def test_simulate_rejects_out_of_range_schedule(tmp_path, capsys, row):
     assert not (tmp_path / "out" / "sim.csv").exists()
 
 
+@pytest.mark.parametrize("row, covers", [("1,2,0,0,hold,0", "[1, 2]"),
+                                         ("0,1,0,0,hold,0", "[0, 1]")])
+def test_simulate_rejects_schedule_that_does_not_cover_the_run(tmp_path, capsys, row, covers):
+    """Neither schedule covers [0, 3]: one starts after 0, the other ends
+    before T."""
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n" + row + "\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out"),
+                 "--T", "3"]) == 2
+    assert f"schedule covers {covers} s, but the run needs [0, 3] s" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sim.csv").exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("0,2,2,2,hold", "line 2: 5 fields, expected 6"),
     ("0,2,2,2,hold,0,9", "line 2: 7 fields, expected 6"),

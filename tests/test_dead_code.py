@@ -13,6 +13,9 @@ and a guard against finite-difference derivatives there.
   the finite-difference forms live in the tests as references.
 - The RK4 step of `simulate.integrate`, and the kernel closures it calls,
   call nothing from numpy: the step runs on Python floats.
+- The steady solvers never call `np.linalg.solve`: the Newton step calls
+  LAPACK's gufunc directly, and numpy's private `_umath_linalg` is
+  imported once in the package, as `equilibria._lapack_solve`.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -339,3 +342,97 @@ def test_numpy_gate_sees_a_violation():
     tree = ast.parse(src)
     assert numpy_calls(tree, _step_loop(tree)) == [
         (13, "np.linalg.norm"), (14, "vnorm"), (15, "outer")]
+
+
+LAPACK_MODULE = "numpy.linalg._umath_linalg"
+
+
+def _import_paths(tree):
+    """The dotted path each name bound by an import of a parsed module
+    stands for (np -> numpy, solve -> numpy.linalg.solve), and where the
+    binding is, as {name: (path, line, at module level)}."""
+    top = set(map(id, tree.body))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                path = alias.name if alias.asname else name
+                bound[name] = (path, node.lineno, id(node) in top)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (f"{node.module}.{alias.name}",
+                                                     node.lineno, id(node) in top)
+    return bound
+
+
+def _resolved(node, bound):
+    """The dotted path an expression of names and attributes stands for,
+    its first name resolved through the module's imports; None for any
+    other expression."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    root = bound.get(node.id, (node.id,))[0]
+    return ".".join([root, *reversed(attrs)])
+
+
+def linalg_solve_calls(tree):
+    """Lines where a parsed module calls `numpy.linalg.solve`, through any
+    import alias."""
+    bound = _import_paths(tree)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _resolved(node.func, bound) == "numpy.linalg.solve"]
+
+
+def _in_lapack_module(path):
+    return path == LAPACK_MODULE or path.startswith(LAPACK_MODULE + ".")
+
+
+def lapack_uses(tree):
+    """Every way a parsed module reaches numpy's private `_umath_linalg`:
+    (line, name, at module level) of each name an import binds to it or
+    to a name in it, and of each plain `import numpy.linalg._umath_linalg`,
+    and (line, dotted path, False) of each attribute path that reaches it
+    from another name (np.linalg._umath_linalg)."""
+    bound = _import_paths(tree)
+    top = set(map(id, tree.body))
+    uses = [(line, name, at_top) for name, (path, line, at_top) in bound.items()
+            if _in_lapack_module(path)]
+    uses += [(node.lineno, alias.name, id(node) in top) for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.asname is None and _in_lapack_module(alias.name)]
+    uses += [(node.lineno, LAPACK_MODULE, False) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and _resolved(node, bound) == LAPACK_MODULE]
+    return sorted(uses)
+
+
+def test_newton_step_does_not_call_np_linalg_solve():
+    trees = dict(_modules())
+    assert linalg_solve_calls(trees["equilibria.py"]) == []
+    assert {name: [use[1:] for use in lapack_uses(tree)] for name, tree in trees.items()
+            if lapack_uses(tree)} == {"equilibria.py": [("_lapack_solve", True)]}
+
+
+def test_linalg_gate_sees_violations():
+    """The gate reports `np.linalg.solve` however it is reached, and every
+    import of, or attribute path through, `_umath_linalg` but a
+    module-level one; `lstsq` and a method named solve pass."""
+    src = ("import numpy as np\n"
+           "import numpy.linalg as la\n"
+           "from numpy.linalg import solve as vsolve\n"
+           "from numpy.linalg._umath_linalg import solve1 as _lapack_solve\n"
+           "def step(J, b, lu):\n"
+           "    x = np.linalg.solve(J, b)\n"
+           "    y = la.solve(J, b) + vsolve(J, b)\n"
+           "    z = np.linalg.lstsq(J, b)[0] + lu.solve(b)\n"
+           "    from numpy.linalg import _umath_linalg\n"
+           "    import numpy.linalg._umath_linalg\n"
+           "    return np.linalg._umath_linalg.solve(J, b) + _umath_linalg.solve1(J, b)\n")
+    tree = ast.parse(src)
+    assert linalg_solve_calls(tree) == [6, 7, 7]
+    assert lapack_uses(tree) == [(4, "_lapack_solve", True), (9, "_umath_linalg", False),
+                                 (10, LAPACK_MODULE, False), (11, LAPACK_MODULE, False)]

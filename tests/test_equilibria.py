@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -16,6 +18,7 @@ from blimpdyn import aero, equilibria
 from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
     MAX_HALVINGS,
+    PLANAR_UNKNOWNS,
     NoConvergence,
     _damped_newton,
     _rail_derivative,
@@ -232,6 +235,67 @@ def test_damped_newton_non_finite_system_raises_no_convergence(capfd, fun, jac):
     assert capfd.readouterr().err == ""
 
 
+def _well_conditioned(n):
+    """A diagonally dominant n x n matrix and a right-hand side."""
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    return st.tuples(st.lists(entries, min_size=n * n, max_size=n * n),
+                     st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)).map(
+        lambda ab: (np.array(ab[0]).reshape(n, n) + n * np.eye(n), np.array(ab[1])))
+
+
+@given(system=st.one_of(_well_conditioned(3), _well_conditioned(6)))
+@settings(max_examples=200, deadline=None)
+def test_step_solve_is_bitwise_np_linalg_solve(system):
+    """The Newton step solve is LAPACK's gufunc called directly: on a 3x3 or
+    6x6 system its solution has the bits of `np.linalg.solve`."""
+    J, b = system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            got = equilibria._lapack_solve(J, b)
+    assert got.tobytes() == np.linalg.solve(J, b).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_singular_jacobian_gives_non_finite_step_without_warning(monkeypatch):
+    """An exactly singular J makes the step solve return a non-finite step,
+    silently, and the least-norm step then solves the consistent system."""
+    steps = []
+    solve = equilibria._lapack_solve
+    monkeypatch.setattr(equilibria, "_lapack_solve",
+                        lambda J, b: steps.append(solve(J, b)) or steps[-1])
+    J = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def fun(x):
+        return [sum(a * v for a, v in zip(row, x)) - c for row, c in zip(J, (1.0, 2.0, 3.0))]
+
+    x, fnorm = _damped_newton(fun, lambda x: J, [0.0, 0.0, 0.0])
+    assert fnorm < 1e-9 and np.allclose(x, [0.2, 0.4, 3.0])
+    assert len(steps) == 1 and not np.isfinite(steps[0]).any()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array(J), np.array([-1.0, -2.0, -3.0]))
+
+
+_below_stall = st.floats(-aero.STALL_ALPHA, aero.STALL_ALPHA)
+
+
+@given(theta=_below_stall, V=st.floats(0.2, 3.0), alpha=_below_stall, dr_x=_rail,
+       symmetric=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_planar_columns_are_bitwise_those_of_the_full_jacobian(bundle, sym_bundle, theta, V,
+                                                               alpha, dr_x, symmetric):
+    """The planar trim's Jacobian, only its (theta, V, alpha) columns built,
+    equals those columns of the six-column Jacobian bit for bit, in every
+    row and so in the (fx, fz, ty) rows the trim solves."""
+    p, m = sym_bundle if symmetric else bundle
+    kernel = bind(p, m)
+    terms = kernel.mass_terms(*(p.rbar0 + np.array([dr_x, 0.0, 0.0])))
+    x = (theta, 0.0, 0.0, V, alpha, 0.0)
+    full = _raw_jacobian(x, terms, kernel)
+    assert (np.array(_raw_jacobian(x, terms, kernel, PLANAR_UNKNOWNS)).tobytes()
+            == np.array([full[i] for i in PLANAR_UNKNOWNS]).tobytes())
+
+
 def _solve_cell(solve, params, model):
     if solve == "straight":
         return solve_straight(0.01, F2, params, model)
@@ -334,6 +398,7 @@ def test_planar_candidate_lateral_residuals_vanish(sym_bundle):
     assert np.linalg.norm(res) < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_balanced_configuration_is_exact_solution(params, model):
     """Neutral buoyancy, no CG offsets, no pitch-moment aero: the at-rest
     level attitude solves the balance exactly, and the solver converges

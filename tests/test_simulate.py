@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,9 +300,12 @@ def _reference_cases(params, model):
         for i, (fl, fr, target) in enumerate([(1.2, 1.8, 0.03), (2.0, 2.0, -0.015),
                                                (0.9, 0.4, 0.05), (1.5, 2.5, -0.05),
                                                (2.2, 0.7, 0.0)])))
-    ends_early = InputSchedule((
+    # The last segment flown runs past T, and the one after it starts
+    # after T: it holds no step, its goto is never planned.
+    ends_late = InputSchedule((
         Segment(0.0, 0.3, 2.0 * gf, 2.0 * gf, mm_cmd="goto", mm_target=0.03),
-        Segment(0.3, 0.7, 1.4 * gf, 2.6 * gf),
+        Segment(0.3, 1.2, 1.4 * gf, 2.6 * gf),
+        Segment(1.2, 2.0, 2.6 * gf, 1.4 * gf, mm_cmd="goto", mm_target=-0.05),
     ))
     # A segment shorter than dt that holds one step (its goto is planned
     # there and runs on through the next hold), and one that holds no step
@@ -332,7 +336,7 @@ def _reference_cases(params, model):
         "combine_overflow": (_rest_state(params, theta=0.1), overflow, dt_o, T_o, False),
         "five_gotos": (_rest_state(params), gotos, 0.005, 3.0, False),
         "five_gotos_legacy": (_rest_state(params), gotos, 0.005, 3.0, True),
-        "ends_before_T": (_rest_state(params), ends_early, 0.005, 1.0, False),
+        "ends_after_T": (_rest_state(params), ends_late, 0.005, 1.0, False),
         "short_segments": (_rest_state(params), short, 0.005, 1.0, False),
         "gimbal_lock_stage2": (lock2, InputSchedule.constant(F2, F2, 0.05), 0.005, 0.05, False),
         "gimbal_lock_stage3": (lock3, InputSchedule.constant(F2, F2, 0.05), 0.005, 0.05, False),
@@ -343,7 +347,7 @@ def _reference_cases(params, model):
 @pytest.mark.parametrize("case", ["maneuver", "maneuver_legacy", "goto_then_hold",
                                   "hold_from_glide", "hold_legacy", "gimbal_lock", "euler_nan",
                                   "combine_overflow", "five_gotos", "five_gotos_legacy",
-                                  "ends_before_T", "short_segments", "gimbal_lock_stage2",
+                                  "ends_after_T", "short_segments", "gimbal_lock_stage2",
                                   "gimbal_lock_stage3"])
 def test_integrate_matches_unbound_reference(params, model, case):
     """The float RK4 on the bound kernel reproduces RK4 on numpy vectors
@@ -367,7 +371,7 @@ _FAILED_STAGE = {"gimbal_lock": 4, "gimbal_lock_stage2": 2, "gimbal_lock_stage3"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("case", ["maneuver", "five_gotos", "short_segments", "ends_before_T",
+@pytest.mark.parametrize("case", ["maneuver", "five_gotos", "short_segments", "ends_after_T",
                                   *_FAILED_STAGE])
 def test_integrate_evaluates_the_derivative_four_times_per_step(params, model, monkeypatch,
                                                                case):
@@ -387,6 +391,27 @@ def test_integrate_evaluates_the_derivative_four_times_per_step(params, model, m
     failed_stage = _FAILED_STAGE.get(case, 0)
     assert (traj.status == "ok") == (traj.stop_step is None) == (not failed_stage)
     assert len(calls) == 4 * (len(traj) - 1) + failed_stage
+
+
+@pytest.mark.parametrize("segments, T, covers", [
+    (((1.0, 2.0),), 3.0, "[1, 2]"),                 # starts after 0
+    (((0.0, 1.0),), 3.0, "[0, 1]"),                 # ends before T
+    (((0.0, 0.3), (0.3, 0.7)), 1.0, "[0, 0.7]"),
+    (((-0.5, 2.0),), 1.0, "[-0.5, 2]"),
+])
+def test_integrate_rejects_a_schedule_that_does_not_cover_the_run(params, model, segments, T,
+                                                                    covers):
+    sched = InputSchedule(tuple(Segment(a, b, 0.02, 0.02) for a, b in segments))
+    with pytest.raises(ValueError, match=re.escape(f"schedule covers {covers} s, "
+                                                   f"but the run needs [0, {T:g}] s")):
+        integrate(_rest_state(params), sched, params, model, dt=0.01, T=T)
+
+
+def test_integrate_accepts_a_schedule_within_the_time_slack(params, model):
+    """The cover check allows the segment walk's 1e-9 s slack at both ends."""
+    sched = InputSchedule((Segment(5e-10, 1.0 - 5e-10, 0.02, 0.02),))
+    traj = integrate(_rest_state(params), sched, params, model, dt=0.01, T=1.0)
+    assert traj.status == "ok" and len(traj) == 101
 
 
 def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
