@@ -9,7 +9,10 @@ float arithmetic.  The integrator, the steady-state residual and Jacobian
 and the linearization bind once and call the kernel.  The derivative
 takes the 15 state components it reads (the Euler angles, v, w, rbar and
 rbardot) as separate floats, so the RK4 loop passes its stage states
-without packing them, and returns all 18 components.  The body
+without packing them, and returns all 18 components.  The balance takes
+the mass terms, then v, w, the inertial down axis, rbar and rbardot as 15
+separate floats, then the thrusts, so neither the derivative nor the
+steady residual packs 3-tuples for it to unpack.  The body
 accelerations and the moving-mass acceleration solve M a = rhs with the
 9x9 block mass matrix
 
@@ -73,7 +76,7 @@ def _bind_balance(params, legacy):
             ),
         )
 
-    def balance(terms, v, w, gcol, rbar, rbardot, Fl, Fr):
+    def balance(terms, vx, vy, vz, wx, wy, wz, gx, gy, gz, rx, ry, rz, sx, sy, sz, Fl, Fr):
         """Generalized force and torque, aerodynamics and the Fbar channel
         excluded, as six floats (fx, fy, fz, tx, ty, tz).
 
@@ -82,15 +85,11 @@ def _bind_balance(params, legacy):
         the gravity torque of the composite CG, the moving-mass velocity
         terms and the propeller thrusts, whose yaw lever arms are rbar_y
         plus or minus d.  `legacy` drops the CG-offset coupling terms.
-        `terms` is `mass_terms(*rbar)`; `v`, `w`, `gcol` (the inertial
-        down axis in body axes), `rbar` and `rbardot` are 3-sequences of
-        floats.
+        `terms` is `mass_terms(rx, ry, rz)`; the body velocity v, the rates
+        w, the inertial down axis in body axes g, rbar and rbardot s come as
+        15 separate floats, so no caller packs them.  The arithmetic is pure,
+        so (n,) arrays work as well as floats.
         """
-        vx, vy, vz = v
-        wx, wy, wz = w
-        gx, gy, gz = gcol
-        rx, ry, rz = rbar
-        sx, sy, sz = rbardot
         (lx, ly, lz), (Ixx, Ixy, Ixz, Iyx, Iyy, Iyz, Izx, Izy, Izz) = terms
         thrust = Fl + Fr
 
@@ -180,7 +179,8 @@ class Kernel(NamedTuple):
 
     aero: aeromod.AeroKernel     # body loads of the model at params.rho
     mass_terms: Callable         # (rx, ry, rz) -> l_g, Itot
-    balance: Callable            # (terms, v, w, gcol, rbar, rbardot, Fl, Fr) -> 6 floats
+    balance: Callable            # (terms, vx, vy, vz, wx, wy, wz, gx, gy, gz, rx, ry, rz,
+                                 #  sx, sy, sz, Fl, Fr) -> 6 floats
     rate_tangents: Callable      # (terms, v, w, [(dw, dg), ...]) -> list of 6-tuples
     velocity_tangents: Callable  # (terms, w, [dv, ...]) -> list of 6-tuples
     deriv: Callable              # (phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz,
@@ -270,10 +270,8 @@ def bind(params, model, legacy=False):
         fax, fay, faz, tax, tay, taz = body_loads(alpha, beta, V, p, q, r)
         if rx != crx or ry != cry or rz != crz:
             rebuild(rx, ry, rz)
-        fx, fy, fz, tx, ty, tz = balance(
-            terms, (u, v, w), (p, q, r), (-sth, cth * sphi, cth * cphi), (rx, ry, rz),
-            (sx, sy, sz), Fl, Fr,
-        )
+        fx, fy, fz, tx, ty, tz = balance(terms, u, v, w, p, q, r, -sth, cth * sphi, cth * cphi,
+                                         rx, ry, rz, sx, sy, sz, Fl, Fr)
 
         fx += fax - mbar * bx
         fy += fay - mbar * by

@@ -9,13 +9,19 @@ unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
 aero partials and the balance tangents of the vehicle's bound kernel
 (`dynamics.bind`), which each solve binds once: theta, phi and psidot
 are rate tangents, V, alpha and beta velocity tangents.  A Newton solve
-builds the mass terms once.  The residual, the Jacobian (as its columns,
-built only for the unknowns being solved for), the trial steps and the
-norms are Python float arithmetic; numpy does only the linear solve of
-each Newton step, by LAPACK's dgesv gufunc
-(`numpy.linalg._umath_linalg.solve1`, the one `np.linalg.solve` calls for a
-vector right-hand side), called directly because the argument checks of
-`np.linalg.solve` cost about three times the solve itself at 3x3 and 6x6.
+builds its moving-mass position, mass terms and residual scales once
+(`_rail_system`), and a spiral's planar seed and its six-equation solve
+share them.  The residual, the Jacobian (as its columns, built only for
+the unknowns being solved for), the trial steps and the norms are Python
+float arithmetic, and the kernel's balance takes the kinematics as
+separate floats.  numpy does two things per Newton step: it scales the
+Jacobian, as one array of the columns transposed and divided by a
+column of the scales (IEEE division is correctly rounded, so each entry
+has the bits of a Python division), and it solves the step, by LAPACK's
+dgesv gufunc (`numpy.linalg._umath_linalg.solve1`, the one
+`np.linalg.solve` calls for a vector right-hand side), called directly
+because the argument checks of `np.linalg.solve` cost about three times
+the solve itself at 3x3 and 6x6; one `np.errstate` covers the whole solve.
 A Newton iteration tries at most `MAX_HALVINGS` steps, the full step and
 then half the last one, and then fails with the iteration and the
 residual norm in its message.  A spiral is one Newton solve at its
@@ -30,6 +36,7 @@ finite differences.
 
 from dataclasses import dataclass
 import math
+from operator import mul
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
@@ -123,18 +130,19 @@ class StabilityReport:
 
 def _unknowns_to_kinematics(x):
     """Map (theta, phi, psidot, V, alpha, beta) to the body velocity, the
-    body rates and the inertial down axis in body axes, as float triples."""
+    body rates and the inertial down axis in body axes: nine floats
+    (vx, vy, vz, wx, wy, wz, gx, gy, gz), in the order `Kernel.balance`
+    takes them."""
     theta, phi, psidot, V, alpha, beta = x
     sth, cth = math.sin(theta), math.cos(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
-    # Body velocity: the wind-to-body rotation applied to (V, 0, 0).
-    v_b = (ca * cb * V, sb * V, sa * cb * V)
     # Steady turn: omega = psidot * R^T k, and R^T k is the down axis.
-    gcol = (-sth, sphi * cth, cphi * cth)
-    w_b = (psidot * gcol[0], psidot * gcol[1], psidot * gcol[2])
-    return v_b, w_b, gcol
+    gx, gy, gz = -sth, sphi * cth, cphi * cth
+    # Body velocity: the wind-to-body rotation applied to (V, 0, 0).
+    return (ca * cb * V, sb * V, sa * cb * V, psidot * gx, psidot * gy, psidot * gz,
+            gx, gy, gz)
 
 
 def _raw_residual(x, Fl, Fr, rbar, terms, kernel):
@@ -142,9 +150,11 @@ def _raw_residual(x, Fl, Fr, rbar, terms, kernel):
     vehicle bound in `kernel` (`dynamics.bind`), at the unknowns `x` and
     the moving-mass position `rbar` (float sequences), whose mass terms
     are `terms` (`kernel.mass_terms(*rbar)`); six floats."""
-    v_b, w_b, gcol = _unknowns_to_kinematics(x)
-    ax, ay, az, amx, amy, amz = kernel.aero.body_loads(x[4], x[5], x[3], *w_b)
-    fx, fy, fz, tx, ty, tz = kernel.balance(terms, v_b, w_b, gcol, rbar, (0.0, 0.0, 0.0), Fl, Fr)
+    vx, vy, vz, wx, wy, wz, gx, gy, gz = _unknowns_to_kinematics(x)
+    rx, ry, rz = rbar
+    ax, ay, az, amx, amy, amz = kernel.aero.body_loads(x[4], x[5], x[3], wx, wy, wz)
+    fx, fy, fz, tx, ty, tz = kernel.balance(terms, vx, vy, vz, wx, wy, wz, gx, gy, gz,
+                                            rx, ry, rz, 0.0, 0.0, 0.0, Fl, Fr)
     return (ax + fx, ay + fy, az + fz, amx + tx, amy + ty, amz + tz)
 
 
@@ -204,15 +214,15 @@ def _rail_derivative(x, rbar, kernel, mbar):
     thrust lever arms do not depend on it.  The balance is affine in the
     mass terms, so the derivative is the balance at the differentiated
     terms less the balance at zero terms."""
-    v_b, w_b, gcol = _unknowns_to_kinematics(x)
+    k = _unknowns_to_kinematics(x)
     rx, ry, rz = rbar
     d_terms = ((mbar, 0.0, 0.0),
                (0.0, -mbar * ry, -mbar * rz,
                 -mbar * ry, 2.0 * mbar * rx, 0.0,
                 -mbar * rz, 0.0, 2.0 * mbar * rx))
-    zero = (0.0, 0.0, 0.0)
-    at_d = kernel.balance(d_terms, v_b, w_b, gcol, rbar, zero, 0.0, 0.0)
-    at_zero = kernel.balance((zero, (0.0,) * 9), v_b, w_b, gcol, rbar, zero, 0.0, 0.0)
+    at_d = kernel.balance(d_terms, *k, rx, ry, rz, 0.0, 0.0, 0.0, 0.0, 0.0)
+    at_zero = kernel.balance(((0.0, 0.0, 0.0), (0.0,) * 9), *k, rx, ry, rz, 0.0, 0.0, 0.0,
+                             0.0, 0.0)
     return tuple(a - b for a, b in zip(at_d, at_zero))
 
 
@@ -229,77 +239,90 @@ def _scales(params, rbar):
     return fscale, tscale
 
 
+def _rail_system(dr_x, params, kernel):
+    """What a Newton solve at rail offset dr_x [m] needs of it: the
+    moving-mass position (a float list), its mass terms and the residual
+    scales (`_scales`)."""
+    if abs(dr_x) > RAIL_LIMIT + 1e-12:
+        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
+    rbar = _rail_position(params, dr_x)
+    return (rbar, kernel.mass_terms(*rbar), *_scales(params, rbar))
+
+
 def _damped_newton(fun, jac, x0):
     """Newton with step halving; returns (x, residual_norm), x an array.
 
-    `fun(x)` is the residual and `jac(x)` its exact Jacobian (rows) at the
-    float list x, so an iteration costs one Jacobian and one residual per
-    trial step of the halving search.  The loop steps Python floats;
-    numpy does only the linear solve of each Newton step, through
+    `fun(x)` is the residual and `jac(x)` its exact Jacobian (rows; an
+    array or nested lists) at the float list x, so an iteration costs one
+    Jacobian and one residual per trial step of the halving search.  The
+    loop steps Python floats and takes each norm as the square root of the
+    builtin `sum` of the squares.  numpy solves each step through
     `_lapack_solve`, LAPACK's dgesv gufunc (`solve1`) that
     `np.linalg.solve` calls for a vector right-hand side: the same bits,
     without the argument checks and error-state set-up that cost
-    `np.linalg.solve` about three times the solve.  A singular J gives a
-    non-finite step, which the finite check turns into the least-norm
-    step."""
-    x = [float(v) for v in x0]
-    f = fun(x)
-    fnorm = math.sqrt(sum(v * v for v in f))
-    for it in range(1, MAX_NEWTON_ITER + 1):
-        if fnorm < TOL:
-            return np.array(x), fnorm
-        J = np.array(jac(x))
-        minus_f = np.array([-v for v in f])
-        try:
-            # The gufunc clears every floating-point flag but `invalid`,
-            # which it raises (with a non-finite step) on a singular J.
-            with np.errstate(invalid="ignore"):
+    `np.linalg.solve` about three times the solve.  The gufunc clears every
+    floating-point flag but `invalid`, which it raises (with a non-finite
+    step) on a singular J; the whole loop runs under one
+    `np.errstate(invalid="ignore")`, which restores the caller's error
+    state however the loop ends.  A non-finite step falls back to the
+    least-norm step."""
+    with np.errstate(invalid="ignore"):
+        x = [float(v) for v in x0]
+        f = fun(x)
+        fnorm = math.sqrt(sum(map(mul, f, f)))
+        for it in range(1, MAX_NEWTON_ITER + 1):
+            if fnorm < TOL:
+                return np.array(x), fnorm
+            J = np.asarray(jac(x))
+            minus_f = np.array([-v for v in f])
+            try:
                 dx = _lapack_solve(J, minus_f).tolist()
-            if not all(map(math.isfinite, dx)):
-                raise np.linalg.LinAlgError("non-finite Newton step")
-        except np.linalg.LinAlgError:
-            if not (np.isfinite(J).all() and np.isfinite(minus_f).all()):
-                raise NoConvergence(f"non-finite Jacobian or residual at iteration {it} "
-                                    f"(residual {fnorm:.3e})") from None
-            # Singular Jacobian: fully balanced configurations have flat
-            # directions (e.g. pitch with zero CG offset and no pitch
-            # stiffness).  Take the least-norm step, which leaves flat
-            # directions untouched.
-            dx = np.linalg.lstsq(J, minus_f, rcond=None)[0].tolist()
-            if not all(map(math.isfinite, dx)):
-                raise NoConvergence(f"singular Jacobian with no usable step at iteration "
-                                    f"{it} (residual {fnorm:.3e})")
-        lam = 1.0
-        for _ in range(MAX_HALVINGS):
-            x_new = [a + lam * b for a, b in zip(x, dx)]
-            f_new = fun(x_new)
-            fnorm_new = math.sqrt(sum(v * v for v in f_new))
-            if fnorm_new < fnorm:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence(f"step halving exhausted at iteration {it} "
-                                f"(residual {fnorm:.3e})")
-        x, f, fnorm = x_new, f_new, fnorm_new
+                if not all(map(math.isfinite, dx)):
+                    raise np.linalg.LinAlgError("non-finite Newton step")
+            except np.linalg.LinAlgError:
+                if not (np.isfinite(J).all() and np.isfinite(minus_f).all()):
+                    raise NoConvergence(f"non-finite Jacobian or residual at iteration {it} "
+                                        f"(residual {fnorm:.3e})") from None
+                # Singular Jacobian: fully balanced configurations have flat
+                # directions (e.g. pitch with zero CG offset and no pitch
+                # stiffness).  Take the least-norm step, which leaves flat
+                # directions untouched.
+                dx = np.linalg.lstsq(J, minus_f, rcond=None)[0].tolist()
+                if not all(map(math.isfinite, dx)):
+                    raise NoConvergence(f"singular Jacobian with no usable step at iteration "
+                                        f"{it} (residual {fnorm:.3e})")
+            lam = 1.0
+            for _ in range(MAX_HALVINGS):
+                x_new = [a + lam * b for a, b in zip(x, dx)]
+                f_new = fun(x_new)
+                fnorm_new = math.sqrt(sum(map(mul, f_new, f_new)))
+                if fnorm_new < fnorm:
+                    break
+                lam *= 0.5
+            else:
+                raise NoConvergence(f"step halving exhausted at iteration {it} "
+                                    f"(residual {fnorm:.3e})")
+            x, f, fnorm = x_new, f_new, fnorm_new
     if fnorm < TOL:
         return np.array(x), fnorm
     raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
 
 
 def _make_solution(x, fnorm, kind):
-    v_b, w_b, _ = _unknowns_to_kinematics(x)
+    theta, phi, psidot, V, alpha, beta = map(float, x)
+    k = _unknowns_to_kinematics(x)
     return SteadySolution(
-        theta=float(x[0]),
-        phi=float(x[1]),
-        psidot=float(x[2]),
-        V=float(x[3]),
-        alpha=float(x[4]),
-        beta=float(x[5]),
-        v_b=np.array(v_b),
-        w_b=np.array(w_b),
+        theta=theta,
+        phi=phi,
+        psidot=psidot,
+        V=V,
+        alpha=alpha,
+        beta=beta,
+        v_b=np.array(k[:3]),
+        w_b=np.array(k[3:6]),
         residual_norm=float(fnorm),
         kind=kind,
-        stalled=abs(x[4]) > aeromod.STALL_ALPHA,
+        stalled=bool(abs(alpha) > aeromod.STALL_ALPHA),
     )
 
 
@@ -314,14 +337,12 @@ def _initial_alpha(params, model):
     return float(min(max(a0, -0.2), 0.3))
 
 
-def _straight_trim(dr_x, F, params, model, kernel):
-    """The planar trim of `solve_straight` on the vehicle bound in
-    `kernel`: (x, residual_norm), x the six unknowns as an array."""
-    if abs(dr_x) > RAIL_LIMIT + 1e-12:
-        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
-    rbar = _rail_position(params, dr_x)
-    terms = kernel.mass_terms(*rbar)
-    fscale, tscale = _scales(params, rbar)
+def _straight_trim(F, system, params, model, kernel):
+    """The planar trim of `solve_straight` at equal thrust F on the vehicle
+    bound in `kernel`, at the rail position of `system` (`_rail_system`):
+    (x, residual_norm), x the six unknowns as an array."""
+    rbar, terms, fscale, tscale = system
+    scale = np.array([[fscale], [fscale], [tscale]])
 
     # Rows (fx, fz, ty), columns (theta, V, alpha) of the full system.
     def fun3(x3):
@@ -332,10 +353,8 @@ def _straight_trim(dr_x, F, params, model, kernel):
 
     def jac3(x3):
         theta, V, alpha = x3
-        c_theta, c_V, c_alpha = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel,
-                                              PLANAR_UNKNOWNS)
-        return [[c_theta[i] / s, c_V[i] / s, c_alpha[i] / s]
-                for i, s in ((0, fscale), (2, fscale), (4, tscale))]
+        return np.array(_raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel,
+                                      PLANAR_UNKNOWNS)).T[::2] / scale
 
     a0 = _initial_alpha(params, model)
     x3, fnorm = _damped_newton(fun3, jac3, (a0, SEED_SPEED, a0))
@@ -346,33 +365,35 @@ def solve_straight(dr_x, F, params, model):
     """Planar straight-line trim at moving-mass displacement dr_x [m] with
     equal per-propeller thrust F [N].  Solves (theta, V, alpha) with
     beta = phi = psidot = 0."""
-    x, fnorm = _straight_trim(dr_x, F, params, model, bind(params, model))
+    kernel = bind(params, model)
+    x, fnorm = _straight_trim(F, _rail_system(dr_x, params, kernel), params, model, kernel)
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
     return _make_solution(x, fnorm, "straight")
 
 
-def _spiral_newton(x0, Fl, Fr, rbar, params, kernel):
-    fscale, tscale = _scales(params, rbar)
-    terms = kernel.mass_terms(*rbar)
+def _spiral_newton(x0, Fl, Fr, system, kernel):
+    """The six-equation Newton solve at thrusts Fl, Fr from x0, at the rail
+    position of `system` (`_rail_system`)."""
+    rbar, terms, fscale, tscale = system
+    scale = np.array([[fscale]] * 3 + [[tscale]] * 3)
 
     def fun6(xx):
         fx, fy, fz, tx, ty, tz = _raw_residual(xx, Fl, Fr, rbar, terms, kernel)
         return (fx / fscale, fy / fscale, fz / fscale, tx / tscale, ty / tscale, tz / tscale)
 
     def jac6(xx):
-        rows = list(zip(*_raw_jacobian(xx, terms, kernel)))
-        return ([[v / fscale for v in row] for row in rows[:3]]
-                + [[v / tscale for v in row] for row in rows[3:]])
+        return np.array(_raw_jacobian(xx, terms, kernel)).T / scale
 
     return _damped_newton(fun6, jac6, x0)
 
 
 def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel):
     """One Newton solve at the given thrusts, seeded from the planar trim
-    at the mean thrust."""
-    x0, _ = _straight_trim(dr_x, 0.5 * (Fl + Fr), params, model, kernel)
-    return _spiral_newton(x0, Fl, Fr, _rail_position(params, dr_x), params, kernel)
+    at the mean thrust; both at the one rail position of dr_x."""
+    system = _rail_system(dr_x, params, kernel)
+    x0, _ = _straight_trim(0.5 * (Fl + Fr), system, params, model, kernel)
+    return _spiral_newton(x0, Fl, Fr, system, kernel)
 
 
 def solve_spiral(dr_x, Fl, Fr, params, model):
@@ -408,9 +429,10 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
                                   np.negative(_rail_derivative(x, rbar, kernel, params.mbar)),
                                   rcond=None)[0]
         x = x + (dr_k - dr_prev) * tangent
-        dr_prev, rbar = dr_k, _rail_position(params, dr_k)
+        system = _rail_system(dr_k, params, kernel)
+        dr_prev, rbar = dr_k, system[0]
         try:
-            x, fnorm = _spiral_newton(x, Fl, Fr, rbar, params, kernel)
+            x, fnorm = _spiral_newton(x, Fl, Fr, system, kernel)
         except NoConvergence as exc:
             if dr_k != dr_x:
                 raise ContinuationBreakdown(

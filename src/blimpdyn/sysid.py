@@ -423,8 +423,8 @@ def _bind_inversion(params):
         # rotation; gcol, the inertial down axis, is independent of yaw.
         cacb, sacb = ca * cb, sa * cb
         fx, fy, fz, tx, ty, tz = balance(
-            mass_terms(*rbar), (V * cacb, V * sb, V * sacb), w,
-            (-sth, cth * sphi, cth * cphi), rbar, (0.0, 0.0, 0.0), Fl, Fr)
+            mass_terms(*rbar), V * cacb, V * sb, V * sacb, *w,
+            -sth, cth * sphi, cth * cphi, *rbar, 0.0, 0.0, 0.0, Fl, Fr)
         casb, sasb = ca * sb, sa * sb
         return (
             cacb * fx + sb * fy + sacb * fz,

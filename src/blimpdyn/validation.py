@@ -117,7 +117,7 @@ def criterion_4():
     sol = solve_straight(0.0, F, params, model)
     A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
     report = eigen_report(A)
-    slowest = report.slowest_mode.real
+    slowest = float(report.slowest_mode.real)
     primary = report.hurwitz and abs(slowest - (-0.37)) <= 0.10
     degraded = report.hurwitz and -0.6 <= slowest <= -0.15
     detail = f"hurwitz={report.hurwitz}, slowest {slowest:.4f} 1/s (-0.37 +- 0.10)"

@@ -17,6 +17,9 @@ keeps its arithmetic but sums the squares of its norm in another order,
 so its norms may differ in the last bits.  The steady Jacobian applies the
 product rule to one general (dv, dw, dg) tangent per unknown, as it did
 before the kernel split its tangents into a velocity and a rate family.
+The scaled Jacobians the planar trim and the spiral solve hand the Newton
+loop are built here as nested lists, dividing entry by entry in Python:
+the array form of `equilibria` must have their bits.
 """
 
 import math
@@ -25,7 +28,14 @@ import numpy as np
 
 from blimpdyn import aero
 from blimpdyn.dynamics import SingularMass, bind
-from blimpdyn.equilibria import MAX_HALVINGS, MAX_NEWTON_ITER, TOL, NoConvergence
+from blimpdyn.equilibria import (
+    MAX_HALVINGS,
+    MAX_NEWTON_ITER,
+    PLANAR_UNKNOWNS,
+    TOL,
+    NoConvergence,
+    _raw_jacobian,
+)
 from blimpdyn.frames import GIMBAL_EPS, V_MIN, GimbalLock
 from blimpdyn.simulate import plan_goto_profile
 
@@ -262,6 +272,26 @@ def reference_damped_newton(fun, jac, x0):
     if fnorm < TOL:
         return x, fnorm
     raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
+
+
+def reference_planar_jacobian(x3, terms, kernel, fscale, tscale):
+    """The scaled Jacobian of the planar trim at (theta, V, alpha), rows
+    (fx, fz, ty), as nested lists: each entry divided by its row's scale
+    in Python."""
+    theta, V, alpha = x3
+    c_theta, c_V, c_alpha = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel,
+                                          PLANAR_UNKNOWNS)
+    return [[c_theta[i] / s, c_V[i] / s, c_alpha[i] / s]
+            for i, s in ((0, fscale), (2, fscale), (4, tscale))]
+
+
+def reference_spiral_jacobian(x, terms, kernel, fscale, tscale):
+    """The scaled six-equation Jacobian at the unknowns x as nested lists:
+    the columns transposed with `zip`, each entry divided by its row's
+    scale in Python."""
+    rows = list(zip(*_raw_jacobian(x, terms, kernel)))
+    return ([[v / fscale for v in row] for row in rows[:3]]
+            + [[v / tscale for v in row] for row in rows[3:]])
 
 
 def reference_balance_tangents(terms, v, w, gcol, tangents, params):

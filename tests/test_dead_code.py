@@ -13,6 +13,9 @@ and a guard against finite-difference derivatives there.
   the finite-difference forms live in the tests as references.
 - The RK4 step of `simulate.integrate`, and the kernel closures it calls,
   call nothing from numpy: the step runs on Python floats.
+- The steady model evaluations of a Newton step (`equilibria`'s
+  kinematics, residual, Jacobian columns and rail derivative, and the
+  kernel's `balance`) call nothing from numpy either.
 - The steady solvers never call `np.linalg.solve`: the Newton step calls
   LAPACK's gufunc directly, and numpy's private `_umath_linalg` is
   imported once in the package, as `equilibria._lapack_solve`.
@@ -342,6 +345,63 @@ def test_numpy_gate_sees_a_violation():
     tree = ast.parse(src)
     assert numpy_calls(tree, _step_loop(tree)) == [
         (13, "np.linalg.norm"), (14, "vnorm"), (15, "outer")]
+
+
+# The model evaluations of a steady Newton step, in `equilibria`.
+STEADY_FLOAT_FUNCTIONS = ("_unknowns_to_kinematics", "_raw_residual", "_raw_jacobian",
+                          "_rail_derivative")
+
+
+def _closure(tree, outer, name):
+    """The function `name` defined in the body of the top-level function
+    `outer` of a parsed module."""
+    return next(node for node in _function(tree, outer).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def steady_numpy_calls(equilibria_tree, dynamics_tree):
+    """Where the steady model evaluations call numpy, as
+    {function: [(line, callee), ...]} for each that does: the
+    `STEADY_FLOAT_FUNCTIONS` of the parsed `equilibria`, and the `balance`
+    closure of `_bind_balance` in the parsed `dynamics`."""
+    found = {name: numpy_calls(equilibria_tree, _function(equilibria_tree, name))
+             for name in STEADY_FLOAT_FUNCTIONS}
+    found["balance"] = numpy_calls(dynamics_tree,
+                                   _closure(dynamics_tree, "_bind_balance", "balance"))
+    return {name: calls for name, calls in found.items() if calls}
+
+
+def test_steady_model_calls_no_numpy():
+    """The kinematics, residual, Jacobian columns and rail derivative of the
+    steady solvers, and the kernel's `balance` they call, run on Python
+    floats: numpy only scales the Jacobian and solves the Newton step."""
+    trees = dict(_modules())
+    assert steady_numpy_calls(trees["equilibria.py"], trees["dynamics.py"]) == {}
+
+
+def test_steady_numpy_gate_sees_violations():
+    """The steady gate reports a numpy call in each guarded function, direct,
+    through a name imported from numpy or through a helper, and in the
+    `balance` closure, but not in a clean function or a sibling closure."""
+    equilibria_src = ("import math\n"
+                      "import numpy as np\n"
+                      "from numpy import hypot\n"
+                      "def _kin(x):\n    return np.sin(x)\n"
+                      "def _unknowns_to_kinematics(x):\n    return math.sin(x)\n"
+                      "def _raw_residual(x):\n    return _kin(x)\n"
+                      "def _raw_jacobian(x):\n    return [hypot(x, 1.0)]\n"
+                      "def _rail_derivative(x):\n    return np.subtract(x, 1.0)\n")
+    dynamics_src = ("import numpy as np\n"
+                    "def _bind_balance(params):\n"
+                    "    def mass_terms(r):\n        return np.zeros(3)\n"
+                    "    def balance(v, w):\n        return np.cross(v, w)\n"
+                    "    return mass_terms, balance\n")
+    assert steady_numpy_calls(ast.parse(equilibria_src), ast.parse(dynamics_src)) == {
+        "_raw_residual": [(9, "_kin")],
+        "_raw_jacobian": [(11, "hypot")],
+        "_rail_derivative": [(13, "np.subtract")],
+        "balance": [(6, "np.cross")],
+    }
 
 
 LAPACK_MODULE = "numpy.linalg._umath_linalg"

@@ -347,9 +347,9 @@ def test_accelerations_are_the_block_solve_of_deriv(bundle, sym_bundle, legacy):
                 continue
             phi, theta, u, v, w = y[3], y[4], *y[6:9]
             sth, cth = math.sin(theta), math.cos(theta)
-            rest = kernel.balance(kernel.mass_terms(*rbar), y[6:9].tolist(), y[9:12].tolist(),
-                                  (-sth, cth * math.sin(phi), cth * math.cos(phi)), rbar,
-                                  (0.0, 0.0, 0.0), Fl, Fr)
+            rest = kernel.balance(kernel.mass_terms(*rbar), *y[6:12].tolist(),
+                                  -sth, cth * math.sin(phi), cth * math.cos(phi), *rbar,
+                                  0.0, 0.0, 0.0, Fl, Fr)
             aero = kernel.aero.body_loads(math.atan2(w, u), math.atan2(v, math.hypot(u, w)),
                                           math.sqrt(u * u + v * v + w * w), *y[9:12])
             got, = kernel.accelerations(*rbar, [[a + b for a, b in zip(rest, aero)]])

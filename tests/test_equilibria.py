@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from reference_kernel import (
     _body_loads,
     reference_damped_newton,
     reference_linearize,
+    reference_planar_jacobian,
     reference_raw_jacobian,
+    reference_spiral_jacobian,
 )
 from reference_matrix import reference_rhs, steady_residual, wind_matrix
 
@@ -296,6 +299,60 @@ def test_planar_columns_are_bitwise_those_of_the_full_jacobian(bundle, sym_bundl
             == np.array([full[i] for i in PLANAR_UNKNOWNS]).tobytes())
 
 
+@given(x=_unknowns, dr_x=_rail, symmetric=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_scaled_jacobians_are_bitwise_the_nested_list_form(bundle, sym_bundle, x, dr_x,
+                                                          symmetric):
+    """The Jacobians the planar trim and the spiral solve hand the Newton
+    loop, each one array of the columns transposed and divided by a column
+    of the scales, are bitwise the nested lists divided entry by entry in
+    Python, on the stock and symmetrized vehicles."""
+    p, m = sym_bundle if symmetric else bundle
+    kernel = bind(p, m)
+    jacs = []
+    with mock.patch.object(equilibria, "_damped_newton",
+                           lambda fun, jac, x0: jacs.append(jac) or (np.array(x0, dtype=float),
+                                                                     0.0)):
+        equilibria._solve_spiral_direct(dr_x, 0.5 * F2, 1.5 * F2, p, m, kernel)
+    jac3, jac6 = jacs
+    _, terms, fscale, tscale = equilibria._rail_system(dr_x, p, kernel)
+    theta, _, _, V, alpha, _ = x
+    for got, ref in ((jac3([theta, V, alpha]),
+                      reference_planar_jacobian((theta, V, alpha), terms, kernel, fscale, tscale)),
+                     (jac6(list(x)), reference_spiral_jacobian(x, terms, kernel, fscale, tscale))):
+        ref = np.array(ref)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("fun, jac, n, failure", [
+    pytest.param(lambda x: [x[0] - 1.0], lambda x: [[1.0]], 1, None, id="converged"),
+    pytest.param(lambda x: [1.0, 1.0], lambda x: np.eye(2), 2, "step halving exhausted",
+                 id="halving-exhausted"),
+    pytest.param(lambda x: [np.inf, 1.0], lambda x: np.eye(2), 2,
+                 "non-finite Jacobian or residual", id="non-finite"),
+    # The step -f / 1e-300 overflows, and so does the least-norm step.
+    pytest.param(lambda x: [1e10, 1e10], lambda x: [[1e-300, 0.0], [0.0, 1e-300]], 2,
+                 "singular Jacobian with no usable step", id="no-usable-step"),
+    # Each step lowers the residual by a factor 1 - 1e-6 only.
+    pytest.param(lambda x: [x[0] - 1.0], lambda x: [[1e6]], 1, "after 100 iterations",
+                 id="iteration-cap"),
+])
+def test_damped_newton_restores_the_error_state(fun, jac, n, failure):
+    """The Newton loop ignores numpy's `invalid` flag while it runs, and the
+    caller's error state is back in place when it returns and after each
+    of its `NoConvergence` exits."""
+    with np.errstate(divide="warn", over="raise", under="warn", invalid="raise"):
+        before = np.geterr()
+        if failure is None:
+            x, fnorm = _damped_newton(fun, jac, [0.0] * n)
+            assert fnorm < 1e-9 and x.tolist() == [1.0]
+        else:
+            with pytest.raises(NoConvergence, match=failure):
+                _damped_newton(fun, jac, [0.0] * n)
+        assert np.geterr() == before
+
+
 def _solve_cell(solve, params, model):
     if solve == "straight":
         return solve_straight(0.01, F2, params, model)
@@ -326,6 +383,16 @@ def test_float_newton_matches_array_reference(params, model, monkeypatch, solve)
             == [getattr(ref, k).hex() for k in unknowns])
     assert got.v_b.tobytes() == ref.v_b.tobytes() and got.w_b.tobytes() == ref.w_b.tobytes()
     assert abs(got.residual_norm - ref.residual_norm) <= 4 * np.spacing(ref.residual_norm)
+
+
+@pytest.mark.parametrize("solve", ["straight", "direct", "fallback"])
+def test_stalled_is_a_python_bool(params, model, solve):
+    """`SteadySolution.stalled` is a `bool`, not a numpy scalar, on a planar
+    trim, a direct spiral cell and a cell that takes the moving-mass
+    fallback, so it packs into bytes and compares by identity."""
+    sol = _solve_cell(solve, params, model)
+    assert type(sol.stalled) is bool
+    assert bytes([sol.stalled]) == b"\x00"
 
 
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [
