@@ -309,20 +309,19 @@ def _damped_newton(fun, jac, x0):
 
 
 def _make_solution(x, fnorm, kind):
-    theta, phi, psidot, V, alpha, beta = map(float, x)
     k = _unknowns_to_kinematics(x)
     return SteadySolution(
-        theta=theta,
-        phi=phi,
-        psidot=psidot,
-        V=V,
-        alpha=alpha,
-        beta=beta,
+        theta=float(x[0]),
+        phi=float(x[1]),
+        psidot=float(x[2]),
+        V=float(x[3]),
+        alpha=float(x[4]),
+        beta=float(x[5]),
         v_b=np.array(k[:3]),
         w_b=np.array(k[3:6]),
         residual_norm=float(fnorm),
         kind=kind,
-        stalled=bool(abs(alpha) > aeromod.STALL_ALPHA),
+        stalled=bool(abs(x[4]) > aeromod.STALL_ALPHA),
     )
 
 
