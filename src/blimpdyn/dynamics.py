@@ -87,8 +87,7 @@ def _bind_balance(params, legacy):
         plus or minus d.  `legacy` drops the CG-offset coupling terms.
         `terms` is `mass_terms(rx, ry, rz)`; the body velocity v, the rates
         w, the inertial down axis in body axes g, rbar and rbardot s come as
-        15 separate floats, so no caller packs them.  The arithmetic is pure,
-        so (n,) arrays work as well as floats.
+        15 separate floats, so no caller packs them.
         """
         (lx, ly, lz), (Ixx, Ixy, Ixz, Iyx, Iyy, Iyz, Izx, Izy, Izz) = terms
         thrust = Fl + Fr

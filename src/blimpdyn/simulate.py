@@ -168,9 +168,10 @@ def plan_goto_profile(delta, dt):
 
 
 def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
-    """Classical RK4 integration over [0, T] at fixed step dt.  The
-    schedule must cover [0, T]: its first segment starts at 0 and its last
-    ends at T or later, to within 1e-9 s; ValueError otherwise.
+    """Classical RK4 integration over [0, T] at fixed step dt.  T must be
+    a whole number of steps, and the schedule must cover [0, T]: its first
+    segment starts at 0 and its last ends at T or later, each to within
+    1e-9 s; ValueError otherwise.
 
     The vehicle is bound once (`dynamics.bind`).  The loop walks the
     schedule one segment at a time and takes each step on float locals:
@@ -188,7 +189,9 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     if abs(t_first) > 1e-9 or t_last < T - 1e-9:
         raise ValueError(f"schedule covers [{t_first:g}, {t_last:g}] s, "
                          f"but the run needs [0, {T:g}] s")
-    n = int(math.floor(T / dt + 1e-9))
+    n = round(T / dt)
+    if abs(n * dt - T) > 1e-9:
+        raise ValueError(f"T = {T:g} s is not a whole number of steps of dt = {dt:g} s")
     deriv = dynamics.bind(params, model, legacy).deriv
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
@@ -314,8 +317,8 @@ def _finish_trajectory(t, states, dt, status, stop_step):
 def turning_radius_series(traj, window):
     """Per-sample horizontal turning radius, median-smoothed over `window`
     seconds.  Samples with |psidot| below PSIDOT_MIN report inf."""
-    if window < 10 * traj.dt - 1e-12:
-        raise ValueError("window must be at least 10 dt")
+    if not 10 * traj.dt - 1e-12 <= window < math.inf:
+        raise ValueError(f"window must be finite and at least 10 dt, got {window!r}")
     n = len(traj)
     hs = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
     slow = np.abs(traj.psidot) < PSIDOT_MIN

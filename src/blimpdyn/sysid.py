@@ -16,15 +16,14 @@ The position smoother is a Savitzky-Golay operator built once per window
 length: the least-squares projection onto quadratics, whose middle row is
 the interior convolution and whose outer rows are the edge fits.  The
 extraction smooths and differentiates only the tail of a log that its
-windows read.  The load inversion is one function of pure arithmetic
-(the bound balance of `dynamics._bind_balance` and the body-to-wind
-rotation), which `fit` runs once over arrays of all observations and
-`invert_aero` over the floats of one.  The model is linear in its
-coefficients and each load channel has its own, so the fit is an exact
-weighted least-squares solve per channel, done as two stacked solves (the
-three forces and the three moments), each one batched SVD that also gives
-the condition numbers; the bound damping <= 0 is met by one active-set
-step.
+windows read.  The load inversion is one function of an observation, on
+floats (`math` trig, the bound balance of `dynamics._bind_balance` and
+the body-to-wind rotation), which `fit` maps over the observations and
+`invert_aero` calls on one.  The model is linear in its coefficients and
+each load channel has its own, so the fit is an exact weighted
+least-squares solve per channel, done as two stacked solves (the three
+forces and the three moments), each one batched SVD that also gives the
+condition numbers; the bound damping <= 0 is met by one active-set step.
 """
 
 import csv
@@ -327,6 +326,8 @@ def extract_steady(rec, window, params):
     final window is the only one and starts before the half: the 4 s
     window on a 6 s log covers its last two thirds.  Velocities are
     smoothed and differentiated on the tail only."""
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window!r}")
     duration = rec.t[-1] - rec.t[0]
     if duration < window + 1.0:
         raise ValueError("record shorter than window + 1 s")
@@ -404,27 +405,33 @@ def observation_from_solution(sol, dr_x, Fl, Fr, params):
 
 
 def _bind_inversion(params):
-    """The load inversion of `params` as one function of pure arithmetic,
-    so that it takes floats or (n,) arrays alike.
+    """The load inversion of `params`: one function of a steady observation
+    that returns its wind-frame loads (D, S, L, M1, M2, M3) as six floats.
 
     The steady balance says the aero loads cancel the rest of the
     generalized force and torque (the balance bound by
     `dynamics._bind_balance`, computable from the observation and
     parameters); the negated remainder is resolved into the wind frame by
     the transpose of the wind-to-body rotation, with the sign conventions
-    D = -x, S = +y, L = -z.  The caller passes the cosines and sines of
-    alpha, beta, theta and phi, the body rates `w` and the moving-mass
-    position `rbar` as 3-sequences, and the thrusts."""
+    D = -x, S = +y, L = -z.  An observation whose airspeed, sideslip or
+    attitude lies outside the domain of `AeroAngles` or `EulerAngles`
+    raises their ValueError."""
     mass_terms, balance = _bind_balance(params, False)[:2]
+    cos, sin = math.cos, math.sin
 
-    def invert(V, ca, sa, cb, sb, cth, sth, cphi, sphi, w, rbar, Fl, Fr):
-        """Wind-frame loads (D, S, L, M1, M2, M3)."""
+    def invert(obs):
+        """Wind-frame loads (D, S, L, M1, M2, M3) of one observation."""
+        _check_angles(obs)
+        V, a, b, th, ph = obs.V, obs.alpha, obs.beta, obs.theta, obs.phi
+        ca, sa, cb, sb = cos(a), sin(a), cos(b), sin(b)
+        cth, sth, cphi, sphi = cos(th), sin(th), cos(ph), sin(ph)
+        rx, ry, rz = obs.rbar.tolist()
         # The body velocity is V times the first column of the wind-to-body
         # rotation; gcol, the inertial down axis, is independent of yaw.
         cacb, sacb = ca * cb, sa * cb
         fx, fy, fz, tx, ty, tz = balance(
-            mass_terms(*rbar), V * cacb, V * sb, V * sacb, *w,
-            -sth, cth * sphi, cth * cphi, *rbar, 0.0, 0.0, 0.0, Fl, Fr)
+            mass_terms(rx, ry, rz), V * cacb, V * sb, V * sacb, *obs.w_b.tolist(),
+            -sth, cth * sphi, cth * cphi, rx, ry, rz, 0.0, 0.0, 0.0, obs.Fl, obs.Fr)
         casb, sasb = ca * sb, sa * sb
         return (
             cacb * fx + sb * fy + sacb * fz,
@@ -448,33 +455,7 @@ def _check_angles(obs):
 def invert_aero(obs, params):
     """Wind-frame aerodynamic loads implied by one steady observation (see
     `_bind_inversion`)."""
-    _check_angles(obs)
-    cos, sin = math.cos, math.sin
-    a, b, th, ph = obs.alpha, obs.beta, obs.theta, obs.phi
-    loads = _bind_inversion(params)(
-        obs.V, cos(a), sin(a), cos(b), sin(b), cos(th), sin(th), cos(ph), sin(ph),
-        np.asarray(obs.w_b, dtype=float).tolist(), np.asarray(obs.rbar, dtype=float).tolist(),
-        obs.Fl, obs.Fr)
-    return aeromod.AeroLoads(*loads)
-
-
-def _invert_loads(observations, params):
-    """`invert_aero` of every observation in one pass over arrays; an (n, 6)
-    array, one row of loads per observation."""
-    V, a, b, th, ph, Fl, Fr = np.array(
-        [(o.V, o.alpha, o.beta, o.theta, o.phi, o.Fl, o.Fr) for o in observations], dtype=float).T
-    # The domain of `_check_angles`; its error is that of the first
-    # observation outside it, as a per-observation loop would raise.
-    bad = np.flatnonzero((V < 0) | (np.abs(b) > np.pi / 2 + 1e-12)
-                         | ~np.isfinite(th) | ~np.isfinite(ph))
-    if bad.size:
-        _check_angles(observations[bad[0]])
-    w = np.array([o.w_b for o in observations], dtype=float).T
-    rbar = np.array([o.rbar for o in observations], dtype=float).T
-    cos, sin = np.cos, np.sin
-    return np.column_stack(_bind_inversion(params)(
-        V, cos(a), sin(a), cos(b), sin(b), cos(th), sin(th), cos(ph), sin(ph),
-        tuple(w), tuple(rbar), Fl, Fr))
+    return aeromod.AeroLoads(*_bind_inversion(params)(obs))
 
 
 def average_by_setting(observations):
@@ -643,11 +624,11 @@ def fit(observations, params, loads=None):
     for the moments), so the fit is a weighted linear least-squares solve
     per channel, with each row weighted by the inverse of its load
     magnitude (relative error, floored at 1e-3 of the channel median).
-    Without `loads`, the loads of all observations are inverted in one
-    pass over arrays.  The designs are built once, as arrays, and the six
-    channels are solved as two stacked problems, forces (3, n, 3) and
-    moments (3, n, 4), each with one batched SVD that gives both the
-    condition numbers and the solution.
+    Without `loads`, each observation's loads are inverted by one function
+    bound once per call (`_bind_inversion`).  The designs are built once,
+    as arrays, and the six channels are solved as two stacked problems,
+    forces (3, n, 3) and moments (3, n, 4), each with one batched SVD that
+    gives both the condition numbers and the solution.
     After a first solve an outlier pass drops observations whose weighted
     residual on any channel exceeds 3x the channel MAD, capped at 20% of
     the data, and both stacks are solved again on the rest.  The damping
@@ -662,7 +643,7 @@ def fit(observations, params, loads=None):
     angles = [(round(o.alpha, 6), round(o.beta, 6)) for o in observations]
     _check_span(angles)
     if loads is None:
-        loads = _invert_loads(observations, params)
+        loads = np.array(list(map(_bind_inversion(params), observations)), dtype=float)
     else:
         loads = np.asarray(loads, dtype=float).reshape(len(loads), 6)
         if len(loads) != len(observations):

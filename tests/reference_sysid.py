@@ -57,11 +57,11 @@ from blimpdyn.sysid import (
     SteadyObservation,
     UnitError,
     _bad_trial_row,
-    _invert_loads,
     _lstsq,
     _median,
     _savgol_operator,
     _weights,
+    invert_aero,
 )
 
 
@@ -290,7 +290,7 @@ def prior_fit(observations, params, loads=None):
     observations = list(observations)
     prior_check_span(observations)
     if loads is None:
-        loads = _invert_loads(observations, params)
+        loads = np.array([invert_aero(o, params).as_array() for o in observations])
     else:
         loads = np.asarray(loads, dtype=float).reshape(len(loads), 6)
         if len(loads) != len(observations):

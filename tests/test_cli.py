@@ -246,6 +246,15 @@ def test_simulate_rejects_non_finite_horizon(tmp_path, capsys, T):
     assert not (tmp_path / "out" / "sim.csv").exists()
 
 
+def test_simulate_rejects_a_horizon_that_is_not_whole_steps(tmp_path, capsys):
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n0,2,2,2,hold,0\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out"),
+                 "--T", "1", "--dt", "0.03"]) == 2
+    assert "T = 1 s is not a whole number of steps of dt = 0.03 s" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sim.csv").exists()
+
+
 def test_linearize(tmp_path, capsys):
     assert main(["linearize", "--out", str(tmp_path)]) == 0
     lines = _read_lines(tmp_path / "eigenvalues.csv")

@@ -359,30 +359,35 @@ def _closure(tree, outer, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-def steady_numpy_calls(equilibria_tree, dynamics_tree):
+def steady_numpy_calls(equilibria_tree, dynamics_tree, sysid_tree):
     """Where the steady model evaluations call numpy, as
     {function: [(line, callee), ...]} for each that does: the
-    `STEADY_FLOAT_FUNCTIONS` of the parsed `equilibria`, and the `balance`
-    closure of `_bind_balance` in the parsed `dynamics`."""
+    `STEADY_FLOAT_FUNCTIONS` of the parsed `equilibria`, the `balance`
+    closure of `_bind_balance` in the parsed `dynamics`, and the `invert`
+    closure of `_bind_inversion` in the parsed `sysid`."""
     found = {name: numpy_calls(equilibria_tree, _function(equilibria_tree, name))
              for name in STEADY_FLOAT_FUNCTIONS}
     found["balance"] = numpy_calls(dynamics_tree,
                                    _closure(dynamics_tree, "_bind_balance", "balance"))
+    found["invert"] = numpy_calls(sysid_tree, _closure(sysid_tree, "_bind_inversion", "invert"))
     return {name: calls for name, calls in found.items() if calls}
 
 
 def test_steady_model_calls_no_numpy():
     """The kinematics, residual, Jacobian columns and rail derivative of the
-    steady solvers, and the kernel's `balance` they call, run on Python
-    floats: numpy only scales the Jacobian and solves the Newton step."""
+    steady solvers, the kernel's `balance` they call, and the load
+    inversion of system identification run on Python floats: numpy only
+    scales the Jacobian and solves the Newton step."""
     trees = dict(_modules())
-    assert steady_numpy_calls(trees["equilibria.py"], trees["dynamics.py"]) == {}
+    assert steady_numpy_calls(trees["equilibria.py"], trees["dynamics.py"],
+                              trees["sysid.py"]) == {}
 
 
 def test_steady_numpy_gate_sees_violations():
     """The steady gate reports a numpy call in each guarded function, direct,
     through a name imported from numpy or through a helper, and in the
-    `balance` closure, but not in a clean function or a sibling closure."""
+    `balance` and `invert` closures, but not in a clean function or a
+    sibling closure."""
     equilibria_src = ("import math\n"
                       "import numpy as np\n"
                       "from numpy import hypot\n"
@@ -396,11 +401,21 @@ def test_steady_numpy_gate_sees_violations():
                     "    def mass_terms(r):\n        return np.zeros(3)\n"
                     "    def balance(v, w):\n        return np.cross(v, w)\n"
                     "    return mass_terms, balance\n")
-    assert steady_numpy_calls(ast.parse(equilibria_src), ast.parse(dynamics_src)) == {
+    sysid_src = ("import numpy as np\n"
+                 "def _check(obs):\n    return obs.V\n"
+                 "def _bind_inversion(params):\n"
+                 "    table = np.zeros(3)\n"
+                 "    def invert(obs):\n"
+                 "        _check(obs)\n"
+                 "        return np.asarray(obs.w_b).tolist()\n"
+                 "    return invert\n")
+    assert steady_numpy_calls(ast.parse(equilibria_src), ast.parse(dynamics_src),
+                              ast.parse(sysid_src)) == {
         "_raw_residual": [(9, "_kin")],
         "_raw_jacobian": [(11, "hypot")],
         "_rail_derivative": [(13, "np.subtract")],
         "balance": [(6, "np.cross")],
+        "invert": [(8, "np.asarray")],
     }
 
 

@@ -414,6 +414,23 @@ def test_integrate_accepts_a_schedule_within_the_time_slack(params, model):
     assert traj.status == "ok" and len(traj) == 101
 
 
+@pytest.mark.parametrize("T, dt", [(1.0, 0.03), (1.0, 0.007), (0.001, 0.005)])
+def test_integrate_rejects_a_horizon_that_is_not_whole_steps(params, model, T, dt):
+    """A run of a fractional number of steps would end short of T (at 0.99 s
+    for T = 1 s, dt = 0.03 s) with status ok; it is refused, T and dt named."""
+    sched = InputSchedule.constant(0.02, 0.02, T)
+    with pytest.raises(ValueError, match=re.escape(
+            f"T = {T:g} s is not a whole number of steps of dt = {dt:g} s")):
+        integrate(_rest_state(params), sched, params, model, dt=dt, T=T)
+
+
+def test_integrate_accepts_a_horizon_within_the_time_slack(params, model):
+    """The whole-step check allows the same 1e-9 s slack as the cover check."""
+    sched = InputSchedule.constant(0.02, 0.02, 1.0)
+    traj = integrate(_rest_state(params), sched, params, model, dt=0.01, T=1.0 - 5e-10)
+    assert traj.status == "ok" and len(traj) == 101
+
+
 def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
     """One run binds the vehicle exactly once."""
     binds = []
@@ -459,6 +476,16 @@ def test_turning_radius_window_validation(params, model):
                      params, model, T=2.0)
     with pytest.raises(ValueError):
         turning_radius_series(traj, window=traj.dt)
+
+
+@pytest.mark.parametrize("window", [math.inf, -math.inf, math.nan])
+def test_turning_radius_rejects_a_non_finite_window(params, model, window):
+    sol = solve_straight(0.0, F2, params, model)
+    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(F2, F2, 1.0),
+                     params, model, T=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"window must be finite and at least 10 dt, got {window!r}")):
+        turning_radius_series(traj, window)
 
 
 def test_glide_metrics_on_unpowered_glide(params, model):

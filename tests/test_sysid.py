@@ -1,4 +1,6 @@
 import csv
+import math
+import re
 import warnings
 
 import numpy as np
@@ -38,7 +40,6 @@ from blimpdyn.sysid import (
     SteadyObservation,
     TrialRecord,
     UnitError,
-    _invert_loads,
     _median,
     _read_trial_csv,
     _smooth_velocity,
@@ -560,6 +561,15 @@ class TestExtractSteady:
         assert np.isclose(obs.alpha, sol.alpha, atol=0.02)
         assert np.isclose(obs.beta, sol.beta, atol=0.02)
 
+    @pytest.mark.parametrize("window", [0.0, -3.0, math.nan, math.inf])
+    def test_rejects_a_window_that_is_not_positive_and_finite(self, params, steady_trial,
+                                                              window):
+        """A zero or negative window would average over 2 samples and a NaN
+        one fail on an integer conversion; each is refused by name."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"window must be positive and finite, got {window!r}")):
+            extract_steady(steady_trial[1], window, params)
+
     def test_matches_per_sample_formulas(self, params, steady_trial):
         """The array extraction of airspeed and aerodynamic angles equals a
         per-sample loop over EulerAngles, the rotation matrix and
@@ -713,7 +723,8 @@ class TestExtractSteady:
             if not isinstance(got, Exception):
                 obs.append(got)
         obs = mirror_augment(obs)
-        loads = _invert_loads(obs, params) if len(obs) >= 12 else np.zeros((len(obs), 6))
+        loads = (np.array([invert_aero(o, params).as_array() for o in obs]) if len(obs) >= 12
+                 else np.zeros((len(obs), 6)))
         if damped is not None:
             loads = _force_positive_damping(loads, obs, model, damped)
         if outlier is not None and outlier < len(obs):
@@ -755,7 +766,9 @@ class TestExtractSteady:
         euler = np.array([0.05, 0.1, -3.1]) + 1e-3 * rng.standard_normal((n, 3))
         rec = TrialRecord(trial_id="s", kind="spiral", dr_x=0.01, Fl=0.02, Fr=0.03, t=t,
                           pos=pos, euler=euler)
-        window = max(t[-1] - t[0] - 1.0 - slack, 0.0)
+        # Floored at a positive window short enough for the 2-sample
+        # minimum; a zero window is refused.
+        window = max(t[-1] - t[0] - 1.0 - slack, 1e-3)
         head = max(0, min(n // 2, n - max(2, int(round(window / float(np.median(dt)))))))
         got = _smooth_velocity(np.diff(t), pos, head)
         ref = prior_smooth_velocity(t, pos)[head:]
@@ -821,38 +834,47 @@ class TestInvertAero:
             max_size=2),
     )
     @settings(max_examples=150, deadline=None)
-    def test_array_inversion_matches_per_observation(self, params, xs, faults):
-        """`fit`'s one-pass inversion over arrays equals `invert_aero` per
-        observation, and both equal the rotation-matrix reference, within
-        1e-12 of the largest force (moment) of the observation; an
-        observation outside the `AeroAngles`/`EulerAngles` domain raises
-        the reference's ValueError, that of the first such observation."""
+    def test_fit_inverts_as_invert_aero(self, params, grid_obs, xs, faults):
+        """`fit` without loads equals the fit on the `invert_aero` loads of
+        its observations bit for bit, and those loads equal the
+        rotation-matrix reference within 1e-12 of the observation's largest
+        force (moment); an observation outside the `AeroAngles`/`EulerAngles`
+        domain makes both raise the reference's ValueError, that of the
+        first such observation.  The drawn observations lead the 47 of the
+        grid, which give the fit its span."""
         from dataclasses import replace
 
-        obs = []
+        drawn = []
         for theta, phi, psidot, V, alpha, beta, Fl, Fr, dr_x in xs:
             w_b = psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
                                      np.cos(phi) * np.cos(theta)])
-            obs.append(SteadyObservation(
+            drawn.append(SteadyObservation(
                 theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta, w_b=w_b,
                 Fl=Fl, Fr=Fr, rbar=params.rbar0 + np.array([dr_x, 0.0, 0.0]), kind="spiral"))
         for k, (field, value) in faults:
-            obs[k % len(obs)] = replace(obs[k % len(obs)], **{field: value})
+            drawn[k % len(drawn)] = replace(drawn[k % len(drawn)], **{field: value})
+        obs = drawn + list(grid_obs)
         try:
-            ref = np.array([reference_invert_aero(o, params).as_array() for o in obs])
+            ref = np.array([reference_invert_aero(o, params).as_array() for o in drawn])
         except ValueError as exc:
-            for path in (_invert_loads, lambda o, p: [invert_aero(x, p) for x in o]):
+            for path in (lambda: fit(obs, params), lambda: [invert_aero(o, params) for o in obs]):
                 with pytest.raises(ValueError) as raised:
-                    path(obs, params)
+                    path()
                 assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
             return
+        loads = [invert_aero(o, params).as_array() for o in obs]
+        got = np.array(loads[:len(drawn)])
         scale = np.empty_like(ref)
         scale[:, :3] = np.max(np.abs(ref[:, :3]), axis=1, keepdims=True)
         scale[:, 3:] = np.max(np.abs(ref[:, 3:]), axis=1, keepdims=True)
-        single = np.array([invert_aero(o, params).as_array() for o in obs])
-        for got in (single, _invert_loads(obs, params)):
-            assert got.shape == ref.shape
-            assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.max(np.abs(got - ref) / scale)
+        outcomes = []
+        for kwargs in ({}, {"loads": loads}):
+            try:
+                outcomes.append(fit(obs, params, **kwargs))
+            except (InsufficientSpan, RankDeficient) as exc:
+                outcomes.append(exc)
+        _assert_same_bits(*outcomes)
 
 
 class TestMirrorAugment:
@@ -1017,18 +1039,22 @@ class TestFit:
         assert calls == stacks
 
     def test_fit_inverts_without_invert_aero(self, params, grid_obs, grid_loads, monkeypatch):
-        """Without `loads`, fit inverts all observations in one pass over
-        arrays and never calls the per-observation `invert_aero`; the fit
-        equals the one on the per-observation loads."""
+        """Without `loads`, fit binds the inversion once for all
+        observations and never calls `invert_aero`, which binds it per
+        call; the fit equals the one on the per-observation loads."""
         def forbidden(*args, **kwargs):
             raise AssertionError("fit inverted the observations one at a time")
 
+        binds = []
+        real_bind = sysid._bind_inversion
         expected = fit(grid_obs, params, loads=list(grid_loads))
         monkeypatch.setattr(sysid, "invert_aero", forbidden)
+        monkeypatch.setattr(sysid, "_bind_inversion",
+                            lambda p: binds.append(p) or real_bind(p))
         result = fit(grid_obs, params)
+        assert binds == [params]
         assert result.excluded == expected.excluded == ()
-        np.testing.assert_allclose(result.model.as_vector(), expected.model.as_vector(),
-                                   rtol=1e-9, atol=0)
+        _assert_same_bits(result, expected)
 
     @given(
         n=st.integers(1, 60),
