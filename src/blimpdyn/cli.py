@@ -121,7 +121,7 @@ def _write_manifest(args, inputs):
     for key in ("wingless", "legacy_model", "average_settings"):
         if getattr(args, key, False):
             lines.append(f"{key.replace('_', '-')} = true")
-    for path in inputs:
+    for path in dict.fromkeys(inputs):      # each file once, in first-seen order
         lines.append(f"sha256 {os.path.basename(path)} = {_sha256(path)}")
     with open(os.path.join(args.out, "run-manifest.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -20,11 +20,11 @@ accelerations and the moving-mass acceleration solve M a = rhs with the
         [ lg^x         I - mbar Sr^2  mbar Sr ]
         [ 0            0              I3      ]
 
-(lg the first mass moment, Sr the cross-product matrix of rbar); the
-derivative and `accelerations` solve it by its block structure without
-forming it, and one helper rebuilds the mass terms, adj K and det K of
-its rotational block K only when rbar moves.  `tests/reference_matrix.py`
-keeps the matrix form.
+(lg the first mass moment, Sr the cross-product matrix of rbar); one
+closure, `solve`, solves it by its block structure without forming it,
+for the derivative and for `accelerations` alike, and one helper rebuilds
+the mass terms, adj K and det K of its rotational block K only when rbar
+moves.  `tests/reference_matrix.py` keeps the matrix form.
 """
 
 from dataclasses import dataclass
@@ -212,7 +212,7 @@ def bind(params, model, legacy=False):
 
     def rebuild(rx, ry, rz):
         """Make (rx, ry, rz) the entry: its mass terms, and adj K and det K
-        of the rotational block K (see `deriv`)."""
+        of the rotational block K (see `solve`)."""
         nonlocal crx, cry, crz, terms, lx, ly, lz, det, Axx, Axy, Axz, Ayx, Ayy, Ayz, Azx, Azy, Azz
         terms = mass_terms(rx, ry, rz)
         (lx, ly, lz), (Kxx, Kxy, Kxz, Kyx, Kyy, Kyz, Kzx, Kzy, Kzz) = terms
@@ -232,17 +232,10 @@ def bind(params, model, legacy=False):
         Axz, Ayz, Azz = Kxy * Kyz - Kxz * Kyy, Kxz * Kyx - Kxx * Kyz, Kxx * Kyy - Kxy * Kyx
         crx, cry, crz = rx, ry, rz
 
-    def deriv(phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz, Fl, Fr, bx, by, bz):
-        """State derivative under thrusts Fl, Fr and moving-mass
-        acceleration (bx, by, bz), as a tuple of 18 floats in the order of
-        the packed state (`State.as_vector`).  The arguments are the 15
-        state components it reads, as floats: the Euler angles, v, w, rbar
-        and rbardot (the position does not enter the dynamics).
-
-        Solves M a = rhs (see the module docstring) by its block
-        structure.  Its last block row is [0 0 I], so the moving-mass
-        acceleration is Fbar exactly; with f and t the force and torque
-        less the Fbar reaction, the rotational block reduces by Schur
+    def solve(fx, fy, fz, tx, ty, tz):
+        """Body accelerations (vdot, wdot) of the force and torque (f, t),
+        the moving mass at the entry's rbar and not accelerating, as six
+        floats.  The rotational block of M a = rhs reduces by Schur
         complement to the 3x3 system
 
             K wdot = t - l_g x f / m_tot,    K = Itot + Sl Sl / m_tot,
@@ -250,6 +243,32 @@ def bind(params, model, legacy=False):
 
         K the inertia about the composite CG (Itot in the legacy model, whose
         blocks decouple), solved as adj K rhs / det K, kept per rbar (`bind`).
+        """
+        if legacy:
+            vdx, vdy, vdz = fx / m_tot, fy / m_tot, fz / m_tot
+        else:
+            tx -= (ly * fz - lz * fy) / m_tot             # rhs = t - l_g x f / m_tot
+            ty -= (lz * fx - lx * fz) / m_tot
+            tz -= (lx * fy - ly * fx) / m_tot
+        wdx = (Axx * tx + Axy * ty + Axz * tz) / det       # wdot = adj K rhs / det K
+        wdy = (Ayx * tx + Ayy * ty + Ayz * tz) / det
+        wdz = (Azx * tx + Azy * ty + Azz * tz) / det
+        if not legacy:
+            vdx = (fx + ly * wdz - lz * wdy) / m_tot
+            vdy = (fy + lz * wdx - lx * wdz) / m_tot
+            vdz = (fz + lx * wdy - ly * wdx) / m_tot
+        return vdx, vdy, vdz, wdx, wdy, wdz
+
+    def deriv(phi, theta, psi, u, v, w, p, q, r, rx, ry, rz, sx, sy, sz, Fl, Fr, bx, by, bz):
+        """State derivative under thrusts Fl, Fr and moving-mass
+        acceleration (bx, by, bz), as a tuple of 18 floats in the order of
+        the packed state (`State.as_vector`).  The arguments are the 15
+        state components it reads, as floats: the Euler angles, v, w, rbar
+        and rbardot (the position does not enter the dynamics).
+
+        The last block row of M (module docstring) is [0 0 I], so the
+        moving-mass acceleration is Fbar exactly; `solve` gives the body
+        accelerations of the force and torque less the Fbar reaction.
         """
         if abs(theta) >= pitch_limit:
             raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
@@ -278,20 +297,7 @@ def bind(params, model, legacy=False):
         tx += tax - mbar * (ry * bz - rz * by)
         ty += tay - mbar * (rz * bx - rx * bz)
         tz += taz - mbar * (rx * by - ry * bx)
-
-        if legacy:
-            vdx, vdy, vdz = fx / m_tot, fy / m_tot, fz / m_tot
-        else:
-            tx -= (ly * fz - lz * fy) / m_tot             # rhs = t - l_g x f / m_tot
-            ty -= (lz * fx - lx * fz) / m_tot
-            tz -= (lx * fy - ly * fx) / m_tot
-        wdx = (Axx * tx + Axy * ty + Axz * tz) / det       # wdot = adj K rhs / det K
-        wdy = (Ayx * tx + Ayy * ty + Ayz * tz) / det
-        wdz = (Azx * tx + Azy * ty + Azz * tz) / det
-        if not legacy:
-            vdx = (fx + ly * wdz - lz * wdy) / m_tot
-            vdy = (fy + lz * wdx - lx * wdz) / m_tot
-            vdz = (fz + lx * wdy - ly * wdx) / m_tot
+        vdx, vdy, vdz, wdx, wdy, wdz = solve(fx, fy, fz, tx, ty, tz)
 
         return (
             cpsi * cth * u + (cpsi * sth * sphi - spsi * cphi) * v + (cpsi * sth * cphi + spsi * sphi) * w,
@@ -309,31 +315,15 @@ def bind(params, model, legacy=False):
     def accelerations(rx, ry, rz, loads):
         """Body accelerations of each generalized force and torque
         (fx, fy, fz, tx, ty, tz) of `loads` with the moving mass at
-        (rx, ry, rz) and not accelerating: `deriv`'s block solve, as one
-        (vdot, wdot) 6-tuple of floats per load.
+        (rx, ry, rz) and not accelerating, as one (vdot, wdot) 6-tuple of
+        floats per load: the `solve` that `deriv` calls too.
 
         M depends on rbar alone, so this maps tangents of the right-hand
         side to tangents of the accelerations as well.
         """
         if rx != crx or ry != cry or rz != crz:
             rebuild(rx, ry, rz)
-        out = []
-        for fx, fy, fz, tx, ty, tz in loads:
-            if legacy:
-                vdx, vdy, vdz = fx / m_tot, fy / m_tot, fz / m_tot
-            else:
-                tx -= (ly * fz - lz * fy) / m_tot         # rhs = t - l_g x f / m_tot
-                ty -= (lz * fx - lx * fz) / m_tot
-                tz -= (lx * fy - ly * fx) / m_tot
-            wdx = (Axx * tx + Axy * ty + Axz * tz) / det   # wdot = adj K rhs / det K
-            wdy = (Ayx * tx + Ayy * ty + Ayz * tz) / det
-            wdz = (Azx * tx + Azy * ty + Azz * tz) / det
-            if not legacy:
-                vdx = (fx + ly * wdz - lz * wdy) / m_tot
-                vdy = (fy + lz * wdx - lx * wdz) / m_tot
-                vdz = (fz + lx * wdy - ly * wdx) / m_tot
-            out.append((vdx, vdy, vdz, wdx, wdy, wdz))
-        return out
+        return [solve(*load) for load in loads]
 
     return Kernel(aero, mass_terms, balance, rate_tangents, velocity_tangents, deriv,
                   accelerations)

@@ -297,33 +297,40 @@ def _inertial_velocity(states):
 
 
 def _finish_trajectory(t, states, dt, status, stop_step):
+    """The `Trajectory` of `states` at times `t`, Vz and R from one inertial
+    velocity; R is smoothed over the run, within [10 dt, 1 s] (inf below 3 samples)."""
     n = t.size
     alpha, beta, V = aero_angles_array(states[:, 6:9])
-    Vz = _inertial_velocity(states)[:, 2]
+    vi = _inertial_velocity(states)
     # Third row of J omega; cos(theta) cannot vanish (gimbal guard upstream).
     phi, theta = states[:, 3], states[:, 4]
     psidot = (np.sin(phi) * states[:, 10] + np.cos(phi) * states[:, 11]) / np.cos(theta)
-    traj = Trajectory(
+    window = min(1.0, max(10 * dt, (n - 1) * dt))
+    R = _radius_series(vi, psidot, dt, window) if n >= 3 else np.full(n, np.inf)
+    return Trajectory(
         t=t, states=states, dt=dt, status=status,
-        V=V, alpha=alpha, beta=beta, Vz=Vz, psidot=psidot,
-        R=np.full(n, np.inf), stop_step=stop_step,
+        V=V, alpha=alpha, beta=beta, Vz=vi[:, 2], psidot=psidot,
+        R=R, stop_step=stop_step,
     )
-    window = min(1.0, max(10 * dt, (n - 1) * dt)) if n > 1 else 10 * dt
-    R_series = turning_radius_series(traj, window) if n >= 3 else np.full(n, np.inf)
-    object.__setattr__(traj, "R", R_series)
-    return traj
 
 
 def turning_radius_series(traj, window):
     """Per-sample horizontal turning radius, median-smoothed over `window`
-    seconds.  Samples with |psidot| below PSIDOT_MIN report inf."""
+    seconds.  Samples with |psidot| below PSIDOT_MIN report inf.  At the
+    window `integrate` used this is `traj.R`: both call one helper."""
     if not 10 * traj.dt - 1e-12 <= window < math.inf:
         raise ValueError(f"window must be finite and at least 10 dt, got {window!r}")
-    n = len(traj)
-    hs = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
-    slow = np.abs(traj.psidot) < PSIDOT_MIN
-    R = np.where(slow, np.inf, hs / np.maximum(np.abs(traj.psidot), PSIDOT_MIN))
-    ksz = int(round(window / traj.dt))
+    return _radius_series(_inertial_velocity(traj.states), traj.psidot, traj.dt, window)
+
+
+def _radius_series(vi, psidot, dt, window):
+    """Turning radius, the horizontal speed of the (n, 3) inertial velocity vi over
+    |psidot| (inf below PSIDOT_MIN), median-smoothed over `window` s of step dt."""
+    n = len(vi)
+    hs = np.hypot(vi[:, 0], vi[:, 1])
+    slow = np.abs(psidot) < PSIDOT_MIN
+    R = np.where(slow, np.inf, hs / np.maximum(np.abs(psidot), PSIDOT_MIN))
+    ksz = int(round(window / dt))
     if ksz % 2 == 0:
         ksz += 1
     ksz = min(ksz, n if n % 2 == 1 else n - 1)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import blimpdyn
 from blimpdyn import validation
 from blimpdyn.cli import main
 from blimpdyn.frames import EulerAngles, State
-from blimpdyn.paramio import load_bundled
+from blimpdyn.paramio import bundled_path, load_bundled
 from blimpdyn.simulate import integrate, read_schedule
 
 
@@ -71,6 +72,17 @@ def test_simulate(tmp_path, capsys):
     assert len(lines) == 1 + 201 + 1
     manifest = (tmp_path / "run-manifest.txt").read_text()
     assert "sched.csv" in manifest
+
+
+@pytest.mark.parametrize("flags, name", [([], "vehicle.ini"), (["--wingless"], "wingless.ini")])
+def test_manifest_hashes_each_input_once(tmp_path, capsys, flags, name):
+    """A file that gives both the parameters and the aero model (no
+    `--aero`, or `--wingless`) is hashed once in `run-manifest.txt`."""
+    assert main(["polar", "--out", str(tmp_path), *flags]) == 0
+    with open(bundled_path(name), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    lines = _read_lines(tmp_path / "run-manifest.txt")
+    assert [ln for ln in lines if ln.startswith("sha256 ")] == [f"sha256 {name} = {digest}"]
 
 
 @pytest.mark.parametrize("row", [

@@ -19,6 +19,8 @@ and a guard against finite-difference derivatives there.
 - The steady solvers never call `np.linalg.solve`: the Newton step calls
   LAPACK's gufunc directly, and numpy's private `_umath_linalg` is
   imported once in the package, as `equilibria._lapack_solve`.
+- The kernel's block solve is written once: of the closures of
+  `dynamics.bind`, only `solve` divides by det K.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -511,3 +513,39 @@ def test_linalg_gate_sees_violations():
     assert linalg_solve_calls(tree) == [6, 7, 7]
     assert lapack_uses(tree) == [(4, "_lapack_solve", True), (9, "_umath_linalg", False),
                                  (10, LAPACK_MODULE, False), (11, LAPACK_MODULE, False)]
+
+
+def det_dividers(tree):
+    """The functions defined in the body of the parsed module's `bind`
+    that divide by `det`, by `/` or `/=`: the closures that carry a copy
+    of the kernel's block solve."""
+    def divides(node):
+        if isinstance(node, ast.BinOp):
+            divisor = node.right
+        elif isinstance(node, ast.AugAssign):
+            divisor = node.value
+        else:
+            return False
+        return isinstance(node.op, ast.Div) and isinstance(divisor, ast.Name) and divisor.id == "det"
+
+    return sorted(node.name for node in _function(tree, "bind").body
+                  if isinstance(node, ast.FunctionDef) and any(map(divides, ast.walk(node))))
+
+
+def test_block_solve_is_written_once():
+    assert det_dividers(dict(_modules())["dynamics.py"]) == ["solve"]
+
+
+def test_block_solve_gate_sees_a_copy():
+    """The gate reports a second closure that divides by det, by `/` or by
+    `/=`, but not one that only computes det or divides by another name,
+    nor a function outside `bind`."""
+    src = ("def bind(params):\n"
+           "    det = 2.0\n"
+           "    def rebuild(x):\n        return x * det\n"
+           "    def solve(t):\n        return t / det\n"
+           "    def deriv(t):\n        t /= det\n        return t\n"
+           "    def accelerations(loads):\n        return [t / scale for t in loads]\n"
+           "    return solve, deriv\n"
+           "def other(t, det):\n    return t / det\n")
+    assert det_dividers(ast.parse(src)) == ["deriv", "solve"]

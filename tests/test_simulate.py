@@ -470,6 +470,18 @@ def test_turning_radius_series_straight_is_inf(params, model):
     assert np.all(np.isinf(traj.R))
 
 
+@pytest.mark.parametrize("T, window", [(3.0, 1.0), (0.3, 0.3), (0.05, 0.05)])
+def test_turning_radius_series_at_the_run_window_is_traj_R(params, model, T, window):
+    """At the window `integrate` smooths R over (the run, at least 10 dt and
+    at most 1 s), `turning_radius_series` returns `traj.R` bit for bit."""
+    Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
+    sol = solve_spiral(0.0, Fl, Fr, params, model)
+    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(Fl, Fr, T),
+                     params, model, T=T)
+    assert np.isfinite(traj.R).all()
+    assert turning_radius_series(traj, window).tobytes() == traj.R.tobytes()
+
+
 def test_turning_radius_window_validation(params, model):
     sol = solve_straight(0.0, F2, params, model)
     traj = integrate(sol.state(params.rbar0), InputSchedule.constant(F2, F2, 2.0),
