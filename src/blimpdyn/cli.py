@@ -28,7 +28,7 @@ from .equilibria import (
     turning_radius,
 )
 from .frames import GF_TO_N, EulerAngles, State
-from .paramio import bundled_path, read_aero, read_params, write_aero_section
+from .paramio import _read_config, bundled_path, write_aero_section
 from .simulate import integrate, read_schedule
 from .sysid import (
     CHANNELS,
@@ -106,8 +106,7 @@ def _load_config(args):
     else:
         params_path = args.params or bundled_path("vehicle.ini")
         aero_path = args.aero or params_path
-    params = read_params(params_path)
-    model = read_aero(aero_path, a_ref=params.A_ref)
+    params, model = _read_config(params_path, aero_path)
     return params, model, params_path, aero_path
 
 

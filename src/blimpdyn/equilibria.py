@@ -4,34 +4,46 @@ about equilibria, and eigenvalue stability reporting.
 A steady solution is parameterized by the six unknowns
 (theta, phi, psidot, V, alpha, beta); the body velocity and rates are
 derived from them, which keeps the Newton system 6x6 and well-scaled.
-Each Newton step uses the exact Jacobian of the residual in those
-unknowns (`_raw_jacobian`): the chain rule through the kinematics, the
-aero partials and the balance tangents of the vehicle's bound kernel
-(`dynamics.bind`), which each solve binds once: theta, phi and psidot
-are rate tangents, V, alpha and beta velocity tangents.  A Newton solve
-builds its moving-mass position, mass terms and residual scales once
-(`_rail_system`), and a spiral's planar seed and its six-equation solve
-share them.  The residual, the Jacobian (as its columns, built only for
-the unknowns being solved for), the trial steps and the norms are Python
-float arithmetic, and the kernel's balance takes the kinematics as
-separate floats.  numpy does two things per Newton step: it scales the
-Jacobian, as one array of the columns transposed and divided by a
-column of the scales (IEEE division is correctly rounded, so each entry
-has the bits of a Python division), and it solves the step, by LAPACK's
-dgesv gufunc (`numpy.linalg._umath_linalg.solve1`, the one
-`np.linalg.solve` calls for a vector right-hand side), called directly
-because the argument checks of `np.linalg.solve` cost about three times
-the solve itself at 3x3 and 6x6; one `np.errstate` covers the whole solve.
-A Newton iteration tries at most `MAX_HALVINGS` steps, the full step and
-then half the last one, and then fails with the iteration and the
-residual norm in its message.  A spiral is one Newton solve at its
-thrusts from the planar trim; only where that fails does `solve_spiral`
-fall back to a continuation along the moving-mass rail: `RAIL_STEPS`
-Euler predictor steps along the branch tangent, from the closed-form
-derivative of the residual in the rail position (`_rail_derivative`),
-each corrected by a Newton solve.  `linearize` is exact from the same
-tangents and the kernel's block solve; nothing here is differentiated by
-finite differences.
+The Jacobian of the residual in those unknowns is exact (`_raw_jacobian`):
+the chain rule through the kinematics, the aero partials and the balance
+tangents of the vehicle's bound kernel (`dynamics.bind`), which each
+solve binds once: theta, phi and psidot are rate tangents, V, alpha and
+beta velocity tangents.  A Newton solve builds its moving-mass position,
+mass terms and residual scales once (`_rail_system`), and a spiral's
+planar seed and its six-equation solve share them.  The residual, the
+Jacobian (as its columns, built only for the unknowns being solved for),
+the trial steps and the norms are Python float arithmetic, and the
+kernel's balance takes the kinematics as separate floats.  numpy scales
+each Jacobian the loop builds, as one array of the columns transposed and
+divided by a column of the scales (IEEE division is correctly rounded,
+so each entry has the bits of a Python division), and solves each step
+(`_newton_step`), by LAPACK's dgesv gufunc
+(`numpy.linalg._umath_linalg.solve1`, the one `np.linalg.solve` calls for
+a vector right-hand side), called directly because the argument checks
+of `np.linalg.solve` cost about three times the solve itself at 3x3 and
+6x6; one `np.errstate` covers the whole solve.
+
+The Newton loop (`_damped_newton`) is simplified Newton (Deuflhard,
+*Newton Methods for Nonlinear Problems*, 2004).  A full step that cuts
+the residual norm at least `JACOBIAN_KEEP_CUT` times keeps its Jacobian,
+and the next iteration tries only the full step on it; any other step,
+or a kept-Jacobian step that does not lower the norm (which is dropped),
+builds a fresh Jacobian for the next iteration.  On a fresh Jacobian an
+iteration tries at most `MAX_HALVINGS` steps, the full step and then half
+the last one, and then fails with the iteration and the residual norm as
+attributes of `NoConvergence` and in its message.  Once the norm is below
+`TOL`, one Newton step on a fresh Jacobian is kept if it lowers the norm:
+this polish ends each solve near the floating-point floor, so the
+unknowns do not depend, beyond about 1e-13 relative, on the path that
+reached them, and `residual_norm` is the polished norm.  A spiral is one
+Newton solve at its thrusts from the planar trim at the mean thrust,
+solved only to `SEED_TOL` and not polished; only where that solve fails
+does `solve_spiral` fall back to a continuation along the moving-mass
+rail: `RAIL_STEPS` Euler predictor steps along the branch tangent, from
+the closed-form derivative of the residual in the rail position
+(`_rail_derivative`), each corrected by a Newton solve.  `linearize` is
+exact from the same tangents and the kernel's block solve; nothing here
+is differentiated by finite differences.
 """
 
 from dataclasses import dataclass
@@ -67,6 +79,14 @@ MAX_NEWTON_ITER = 100
 TOL = 1e-9
 MAX_HALVINGS = 12
 
+# A full Newton step that cuts the residual norm at least this many times
+# keeps its Jacobian for the next iteration (simplified Newton).
+JACOBIAN_KEEP_CUT = 10.0
+
+# Residual-norm tolerance of the planar trim that seeds a spiral's Newton
+# solve: the seed needs only to lie in the spiral's basin.
+SEED_TOL = 1e-3
+
 # The unknowns (theta, V, alpha) of the planar trim, as indices into the six
 # (theta, phi, psidot, V, alpha, beta).
 PLANAR_UNKNOWNS = (0, 3, 4)
@@ -80,13 +100,21 @@ NEUTRAL_TOL = 1e-9
 
 class NoConvergence(RuntimeError):
     """Newton iteration failed: its step-halving search found no step that
-    lowers the residual norm, or the residual missed tolerance within the
-    iteration cap."""
+    lowers the residual norm, the step was not finite, or the residual
+    missed tolerance within the iteration cap.  `iteration` is the Newton
+    iteration that failed and `residual` the residual norm there; both are
+    None where the failure did not come from the Newton loop."""
+
+    def __init__(self, message, iteration=None, residual=None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.residual = residual
 
 
 class ContinuationBreakdown(NoConvergence):
     """An intermediate step of the spiral solver's moving-mass continuation
-    failed."""
+    failed; `iteration` and `residual` are those of the Newton failure it
+    wraps."""
 
 
 class EigenFailure(RuntimeError):
@@ -249,63 +277,103 @@ def _rail_system(dr_x, params, kernel):
     return (rbar, kernel.mass_terms(*rbar), *_scales(params, rbar))
 
 
-def _damped_newton(fun, jac, x0):
-    """Newton with step halving; returns (x, residual_norm), x an array.
+def _norm(f):
+    """Euclidean norm of a float sequence: the square root of the builtin
+    `sum` of the squares."""
+    return math.sqrt(sum(map(mul, f, f)))
+
+
+def _newton_step(J, f, it, fnorm):
+    """The Newton step -J^-1 f of iteration `it` (J an array, f the
+    residual floats, whose norm is `fnorm`), as a float list.
+
+    numpy solves it through `_lapack_solve`, LAPACK's dgesv gufunc
+    (`solve1`) that `np.linalg.solve` calls for a vector right-hand side:
+    the same bits, without the argument checks and error-state set-up that
+    cost `np.linalg.solve` about three times the solve.  The gufunc clears
+    every floating-point flag but `invalid`, which it raises (with a
+    non-finite step) on a singular J; the caller runs under
+    `np.errstate(invalid="ignore")`.  A non-finite step falls back to the
+    least-norm step."""
+    minus_f = np.array([-v for v in f])
+    try:
+        dx = _lapack_solve(J, minus_f).tolist()
+        if not all(map(math.isfinite, dx)):
+            raise np.linalg.LinAlgError("non-finite Newton step")
+    except np.linalg.LinAlgError:
+        if not (np.isfinite(J).all() and np.isfinite(minus_f).all()):
+            raise NoConvergence(f"non-finite Jacobian or residual at iteration {it} "
+                                f"(residual {fnorm:.3e})", it, fnorm) from None
+        # Singular Jacobian: fully balanced configurations have flat
+        # directions (e.g. pitch with zero CG offset and no pitch
+        # stiffness).  Take the least-norm step, which leaves flat
+        # directions untouched.
+        dx = np.linalg.lstsq(J, minus_f, rcond=None)[0].tolist()
+        if not all(map(math.isfinite, dx)):
+            raise NoConvergence(f"singular Jacobian with no usable step at iteration "
+                                f"{it} (residual {fnorm:.3e})", it, fnorm)
+    return dx
+
+
+def _damped_newton(fun, jac, x0, tol=TOL):
+    """Damped simplified Newton to the residual norm `tol`, ended by a
+    polishing step; returns (x, residual_norm), x an array.
 
     `fun(x)` is the residual and `jac(x)` its exact Jacobian (rows; an
-    array or nested lists) at the float list x, so an iteration costs one
-    Jacobian and one residual per trial step of the halving search.  The
-    loop steps Python floats and takes each norm as the square root of the
-    builtin `sum` of the squares.  numpy solves each step through
-    `_lapack_solve`, LAPACK's dgesv gufunc (`solve1`) that
-    `np.linalg.solve` calls for a vector right-hand side: the same bits,
-    without the argument checks and error-state set-up that cost
-    `np.linalg.solve` about three times the solve.  The gufunc clears every
-    floating-point flag but `invalid`, which it raises (with a non-finite
-    step) on a singular J; the whole loop runs under one
-    `np.errstate(invalid="ignore")`, which restores the caller's error
-    state however the loop ends.  A non-finite step falls back to the
-    least-norm step."""
+    array or nested lists) at the float list x.  Each iteration solves one
+    step (`_newton_step`).  On a fresh Jacobian it tries at most
+    `MAX_HALVINGS` trial steps, the full step and then half the last one,
+    and takes the first that lowers the residual norm.  A full step that
+    cuts the norm at least `JACOBIAN_KEEP_CUT` times keeps its Jacobian
+    for the next iteration, which tries only the full step on it; any
+    other step, or a kept-Jacobian step that does not lower the norm (and
+    is then dropped), builds a fresh Jacobian next.  Once the norm is below
+    `tol`, and if it is below `TOL` (a seed solved to a looser `tol` is
+    not), one Newton step on a fresh Jacobian at that point is kept if it
+    lowers the norm, so a solve ends near the floating-point floor
+    whichever path it took.  A failure raises `NoConvergence` with the
+    iteration and the residual norm.  The loop steps Python floats, takes
+    each norm by `_norm` and runs under one `np.errstate(invalid="ignore")`,
+    which restores the caller's error state however it ends."""
     with np.errstate(invalid="ignore"):
         x = [float(v) for v in x0]
         f = fun(x)
-        fnorm = math.sqrt(sum(map(mul, f, f)))
+        fnorm = _norm(f)
+        J = None
         for it in range(1, MAX_NEWTON_ITER + 1):
-            if fnorm < TOL:
-                return np.array(x), fnorm
-            J = np.asarray(jac(x))
-            minus_f = np.array([-v for v in f])
-            try:
-                dx = _lapack_solve(J, minus_f).tolist()
-                if not all(map(math.isfinite, dx)):
-                    raise np.linalg.LinAlgError("non-finite Newton step")
-            except np.linalg.LinAlgError:
-                if not (np.isfinite(J).all() and np.isfinite(minus_f).all()):
-                    raise NoConvergence(f"non-finite Jacobian or residual at iteration {it} "
-                                        f"(residual {fnorm:.3e})") from None
-                # Singular Jacobian: fully balanced configurations have flat
-                # directions (e.g. pitch with zero CG offset and no pitch
-                # stiffness).  Take the least-norm step, which leaves flat
-                # directions untouched.
-                dx = np.linalg.lstsq(J, minus_f, rcond=None)[0].tolist()
-                if not all(map(math.isfinite, dx)):
-                    raise NoConvergence(f"singular Jacobian with no usable step at iteration "
-                                        f"{it} (residual {fnorm:.3e})")
-            lam = 1.0
-            for _ in range(MAX_HALVINGS):
+            if fnorm < tol:
+                break
+            kept = J is not None
+            if not kept:
+                J = np.asarray(jac(x))
+            dx = _newton_step(J, f, it, fnorm)
+            for k in range(1 if kept else MAX_HALVINGS):
+                lam = 0.5 ** k
                 x_new = [a + lam * b for a, b in zip(x, dx)]
                 f_new = fun(x_new)
-                fnorm_new = math.sqrt(sum(map(mul, f_new, f_new)))
+                fnorm_new = _norm(f_new)
                 if fnorm_new < fnorm:
                     break
-                lam *= 0.5
             else:
+                if kept:
+                    J = None
+                    continue
                 raise NoConvergence(f"step halving exhausted at iteration {it} "
-                                    f"(residual {fnorm:.3e})")
+                                    f"(residual {fnorm:.3e})", it, fnorm)
+            if k or JACOBIAN_KEEP_CUT * fnorm_new > fnorm:
+                J = None
             x, f, fnorm = x_new, f_new, fnorm_new
-    if fnorm < TOL:
-        return np.array(x), fnorm
-    raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
+        else:
+            if not fnorm < tol:
+                raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations",
+                                    MAX_NEWTON_ITER, fnorm)
+        if fnorm < TOL:
+            x_new = [a + b for a, b in zip(x, _newton_step(np.asarray(jac(x)), f, it, fnorm))]
+            f_new = fun(x_new)
+            fnorm_new = _norm(f_new)
+            if fnorm_new < fnorm:
+                x, fnorm = x_new, fnorm_new
+    return np.array(x), fnorm
 
 
 def _make_solution(x, fnorm, kind):
@@ -336,10 +404,11 @@ def _initial_alpha(params, model):
     return float(min(max(a0, -0.2), 0.3))
 
 
-def _straight_trim(F, system, params, model, kernel):
+def _straight_trim(F, system, params, model, kernel, tol=TOL):
     """The planar trim of `solve_straight` at equal thrust F on the vehicle
-    bound in `kernel`, at the rail position of `system` (`_rail_system`):
-    (x, residual_norm), x the six unknowns as an array."""
+    bound in `kernel`, at the rail position of `system` (`_rail_system`),
+    solved to the residual norm `tol`: (x, residual_norm), x the six
+    unknowns as an array."""
     rbar, terms, fscale, tscale = system
     scale = np.array([[fscale], [fscale], [tscale]])
 
@@ -356,7 +425,7 @@ def _straight_trim(F, system, params, model, kernel):
                                       PLANAR_UNKNOWNS)).T[::2] / scale
 
     a0 = _initial_alpha(params, model)
-    x3, fnorm = _damped_newton(fun3, jac3, (a0, SEED_SPEED, a0))
+    x3, fnorm = _damped_newton(fun3, jac3, (a0, SEED_SPEED, a0), tol)
     return np.array([x3[0], 0.0, 0.0, x3[1], x3[2], 0.0]), fnorm
 
 
@@ -389,9 +458,10 @@ def _spiral_newton(x0, Fl, Fr, system, kernel):
 
 def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel):
     """One Newton solve at the given thrusts, seeded from the planar trim
-    at the mean thrust; both at the one rail position of dr_x."""
+    at the mean thrust, solved to `SEED_TOL`; both at the one rail position
+    of dr_x."""
     system = _rail_system(dr_x, params, kernel)
-    x0, _ = _straight_trim(0.5 * (Fl + Fr), system, params, model, kernel)
+    x0, _ = _straight_trim(0.5 * (Fl + Fr), system, params, model, kernel, SEED_TOL)
     return _spiral_newton(x0, Fl, Fr, system, kernel)
 
 
@@ -435,8 +505,8 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
         except NoConvergence as exc:
             if dr_k != dr_x:
                 raise ContinuationBreakdown(
-                    f"moving-mass continuation failed at dr_x {dr_k:.4f} m: {exc}"
-                ) from exc
+                    f"moving-mass continuation failed at dr_x {dr_k:.4f} m: {exc}",
+                    exc.iteration, exc.residual) from exc
             raise
     return _make_solution(x, fnorm, kind)
 

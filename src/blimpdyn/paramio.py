@@ -30,7 +30,12 @@ def _parser(path):
 
 def read_params(path):
     """Load a VehicleParams from the [mass]/[geometry] sections of a file."""
-    cp = _parser(path)
+    return _params_of(_parser(path), path)
+
+
+def _params_of(cp, path):
+    """The VehicleParams of `read_params`, from the file at `path` as
+    parsed into `cp`."""
     try:
         mass = cp["mass"]
         geom = cp["geometry"]
@@ -67,7 +72,12 @@ def read_aero(path, a_ref=None):
     The reference area comes from the file's [geometry] section; `a_ref`
     is the area of a file without one, such as the [aero]-only file
     `write_aero_section` writes."""
-    cp = _parser(path)
+    return _aero_of(_parser(path), path, a_ref)
+
+
+def _aero_of(cp, path, a_ref):
+    """The AeroModel of `read_aero`, from the file at `path` as parsed
+    into `cp`."""
     if "geometry" in cp:
         geom = cp["geometry"]
         if "reference_area_m2" in geom:
@@ -106,9 +116,19 @@ def bundled_path(name):
     return str(resources.files("blimpdyn.data").joinpath(name))
 
 
+def _read_config(params_path, aero_path):
+    """The VehicleParams of `read_params(params_path)` and the AeroModel of
+    `read_aero(aero_path, a_ref=params.A_ref)`, parsing a file that gives
+    both only once."""
+    if aero_path != params_path:
+        params = read_params(params_path)
+        return params, read_aero(aero_path, a_ref=params.A_ref)
+    cp = _parser(params_path)
+    params = _params_of(cp, params_path)
+    return params, _aero_of(cp, aero_path, a_ref=params.A_ref)
+
+
 def load_bundled(wingless=False):
     """The stock (VehicleParams, AeroModel) pair, or the wingless variant."""
     vp = bundled_path("vehicle.ini")
-    params = read_params(vp)
-    model = read_aero(bundled_path("wingless.ini") if wingless else vp)
-    return params, model
+    return _read_config(vp, bundled_path("wingless.ini") if wingless else vp)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import _bind_balance
-from .frames import GF_TO_N, RAIL_LIMIT, AeroAngles, EulerAngles, aero_angles_array, rotation_matrices
+from .frames import GF_TO_N, RAIL_LIMIT, aero_angles_array, rotation_matrices
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 2
@@ -414,8 +414,9 @@ def _bind_inversion(params):
     parameters); the negated remainder is resolved into the wind frame by
     the transpose of the wind-to-body rotation, with the sign conventions
     D = -x, S = +y, L = -z.  An observation whose airspeed, sideslip or
-    attitude lies outside the domain of `AeroAngles` or `EulerAngles`
-    raises their ValueError."""
+    attitude lies outside the domain of `AeroAngles` or `EulerAngles`, or
+    whose airspeed or sideslip is NaN, raises their ValueError
+    (`_check_angles`)."""
     mass_terms, balance = _bind_balance(params, False)[:2]
     cos, sin = math.cos, math.sin
 
@@ -446,10 +447,17 @@ def _bind_inversion(params):
 
 
 def _check_angles(obs):
-    """Raise the ValueError of `AeroAngles` or `EulerAngles` if the
-    observation's airspeed, sideslip or attitude is outside their domain."""
-    AeroAngles(obs.alpha, obs.beta, obs.V)
-    EulerAngles(obs.phi, obs.theta, 0.0)
+    """Raise the ValueError of `AeroAngles` or `EulerAngles`, with its
+    message, if the observation's airspeed, sideslip or attitude is outside
+    their domain: a negative airspeed, a sideslip beyond 90 degrees or a
+    non-finite pitch or roll.  Unlike `AeroAngles`, it also rejects a NaN
+    airspeed or sideslip, whose loads would be NaN."""
+    if not obs.V >= 0.0:
+        raise ValueError("airspeed must be non-negative")
+    if not abs(obs.beta) <= math.pi / 2 + 1e-12:
+        raise ValueError("sideslip out of range")
+    if not (math.isfinite(obs.phi) and math.isfinite(obs.theta)):
+        raise ValueError("non-finite Euler angles")
 
 
 def invert_aero(obs, params):

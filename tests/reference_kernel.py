@@ -29,6 +29,7 @@ import numpy as np
 from blimpdyn import aero
 from blimpdyn.dynamics import SingularMass, bind
 from blimpdyn.equilibria import (
+    JACOBIAN_KEEP_CUT,
     MAX_HALVINGS,
     MAX_NEWTON_ITER,
     PLANAR_UNKNOWNS,
@@ -238,40 +239,72 @@ def reference_integrate(state0, sched, params, model, dt, T, legacy=False):
     return states, "ok", None
 
 
-def reference_damped_newton(fun, jac, x0):
-    """Newton with step halving on numpy vectors: (x, residual_norm).
-    `fun` and `jac` return numpy arrays (the residual and the Jacobian)."""
+def _reference_step(J, f, it, fnorm):
+    """The Newton step -J^-1 f by `np.linalg.solve`, or the least-norm
+    step where that fails or is not finite."""
+    try:
+        dx = np.linalg.solve(J, -f)
+        if not np.all(np.isfinite(dx)):
+            raise np.linalg.LinAlgError("non-finite Newton step")
+    except np.linalg.LinAlgError:
+        dx = np.linalg.lstsq(J, -f, rcond=None)[0]
+        if not np.all(np.isfinite(dx)):
+            raise NoConvergence(f"singular Jacobian with no usable step at iteration "
+                                f"{it} (residual {fnorm:.3e})", it, fnorm)
+    return dx
+
+
+def reference_damped_newton(fun, jac, x0, tol=TOL):
+    """Damped simplified Newton on numpy vectors, ended by one polishing
+    step: (x, residual_norm).  `fun` and `jac` return numpy arrays (the
+    residual and the Jacobian).
+
+    A step on a fresh Jacobian halves until the norm falls; a full step
+    that cuts the norm `JACOBIAN_KEEP_CUT` times keeps the Jacobian, and
+    the next iteration tries only the full step on it, or drops it and
+    refreshes.  Below `TOL`, one step on a fresh Jacobian is kept if it
+    lowers the norm."""
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     fnorm = np.linalg.norm(f)
+    J = None
     for it in range(1, MAX_NEWTON_ITER + 1):
-        if fnorm < TOL:
-            return x, fnorm
-        J = jac(x)
-        try:
-            dx = np.linalg.solve(J, -f)
-            if not np.all(np.isfinite(dx)):
-                raise np.linalg.LinAlgError("non-finite Newton step")
-        except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(J, -f, rcond=None)[0]
-            if not np.all(np.isfinite(dx)):
-                raise NoConvergence(f"singular Jacobian with no usable step at iteration "
-                                    f"{it} (residual {fnorm:.3e})")
-        lam = 1.0
-        for _ in range(MAX_HALVINGS):
-            x_new = x + lam * dx
+        if fnorm < tol:
+            break
+        if J is not None:
+            x_new = x + _reference_step(J, f, it, fnorm)
             f_new = fun(x_new)
-            if np.linalg.norm(f_new) < fnorm:
-                break
-            lam *= 0.5
+            if np.linalg.norm(f_new) >= fnorm:
+                J = None
+                continue
+            lam = 1.0
         else:
-            raise NoConvergence(f"step halving exhausted at iteration {it} "
-                                f"(residual {fnorm:.3e})")
+            J = jac(x)
+            dx = _reference_step(J, f, it, fnorm)
+            lam = 1.0
+            for _ in range(MAX_HALVINGS):
+                x_new = x + lam * dx
+                f_new = fun(x_new)
+                if np.linalg.norm(f_new) < fnorm:
+                    break
+                lam *= 0.5
+            else:
+                raise NoConvergence(f"step halving exhausted at iteration {it} "
+                                    f"(residual {fnorm:.3e})", it, fnorm)
+        if lam != 1.0 or np.linalg.norm(f_new) * JACOBIAN_KEEP_CUT > fnorm:
+            J = None
         x, f = x_new, f_new
         fnorm = np.linalg.norm(f)
+    else:
+        if not fnorm < tol:
+            raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations",
+                                MAX_NEWTON_ITER, fnorm)
     if fnorm < TOL:
-        return x, fnorm
-    raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations")
+        x_new = x + _reference_step(jac(x), f, it, fnorm)
+        f_new = fun(x_new)
+        if np.linalg.norm(f_new) < fnorm:
+            x, fnorm = x_new, np.linalg.norm(f_new)
+    return x, fnorm
 
 
 def reference_planar_jacobian(x3, terms, kernel, fscale, tscale):

@@ -85,6 +85,35 @@ def test_manifest_hashes_each_input_once(tmp_path, capsys, flags, name):
     assert [ln for ln in lines if ln.startswith("sha256 ")] == [f"sha256 {name} = {digest}"]
 
 
+@pytest.mark.parametrize("verb", ["params-check", "polar", "trim", "spiral", "linearize",
+                                  "simulate", "identify"])
+@pytest.mark.parametrize("flags, parsed", [
+    ([], ["vehicle.ini"]),
+    (["--wingless"], ["wingless.ini"]),
+    (["--params", bundled_path("vehicle.ini"), "--aero", bundled_path("wingless.ini")],
+     ["vehicle.ini", "wingless.ini"]),
+], ids=["default", "wingless", "params-and-aero"])
+def test_each_configuration_file_is_parsed_once(tmp_path, capsys, monkeypatch, verb, flags,
+                                                parsed):
+    """Every verb that reads the vehicle parses each configuration file
+    once: a file that gives both the parameters and the aero model (no
+    `--aero`, or `--wingless`) is not parsed a second time.  `identify`
+    reads a manifest with a malformed row, which it rejects after loading
+    the vehicle."""
+    calls = []
+    parser = blimpdyn.paramio._parser
+    monkeypatch.setattr(blimpdyn.paramio, "_parser",
+                        lambda path: calls.append(os.path.basename(path)) or parser(path))
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n0,1,2,2,hold,0\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\nt0,trial.csv,straight,0,2\n")
+    extra = {"simulate": ["--schedule", str(sched), "--T", "0.1", "--dt", "0.05"],
+             "identify": ["--manifest", str(manifest)]}.get(verb, [])
+    main([verb, "--out", str(tmp_path / "out"), *flags, *extra])
+    assert calls == parsed
+
+
 @pytest.mark.parametrize("row", [
     "0,2,-1,2,goto,20",     # negative thrust and a target 20 cm out on a 6 cm rail
     "0,2,2,-0.5,hold,0",

@@ -14,11 +14,13 @@ and a guard against finite-difference derivatives there.
 - The RK4 step of `simulate.integrate`, and the kernel closures it calls,
   call nothing from numpy: the step runs on Python floats.
 - The steady model evaluations of a Newton step (`equilibria`'s
-  kinematics, residual, Jacobian columns and rail derivative, and the
-  kernel's `balance`) call nothing from numpy either.
-- The steady solvers never call `np.linalg.solve`: the Newton step calls
-  LAPACK's gufunc directly, and numpy's private `_umath_linalg` is
-  imported once in the package, as `equilibria._lapack_solve`.
+  kinematics, residual, Jacobian columns, rail derivative and residual
+  norm, and the kernel's `balance`) call nothing from numpy either.
+- The steady solvers never call `np.linalg.solve`, in any function of
+  `equilibria` (the step solve `_newton_step` of each iteration and of the
+  polishing step included): the Newton step calls LAPACK's gufunc
+  directly, and numpy's private `_umath_linalg` is imported once in the
+  package, as `equilibria._lapack_solve`.
 - The kernel's block solve is written once: of the closures of
   `dynamics.bind`, only `solve` divides by det K.
 
@@ -351,7 +353,7 @@ def test_numpy_gate_sees_a_violation():
 
 # The model evaluations of a steady Newton step, in `equilibria`.
 STEADY_FLOAT_FUNCTIONS = ("_unknowns_to_kinematics", "_raw_residual", "_raw_jacobian",
-                          "_rail_derivative")
+                          "_rail_derivative", "_norm")
 
 
 def _closure(tree, outer, name):
@@ -376,10 +378,10 @@ def steady_numpy_calls(equilibria_tree, dynamics_tree, sysid_tree):
 
 
 def test_steady_model_calls_no_numpy():
-    """The kinematics, residual, Jacobian columns and rail derivative of the
-    steady solvers, the kernel's `balance` they call, and the load
-    inversion of system identification run on Python floats: numpy only
-    scales the Jacobian and solves the Newton step."""
+    """The kinematics, residual, Jacobian columns, rail derivative and
+    residual norm of the steady solvers, the kernel's `balance` they call,
+    and the load inversion of system identification run on Python floats:
+    numpy only scales the Jacobian and solves the Newton step."""
     trees = dict(_modules())
     assert steady_numpy_calls(trees["equilibria.py"], trees["dynamics.py"],
                               trees["sysid.py"]) == {}
@@ -397,7 +399,8 @@ def test_steady_numpy_gate_sees_violations():
                       "def _unknowns_to_kinematics(x):\n    return math.sin(x)\n"
                       "def _raw_residual(x):\n    return _kin(x)\n"
                       "def _raw_jacobian(x):\n    return [hypot(x, 1.0)]\n"
-                      "def _rail_derivative(x):\n    return np.subtract(x, 1.0)\n")
+                      "def _rail_derivative(x):\n    return np.subtract(x, 1.0)\n"
+                      "def _norm(f):\n    return np.linalg.norm(f)\n")
     dynamics_src = ("import numpy as np\n"
                     "def _bind_balance(params):\n"
                     "    def mass_terms(r):\n        return np.zeros(3)\n"
@@ -416,6 +419,7 @@ def test_steady_numpy_gate_sees_violations():
         "_raw_residual": [(9, "_kin")],
         "_raw_jacobian": [(11, "hypot")],
         "_rail_derivative": [(13, "np.subtract")],
+        "_norm": [(15, "np.linalg.norm")],
         "balance": [(6, "np.cross")],
         "invert": [(8, "np.asarray")],
     }
@@ -488,6 +492,9 @@ def lapack_uses(tree):
 
 
 def test_newton_step_does_not_call_np_linalg_solve():
+    """No function of `equilibria` calls `np.linalg.solve`: the gate reads
+    the whole module, so it covers `_newton_step`, which solves the step of
+    each Newton iteration, the kept-Jacobian steps and the polishing step."""
     trees = dict(_modules())
     assert linalg_solve_calls(trees["equilibria.py"]) == []
     assert {name: [use[1:] for use in lapack_uses(tree)] for name, tree in trees.items()

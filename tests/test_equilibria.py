@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -22,6 +23,8 @@ from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
     MAX_HALVINGS,
     PLANAR_UNKNOWNS,
+    SEED_TOL,
+    TOL,
     NoConvergence,
     _damped_newton,
     _rail_derivative,
@@ -262,7 +265,8 @@ def test_step_solve_is_bitwise_np_linalg_solve(system):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_jacobian_gives_non_finite_step_without_warning(monkeypatch):
     """An exactly singular J makes the step solve return a non-finite step,
-    silently, and the least-norm step then solves the consistent system."""
+    silently, and the least-norm step then solves the consistent system;
+    so does the polishing step's solve at the solution."""
     steps = []
     solve = equilibria._lapack_solve
     monkeypatch.setattr(equilibria, "_lapack_solve",
@@ -274,7 +278,8 @@ def test_singular_jacobian_gives_non_finite_step_without_warning(monkeypatch):
 
     x, fnorm = _damped_newton(fun, lambda x: J, [0.0, 0.0, 0.0])
     assert fnorm < 1e-9 and np.allclose(x, [0.2, 0.4, 3.0])
-    assert len(steps) == 1 and not np.isfinite(steps[0]).any()
+    # The step of iteration 1 and the polishing step at its solution.
+    assert len(steps) == 2 and not any(np.isfinite(step).any() for step in steps)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.array(J), np.array([-1.0, -2.0, -3.0]))
 
@@ -311,8 +316,8 @@ def test_scaled_jacobians_are_bitwise_the_nested_list_form(bundle, sym_bundle, x
     kernel = bind(p, m)
     jacs = []
     with mock.patch.object(equilibria, "_damped_newton",
-                           lambda fun, jac, x0: jacs.append(jac) or (np.array(x0, dtype=float),
-                                                                     0.0)):
+                           lambda fun, jac, x0, tol=TOL: jacs.append(jac)
+                           or (np.array(x0, dtype=float), 0.0)):
         equilibria._solve_spiral_direct(dr_x, 0.5 * F2, 1.5 * F2, p, m, kernel)
     jac3, jac6 = jacs
     _, terms, fscale, tscale = equilibria._rail_system(dr_x, p, kernel)
@@ -325,32 +330,52 @@ def test_scaled_jacobians_are_bitwise_the_nested_list_form(bundle, sym_bundle, x
         assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("fun, jac, n, failure", [
-    pytest.param(lambda x: [x[0] - 1.0], lambda x: [[1.0]], 1, None, id="converged"),
-    pytest.param(lambda x: [1.0, 1.0], lambda x: np.eye(2), 2, "step halving exhausted",
-                 id="halving-exhausted"),
+@pytest.mark.parametrize("fun, jac, n, failure, iteration, residual", [
+    pytest.param(lambda x: [x[0] - 1.0], lambda x: [[1.0]], 1, None, None, None, id="converged"),
+    pytest.param(lambda x: [1.0, 1.0], lambda x: np.eye(2), 2, "step halving exhausted", 1,
+                 math.sqrt(2.0), id="halving-exhausted"),
     pytest.param(lambda x: [np.inf, 1.0], lambda x: np.eye(2), 2,
-                 "non-finite Jacobian or residual", id="non-finite"),
+                 "non-finite Jacobian or residual", 1, math.inf, id="non-finite"),
     # The step -f / 1e-300 overflows, and so does the least-norm step.
     pytest.param(lambda x: [1e10, 1e10], lambda x: [[1e-300, 0.0], [0.0, 1e-300]], 2,
-                 "singular Jacobian with no usable step", id="no-usable-step"),
+                 "singular Jacobian with no usable step", 1, math.sqrt(2.0) * 1e10,
+                 id="no-usable-step"),
     # Each step lowers the residual by a factor 1 - 1e-6 only.
-    pytest.param(lambda x: [x[0] - 1.0], lambda x: [[1e6]], 1, "after 100 iterations",
-                 id="iteration-cap"),
+    pytest.param(lambda x: [x[0] - 1.0], lambda x: [[1e6]], 1, "after 100 iterations", 100,
+                 (1.0 - 1e-6) ** 100, id="iteration-cap"),
 ])
-def test_damped_newton_restores_the_error_state(fun, jac, n, failure):
+def test_damped_newton_restores_the_error_state(fun, jac, n, failure, iteration, residual):
     """The Newton loop ignores numpy's `invalid` flag while it runs, and the
     caller's error state is back in place when it returns and after each
-    of its `NoConvergence` exits."""
+    of its `NoConvergence` exits, which carry the failed iteration and the
+    residual norm there as attributes, the norm as their message prints
+    it."""
     with np.errstate(divide="warn", over="raise", under="warn", invalid="raise"):
         before = np.geterr()
         if failure is None:
             x, fnorm = _damped_newton(fun, jac, [0.0] * n)
             assert fnorm < 1e-9 and x.tolist() == [1.0]
         else:
-            with pytest.raises(NoConvergence, match=failure):
+            with pytest.raises(NoConvergence, match=failure) as raised:
                 _damped_newton(fun, jac, [0.0] * n)
+            exc = raised.value
+            assert exc.iteration == iteration
+            assert exc.residual == pytest.approx(residual, rel=1e-12)
+            assert f"residual {exc.residual:.3e}" in str(exc)
         assert np.geterr() == before
+
+
+def test_continuation_breakdown_carries_the_newton_failure(params, model):
+    """A failed intermediate step of the moving-mass fallback raises
+    `ContinuationBreakdown` with the iteration and residual norm of the
+    Newton failure it wraps: at 3 gf with a differential of 0.7 of the
+    total, the walk to dr_x = -6 cm fails at its first step, -3 cm."""
+    with pytest.raises(equilibria.ContinuationBreakdown, match="at dr_x -0.0300 m") as raised:
+        solve_spiral(-0.06, 0.15 * 3 * GF_TO_N, 0.85 * 3 * GF_TO_N, params, model)
+    exc, cause = raised.value, raised.value.__cause__
+    assert type(cause) is NoConvergence and str(cause) in str(exc)
+    assert (exc.iteration, exc.residual) == (cause.iteration, cause.residual)
+    assert exc.iteration >= 1 and exc.residual > 1e-9
 
 
 def _solve_cell(solve, params, model):
@@ -364,20 +389,23 @@ def _solve_cell(solve, params, model):
 @pytest.mark.parametrize("solve", ["straight", "direct", "fallback"])
 def test_float_newton_matches_array_reference(params, model, monkeypatch, solve):
     """The float Newton loop reaches the unknowns of the numpy-vector loop
-    it replaced bit for bit, on a planar trim, a direct spiral cell and a
-    cell that takes the moving-mass fallback; the residual norms, summed
-    in another order, agree within 4 ulp."""
+    it mirrors bit for bit, on a planar trim, a direct spiral cell and a
+    cell that takes the moving-mass fallback, with the same tolerance in
+    each solve; the residual norms, summed in another order, agree within
+    4 ulp."""
     got = _solve_cell(solve, params, model)
     calls = []
 
-    def array_newton(fun, jac, x0):
-        calls.append(1)
+    def array_newton(fun, jac, x0, tol=TOL):
+        calls.append(tol)
         return reference_damped_newton(lambda x: np.array(fun(x)), lambda x: np.array(jac(x)),
-                                       x0)
+                                       x0, tol)
 
     monkeypatch.setattr(equilibria, "_damped_newton", array_newton)
     ref = _solve_cell(solve, params, model)
-    assert calls
+    # A spiral's planar seed is solved to SEED_TOL, every other solve to TOL.
+    assert calls == {"straight": [TOL], "direct": [SEED_TOL, TOL],
+                     "fallback": [SEED_TOL, TOL, SEED_TOL, TOL, TOL, TOL]}[solve]
     unknowns = ("theta", "phi", "psidot", "V", "alpha", "beta")
     assert ([getattr(got, k).hex() for k in unknowns]
             == [getattr(ref, k).hex() for k in unknowns])
@@ -425,6 +453,58 @@ def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff
     assert 0 < len(calls) <= bound
     assert len(straight_calls) == seeds
     assert len(binds) == 1
+
+
+@pytest.mark.parametrize("dr_x, diff, bound", [
+    pytest.param(-0.01, -3.2, 8, id="direct"),
+    pytest.param(0.04, -4.9, 20, id="fallback"),
+])
+def test_spiral_jacobian_count(params, model, monkeypatch, dr_x, diff, bound):
+    """A Newton iteration whose full step cut the residual norm tenfold
+    keeps its Jacobian, so a spiral solve builds fewer Jacobians than it
+    solves steps (11 and 27 Jacobians when each iteration built one).  The
+    count includes the polishing step of each solve to TOL and, on the
+    fallback cell, the Jacobians of its two tangent predictors."""
+    jacobians, steps = [], []
+    raw_jacobian, newton_step = equilibria._raw_jacobian, equilibria._newton_step
+    monkeypatch.setattr(equilibria, "_raw_jacobian",
+                        lambda *a: jacobians.append(1) or raw_jacobian(*a))
+    monkeypatch.setattr(equilibria, "_newton_step", lambda *a: steps.append(1) or newton_step(*a))
+    sol = solve_spiral(dr_x, 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N,
+                       params, model)
+    assert sol.residual_norm < 1e-9
+    assert 0 < len(jacobians) <= bound
+    assert len(jacobians) < len(steps)
+
+
+@pytest.mark.parametrize("cell, seed", [
+    pytest.param((-0.01, -3.2), "planar", id="direct-from-planar-trim"),
+    pytest.param((-0.01, -3.2), "perturbed", id="direct-from-perturbed-planar-trim"),
+    pytest.param((0.04, -4.9), "perturbed", id="fallback-from-perturbed-solution"),
+])
+def test_spiral_solution_is_independent_of_the_seed(params, model, cell, seed):
+    """Every solve ends on a polishing step at the floating-point floor, so
+    a spiral cell solved from another seed returns the same unknowns
+    within 1e-13 relative (1e-15 absolute for the tiny pitch of the
+    fallback cell); the Newton tolerance alone allows 1e-8.  The other
+    seeds are the planar trim at the mean thrust solved to TOL, that trim
+    perturbed by about 0.1 rad and 0.1 m/s, and, for the cell that takes
+    the moving-mass fallback, its own solution perturbed by 1 %."""
+    dr_x, diff = cell
+    Fl, Fr = 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N
+    sol = solve_spiral(dr_x, Fl, Fr, params, model)
+    got = np.array([sol.theta, sol.phi, sol.psidot, sol.V, sol.alpha, sol.beta])
+    kernel = bind(params, model)
+    system = equilibria._rail_system(dr_x, params, kernel)
+    if dr_x < 0:
+        x0, _ = equilibria._straight_trim(0.5 * (Fl + Fr), system, params, model, kernel)
+        if seed == "perturbed":
+            x0 = x0 + [0.02, 0.05, 0.1, -0.03, 0.01, 0.02]
+    else:
+        x0 = got * (1.0 + 0.01 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))
+    x, fnorm = equilibria._spiral_newton(x0, Fl, Fr, system, kernel)
+    assert fnorm < 1e-9 and x.tolist() != x0.tolist()
+    np.testing.assert_allclose(got, x, rtol=1e-13, atol=1e-15)
 
 
 def test_straight_trim_stock_point(params, model):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from blimpdyn import paramio
 from blimpdyn.paramio import (
     bundled_path,
     load_bundled,
@@ -76,3 +79,19 @@ def test_bundled_paths_exist():
 
     assert os.path.exists(bundled_path("vehicle.ini"))
     assert os.path.exists(bundled_path("wingless.ini"))
+
+
+@pytest.mark.parametrize("wingless, parsed", [(False, ["vehicle.ini"]),
+                                              (True, ["vehicle.ini", "wingless.ini"])])
+def test_load_bundled_parses_each_file_once(monkeypatch, wingless, parsed):
+    """`load_bundled` parses each bundled file once, and returns what
+    `read_params` and `read_aero` read from those files."""
+    calls = []
+    parser = paramio._parser
+    monkeypatch.setattr(paramio, "_parser",
+                        lambda path: calls.append(os.path.basename(path)) or parser(path))
+    params, model = load_bundled(wingless=wingless)
+    assert calls == parsed
+    ref_params = read_params(bundled_path("vehicle.ini"))
+    ref_model = read_aero(bundled_path(parsed[-1]))
+    assert repr(params) == repr(ref_params) and model == ref_model

@@ -795,6 +795,21 @@ class TestInvertAero:
         assert abs(inv.M3) < 1e-10
 
 
+    @pytest.mark.parametrize("field, message", [("V", "airspeed must be non-negative"),
+                                                ("beta", "sideslip out of range")])
+    def test_rejects_a_nan_airspeed_or_sideslip(self, params, grid_obs, field, message):
+        """A NaN airspeed or sideslip, which `AeroAngles` accepts because
+        NaN compares false, is outside the inversion's domain: `invert_aero`
+        and `fit` raise the message of a negative airspeed or an
+        out-of-range sideslip instead of returning NaN loads."""
+        from dataclasses import replace
+
+        bad = replace(grid_obs[20], **{field: math.nan})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            invert_aero(bad, params)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit([*grid_obs, bad], params)
+
     @given(
         x=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.8, 0.8), st.floats(-1.0, 1.0),
                     st.floats(0.05, 2.0), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
