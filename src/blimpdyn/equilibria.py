@@ -23,20 +23,25 @@ a vector right-hand side), called directly because the argument checks
 of `np.linalg.solve` cost about three times the solve itself at 3x3 and
 6x6; one `np.errstate` covers the whole solve.
 
-The Newton loop (`_damped_newton`) is simplified Newton (Deuflhard,
-*Newton Methods for Nonlinear Problems*, 2004).  A full step that cuts
-the residual norm at least `JACOBIAN_KEEP_CUT` times keeps its Jacobian,
-and the next iteration tries only the full step on it; any other step,
-or a kept-Jacobian step that does not lower the norm (which is dropped),
-builds a fresh Jacobian for the next iteration.  On a fresh Jacobian an
-iteration tries at most `MAX_HALVINGS` steps, the full step and then half
-the last one, and then fails with the iteration and the residual norm as
-attributes of `NoConvergence` and in its message.  Once the norm is below
-`TOL`, one Newton step on a fresh Jacobian is kept if it lowers the norm:
-this polish ends each solve near the floating-point floor, so the
-unknowns do not depend, beyond about 1e-13 relative, on the path that
-reached them, and `residual_norm` is the polished norm.  A spiral is one
-Newton solve at its thrusts from the planar trim at the mean thrust,
+The Newton loop (`_damped_newton`) is simplified Newton with Deuflhard's
+error-oriented damping (*Newton Methods for Nonlinear Problems*, 2004,
+section 3.3, NLEQ-ERR).  Each trial step also solves its simplified
+correction on the same Jacobian; a trial is accepted when the correction
+shrinks by the monotonicity factor 1 - lam/4 or the residual norm falls,
+and the correction predicts the damping factor of the next trial and of
+the next Jacobian's first.  A full step that contracts at least
+`JACOBIAN_KEEP_CUT` times keeps its Jacobian, and its correction is the
+next step, tried only in full; any other step, or a kept-Jacobian step
+that is rejected (which is dropped), builds a fresh Jacobian for the next
+iteration.  A rejected trial at `LAMBDA_MIN` ends the solve with the
+iteration and the residual norm as attributes of `NoConvergence` and in
+its message.  Once the norm is below `TOL`, one Newton step on a fresh
+Jacobian is kept if it lowers the norm: this polish ends each solve near
+the floating-point floor, so the unknowns do not depend, beyond about
+1e-13 relative, on the path that reached them, and `residual_norm` is the
+polished norm.  A converged solve whose airspeed V is not positive (the
+vehicle flying backwards) is refused with `NoConvergence`.  A spiral is
+one Newton solve at its thrusts from the planar trim at the mean thrust,
 solved only to `SEED_TOL` and not polished; only where that solve fails
 does `solve_spiral` fall back to a continuation along the moving-mass
 rail: `RAIL_STEPS` Euler predictor steps along the branch tangent, from
@@ -73,14 +78,14 @@ MOMENT_ARM_FLOOR = 0.1
 RAIL_STEPS = 2
 
 # Iteration cap and residual-norm tolerance of the damped Newton solve, and
-# the trial steps of its step-halving search (the full step, then halved
-# after each trial that does not lower the residual norm).
+# the smallest damping factor it tries: a rejected trial at this factor
+# ends the solve.
 MAX_NEWTON_ITER = 100
 TOL = 1e-9
-MAX_HALVINGS = 12
+LAMBDA_MIN = 0.5 ** 11
 
-# A full Newton step that cuts the residual norm at least this many times
-# keeps its Jacobian for the next iteration (simplified Newton).
+# A full Newton step whose simplified correction is at most 1/this of the
+# step keeps its Jacobian for the next iteration (simplified Newton).
 JACOBIAN_KEEP_CUT = 10.0
 
 # Residual-norm tolerance of the planar trim that seeds a spiral's Newton
@@ -99,11 +104,12 @@ NEUTRAL_TOL = 1e-9
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration failed: its step-halving search found no step that
-    lowers the residual norm, the step was not finite, or the residual
-    missed tolerance within the iteration cap.  `iteration` is the Newton
-    iteration that failed and `residual` the residual norm there; both are
-    None where the failure did not come from the Newton loop."""
+    """Newton iteration failed: its damped step search rejected a trial at
+    `LAMBDA_MIN`, the step was not finite, or the residual missed tolerance
+    within the iteration cap; or a converged equilibrium has an airspeed
+    that is not positive.  `iteration` is the Newton iteration that failed
+    and `residual` the residual norm there; both are None where the failure
+    did not come from the Newton loop."""
 
     def __init__(self, message, iteration=None, residual=None):
         super().__init__(message)
@@ -316,51 +322,85 @@ def _newton_step(J, f, it, fnorm):
 
 
 def _damped_newton(fun, jac, x0, tol=TOL):
-    """Damped simplified Newton to the residual norm `tol`, ended by a
-    polishing step; returns (x, residual_norm), x an array.
+    """Damped simplified Newton to the residual norm `tol`, with
+    Deuflhard's error-oriented damping (NLEQ-ERR; *Newton Methods for
+    Nonlinear Problems*, 2004, section 3.3), ended by a polishing step;
+    returns (x, residual_norm), x an array.
 
     `fun(x)` is the residual and `jac(x)` its exact Jacobian (rows; an
-    array or nested lists) at the float list x.  Each iteration solves one
-    step (`_newton_step`).  On a fresh Jacobian it tries at most
-    `MAX_HALVINGS` trial steps, the full step and then half the last one,
-    and takes the first that lowers the residual norm.  A full step that
-    cuts the norm at least `JACOBIAN_KEEP_CUT` times keeps its Jacobian
-    for the next iteration, which tries only the full step on it; any
-    other step, or a kept-Jacobian step that does not lower the norm (and
-    is then dropped), builds a fresh Jacobian next.  Once the norm is below
-    `tol`, and if it is below `TOL` (a seed solved to a looser `tol` is
-    not), one Newton step on a fresh Jacobian at that point is kept if it
-    lowers the norm, so a solve ends near the floating-point floor
-    whichever path it took.  A failure raises `NoConvergence` with the
-    iteration and the residual norm.  The loop steps Python floats, takes
-    each norm by `_norm` and runs under one `np.errstate(invalid="ignore")`,
-    which restores the caller's error state however it ends."""
+    array or nested lists) at the float list x.  A fresh Jacobian's step
+    dx (`_newton_step`) starts at the predicted damping factor
+    lam = min(1, mu), mu = lam' |dx'| |dxbar| / (|dxbar - dx| |dx|) from
+    the last accepted step lam' dx' and the simplified correction dxbar
+    at its end (lam = 1 on the first Jacobian).  Each trial x + lam dx
+    above `tol` solves its simplified correction dxbar = -J^-1 F(x + lam dx)
+    on the same Jacobian, and is accepted when |dxbar| <= (1 - lam/4) |dx|
+    or when the residual norm falls.  A rejected trial sets
+    lam = max(`LAMBDA_MIN`, min(lam/2, mu')), mu' = lam^2 |dx| / 2
+    |dxbar - (1 - lam) dx| (lam/2 where dxbar is not defined); a rejected
+    trial at `LAMBDA_MIN` ends the solve.  An accepted full step whose
+    contraction |dxbar| / |dx| is at most 1 / `JACOBIAN_KEEP_CUT` keeps
+    its Jacobian, and dxbar is the next iteration's step, tried only in
+    full; if that trial is rejected, the next iteration builds a fresh
+    Jacobian at the same point, as it does after any other step.  Once
+    the norm is below `tol`, and if it is below `TOL` (a seed solved to a
+    looser `tol` is not), one Newton step on a fresh Jacobian at that
+    point is kept if it lowers the norm, so a solve ends near the
+    floating-point floor whichever path it took.  A failure raises
+    `NoConvergence` with the iteration and the residual norm.  The loop
+    steps Python floats, takes each norm by `_norm` and runs under one
+    `np.errstate(invalid="ignore")`, which restores the caller's error
+    state however it ends."""
     with np.errstate(invalid="ignore"):
         x = [float(v) for v in x0]
         f = fun(x)
         fnorm = _norm(f)
-        J = None
+        # `last` is (lam |dx|, dxbar, |dxbar|) of the last accepted step;
+        # a kept J takes its dxbar, the step at x on J, as the next step.
+        J = last = None
         for it in range(1, MAX_NEWTON_ITER + 1):
             if fnorm < tol:
                 break
             kept = J is not None
-            if not kept:
+            lam = 1.0
+            if kept:
+                _, dx, dx_norm = last
+            else:
                 J = np.asarray(jac(x))
-            dx = _newton_step(J, f, it, fnorm)
-            for k in range(1 if kept else MAX_HALVINGS):
-                lam = 0.5 ** k
+                dx = _newton_step(J, f, it, fnorm)
+                dx_norm = _norm(dx)
+                if last is not None:
+                    lam_dx, bar, bar_norm = last
+                    den = _norm([a - b for a, b in zip(bar, dx)]) * dx_norm
+                    if den:
+                        lam = max(LAMBDA_MIN, min(1.0, lam_dx * bar_norm / den))
+            while True:
                 x_new = [a + lam * b for a, b in zip(x, dx)]
                 f_new = fun(x_new)
                 fnorm_new = _norm(f_new)
-                if fnorm_new < fnorm:
+                if fnorm_new < tol:
+                    last = None
                     break
-            else:
+                mu = math.inf
+                if math.isfinite(fnorm_new):
+                    bar = _newton_step(J, f_new, it, fnorm_new)
+                    bar_norm = _norm(bar)
+                    if fnorm_new < fnorm or bar_norm <= (1.0 - 0.25 * lam) * dx_norm:
+                        last = (lam * dx_norm, bar, bar_norm)
+                        break
+                    den = _norm([a - (1.0 - lam) * b for a, b in zip(bar, dx)])
+                    if den:
+                        mu = 0.5 * dx_norm * lam * lam / den
                 if kept:
                     J = None
-                    continue
-                raise NoConvergence(f"step halving exhausted at iteration {it} "
-                                    f"(residual {fnorm:.3e})", it, fnorm)
-            if k or JACOBIAN_KEEP_CUT * fnorm_new > fnorm:
+                    break
+                if lam == LAMBDA_MIN:
+                    raise NoConvergence(f"step halving exhausted at iteration {it} "
+                                        f"(residual {fnorm:.3e})", it, fnorm)
+                lam = max(LAMBDA_MIN, min(0.5 * lam, mu))
+            if J is None:  # a rejected step on a kept J: rebuild it at x
+                continue
+            if last is None or lam != 1.0 or JACOBIAN_KEEP_CUT * last[2] > dx_norm:
                 J = None
             x, f, fnorm = x_new, f_new, fnorm_new
         else:
@@ -377,6 +417,11 @@ def _damped_newton(fun, jac, x0, tol=TOL):
 
 
 def _make_solution(x, fnorm, kind):
+    """The `SteadySolution` of the converged unknowns x; an airspeed that
+    is not positive (the vehicle flying backwards) raises `NoConvergence`."""
+    if not x[3] > 0.0:
+        raise NoConvergence(f"equilibrium airspeed {x[3]:.3g} m/s is not positive "
+                            f"(residual {fnorm:.3e})")
     k = _unknowns_to_kinematics(x)
     return SteadySolution(
         theta=float(x[0]),
@@ -474,21 +519,20 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     mm-scale lateral asymmetries of the vehicle in (typically tiny) phi,
     psidot, beta.  If that solve fails away from dr_x = 0 (at large
     moving-mass offsets the equilibrium can lie on a branch that the
-    planar seed does not reach), solves the same thrusts at dr_x = 0 and
-    walks the moving mass out to dr_x in `RAIL_STEPS` equal steps.  Each
-    step predicts the unknowns at the next rail position from the branch
-    tangent, dx/d(dr_x) = -J^-1 dR/d(dr_x) (natural-parameter continuation
-    with an Euler predictor), and corrects them with a Newton solve; a
-    failed intermediate step raises `ContinuationBreakdown`."""
+    planar seed does not reach), or lands at an airspeed that is not
+    positive, solves the same thrusts at dr_x = 0 and walks the moving mass
+    out to dr_x in `RAIL_STEPS` equal steps.  Each step predicts the
+    unknowns at the next rail position from the branch tangent,
+    dx/d(dr_x) = -J^-1 dR/d(dr_x) (natural-parameter continuation with an
+    Euler predictor), and corrects them with a Newton solve; a failed
+    intermediate step raises `ContinuationBreakdown`."""
     kernel = bind(params, model)
     kind = "straight" if Fl == Fr else "spiral"
     try:
-        x, fnorm = _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel)
+        return _make_solution(*_solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel), kind)
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
-    else:
-        return _make_solution(x, fnorm, kind)
     x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel)
     dr_prev, rbar = 0.0, params.rbar0.tolist()
     for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):

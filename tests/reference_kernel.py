@@ -30,7 +30,7 @@ from blimpdyn import aero
 from blimpdyn.dynamics import SingularMass, bind
 from blimpdyn.equilibria import (
     JACOBIAN_KEEP_CUT,
-    MAX_HALVINGS,
+    LAMBDA_MIN,
     MAX_NEWTON_ITER,
     PLANAR_UNKNOWNS,
     TOL,
@@ -255,46 +255,75 @@ def _reference_step(J, f, it, fnorm):
 
 
 def reference_damped_newton(fun, jac, x0, tol=TOL):
-    """Damped simplified Newton on numpy vectors, ended by one polishing
-    step: (x, residual_norm).  `fun` and `jac` return numpy arrays (the
-    residual and the Jacobian).
+    """Damped simplified Newton with error-oriented damping on numpy
+    vectors, ended by one polishing step: (x, residual_norm).  `fun` and
+    `jac` return numpy arrays (the residual and the Jacobian).
 
-    A step on a fresh Jacobian halves until the norm falls; a full step
-    that cuts the norm `JACOBIAN_KEEP_CUT` times keeps the Jacobian, and
-    the next iteration tries only the full step on it, or drops it and
-    refreshes.  Below `TOL`, one step on a fresh Jacobian is kept if it
-    lowers the norm."""
+    A fresh Jacobian's step starts at the predicted damping factor
+    min(1, mu) of the last accepted step (1 on the first Jacobian).  A
+    trial above `tol` is accepted when its simplified correction on the
+    same Jacobian is at most (1 - lam/4) times the step, or when the norm
+    falls; a rejected one damps to max(LAMBDA_MIN, min(lam/2, mu')), and
+    one at `LAMBDA_MIN` fails.  A full step whose correction is at most
+    1/`JACOBIAN_KEEP_CUT` of it keeps the Jacobian, and the correction is
+    the next step, tried only in full: if it is rejected, the Jacobian is
+    dropped and rebuilt at the same point.  Below `TOL`, one step on a
+    fresh Jacobian is kept if it lowers the norm."""
     x = np.asarray(x0, dtype=float).copy()
     f = fun(x)
     fnorm = np.linalg.norm(f)
     J = None
+    last = None  # (lam * |dx|, dxbar, |dxbar|) of the last accepted step
     for it in range(1, MAX_NEWTON_ITER + 1):
         if fnorm < tol:
             break
         if J is not None:
-            x_new = x + _reference_step(J, f, it, fnorm)
+            dx = last[1]
+            x_new = x + dx
             f_new = fun(x_new)
-            if np.linalg.norm(f_new) >= fnorm:
-                J = None
-                continue
+            fnorm_new = np.linalg.norm(f_new)
+            if fnorm_new >= tol:
+                bar = (_reference_step(J, f_new, it, fnorm_new)
+                       if np.isfinite(fnorm_new) else None)
+                if bar is None or not (fnorm_new < fnorm or np.linalg.norm(bar)
+                                       <= 0.75 * np.linalg.norm(dx)):
+                    J = None
+                    continue
             lam = 1.0
         else:
             J = jac(x)
             dx = _reference_step(J, f, it, fnorm)
             lam = 1.0
-            for _ in range(MAX_HALVINGS):
+            if last is not None:
+                den = np.linalg.norm(last[1] - dx) * np.linalg.norm(dx)
+                if den:
+                    lam = max(LAMBDA_MIN, min(1.0, last[0] * last[2] / den))
+            while True:
                 x_new = x + lam * dx
                 f_new = fun(x_new)
-                if np.linalg.norm(f_new) < fnorm:
+                fnorm_new = np.linalg.norm(f_new)
+                if fnorm_new < tol:
                     break
-                lam *= 0.5
-            else:
-                raise NoConvergence(f"step halving exhausted at iteration {it} "
-                                    f"(residual {fnorm:.3e})", it, fnorm)
-        if lam != 1.0 or np.linalg.norm(f_new) * JACOBIAN_KEEP_CUT > fnorm:
+                mu = np.inf
+                if np.isfinite(fnorm_new):
+                    bar = _reference_step(J, f_new, it, fnorm_new)
+                    if (fnorm_new < fnorm
+                            or np.linalg.norm(bar) <= (1.0 - 0.25 * lam) * np.linalg.norm(dx)):
+                        break
+                    den = np.linalg.norm(bar - (1.0 - lam) * dx)
+                    if den:
+                        mu = 0.5 * np.linalg.norm(dx) * lam * lam / den
+                if lam == LAMBDA_MIN:
+                    raise NoConvergence(f"step halving exhausted at iteration {it} "
+                                        f"(residual {fnorm:.3e})", it, fnorm)
+                lam = max(LAMBDA_MIN, min(0.5 * lam, mu))
+        if fnorm_new < tol:
+            last = None
+        else:
+            last = (lam * np.linalg.norm(dx), bar, np.linalg.norm(bar))
+        if last is None or lam != 1.0 or last[2] * JACOBIAN_KEEP_CUT > np.linalg.norm(dx):
             J = None
-        x, f = x_new, f_new
-        fnorm = np.linalg.norm(f)
+        x, f, fnorm = x_new, f_new, fnorm_new
     else:
         if not fnorm < tol:
             raise NoConvergence(f"residual {fnorm:.3e} after {MAX_NEWTON_ITER} iterations",

@@ -21,7 +21,7 @@ from reference_matrix import reference_rhs, steady_residual, wind_matrix
 from blimpdyn import aero, equilibria
 from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
-    MAX_HALVINGS,
+    LAMBDA_MIN,
     PLANAR_UNKNOWNS,
     SEED_TOL,
     TOL,
@@ -213,8 +213,10 @@ def test_rail_derivative_matches_central_differences(bundle, sym_bundle, x, dr_x
 
 
 def test_damped_newton_gives_up_after_max_halvings():
-    """A residual whose norm never decreases ends the halving search after
-    MAX_HALVINGS trial steps: one evaluation at the seed plus one per trial."""
+    """A constant residual, whose simplified correction never shrinks,
+    halves the damping factor from 1 down to LAMBDA_MIN = 2^-11 and gives
+    up after the trial there: one evaluation at the seed plus one per
+    trial, 12 trials."""
     calls = []
 
     def fun(x):
@@ -224,7 +226,7 @@ def test_damped_newton_gives_up_after_max_halvings():
     with pytest.raises(NoConvergence, match=r"step halving exhausted at iteration 1 "
                                             r"\(residual 1\.414e\+00\)"):
         _damped_newton(fun, lambda x: np.eye(2), np.zeros(2))
-    assert len(calls) == 1 + MAX_HALVINGS
+    assert LAMBDA_MIN == 0.5 ** 11 and len(calls) == 1 + 12
 
 
 @pytest.mark.parametrize("fun, jac", [
@@ -266,7 +268,8 @@ def test_step_solve_is_bitwise_np_linalg_solve(system):
 def test_singular_jacobian_gives_non_finite_step_without_warning(monkeypatch):
     """An exactly singular J makes the step solve return a non-finite step,
     silently, and the least-norm step then solves the consistent system;
-    so does the polishing step's solve at the solution."""
+    so does the polishing step's solve at the solution.  The full step
+    lands below TOL, so its trial solves no simplified correction."""
     steps = []
     solve = equilibria._lapack_solve
     monkeypatch.setattr(equilibria, "_lapack_solve",
@@ -278,7 +281,8 @@ def test_singular_jacobian_gives_non_finite_step_without_warning(monkeypatch):
 
     x, fnorm = _damped_newton(fun, lambda x: J, [0.0, 0.0, 0.0])
     assert fnorm < 1e-9 and np.allclose(x, [0.2, 0.4, 3.0])
-    # The step of iteration 1 and the polishing step at its solution.
+    # The step of iteration 1 and the polishing step at its solution; no
+    # correction of the trial that reached it.
     assert len(steps) == 2 and not any(np.isfinite(step).any() for step in steps)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.array(J), np.array([-1.0, -2.0, -3.0]))
@@ -365,6 +369,53 @@ def test_damped_newton_restores_the_error_state(fun, jac, n, failure, iteration,
         assert np.geterr() == before
 
 
+def test_failed_direct_attempt_fails_fast(params, model, monkeypatch):
+    """The direct attempt of a cell that takes the moving-mass fallback
+    (4 cm, -4.9 gf at 7 gf) fails after at most 12 residual evaluations,
+    its planar seed's included: the error-oriented damping predicts a
+    small damping factor instead of halving from the full step (26 when
+    the step halved on the residual norm)."""
+    calls = []
+    raw = equilibria._raw_residual
+    monkeypatch.setattr(equilibria, "_raw_residual", lambda *a: calls.append(1) or raw(*a))
+    Fl, Fr = 0.5 * (7.0 - 4.9) * GF_TO_N, 0.5 * (7.0 + 4.9) * GF_TO_N
+    with pytest.raises(NoConvergence, match="step halving exhausted") as raised:
+        equilibria._solve_spiral_direct(0.04, Fl, Fr, params, model, bind(params, model))
+    assert raised.value.iteration >= 1 and raised.value.residual > 1e-9
+    assert 0 < len(calls) <= 12
+
+
+def test_backwards_equilibrium_is_refused(params, model):
+    """At dr_x = -6 cm and 3 gf with a differential of 0.7 of the total
+    (Fl 2.55 gf, Fr 0.45 gf) the balance has an equilibrium with the
+    vehicle flying backwards, V = -0.0403 m/s at alpha = 7.64 rad, which
+    the direct solve reached when its step halved on the residual norm.
+    That is no equilibrium to return: it raises `NoConvergence` naming the
+    airspeed, a direct attempt that lands there falls back to the
+    moving-mass walk like any other failure, and the cell fails."""
+    Fl, Fr = 0.85 * 3 * GF_TO_N, 0.15 * 3 * GF_TO_N
+    kernel = bind(params, model)
+    system = equilibria._rail_system(-0.06, params, kernel)
+    backwards = equilibria._spiral_newton([0.33, -0.04, -0.38, -0.04, 7.64, -0.08], Fl, Fr,
+                                          system, kernel)
+    x, fnorm = backwards
+    assert fnorm < 1e-9
+    assert x[3] == pytest.approx(-0.0403, abs=1e-4) and x[4] == pytest.approx(7.64, abs=1e-2)
+    with pytest.raises(NoConvergence, match=r"airspeed -0\.0403 m/s is not positive") as raised:
+        equilibria._make_solution(x, fnorm, "spiral")
+    assert (raised.value.iteration, raised.value.residual) == (None, None)
+    directs = []
+    direct = equilibria._solve_spiral_direct
+    with mock.patch.object(equilibria, "_solve_spiral_direct",
+                           lambda dr_x, *a: directs.append(dr_x) or (
+                               backwards if dr_x else direct(dr_x, *a))):
+        with pytest.raises(NoConvergence):
+            solve_spiral(-0.06, Fl, Fr, params, model)
+    assert directs == [-0.06, 0.0]
+    with pytest.raises(NoConvergence):
+        solve_spiral(-0.06, Fl, Fr, params, model)
+
+
 def test_continuation_breakdown_carries_the_newton_failure(params, model):
     """A failed intermediate step of the moving-mass fallback raises
     `ContinuationBreakdown` with the iteration and residual norm of the
@@ -424,12 +475,12 @@ def test_stalled_is_a_python_bool(params, model, solve):
 
 
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [
-    pytest.param(-0.01, -3.2, 20, 1, id="direct"),
-    pytest.param(0.04, -4.9, 70, 2, id="fallback"),
+    pytest.param(-0.01, -3.2, 13, 1, id="direct"),
+    pytest.param(0.04, -4.9, 35, 2, id="fallback"),
 ])
 def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff, bound,
                                           seeds):
-    """Each Newton iteration evaluates the residual only for its step-halving
+    """Each Newton iteration evaluates the residual only for its damped
     trials, never to build the Jacobian, so a spiral solve costs a small,
     deterministic number of residual evaluations, and binds the vehicle
     once.  A direct cell is seeded by one planar trim.  A cell whose direct
@@ -455,16 +506,19 @@ def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff
     assert len(binds) == 1
 
 
-@pytest.mark.parametrize("dr_x, diff, bound", [
-    pytest.param(-0.01, -3.2, 8, id="direct"),
-    pytest.param(0.04, -4.9, 20, id="fallback"),
+@pytest.mark.parametrize("dr_x, diff, bound, step_bound", [
+    pytest.param(-0.01, -3.2, 7, 15, id="direct"),
+    pytest.param(0.04, -4.9, 20, 39, id="fallback"),
 ])
-def test_spiral_jacobian_count(params, model, monkeypatch, dr_x, diff, bound):
-    """A Newton iteration whose full step cut the residual norm tenfold
-    keeps its Jacobian, so a spiral solve builds fewer Jacobians than it
-    solves steps (11 and 27 Jacobians when each iteration built one).  The
-    count includes the polishing step of each solve to TOL and, on the
-    fallback cell, the Jacobians of its two tangent predictors."""
+def test_spiral_jacobian_count(params, model, monkeypatch, dr_x, diff, bound, step_bound):
+    """A Newton iteration whose full step contracts tenfold (its simplified
+    correction is at most a tenth of the step) keeps its Jacobian, so a
+    spiral solve builds fewer Jacobians than it solves steps (11 and 27
+    Jacobians when each iteration built one).  The count includes the
+    polishing step of each solve to TOL and, on the fallback cell, the
+    Jacobians of its two tangent predictors.  The step on a kept Jacobian
+    is the correction its last trial solved, not solved again (19 and 47
+    step solves when it was)."""
     jacobians, steps = [], []
     raw_jacobian, newton_step = equilibria._raw_jacobian, equilibria._newton_step
     monkeypatch.setattr(equilibria, "_raw_jacobian",
@@ -474,7 +528,7 @@ def test_spiral_jacobian_count(params, model, monkeypatch, dr_x, diff, bound):
                        params, model)
     assert sol.residual_norm < 1e-9
     assert 0 < len(jacobians) <= bound
-    assert len(jacobians) < len(steps)
+    assert len(jacobians) < len(steps) <= step_bound
 
 
 @pytest.mark.parametrize("cell, seed", [
