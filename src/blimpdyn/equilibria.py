@@ -44,11 +44,15 @@ vehicle flying backwards) is refused with `NoConvergence`.  A spiral is
 one Newton solve at its thrusts from the planar trim at the mean thrust,
 solved only to `SEED_TOL` and not polished; only where that solve fails
 does `solve_spiral` fall back to a continuation along the moving-mass
-rail: `RAIL_STEPS` Euler predictor steps along the branch tangent, from
-the closed-form derivative of the residual in the rail position
-(`_rail_derivative`), each corrected by a Newton solve.  `linearize` is
-exact from the same tangents and the kernel's block solve; nothing here
-is differentiated by finite differences.
+rail (`_rail_walk`) from the cell solved at the rail's home to
+`SEED_TOL`: one Euler predictor step along the branch tangent, from the
+closed-form derivative of the residual in the rail position
+(`_rail_derivative`), corrected by a Newton solve, and only where that
+fails, `RAIL_STEPS` such steps from the same start and tangent (long
+step first, shortened on failure).  Tangents and Newton steps share one
+solve (`_newton_step`).  `linearize` is exact from the same tangents and
+the kernel's block solve; nothing here is differentiated by finite
+differences.
 """
 
 from dataclasses import dataclass
@@ -277,7 +281,7 @@ def _rail_system(dr_x, params, kernel):
     """What a Newton solve at rail offset dr_x [m] needs of it: the
     moving-mass position (a float list), its mass terms and the residual
     scales (`_scales`)."""
-    if abs(dr_x) > RAIL_LIMIT + 1e-12:
+    if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
         raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
     rbar = _rail_position(params, dr_x)
     return (rbar, kernel.mass_terms(*rbar), *_scales(params, rbar))
@@ -485,9 +489,9 @@ def solve_straight(dr_x, F, params, model):
     return _make_solution(x, fnorm, "straight")
 
 
-def _spiral_newton(x0, Fl, Fr, system, kernel):
+def _spiral_newton(x0, Fl, Fr, system, kernel, tol=TOL):
     """The six-equation Newton solve at thrusts Fl, Fr from x0, at the rail
-    position of `system` (`_rail_system`)."""
+    position of `system` (`_rail_system`), to the residual norm `tol`."""
     rbar, terms, fscale, tscale = system
     scale = np.array([[fscale]] * 3 + [[tscale]] * 3)
 
@@ -498,16 +502,53 @@ def _spiral_newton(x0, Fl, Fr, system, kernel):
     def jac6(xx):
         return np.array(_raw_jacobian(xx, terms, kernel)).T / scale
 
-    return _damped_newton(fun6, jac6, x0)
+    return _damped_newton(fun6, jac6, x0, tol)
 
 
-def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel):
-    """One Newton solve at the given thrusts, seeded from the planar trim
-    at the mean thrust, solved to `SEED_TOL`; both at the one rail position
-    of dr_x."""
+def _solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel, tol=TOL):
+    """One Newton solve at the given thrusts to the residual norm `tol`,
+    seeded from the planar trim at the mean thrust, solved to `SEED_TOL`;
+    both at the one rail position of dr_x."""
     system = _rail_system(dr_x, params, kernel)
     x0, _ = _straight_trim(0.5 * (Fl + Fr), system, params, model, kernel, SEED_TOL)
-    return _spiral_newton(x0, Fl, Fr, system, kernel)
+    return _spiral_newton(x0, Fl, Fr, system, kernel, tol)
+
+
+def _rail_tangent(x, fnorm, rbar, kernel, mbar):
+    """The branch tangent dx/d(dr_x) = -J^-1 dR/d(dr_x) at the unknowns x,
+    whose residual norm is `fnorm`, and the moving-mass position rbar (a
+    float list), as an array: the Newton step (`_newton_step`) of the
+    unscaled Jacobian on the rail derivative (`_rail_derivative`), so a
+    singular J takes the least-norm tangent, which leaves its flat
+    directions untouched."""
+    J = np.array(_raw_jacobian(x, kernel.mass_terms(*rbar), kernel)).T
+    with np.errstate(invalid="ignore"):
+        return np.array(_newton_step(J, _rail_derivative(x, rbar, kernel, mbar), 0, fnorm))
+
+
+def _rail_walk(x, tangent, dr_x, steps, Fl, Fr, params, kernel):
+    """Walk the spiral at thrusts Fl, Fr from the unknowns x at dr_x = 0,
+    whose branch tangent is `tangent` (`_rail_tangent`), out to dr_x in
+    `steps` equal steps: each an Euler predictor along the tangent at its
+    start, corrected by a Newton solve to `TOL`; returns the last solve's
+    (x, residual_norm).  A failed intermediate corrector raises
+    `ContinuationBreakdown`, a failed last one its `NoConvergence`."""
+    dr_prev = 0.0
+    for dr_k in np.linspace(dr_x / steps, dr_x, steps):
+        if dr_prev:
+            tangent = _rail_tangent(x, fnorm, rbar, kernel, params.mbar)
+        x = x + (dr_k - dr_prev) * tangent
+        system = _rail_system(dr_k, params, kernel)
+        dr_prev, rbar = dr_k, system[0]
+        try:
+            x, fnorm = _spiral_newton(x, Fl, Fr, system, kernel)
+        except NoConvergence as exc:
+            if dr_k != dr_x:
+                raise ContinuationBreakdown(
+                    f"moving-mass continuation failed at dr_x {dr_k:.4f} m: {exc}",
+                    exc.iteration, exc.residual) from exc
+            raise
+    return x, fnorm
 
 
 def solve_spiral(dr_x, Fl, Fr, params, model):
@@ -520,12 +561,15 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     psidot, beta.  If that solve fails away from dr_x = 0 (at large
     moving-mass offsets the equilibrium can lie on a branch that the
     planar seed does not reach), or lands at an airspeed that is not
-    positive, solves the same thrusts at dr_x = 0 and walks the moving mass
-    out to dr_x in `RAIL_STEPS` equal steps.  Each step predicts the
-    unknowns at the next rail position from the branch tangent,
-    dx/d(dr_x) = -J^-1 dR/d(dr_x) (natural-parameter continuation with an
-    Euler predictor), and corrects them with a Newton solve; a failed
-    intermediate step raises `ContinuationBreakdown`."""
+    positive, solves the same thrusts at dr_x = 0 to `SEED_TOL` and walks
+    the moving mass out to dr_x along the branch (natural-parameter
+    continuation, `_rail_walk`): first in one step, an Euler predictor
+    along the branch tangent dx/d(dr_x) = -J^-1 dR/d(dr_x) at dr_x = 0
+    corrected by a Newton solve, and only where that step fails (or lands
+    at an airspeed that is not positive) again from the same start and
+    tangent in `RAIL_STEPS` equal steps.  A failed intermediate step of
+    that walk raises `ContinuationBreakdown`, a failed last step
+    `NoConvergence`."""
     kernel = bind(params, model)
     kind = "straight" if Fl == Fr else "spiral"
     try:
@@ -533,26 +577,14 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
-    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel)
-    dr_prev, rbar = 0.0, params.rbar0.tolist()
-    for dr_k in np.linspace(dr_x / RAIL_STEPS, dr_x, RAIL_STEPS):
-        # Euler predictor; the least-norm solve leaves flat directions of a
-        # singular J untouched, as the Newton step does.
-        tangent = np.linalg.lstsq(np.array(_raw_jacobian(x, kernel.mass_terms(*rbar), kernel)).T,
-                                  np.negative(_rail_derivative(x, rbar, kernel, params.mbar)),
-                                  rcond=None)[0]
-        x = x + (dr_k - dr_prev) * tangent
-        system = _rail_system(dr_k, params, kernel)
-        dr_prev, rbar = dr_k, system[0]
-        try:
-            x, fnorm = _spiral_newton(x, Fl, Fr, system, kernel)
-        except NoConvergence as exc:
-            if dr_k != dr_x:
-                raise ContinuationBreakdown(
-                    f"moving-mass continuation failed at dr_x {dr_k:.4f} m: {exc}",
-                    exc.iteration, exc.residual) from exc
-            raise
-    return _make_solution(x, fnorm, kind)
+    x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, SEED_TOL)
+    tangent = _rail_tangent(x, fnorm, params.rbar0.tolist(), kernel, params.mbar)
+    try:
+        return _make_solution(*_rail_walk(x, tangent, dr_x, 1, Fl, Fr, params, kernel), kind)
+    except NoConvergence:
+        pass
+    return _make_solution(*_rail_walk(x, tangent, dr_x, RAIL_STEPS, Fl, Fr, params, kernel),
+                          kind)
 
 
 def turning_radius(sol):

@@ -429,6 +429,43 @@ def test_continuation_breakdown_carries_the_newton_failure(params, model):
     assert exc.iteration >= 1 and exc.residual > 1e-9
 
 
+def _rail_walk_calls(params, monkeypatch):
+    """Record the rail offset [cm] of each `_spiral_newton` call and count
+    the branch tangents (`_rail_derivative` calls)."""
+    offsets, tangents = [], []
+    spiral_newton, rail_derivative = equilibria._spiral_newton, equilibria._rail_derivative
+    home = params.rbar0[0]
+    monkeypatch.setattr(equilibria, "_spiral_newton", lambda *a: offsets.append(
+        round((a[3][0][0] - home) * 100, 9)) or spiral_newton(*a))
+    monkeypatch.setattr(equilibria, "_rail_derivative",
+                        lambda *a: tangents.append(1) or rail_derivative(*a))
+    return offsets, tangents
+
+
+def test_fallback_walks_out_in_one_step(params, model, monkeypatch):
+    """On the fallback cell (4 cm, -4.9 gf at 7 gf) the direct solve fails,
+    the start at dr_x = 0 is solved once, and one predictor step along one
+    tangent, corrected by one Newton solve, reaches 4 cm."""
+    offsets, tangents = _rail_walk_calls(params, monkeypatch)
+    sol = _solve_cell("fallback", params, model)
+    assert sol.residual_norm < 1e-9
+    assert offsets == [4.0, 0.0, 4.0]
+    assert len(tangents) == 1
+
+
+def test_failed_one_step_walk_retries_in_rail_steps(params, model, monkeypatch):
+    """At 4.5 cm with Fl 3.6 gf and Fr 4.4 gf the direct solve and the
+    one-step walk both fail; the walk is retried from the same start and
+    tangent in RAIL_STEPS steps, correcting at 2.25 cm and then at 4.5 cm
+    with one more tangent, at 2.25 cm, and converges."""
+    assert equilibria.RAIL_STEPS == 2
+    offsets, tangents = _rail_walk_calls(params, monkeypatch)
+    sol = solve_spiral(0.045, 3.6 * GF_TO_N, 4.4 * GF_TO_N, params, model)
+    assert sol.kind == "spiral" and sol.residual_norm < 1e-9
+    assert offsets == [4.5, 0.0, 4.5, 2.25, 4.5]
+    assert len(tangents) == 2
+
+
 def _solve_cell(solve, params, model):
     if solve == "straight":
         return solve_straight(0.01, F2, params, model)
@@ -454,9 +491,10 @@ def test_float_newton_matches_array_reference(params, model, monkeypatch, solve)
 
     monkeypatch.setattr(equilibria, "_damped_newton", array_newton)
     ref = _solve_cell(solve, params, model)
-    # A spiral's planar seed is solved to SEED_TOL, every other solve to TOL.
+    # A spiral's planar seed and the fallback's start at dr_x = 0 are solved
+    # to SEED_TOL, every other solve to TOL.
     assert calls == {"straight": [TOL], "direct": [SEED_TOL, TOL],
-                     "fallback": [SEED_TOL, TOL, SEED_TOL, TOL, TOL, TOL]}[solve]
+                     "fallback": [SEED_TOL, TOL, SEED_TOL, SEED_TOL, TOL]}[solve]
     unknowns = ("theta", "phi", "psidot", "V", "alpha", "beta")
     assert ([getattr(got, k).hex() for k in unknowns]
             == [getattr(ref, k).hex() for k in unknowns])
@@ -476,7 +514,7 @@ def test_stalled_is_a_python_bool(params, model, solve):
 
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [
     pytest.param(-0.01, -3.2, 13, 1, id="direct"),
-    pytest.param(0.04, -4.9, 35, 2, id="fallback"),
+    pytest.param(0.04, -4.9, 25, 2, id="fallback"),
 ])
 def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff, bound,
                                           seeds):
@@ -485,9 +523,9 @@ def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff
     deterministic number of residual evaluations, and binds the vehicle
     once.  A direct cell is seeded by one planar trim.  A cell whose direct
     solve fails is seeded again at dr_x = 0 for the moving-mass fallback,
-    which reaches dr_x in RAIL_STEPS tangent-predictor steps, each
-    corrected by one Newton solve; the predictor uses the closed-form rail
-    derivative, not the residual."""
+    whose start there is solved to SEED_TOL, and reaches dr_x in one
+    tangent-predictor step, corrected by one Newton solve; the predictor
+    uses the closed-form rail derivative, not the residual."""
     calls = []
     raw = equilibria._raw_residual
     monkeypatch.setattr(equilibria, "_raw_residual", lambda *a: calls.append(1) or raw(*a))
@@ -508,16 +546,16 @@ def test_spiral_residual_evaluation_count(params, model, monkeypatch, dr_x, diff
 
 @pytest.mark.parametrize("dr_x, diff, bound, step_bound", [
     pytest.param(-0.01, -3.2, 7, 15, id="direct"),
-    pytest.param(0.04, -4.9, 20, 39, id="fallback"),
+    pytest.param(0.04, -4.9, 16, 31, id="fallback"),
 ])
 def test_spiral_jacobian_count(params, model, monkeypatch, dr_x, diff, bound, step_bound):
     """A Newton iteration whose full step contracts tenfold (its simplified
     correction is at most a tenth of the step) keeps its Jacobian, so a
-    spiral solve builds fewer Jacobians than it solves steps (11 and 27
+    spiral solve builds fewer Jacobians than it solves steps (9 and 17
     Jacobians when each iteration built one).  The count includes the
     polishing step of each solve to TOL and, on the fallback cell, the
-    Jacobians of its two tangent predictors.  The step on a kept Jacobian
-    is the correction its last trial solved, not solved again (19 and 47
+    Jacobian of its one tangent predictor.  The step on a kept Jacobian
+    is the correction its last trial solved, not solved again (19 and 33
     step solves when it was)."""
     jacobians, steps = [], []
     raw_jacobian, newton_step = equilibria._raw_jacobian, equilibria._newton_step
@@ -585,6 +623,15 @@ def test_rail_limit_enforced(params, model):
         solve_straight(RAIL_LIMIT + 0.01, F2, params, model)
     with pytest.raises(ValueError):
         solve_spiral(-RAIL_LIMIT - 0.01, F2, 2 * F2, params, model)
+
+
+def test_nan_rail_offset_is_a_value_error(params, model):
+    """A NaN rail offset is outside the rail, for both solvers: it raises
+    ValueError before any Newton solve or moving-mass walk."""
+    with pytest.raises(ValueError, match="dr_x nan m outside rail limit"):
+        solve_straight(math.nan, F2, params, model)
+    with pytest.raises(ValueError, match="dr_x nan m outside rail limit"):
+        solve_spiral(math.nan, F2, 2 * F2, params, model)
 
 
 def test_planar_candidate_lateral_residuals_vanish(sym_bundle):
