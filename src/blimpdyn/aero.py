@@ -27,9 +27,6 @@ import numpy as np
 # is extrapolating; loads are still computed but flagged.
 STALL_ALPHA = np.radians(16.0)
 
-# Width [rad] at which the golden-section search of the L/D maximum stops.
-GOLDEN_TOL = 1e-4
-
 #: Ordered names of the 21 model parameters (18 polynomial + 3 damping).
 PARAM_NAMES = (
     "cd0", "cd_a", "cd_b",
@@ -251,15 +248,15 @@ def aero_loads(model, a, w, rho):
     Forces are dynamic pressure times coefficient; moments additionally
     carry the linear rotational damping k_i times the matching body rate.
     """
-    if rho <= 0:
-        raise ValueError("air density must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("air density must be finite and positive")
     p, q, r = np.asarray(w, dtype=float).reshape(3)
     return AeroLoads(*bind(model, rho).wind_loads(float(a.alpha), float(a.beta), a.V, p, q, r))
 
 
 @dataclass(frozen=True)
 class LiftDragTable:
-    """Grid of (alpha, C_L, C_D, L/D) plus the refined maximum."""
+    """Grid of (alpha, C_L, C_D, L/D) plus the exact maximum."""
 
     alpha: np.ndarray
     cl: np.ndarray
@@ -269,60 +266,43 @@ class LiftDragTable:
     max_ld: float
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maximization of f on [lo, hi], to GOLDEN_TOL."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def lift_drag_analysis(model, alpha_range):
-    """L/D table over `alpha_range` at zero sideslip and the continuous-argmax
-    maximum.
+    """L/D table over `alpha_range` at zero sideslip and the exact maximum
+    over its span.
 
-    The maximum is located by a 0.1 deg grid scan over the span of
-    `alpha_range` followed by golden-section refinement to GOLDEN_TOL.
-    The polynomials are evaluated over whole arrays (the scan, the table),
-    not point by point.
+    At zero sideslip C_L is linear and C_D quadratic in alpha, so the
+    stationary points of C_L/C_D are the roots of
+    cl_a cd_a alpha^2 + 2 cl0 cd_a alpha - cl_a cd0 = 0, and the maximum is
+    the best of the span's ends and the roots inside it.  C_D has its
+    vertex at alpha = 0, so its least value on the span is at an end or at
+    0, where the drag check looks.  The polynomials are evaluated over
+    whole arrays, not point by point.
     """
     alpha = np.asarray(alpha_range, dtype=float)
     if alpha.size == 0:
         raise ValueError("alpha_range must be non-empty")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha_range must be finite")
     lo, hi = float(alpha.min()), float(alpha.max())
     values = _polynomials(model)[0]
-
-    def ld(a):
-        cd, _, cl, _, _, _ = values(a, 0.0)
-        return cl / cd
-
-    scan = np.arange(lo, hi + 1e-12, np.radians(0.1))
-    if scan.size < 2:
-        scan = np.array([lo, hi])
-    if np.any(values(scan, 0.0)[0] <= 0):
+    if np.any(values(np.array([lo, hi, min(max(0.0, lo), hi)]), 0.0)[0] <= 0):
         raise DegenerateModel("drag coefficient non-positive on the alpha range")
 
-    k = int(np.argmax(ld(scan)))
-    win_lo = scan[max(0, k - 1)]
-    win_hi = scan[min(scan.size - 1, k + 1)]
-    if win_hi > win_lo:
-        alpha_star, max_ld = _golden_max(ld, win_lo, win_hi)
+    # The stationarity quadratic a x^2 + b x + c, solved without cancellation.
+    a, b, c = model.cl_a * model.cd_a, 2.0 * model.cl0 * model.cd_a, -model.cl_a * model.cd0
+    disc = b * b - 4.0 * a * c
+    if a == 0:
+        roots = [-c / b] if b else []
+    elif disc >= 0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = [q / a, c / q] if q else [0.0]
     else:
-        alpha_star, max_ld = float(scan[k]), ld(scan[k])
+        roots = []
+    candidates = np.array([lo, hi] + [x for x in roots if lo <= x <= hi])
+    cd, _, cl, _, _, _ = values(candidates, 0.0)
+    ld = cl / cd
+    k = int(np.argmax(ld))
 
     cd, _, cl, _, _, _ = values(alpha, 0.0)
-    return LiftDragTable(
-        alpha=alpha, cl=cl, cd=cd, ld=cl / cd, alpha_star=alpha_star, max_ld=max_ld
-    )
+    return LiftDragTable(alpha=alpha, cl=cl, cd=cd, ld=cl / cd,
+                         alpha_star=float(candidates[k]), max_ld=float(ld[k]))

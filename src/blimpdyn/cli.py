@@ -187,39 +187,34 @@ def _fail_row(dr_x_cm, Fl, Fr):
     return ",".join([_fmt(dr_x_cm), _fmt(Fl / GF_TO_N), _fmt(Fr / GF_TO_N)] + [""] * 8 + ["fail"])
 
 
-def cmd_trim(args):
-    params, model, params_path, aero_path = _load_config(args)
-    _write_manifest(args, [params_path, aero_path])
-    F = TRIM_THRUST
-    rows = []
-    failures = 0
-    for drx in TRIM_DRX_CM:
-        try:
-            sol = solve_straight(drx * 1e-2, F, params, model)
-            rows.append(_steady_row(drx, F, F, sol))
-        except NoConvergence:
-            rows.append(_fail_row(drx, F, F))
-            failures += 1
-    _write_csv(os.path.join(args.out, "trim.csv"), _STEADY_HEADER, rows)
-    print(f"trim sweep: {len(rows) - failures}/{len(rows)} converged")
-    return 1 if failures else 0
-
-
-def cmd_spiral(args):
+def _sweep(args, name, cells, solve):
+    """Solve each (dr_x_cm, Fl, Fr) cell of `cells` with `solve`, which has
+    the `solve_spiral` signature, and write `<name>.csv`, a fail row for
+    each cell that does not converge; exit code 1 if any did not."""
     params, model, params_path, aero_path = _load_config(args)
     _write_manifest(args, [params_path, aero_path])
     rows = []
     failures = 0
-    for drx, _, Fl, Fr in spiral_cells():
+    for drx, Fl, Fr in cells:
         try:
-            sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model)
-            rows.append(_steady_row(drx, Fl, Fr, sol))
+            rows.append(_steady_row(drx, Fl, Fr, solve(drx * 1e-2, Fl, Fr, params, model)))
         except NoConvergence:
             rows.append(_fail_row(drx, Fl, Fr))
             failures += 1
-    _write_csv(os.path.join(args.out, "spiral.csv"), _STEADY_HEADER, rows)
-    print(f"spiral sweep: {len(rows) - failures}/{len(rows)} converged")
+    _write_csv(os.path.join(args.out, f"{name}.csv"), _STEADY_HEADER, rows)
+    print(f"{name} sweep: {len(rows) - failures}/{len(rows)} converged")
     return 1 if failures else 0
+
+
+def cmd_trim(args):
+    F = TRIM_THRUST
+    return _sweep(args, "trim", ((drx, F, F) for drx in TRIM_DRX_CM),
+                  lambda dr_x, Fl, Fr, params, model: solve_straight(dr_x, Fl, params, model))
+
+
+def cmd_spiral(args):
+    return _sweep(args, "spiral", ((drx, Fl, Fr) for drx, _, Fl, Fr in spiral_cells()),
+                  solve_spiral)
 
 
 def cmd_simulate(args):

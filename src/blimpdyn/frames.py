@@ -68,9 +68,9 @@ class AeroAngles:
     V: float
 
     def __post_init__(self):
-        if self.V < 0:
+        if not self.V >= 0:
             raise ValueError("airspeed must be non-negative")
-        if abs(self.beta) > np.pi / 2 + 1e-12:
+        if not abs(self.beta) <= np.pi / 2 + 1e-12:
             raise ValueError("sideslip out of range")
 
 

@@ -252,7 +252,8 @@ def trajectory_to_trial(traj, trial_id, kind, dr_x, Fl, Fr):
     would report them; the integrator keeps yaw continuous internally."""
     euler = traj.states[:, 3:6].copy()
     for col in (0, 2):
-        euler[:, col] = (euler[:, col] + np.pi) % (2.0 * np.pi) - np.pi
+        w = (euler[:, col] + np.pi) % (2.0 * np.pi) - np.pi
+        euler[:, col] = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
     return TrialRecord(
         trial_id=trial_id,
         kind=kind,
@@ -414,8 +415,8 @@ def _bind_inversion(params):
     parameters); the negated remainder is resolved into the wind frame by
     the transpose of the wind-to-body rotation, with the sign conventions
     D = -x, S = +y, L = -z.  An observation whose airspeed, sideslip or
-    attitude lies outside the domain of `AeroAngles` or `EulerAngles`, or
-    whose airspeed or sideslip is NaN, raises their ValueError
+    attitude lies outside the domain of `AeroAngles` or `EulerAngles` (a
+    NaN airspeed or sideslip included) raises their ValueError
     (`_check_angles`)."""
     mass_terms, balance = _bind_balance(params, False)[:2]
     cos, sin = math.cos, math.sin
@@ -450,7 +451,7 @@ def _check_angles(obs):
     """Raise the ValueError of `AeroAngles` or `EulerAngles`, with its
     message, if the observation's airspeed, sideslip or attitude is outside
     their domain: a negative airspeed, a sideslip beyond 90 degrees or a
-    non-finite pitch or roll.  Unlike `AeroAngles`, it also rejects a NaN
+    non-finite pitch or roll.  As `AeroAngles` does, it rejects a NaN
     airspeed or sideslip, whose loads would be NaN."""
     if not obs.V >= 0.0:
         raise ValueError("airspeed must be non-negative")

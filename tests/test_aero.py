@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,14 +124,90 @@ def test_max_lift_drag_matches_measured_value(model):
 
 
 def test_max_lift_drag_against_dense_grid(model):
-    """Golden-section refinement agrees with a brute-force 0.001 deg scan."""
+    """The closed-form maximum agrees with a brute-force 0.001 deg scan and
+    is not beaten by any of its points."""
     table = lift_drag_analysis(model, np.radians(np.linspace(0, 16, 161)))
     dense = np.radians(np.arange(0.0, 16.0, 0.001))
     ld = np.array([eval_coeffs(model, a, 0.0).cl / eval_coeffs(model, a, 0.0).cd
                    for a in dense])
     k = int(np.argmax(ld))
-    assert abs(table.max_ld - ld[k]) <= 1e-6
-    assert abs(table.alpha_star - dense[k]) <= 2e-4
+    assert 0.0 <= table.max_ld - ld[k] <= 1e-9
+    assert abs(table.alpha_star - dense[k]) <= np.radians(0.001)
+
+
+def _stationarity(m, a):
+    """The stationarity quadratic of C_L/C_D at zero sideslip at `a` [rad],
+    and the sum of its terms' magnitudes (the scale of its rounding)."""
+    terms = (m.cl_a * m.cd_a * a * a, 2.0 * m.cl0 * m.cd_a * a, -m.cl_a * m.cd0)
+    return sum(terms), sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("wingless, alpha_deg, max_ld",
+                         [(False, 10.6882088, 1.78203199), (True, 12.9975667, 0.661228914)])
+def test_max_lift_drag_zeroes_the_stationarity_quadratic(wingless, alpha_deg, max_ld):
+    """Inside the polar's range the best glide is a root of
+    cl_a cd_a a^2 + 2 cl0 cd_a a - cl_a cd0 = 0, to rounding."""
+    from blimpdyn import load_bundled
+
+    _, m = load_bundled(wingless=wingless)
+    table = lift_drag_analysis(m, np.radians(np.arange(0.0, 16.0 + 1e-9, 0.1)))
+    value, scale = _stationarity(m, table.alpha_star)
+    assert abs(value) <= 4 * np.finfo(float).eps * scale
+    assert "%.9g" % np.degrees(table.alpha_star) == "%.9g" % alpha_deg
+    assert "%.9g" % table.max_ld == "%.9g" % max_ld
+
+
+@pytest.mark.parametrize("lo, hi, end", [(0.0, 5.0, -1), (12.0, 16.0, 0)])
+def test_max_lift_drag_at_an_end_of_the_range(model, lo, hi, end):
+    """A range that misses the interior maximum has its best glide at the
+    end nearer to it, with that end's tabulated L/D."""
+    alpha = np.radians(np.linspace(lo, hi, 41))
+    table = lift_drag_analysis(model, alpha)
+    assert table.alpha_star == alpha[end]
+    assert table.max_ld == table.ld[end]
+
+
+def test_max_lift_drag_without_drag_growth(model):
+    """With cd_a = 0 the quadratic degenerates: L/D is linear in alpha and
+    rises to the top of the range."""
+    flat = replace(model, cd_a=0.0)
+    alpha = np.radians(np.linspace(-4.0, 16.0, 201))
+    table = lift_drag_analysis(flat, alpha)
+    assert table.alpha_star == alpha[-1]
+    assert table.max_ld == table.ld[-1] == np.max(table.ld)
+
+
+def test_max_lift_drag_without_lift_slope(model):
+    """With cl_a = 0 the quadratic is linear with its root at alpha = 0,
+    where C_D is least: the best glide is cl0 / cd0 there."""
+    flat = replace(model, cl_a=0.0)
+    table = lift_drag_analysis(flat, np.radians(np.linspace(-4.0, 16.0, 7)))
+    assert table.alpha_star == 0.0
+    assert table.max_ld == model.cl0 / model.cd0
+    assert table.max_ld > np.max(table.ld)
+
+
+def test_degenerate_drag_between_grid_points_rejected(model):
+    """C_D = cd0 + cd_a alpha^2 with cd0 slightly negative dips below zero
+    only near alpha = 0, which lies between the points of a 0.1 deg grid
+    starting at -0.05 deg: the check looks at C_D's vertex, not the grid."""
+    bad = replace(model, cd0=-1e-6)
+    with pytest.raises(DegenerateModel):
+        lift_drag_analysis(bad, np.radians(np.arange(-0.05, 16.0, 0.1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lift_drag_analysis_rejects_a_non_finite_range(model, bad):
+    with pytest.raises(ValueError, match="^alpha_range must be finite$"):
+        lift_drag_analysis(model, np.array([0.0, bad, 0.2]))
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+def test_aero_loads_rejects_a_density_that_is_not_finite_and_positive(model, rho):
+    """A NaN or infinite density is refused, not turned into NaN or
+    infinite loads."""
+    with pytest.raises(ValueError, match="air density"):
+        aero_loads(model, AeroAngles(0.1, 0.0, 1.0), np.zeros(3), rho)
 
 
 @pytest.mark.parametrize("wingless", [False, True])

@@ -23,6 +23,8 @@ and a guard against finite-difference derivatives there.
   package, as `equilibria._lapack_solve`.
 - The kernel's block solve is written once: of the closures of
   `dynamics.bind`, only `solve` divides by det K.
+- Every backticked `module.NAME` of the README whose module is a
+  `blimpdyn` submodule names something that module defines.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -220,6 +222,31 @@ def test_guard_sees_public_definitions_and_outside_uses():
     assert {"bind", "solve_spiral", "VehicleParams", "RAIL_LIMIT", "glide_metrics"} <= defined
     outside = {name for tree in _outside_trees() for name in _used(tree)}
     assert {"glide_metrics", "solve_spiral", "turning_radius"} <= outside
+
+
+def stale_readme_names(readme):
+    """The backticked `module.NAME` references of a README text (also as
+    `module.NAME(...)`) whose module is a `blimpdyn` submodule but which no
+    top-level statement of that module defines, as module.NAME."""
+    defined = {mod[:-3]: {name for stmt in tree.body for name in _defined(stmt)}
+               for mod, tree in _modules()}
+    return sorted({f"{mod}.{name}" for mod, name in re.findall(r"`(\w+)\.(\w+)[`(]", readme)
+                   if mod in defined and name not in defined[mod]})
+
+
+def test_readme_names_resolve():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        assert stale_readme_names(fh.read()) == []
+
+
+def test_readme_gate_sees_a_stale_name():
+    """The README gate reports a made-up name of a submodule, but not a
+    defined constant or function, a module itself, an attribute of an
+    object or a name of numpy."""
+    text = ("the width (`aero.SEARCH_WIDTH`), the rail (`frames.RAIL_LIMIT`), "
+            "`dynamics.bind(params, model)`, `dynamics.rebind(params)`, `blimpdyn.frames`, "
+            "`params.A_ref`, `np.errstate` and `SteadySolution.stalled`")
+    assert stale_readme_names(text) == ["aero.SEARCH_WIDTH", "dynamics.rebind"]
 
 
 def finite_difference_derivatives(tree):

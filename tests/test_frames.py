@@ -154,6 +154,14 @@ def test_aero_angles_sideslip_validation():
         AeroAngles(0.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("beta, V, message", [(0.0, math.nan, "airspeed must be non-negative"),
+                                              (math.nan, 1.0, "sideslip out of range")])
+def test_aero_angles_rejects_a_nan_airspeed_or_sideslip(beta, V, message):
+    """NaN compares false, so the domain checks are written to fail on it."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AeroAngles(0.1, beta, V)
+
+
 class TestVehicleParams:
     def test_bundled_mass_budget(self, params):
         assert np.isclose(params.net_mass * 1e3, 6.85, atol=0.01)

@@ -285,6 +285,29 @@ def _reference_fit(observations, params, loads):
     return x, rms, cond, tuple(sorted(drop)), scores
 
 
+def test_trajectory_to_trial_wraps_roll_and_yaw_to_the_stated_interval(params, model):
+    """Roll and yaw are wrapped to (-pi, pi] as `frames.wrap_angle` wraps
+    them: a run started at psi = pi logs pi, not -pi; pitch is kept."""
+    from dataclasses import replace
+
+    from blimpdyn.frames import wrap_angle
+
+    s0 = State(p=np.zeros(3), e=EulerAngles(0.0, 0.0, math.pi), v=np.zeros(3), w=np.zeros(3),
+               rbar=params.rbar0, rbardot=np.zeros(3))
+    traj = integrate(s0, InputSchedule.constant(F2, F2, 0.01), params, model, T=0.01)
+    assert traj.states[0, 5] == math.pi
+    angles = np.array([math.pi, -math.pi, 3.0 * math.pi, -0.5, 7.0])
+    states = np.repeat(traj.states[:1], angles.size, axis=0)
+    states[:, 3], states[:, 4], states[:, 5] = angles, angles, angles[::-1]
+    rec = trajectory_to_trial(replace(traj, t=np.arange(angles.size) * traj.dt, states=states),
+                              "t00", "straight", 0.0, F2, F2)
+    assert rec.euler[:, 0].tolist() == [wrap_angle(x) for x in angles]
+    assert rec.euler[:, 2].tolist() == [wrap_angle(x) for x in angles[::-1]]
+    assert rec.euler[:, 1].tolist() == angles.tolist()
+    start = trajectory_to_trial(traj, "t00", "straight", 0.0, F2, F2)
+    assert start.euler[0, 2] == math.pi
+
+
 class TestTrialIO:
     def test_round_trip(self, tmp_path, steady_trial):
         _, rec = steady_trial
@@ -798,10 +821,10 @@ class TestInvertAero:
     @pytest.mark.parametrize("field, message", [("V", "airspeed must be non-negative"),
                                                 ("beta", "sideslip out of range")])
     def test_rejects_a_nan_airspeed_or_sideslip(self, params, grid_obs, field, message):
-        """A NaN airspeed or sideslip, which `AeroAngles` accepts because
-        NaN compares false, is outside the inversion's domain: `invert_aero`
-        and `fit` raise the message of a negative airspeed or an
-        out-of-range sideslip instead of returning NaN loads."""
+        """A NaN airspeed or sideslip, which `AeroAngles` rejects too, is
+        outside the inversion's domain: `invert_aero` and `fit` raise the
+        message of a negative airspeed or an out-of-range sideslip instead
+        of returning NaN loads."""
         from dataclasses import replace
 
         bad = replace(grid_obs[20], **{field: math.nan})
