@@ -11,13 +11,16 @@ solve binds once: theta, phi and psidot are rate tangents, V, alpha and
 beta velocity tangents.  A Newton solve builds its moving-mass position,
 mass terms and residual scales once (`_rail_system`), and a spiral's
 planar seed and its six-equation solve share them.  The residual, the
-Jacobian (as its columns, built only for the unknowns being solved for),
-the trial steps and the norms are Python float arithmetic, and the
-kernel's balance takes the kinematics as separate floats.  numpy scales
-each Jacobian the loop builds, as one array of the columns transposed and
-divided by a column of the scales (IEEE division is correctly rounded,
-so each entry has the bits of a Python division), and solves each step
-(`_newton_step`), by LAPACK's dgesv gufunc
+Jacobian (as its six columns), the trial steps and the norms are Python
+float arithmetic, and the kernel's balance takes the kinematics as
+separate floats.  The planar trim builds only the nine entries it solves
+(`_planar_jacobian`): at psidot = 0 the rates vanish, so its V and alpha
+columns are the aero partials and its theta column is one rate tangent,
+each entry divided by its row's scale in Python.  numpy scales each
+six-column Jacobian the loop builds, as one array of the columns
+transposed and divided by a column of the scales (IEEE division is
+correctly rounded, so each entry has the bits of a Python division), and
+solves each step (`_newton_step`), by LAPACK's dgesv gufunc
 (`numpy.linalg._umath_linalg.solve1`, the one `np.linalg.solve` calls for
 a vector right-hand side), called directly because the argument checks
 of `np.linalg.solve` cost about three times the solve itself at 3x3 and
@@ -95,10 +98,6 @@ JACOBIAN_KEEP_CUT = 10.0
 # Residual-norm tolerance of the planar trim that seeds a spiral's Newton
 # solve: the seed needs only to lie in the spiral's basin.
 SEED_TOL = 1e-3
-
-# The unknowns (theta, V, alpha) of the planar trim, as indices into the six
-# (theta, phi, psidot, V, alpha, beta).
-PLANAR_UNKNOWNS = (0, 3, 4)
 
 # Airspeed [m/s] of the Newton seed of the planar trim.
 SEED_SPEED = 1.0
@@ -196,14 +195,12 @@ def _raw_residual(x, Fl, Fr, rbar, terms, kernel):
     return (ax + fx, ay + fy, az + fz, amx + tx, amy + ty, amz + tz)
 
 
-def _raw_jacobian(x, terms, kernel, unknowns=range(6)):
+def _raw_jacobian(x, terms, kernel):
     """Exact Jacobian of `_raw_residual` in the unknowns
     (theta, phi, psidot, V, alpha, beta) at the moving-mass position whose
     mass terms are `terms`, by the chain rule through
-    `_unknowns_to_kinematics`, as the columns of `unknowns` (ascending
-    indices into the six; all six by default), one 6-tuple of floats per
-    unknown; the thrusts do not enter it.  A column is built only when it
-    is asked for, so the planar trim (`PLANAR_UNKNOWNS`) pays for three.
+    `_unknowns_to_kinematics`, as its six columns, one 6-tuple of floats
+    per unknown; the thrusts do not enter it.
 
     theta and phi turn the down axis, and the rates w = psidot * gcol
     follow it; psidot moves the rates along gcol: these three are rate
@@ -223,12 +220,10 @@ def _raw_jacobian(x, terms, kernel, unknowns=range(6)):
     w_theta = (psidot * g_theta[0], psidot * g_theta[1], psidot * g_theta[2])
     w_phi = (0.0, psidot * g_phi[1], psidot * g_phi[2])
     # (dw, dg) of each rate unknown, and (dv, aero partial) of each velocity one.
-    rate_dirs = ((w_theta, g_theta), (w_phi, g_phi), (gcol, (0.0, 0.0, 0.0)))
-    vel_dirs = (((ca * cb, sb, sa * cb), d_V),
-                ((-sa * cb * V, 0.0, ca * cb * V), d_alpha),
-                ((-ca * sb * V, cb * V, -sa * sb * V), d_beta))
-    rate = [rate_dirs[i] for i in unknowns if i < 3]
-    vel = [vel_dirs[i - 3] for i in unknowns if i >= 3]
+    rate = ((w_theta, g_theta), (w_phi, g_phi), (gcol, (0.0, 0.0, 0.0)))
+    vel = (((ca * cb, sb, sa * cb), d_V),
+           ((-sa * cb * V, 0.0, ca * cb * V), d_alpha),
+           ((-ca * sb * V, cb * V, -sa * sb * V), d_beta))
     cols = [(fx, fy, fz,
              tx + Kxx * px + Kxy * py + Kxz * pz,
              ty + Kyx * px + Kyy * py + Kyz * pz,
@@ -240,6 +235,34 @@ def _raw_jacobian(x, terms, kernel, unknowns=range(6)):
              for (fx, fy, fz, tx, ty, tz), (_, (ax, ay, az, amx, amy, amz))
              in zip(kernel.velocity_tangents(terms, w_b, [dv for dv, _ in vel]), vel)]
     return cols
+
+
+def _planar_jacobian(x3, terms, kernel, fscale, tscale):
+    """The scaled Jacobian of the planar trim at (theta, V, alpha): the
+    rows (fx, fz, ty) of `_raw_jacobian` at (theta, 0, 0, V, alpha, 0) in
+    the columns (theta, V, alpha), each entry divided by its row's scale;
+    three 3-tuples of floats.
+
+    At psidot = 0 the rates w vanish, so every velocity tangent (terms in
+    dv x w) is zero: the V and alpha columns are the aero partials at
+    beta = 0, and the theta column is the rate tangent that turns the down
+    axis alone.  The kernel gets the zero rates psidot * gcol that
+    `_raw_jacobian` forms, so each entry has its bits, signed zeros
+    included, wherever the dynamic pressure is nonzero; where it
+    underflows (|V| below about 1e-154) the V and alpha columns are zeros
+    whose signs may differ from it."""
+    theta, V, alpha = x3
+    sth, cth = math.sin(theta), math.cos(theta)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    # psidot * gcol at phi = psidot = 0, gcol = (-sth, sin(0) * cth, cos(0) * cth).
+    w_b = (0.0 * -sth, 0.0 * (0.0 * cth), 0.0 * cth)
+    (afx, _, afz, _, aty, _), _, (vfx, _, vfz, _, vty, _), _ = (
+        kernel.aero.body_load_partials(alpha, 0.0, V, *w_b))
+    (gfx, _, gfz, _, gty, _), = kernel.rate_tangents(
+        terms, (ca * V, 0.0 * V, sa * V), w_b, (((0.0, 0.0, 0.0), (-cth, -0.0 * sth, -sth)),))
+    return ((gfx / fscale, vfx / fscale, afx / fscale),
+            (gfz / fscale, vfz / fscale, afz / fscale),
+            (gty / tscale, vty / tscale, aty / tscale))
 
 
 def _rail_derivative(x, rbar, kernel, mbar):
@@ -459,7 +482,6 @@ def _straight_trim(F, system, params, model, kernel, tol=TOL):
     solved to the residual norm `tol`: (x, residual_norm), x the six
     unknowns as an array."""
     rbar, terms, fscale, tscale = system
-    scale = np.array([[fscale], [fscale], [tscale]])
 
     # Rows (fx, fz, ty), columns (theta, V, alpha) of the full system.
     def fun3(x3):
@@ -469,9 +491,7 @@ def _straight_trim(F, system, params, model, kernel, tol=TOL):
         return (fx / fscale, fz / fscale, ty / tscale)
 
     def jac3(x3):
-        theta, V, alpha = x3
-        return np.array(_raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel,
-                                      PLANAR_UNKNOWNS)).T[::2] / scale
+        return np.array(_planar_jacobian(x3, terms, kernel, fscale, tscale))
 
     a0 = _initial_alpha(params, model)
     x3, fnorm = _damped_newton(fun3, jac3, (a0, SEED_SPEED, a0), tol)

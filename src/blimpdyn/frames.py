@@ -59,6 +59,16 @@ class EulerAngles:
         return np.array([self.phi, self.theta, self.psi])
 
 
+def _check_airspeed_sideslip(V, beta):
+    """Raise ValueError unless the airspeed V is non-negative and the
+    sideslip beta within 90 degrees (1e-12 slack); NaN fails both, as the
+    comparisons are written to be false on it."""
+    if not V >= 0.0:
+        raise ValueError("airspeed must be non-negative")
+    if not abs(beta) <= math.pi / 2 + 1e-12:
+        raise ValueError("sideslip out of range")
+
+
 @dataclass(frozen=True)
 class AeroAngles:
     """Angle of attack, sideslip, and airspeed magnitude."""
@@ -68,10 +78,7 @@ class AeroAngles:
     V: float
 
     def __post_init__(self):
-        if not self.V >= 0:
-            raise ValueError("airspeed must be non-negative")
-        if not abs(self.beta) <= np.pi / 2 + 1e-12:
-            raise ValueError("sideslip out of range")
+        _check_airspeed_sideslip(self.V, self.beta)
 
 
 def _as_vec3(x, name):

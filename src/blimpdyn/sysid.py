@@ -37,7 +37,13 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import _bind_balance
-from .frames import GF_TO_N, RAIL_LIMIT, aero_angles_array, rotation_matrices
+from .frames import (
+    GF_TO_N,
+    RAIL_LIMIT,
+    _check_airspeed_sideslip,
+    aero_angles_array,
+    rotation_matrices,
+)
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 2
@@ -450,13 +456,10 @@ def _bind_inversion(params):
 def _check_angles(obs):
     """Raise the ValueError of `AeroAngles` or `EulerAngles`, with its
     message, if the observation's airspeed, sideslip or attitude is outside
-    their domain: a negative airspeed, a sideslip beyond 90 degrees or a
-    non-finite pitch or roll.  As `AeroAngles` does, it rejects a NaN
-    airspeed or sideslip, whose loads would be NaN."""
-    if not obs.V >= 0.0:
-        raise ValueError("airspeed must be non-negative")
-    if not abs(obs.beta) <= math.pi / 2 + 1e-12:
-        raise ValueError("sideslip out of range")
+    their domain: a negative or NaN airspeed, a sideslip beyond 90 degrees
+    or NaN (`frames._check_airspeed_sideslip`, which `AeroAngles` calls),
+    or a non-finite pitch or roll."""
+    _check_airspeed_sideslip(obs.V, obs.beta)
     if not (math.isfinite(obs.phi) and math.isfinite(obs.theta)):
         raise ValueError("non-finite Euler angles")
 
@@ -634,7 +637,9 @@ def fit(observations, params, loads=None):
     per channel, with each row weighted by the inverse of its load
     magnitude (relative error, floored at 1e-3 of the channel median).
     Without `loads`, each observation's loads are inverted by one function
-    bound once per call (`_bind_inversion`).  The designs are built once,
+    bound once per call (`_bind_inversion`).  A non-finite angle of attack,
+    sideslip, airspeed, body rate or load, given or inverted, raises
+    ValueError naming the first observation that has one.  The designs are built once,
     as arrays, and the six channels are solved as two stacked problems,
     forces (3, n, 3) and moments (3, n, 4), each with one batched SVD that
     gives both the condition numbers and the solution.
@@ -659,6 +664,11 @@ def fit(observations, params, loads=None):
             raise ValueError("loads must align with observations")
 
     x = np.array([(o.alpha, o.beta, o.V, *o.w_b.tolist()) for o in observations], dtype=float)
+    for what, rows in (("aerodynamic angles, airspeed or body rates", x), ("loads", loads)):
+        finite = np.isfinite(rows)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1))[0]
+            raise ValueError(f"observation {bad} has non-finite {what}")
     design = _regressors(x, params)
     Xs, Y, coefs, conds = _solve_channels(design, loads)
 

@@ -32,7 +32,6 @@ from blimpdyn.equilibria import (
     JACOBIAN_KEEP_CUT,
     LAMBDA_MIN,
     MAX_NEWTON_ITER,
-    PLANAR_UNKNOWNS,
     TOL,
     NoConvergence,
     _raw_jacobian,
@@ -337,13 +336,12 @@ def reference_damped_newton(fun, jac, x0, tol=TOL):
 
 
 def reference_planar_jacobian(x3, terms, kernel, fscale, tscale):
-    """The scaled Jacobian of the planar trim at (theta, V, alpha), rows
-    (fx, fz, ty), as nested lists: each entry divided by its row's scale
-    in Python."""
+    """The scaled Jacobian of the planar trim at (theta, V, alpha) as nested
+    lists: the rows (fx, fz, ty) and columns (theta, V, alpha) of the
+    six-column Jacobian, each entry divided by its row's scale in Python."""
     theta, V, alpha = x3
-    c_theta, c_V, c_alpha = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel,
-                                          PLANAR_UNKNOWNS)
-    return [[c_theta[i] / s, c_V[i] / s, c_alpha[i] / s]
+    cols = _raw_jacobian((theta, 0.0, 0.0, V, alpha, 0.0), terms, kernel)
+    return [[cols[j][i] / s for j in (0, 3, 4)]
             for i, s in ((0, fscale), (2, fscale), (4, tscale))]
 
 

@@ -380,7 +380,7 @@ def test_numpy_gate_sees_a_violation():
 
 # The model evaluations of a steady Newton step, in `equilibria`.
 STEADY_FLOAT_FUNCTIONS = ("_unknowns_to_kinematics", "_raw_residual", "_raw_jacobian",
-                          "_rail_derivative", "_norm")
+                          "_planar_jacobian", "_rail_derivative", "_norm")
 
 
 def _closure(tree, outer, name):
@@ -405,10 +405,11 @@ def steady_numpy_calls(equilibria_tree, dynamics_tree, sysid_tree):
 
 
 def test_steady_model_calls_no_numpy():
-    """The kinematics, residual, Jacobian columns, rail derivative and
-    residual norm of the steady solvers, the kernel's `balance` they call,
-    and the load inversion of system identification run on Python floats:
-    numpy only scales the Jacobian and solves the Newton step."""
+    """The kinematics, residual, Jacobian columns, scaled planar Jacobian,
+    rail derivative and residual norm of the steady solvers, the kernel's
+    `balance` they call, and the load inversion of system identification
+    run on Python floats: numpy only scales the six-column Jacobian, wraps
+    the planar one and solves the Newton step."""
     trees = dict(_modules())
     assert steady_numpy_calls(trees["equilibria.py"], trees["dynamics.py"],
                               trees["sysid.py"]) == {}
@@ -426,6 +427,7 @@ def test_steady_numpy_gate_sees_violations():
                       "def _unknowns_to_kinematics(x):\n    return math.sin(x)\n"
                       "def _raw_residual(x):\n    return _kin(x)\n"
                       "def _raw_jacobian(x):\n    return [hypot(x, 1.0)]\n"
+                      "def _planar_jacobian(x):\n    return np.array(x)\n"
                       "def _rail_derivative(x):\n    return np.subtract(x, 1.0)\n"
                       "def _norm(f):\n    return np.linalg.norm(f)\n")
     dynamics_src = ("import numpy as np\n"
@@ -445,8 +447,9 @@ def test_steady_numpy_gate_sees_violations():
                               ast.parse(sysid_src)) == {
         "_raw_residual": [(9, "_kin")],
         "_raw_jacobian": [(11, "hypot")],
-        "_rail_derivative": [(13, "np.subtract")],
-        "_norm": [(15, "np.linalg.norm")],
+        "_planar_jacobian": [(13, "np.array")],
+        "_rail_derivative": [(15, "np.subtract")],
+        "_norm": [(17, "np.linalg.norm")],
         "balance": [(6, "np.cross")],
         "invert": [(8, "np.asarray")],
     }

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_kernel import (
     _balance,
@@ -22,11 +22,11 @@ from blimpdyn import aero, equilibria
 from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
     LAMBDA_MIN,
-    PLANAR_UNKNOWNS,
     SEED_TOL,
     TOL,
     NoConvergence,
     _damped_newton,
+    _planar_jacobian,
     _rail_derivative,
     _raw_jacobian,
     _raw_residual,
@@ -293,19 +293,24 @@ _below_stall = st.floats(-aero.STALL_ALPHA, aero.STALL_ALPHA)
 
 @given(theta=_below_stall, V=st.floats(0.2, 3.0), alpha=_below_stall, dr_x=_rail,
        symmetric=st.booleans())
+@example(theta=0.0, V=1.0, alpha=0.0, dr_x=0.0, symmetric=False)
+@example(theta=-0.0, V=1.0, alpha=-0.0, dr_x=0.0, symmetric=False)
+@example(theta=0.0, V=1.0, alpha=-0.0, dr_x=0.0, symmetric=True)
+@example(theta=-0.0, V=1.0, alpha=0.0, dr_x=0.0, symmetric=True)
 @settings(max_examples=100, deadline=None)
 def test_planar_columns_are_bitwise_those_of_the_full_jacobian(bundle, sym_bundle, theta, V,
                                                                alpha, dr_x, symmetric):
-    """The planar trim's Jacobian, only its (theta, V, alpha) columns built,
-    equals those columns of the six-column Jacobian bit for bit, in every
-    row and so in the (fx, fz, ty) rows the trim solves."""
+    """The planar trim's Jacobian, built from the aero partials and one rate
+    tangent at zero rates, equals the (fx, fz, ty) rows and
+    (theta, V, alpha) columns of the six-column Jacobian, each entry
+    divided by its row's scale (`reference_planar_jacobian`), bit for bit,
+    signed zeros included."""
     p, m = sym_bundle if symmetric else bundle
     kernel = bind(p, m)
-    terms = kernel.mass_terms(*(p.rbar0 + np.array([dr_x, 0.0, 0.0])))
-    x = (theta, 0.0, 0.0, V, alpha, 0.0)
-    full = _raw_jacobian(x, terms, kernel)
-    assert (np.array(_raw_jacobian(x, terms, kernel, PLANAR_UNKNOWNS)).tobytes()
-            == np.array([full[i] for i in PLANAR_UNKNOWNS]).tobytes())
+    _, terms, fscale, tscale = equilibria._rail_system(dr_x, p, kernel)
+    x3 = (theta, V, alpha)
+    assert (np.array(_planar_jacobian(x3, terms, kernel, fscale, tscale)).tobytes()
+            == np.array(reference_planar_jacobian(x3, terms, kernel, fscale, tscale)).tobytes())
 
 
 @given(x=_unknowns, dr_x=_rail, symmetric=st.booleans())
@@ -313,9 +318,10 @@ def test_planar_columns_are_bitwise_those_of_the_full_jacobian(bundle, sym_bundl
 def test_scaled_jacobians_are_bitwise_the_nested_list_form(bundle, sym_bundle, x, dr_x,
                                                           symmetric):
     """The Jacobians the planar trim and the spiral solve hand the Newton
-    loop, each one array of the columns transposed and divided by a column
-    of the scales, are bitwise the nested lists divided entry by entry in
-    Python, on the stock and symmetrized vehicles."""
+    loop, the planar one an array of its scaled rows and the spiral one an
+    array of the columns transposed and divided by a column of the scales,
+    are bitwise the nested lists of the six-column Jacobian divided entry
+    by entry in Python, on the stock and symmetrized vehicles."""
     p, m = sym_bundle if symmetric else bundle
     kernel = bind(p, m)
     jacs = []
@@ -553,14 +559,17 @@ def test_spiral_jacobian_count(params, model, monkeypatch, dr_x, diff, bound, st
     correction is at most a tenth of the step) keeps its Jacobian, so a
     spiral solve builds fewer Jacobians than it solves steps (9 and 17
     Jacobians when each iteration built one).  The count includes the
-    polishing step of each solve to TOL and, on the fallback cell, the
-    Jacobian of its one tangent predictor.  The step on a kept Jacobian
-    is the correction its last trial solved, not solved again (19 and 33
-    step solves when it was)."""
+    planar seeds' Jacobians, the polishing step of each solve to TOL and,
+    on the fallback cell, the Jacobian of its one tangent predictor.  The
+    step on a kept Jacobian is the correction its last trial solved, not
+    solved again (19 and 33 step solves when it was)."""
     jacobians, steps = [], []
     raw_jacobian, newton_step = equilibria._raw_jacobian, equilibria._newton_step
+    planar_jacobian = equilibria._planar_jacobian
     monkeypatch.setattr(equilibria, "_raw_jacobian",
                         lambda *a: jacobians.append(1) or raw_jacobian(*a))
+    monkeypatch.setattr(equilibria, "_planar_jacobian",
+                        lambda *a: jacobians.append(1) or planar_jacobian(*a))
     monkeypatch.setattr(equilibria, "_newton_step", lambda *a: steps.append(1) or newton_step(*a))
     sol = solve_spiral(dr_x, 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N,
                        params, model)

@@ -1143,6 +1143,33 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(grid_obs, params, loads=[np.zeros(6)] * 3)
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("alpha", math.nan, id="nan-alpha"),
+        pytest.param("beta", math.nan, id="nan-beta"),
+        pytest.param("V", math.nan, id="nan-airspeed"),
+        pytest.param("alpha", math.inf, id="inf-alpha"),
+        pytest.param("load", math.inf, id="inf-load"),
+        pytest.param("load", math.nan, id="nan-load"),
+    ])
+    def test_rejects_non_finite_inputs_with_given_loads(self, params, grid_obs, grid_loads,
+                                                        field, value):
+        """With `loads` given, the inversion's domain check does not run, so
+        `fit` itself refuses a non-finite angle, airspeed, rate or load and
+        names the observation, instead of failing in the SVD (NaN), as a
+        rank-deficient channel (an infinite angle) or in `AeroModel` (an
+        infinite load)."""
+        from dataclasses import replace
+
+        obs, loads = list(grid_obs), grid_loads.copy()
+        if field == "load":
+            loads[20, 2] = value
+            what = "loads"
+        else:
+            obs[20] = replace(obs[20], **{field: value})
+            what = "aerodynamic angles, airspeed or body rates"
+        with pytest.raises(ValueError, match=f"^observation 20 has non-finite {what}$"):
+            fit(obs, params, loads=loads)
+
 
 def test_average_by_setting(grid_obs):
     doubled = grid_obs + [grid_obs[0], grid_obs[5]]
