@@ -13,22 +13,18 @@ import numpy as np
 
 from blimpdyn import fit, load_bundled, solve_spiral
 from blimpdyn.aero import PARAM_NAMES
-from blimpdyn.frames import GF_TO_N
+from blimpdyn.cli import TRIM_DRX_CM, TRIM_THRUST, spiral_cells
 from blimpdyn.sysid import invert_aero, observation_from_solution
 
 
 def build_grid(params, model):
+    """The trim and spiral survey grids of the CLI, as steady observations."""
+    cells = [(drx_cm, TRIM_THRUST, TRIM_THRUST) for drx_cm in TRIM_DRX_CM]
+    cells += [(drx_cm, Fl, Fr) for drx_cm, _, Fl, Fr in spiral_cells()]
     obs = []
-    F2 = 2.0 * GF_TO_N
-    for drx_cm in range(-5, 6):
-        sol = solve_spiral(drx_cm * 1e-2, F2, F2, params, model)
-        obs.append(observation_from_solution(sol, drx_cm * 1e-2, F2, F2, params))
-    for drx_cm in (-1, 0, 1, 2, 3, 4):
-        for diff in (-3.2, -3.7, -4.2, -4.3, -4.4, -4.9):
-            Fl = 0.5 * (7.0 + diff) * GF_TO_N
-            Fr = 0.5 * (7.0 - diff) * GF_TO_N
-            sol = solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model)
-            obs.append(observation_from_solution(sol, drx_cm * 1e-2, Fl, Fr, params))
+    for drx_cm, Fl, Fr in cells:
+        sol = solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model)
+        obs.append(observation_from_solution(sol, drx_cm * 1e-2, Fl, Fr, params))
     return obs
 
 

@@ -10,17 +10,16 @@ full rail.
 import numpy as np
 
 from blimpdyn import load_bundled, solve_straight
-from blimpdyn.frames import GF_TO_N
+from blimpdyn.cli import TRIM_DRX_CM, TRIM_THRUST
 
 
 def main():
     params, model = load_bundled()
-    F = 2.0 * GF_TO_N  # 2 gf per motor
 
     print(f"{'dr_x [cm]':>10} {'theta [deg]':>12} {'V [m/s]':>9} "
           f"{'alpha [deg]':>12} {'stalled':>8}")
-    for drx_cm in range(-5, 6):
-        sol = solve_straight(drx_cm * 1e-2, F, params, model)
+    for drx_cm in TRIM_DRX_CM:
+        sol = solve_straight(drx_cm * 1e-2, TRIM_THRUST, params, model)
         print(f"{drx_cm:>10d} {np.degrees(sol.theta):>12.3f} {sol.V:>9.4f} "
               f"{np.degrees(sol.alpha):>12.3f} {str(sol.stalled):>8}")
 

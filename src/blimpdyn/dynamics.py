@@ -32,7 +32,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import aero as aeromod
-from .frames import GIMBAL_EPS, V_MIN, GimbalLock
+from .frames import GIMBAL_EPS, V_MIN, GimbalLock, _check_thrusts
 
 
 class SingularMass(RuntimeError):
@@ -49,8 +49,7 @@ class ControlInput:
     Fr: float
 
     def __post_init__(self):
-        if not (0 <= self.Fl < math.inf and 0 <= self.Fr < math.inf):
-            raise ValueError("thrusts must be finite and non-negative")
+        _check_thrusts(self.Fl, self.Fr)
 
 
 def _bind_balance(params, legacy):

@@ -59,14 +59,23 @@ class EulerAngles:
         return np.array([self.phi, self.theta, self.psi])
 
 
-def _check_airspeed_sideslip(V, beta):
-    """Raise ValueError unless the airspeed V is non-negative and the
-    sideslip beta within 90 degrees (1e-12 slack); NaN fails both, as the
-    comparisons are written to be false on it."""
+def _check_aero_angles(alpha, beta, V):
+    """Raise ValueError unless the airspeed V is non-negative, the sideslip
+    beta within 90 degrees (1e-12 slack) and the angle of attack alpha
+    finite; NaN fails all three, as the comparisons are written to be
+    false on it."""
     if not V >= 0.0:
         raise ValueError("airspeed must be non-negative")
     if not abs(beta) <= math.pi / 2 + 1e-12:
         raise ValueError("sideslip out of range")
+    if not abs(alpha) < math.inf:
+        raise ValueError("non-finite angle of attack")
+
+
+def _check_thrusts(Fl, Fr):
+    """Raise ValueError unless both thrusts are finite and non-negative."""
+    if not (0 <= Fl < math.inf and 0 <= Fr < math.inf):
+        raise ValueError("thrusts must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class AeroAngles:
     V: float
 
     def __post_init__(self):
-        _check_airspeed_sideslip(self.V, self.beta)
+        _check_aero_angles(self.alpha, self.beta, self.V)
 
 
 def _as_vec3(x, name):

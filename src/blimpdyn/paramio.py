@@ -1,7 +1,8 @@
-"""Reading and writing the plain-text parameter files.
+"""Reading the package's input files: the plain-text parameter files and
+the CSV tables.
 
-Files are `key = value` lines in named sections.  Units are fixed per key
-and documented in each file's header comment:
+Parameter files are `key = value` lines in named sections.  Units are
+fixed per key and documented in each file's header comment:
 
   [mass]      stationary_kg, moving_kg, inertia_* [kg m^2],
               r_*_m, rbar0_*_m, buoyancy_n
@@ -10,15 +11,51 @@ and documented in each file's header comment:
               reynolds (optional)
   [aero]      the 18 polynomial coefficients, k1..k3 [N m s/rad],
               beta_limit_deg (optional)
+
+The CSV tables (schedules, trial manifests and trial logs) share one row
+reader, `_csv_rows`, and one error type, `SchemaError`.
 """
 
 import configparser
+import csv
 from importlib import resources
 
 import numpy as np
 
 from .aero import PARAM_NAMES, AeroModel
 from .frames import VehicleParams
+
+
+class SchemaError(ValueError):
+    """A CSV table (schedule, manifest or trial log) does not match its schema."""
+
+
+def _csv_rows(path, columns):
+    """The rows of the CSV table at `path`, as (where, fields) pairs, where
+    is "<path>: line N" with N the row's line in the file.
+
+    The header must be `columns`; blank lines are skipped; every row must
+    hold one field per column.  Otherwise SchemaError names the file and
+    the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != columns:
+            raise SchemaError(f"{path}: line 1: header must be {','.join(columns)}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(columns):
+                raise SchemaError(f"{where}: {len(row)} fields, expected {len(columns)}")
+            yield where, row
+
+
+def _number(where, field, cell):
+    """The number in `cell`, or SchemaError naming the row and the field."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise SchemaError(f"{where}: {field} must be a number, got {cell!r}") from None
 
 
 def _parser(path):

@@ -1,12 +1,12 @@
-"""Fixed-step RK4 trajectory integration with scripted input schedules,
-plus trajectory metrics (turning radius, glide performance).
+"""Fixed-step RK4 trajectory integration with scripted input schedules
+(read from CSV by `paramio`'s table reader, which trial manifests and logs
+share), plus trajectory metrics (turning radius, glide performance).
 
 Inputs are held constant within each step and sampled at segment
 boundaries aligned to the time grid, so identical inputs produce
 bitwise-identical trajectories.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -14,7 +14,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dynamics
-from .frames import GF_TO_N, RAIL_LIMIT, GimbalLock, State, aero_angles_array, rotation_matrices
+from .frames import (GF_TO_N, RAIL_LIMIT, GimbalLock, State, _check_thrusts, aero_angles_array,
+                     rotation_matrices)
+from .paramio import SchemaError, _csv_rows, _number
 
 # Moving-mass rail motion limits for position-command ("goto") segments.
 MM_VMAX = 0.05   # m/s
@@ -53,8 +55,7 @@ class Segment:
             raise ValueError("segment must have positive duration")
         if self.mm_cmd not in ("hold", "goto"):
             raise ValueError(f"unknown moving-mass command {self.mm_cmd!r}")
-        if not (0 <= self.Fl < math.inf and 0 <= self.Fr < math.inf):
-            raise ValueError("thrusts must be finite and non-negative")
+        _check_thrusts(self.Fl, self.Fr)
         if not abs(self.mm_target) <= RAIL_LIMIT + 1e-12:
             raise ValueError(f"mm_target {self.mm_target} m outside rail limit +-{RAIL_LIMIT} m")
 
@@ -83,38 +84,21 @@ _SCHEDULE_COLUMNS = ["t_start", "t_end", "Fl_gf", "Fr_gf", "mm_cmd", "mm_target_
 def read_schedule(path):
     """Load a schedule CSV: t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm.
 
-    Each row must hold the six fields, with numbers in all but mm_cmd;
-    blank lines are skipped.  A malformed or invalid row raises ValueError
-    naming the file, its line and, for a bad number, the field."""
+    The table is read by `paramio._csv_rows`, with numbers in all fields
+    but mm_cmd.  A malformed or invalid row raises SchemaError naming the
+    file, its line and, for a bad number, the field."""
     segs = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _SCHEDULE_COLUMNS:
-            raise ValueError(f"{path}: schedule header must be {','.join(_SCHEDULE_COLUMNS)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(_SCHEDULE_COLUMNS):
-                raise ValueError(f"{where}: {len(row)} fields, expected {len(_SCHEDULE_COLUMNS)}")
-            t_start, t_end, Fl_gf, Fr_gf, mm_target_cm = (
-                _schedule_number(where, name, cell)
-                for name, cell in zip(_SCHEDULE_COLUMNS, row) if name != "mm_cmd")
-            try:
-                segs.append(Segment(t_start=t_start, t_end=t_end,
-                                    Fl=Fl_gf * GF_TO_N, Fr=Fr_gf * GF_TO_N,
-                                    mm_cmd=row[4].strip(), mm_target=mm_target_cm * 1e-2))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+    for where, row in _csv_rows(path, _SCHEDULE_COLUMNS):
+        t_start, t_end, Fl_gf, Fr_gf, mm_target_cm = (
+            _number(where, name, cell)
+            for name, cell in zip(_SCHEDULE_COLUMNS, row) if name != "mm_cmd")
+        try:
+            segs.append(Segment(t_start=t_start, t_end=t_end,
+                                Fl=Fl_gf * GF_TO_N, Fr=Fr_gf * GF_TO_N,
+                                mm_cmd=row[4].strip(), mm_target=mm_target_cm * 1e-2))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return InputSchedule(tuple(segs))
-
-
-def _schedule_number(where, field, cell):
-    """The number in `cell`, or ValueError naming the row and the field."""
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"{where}: {field} must be a number, got {cell!r}") from None
 
 
 @dataclass(frozen=True)

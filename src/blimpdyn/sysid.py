@@ -1,10 +1,11 @@
 """Aerodynamic identification from steady-flight logs.
 
-Pipeline: load motion-capture trial logs (numpy's C text reader parses
-each log body into one array, given the log's path so that it reads the
-file in chunks, not line by line; a log holding a non-finite value, and a
-manifest row of the wrong length, with a non-numeric number field or
-whose moving mass lies off the rail, are rejected), reduce each to an
+Pipeline: load motion-capture trial logs (the manifest and each log's
+header by `paramio`'s table reader, each log body by numpy's C text
+reader, given the log's path so that it reads the file in chunks; a log
+holding a non-finite value, and a manifest row of the wrong length, with
+a non-numeric number field or whose moving mass lies off the rail, are
+rejected, named by file and line), reduce each to an
 averaged steady observation, invert the steady-state balance for the
 wind-frame aerodynamic loads, mirror-augment the spiral data about the
 vehicle's symmetry plane, reject outliers, and fit the polynomial
@@ -26,7 +27,6 @@ forces and the three moments), each one batched SVD that also gives the
 condition numbers; the bound damping <= 0 is met by one active-set step.
 """
 
-import csv
 import functools
 import math
 import os
@@ -40,10 +40,12 @@ from .dynamics import _bind_balance
 from .frames import (
     GF_TO_N,
     RAIL_LIMIT,
-    _check_airspeed_sideslip,
+    _check_aero_angles,
+    _check_thrusts,
     aero_angles_array,
     rotation_matrices,
 )
+from .paramio import SchemaError, _csv_rows, _number
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 2
@@ -55,10 +57,6 @@ STEADY_THETA_STD = np.radians(1.0)
 MAX_OUTLIER_FRAC = 0.20
 
 CHANNELS = ("D", "S", "L", "M1", "M2", "M3")
-
-
-class SchemaError(ValueError):
-    """Manifest or trial file does not match the expected schema."""
 
 
 class UnitError(ValueError):
@@ -123,72 +121,41 @@ _TRIAL_ROW = ",".join(["%.9g"] * len(TRIAL_COLUMNS)) + "\n"
 def load_trials(manifest_path):
     """Load a manifest CSV and its referenced trial CSVs, converting to SI.
 
-    Each manifest row must hold the six fields of MANIFEST_COLUMNS, with
-    numbers in dr_x_cm, Fl_gf and Fr_gf; blank lines are skipped."""
+    The manifest is read by `paramio._csv_rows`, with numbers in dr_x_cm,
+    Fl_gf and Fr_gf.  A malformed or invalid row raises SchemaError naming
+    the manifest file, its line and, for a bad number, the field."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     records = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_COLUMNS:
-            raise SchemaError(
-                f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
-                f"got {header}"
-            )
-        for i, row in enumerate((r for r in reader if r), start=2):
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise SchemaError(f"manifest row {i}: {len(row)} fields, "
-                                  f"expected {len(MANIFEST_COLUMNS)}")
-            row = dict(zip(MANIFEST_COLUMNS, row))
-            path = row["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base, path)
-            if not os.path.exists(path):
-                raise SchemaError(f"manifest row {i}: trial file {row['file']} not found")
-            kind = row["kind"].strip()
-            if kind not in ("straight", "spiral"):
-                raise SchemaError(f"manifest row {i}: unknown kind {kind!r}")
-            Fl, Fr = (_manifest_number(i, row, f) * GF_TO_N for f in ("Fl_gf", "Fr_gf"))
-            if not (0 <= Fl < math.inf and 0 <= Fr < math.inf):
-                raise SchemaError(f"manifest row {i}: thrusts must be finite and non-negative")
-            dr_x = _manifest_number(i, row, "dr_x_cm") * 1e-2
-            if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
-                raise SchemaError(f"manifest row {i}: dr_x_cm must be finite and within "
-                                  f"the rail limit +-{RAIL_LIMIT * 1e2:g} cm")
-            t, pos, euler = _read_trial_csv(path)
-            records.append(
-                TrialRecord(
-                    trial_id=row["trial_id"],
-                    kind=kind,
-                    dr_x=dr_x,
-                    Fl=Fl,
-                    Fr=Fr,
-                    t=t,
-                    pos=pos,
-                    euler=euler,
-                )
-            )
+    for where, row in _csv_rows(manifest_path, MANIFEST_COLUMNS):
+        trial_id, file, kind = row[0], row[1], row[2].strip()
+        path = file if os.path.isabs(file) else os.path.join(base, file)
+        if not os.path.exists(path):
+            raise SchemaError(f"{where}: trial file {file} not found")
+        if kind not in ("straight", "spiral"):
+            raise SchemaError(f"{where}: unknown kind {kind!r}")
+        dr_x_cm, Fl_gf, Fr_gf = (_number(where, name, cell)
+                                 for name, cell in zip(MANIFEST_COLUMNS[3:], row[3:]))
+        Fl, Fr = Fl_gf * GF_TO_N, Fr_gf * GF_TO_N
+        try:
+            _check_thrusts(Fl, Fr)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        dr_x = dr_x_cm * 1e-2
+        if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
+            raise SchemaError(f"{where}: dr_x_cm must be finite and within "
+                              f"the rail limit +-{RAIL_LIMIT * 1e2:g} cm")
+        t, pos, euler = _read_trial_csv(path)
+        records.append(TrialRecord(trial_id=trial_id, kind=kind, dr_x=dr_x, Fl=Fl, Fr=Fr,
+                                   t=t, pos=pos, euler=euler))
     return records
 
 
-def _manifest_number(i, row, field):
-    """The number in `field` of manifest row `i`, or SchemaError naming both."""
-    try:
-        return float(row[field])
-    except ValueError:
-        raise SchemaError(f"manifest row {i}: {field} must be a number, "
-                          f"got {row[field]!r}") from None
-
-
 def _read_trial_csv(path):
-    """Time, position and Euler angles of a trial log.  The header line is
-    checked with the csv module; numpy reads the body from the path, in
-    chunks, and one column-wise max of |data| gives the finiteness and unit
-    checks (NaN propagates through it)."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header != TRIAL_COLUMNS:
-        raise SchemaError(f"{path}: trial header must be {','.join(TRIAL_COLUMNS)}")
+    """Time, position and Euler angles of a trial log.  The table reader
+    checks the header (and the field count of the first row); numpy reads
+    the body from the path, in chunks, and one column-wise max of |data|
+    gives the finiteness and unit checks (NaN propagates through it)."""
+    next(_csv_rows(path, TRIAL_COLUMNS), None)
     try:
         with warnings.catch_warnings():
             # A header-only file is reported below as malformed data.
@@ -216,24 +183,17 @@ def _read_trial_csv(path):
 
 def _bad_trial_row(path):
     """Message naming the first data row of a trial CSV that is not seven
-    finite numbers, by its line in the file; empty lines are skipped, as
-    the reader skips them."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(TRIAL_COLUMNS):
-                return (f"{path}: line {reader.line_num}: {len(row)} fields, "
-                        f"expected {len(TRIAL_COLUMNS)}")
-            for v in row:
-                try:
-                    x = float(v)
-                except ValueError:
-                    return f"{path}: line {reader.line_num}: non-numeric value {v!r}"
-                if not math.isfinite(x):
-                    return f"{path}: line {reader.line_num}: non-finite value {v!r}"
+    finite numbers, by its line in the file; the table reader
+    (`paramio._csv_rows`) skips blank lines and raises its SchemaError on
+    a row that is not seven fields."""
+    for where, row in _csv_rows(path, TRIAL_COLUMNS):
+        for v in row:
+            try:
+                x = float(v)
+            except ValueError:
+                return f"{where}: non-numeric value {v!r}"
+            if not math.isfinite(x):
+                return f"{where}: non-finite value {v!r}"
     return f"{path}: malformed trial data"
 
 
@@ -420,10 +380,10 @@ def _bind_inversion(params):
     `dynamics._bind_balance`, computable from the observation and
     parameters); the negated remainder is resolved into the wind frame by
     the transpose of the wind-to-body rotation, with the sign conventions
-    D = -x, S = +y, L = -z.  An observation whose airspeed, sideslip or
-    attitude lies outside the domain of `AeroAngles` or `EulerAngles` (a
-    NaN airspeed or sideslip included) raises their ValueError
-    (`_check_angles`)."""
+    D = -x, S = +y, L = -z.  An observation whose airspeed, aerodynamic
+    angles or attitude lie outside the domain of `AeroAngles` or
+    `EulerAngles` (a NaN airspeed, sideslip or angle of attack included)
+    raises their ValueError (`_check_angles`)."""
     mass_terms, balance = _bind_balance(params, False)[:2]
     cos, sin = math.cos, math.sin
 
@@ -455,11 +415,12 @@ def _bind_inversion(params):
 
 def _check_angles(obs):
     """Raise the ValueError of `AeroAngles` or `EulerAngles`, with its
-    message, if the observation's airspeed, sideslip or attitude is outside
-    their domain: a negative or NaN airspeed, a sideslip beyond 90 degrees
-    or NaN (`frames._check_airspeed_sideslip`, which `AeroAngles` calls),
-    or a non-finite pitch or roll."""
-    _check_airspeed_sideslip(obs.V, obs.beta)
+    message, if the observation's airspeed, aerodynamic angles or attitude
+    is outside their domain: a negative or NaN airspeed, a sideslip beyond
+    90 degrees or NaN, a non-finite angle of attack
+    (`frames._check_aero_angles`, which `AeroAngles` calls), or a
+    non-finite pitch or roll."""
+    _check_aero_angles(obs.alpha, obs.beta, obs.V)
     if not (math.isfinite(obs.phi) and math.isfinite(obs.theta)):
         raise ValueError("non-finite Euler angles")
 

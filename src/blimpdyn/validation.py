@@ -37,8 +37,9 @@ from .equilibria import (
 )
 from .frames import GF_TO_N, AeroAngles, EulerAngles, State
 from .paramio import load_bundled
-from .simulate import InputSchedule, Segment, integrate
+from .simulate import _SCHEDULE_COLUMNS, InputSchedule, Segment, integrate
 from .sysid import (
+    MANIFEST_COLUMNS,
     fit,
     invert_aero,
     observation_from_solution,
@@ -51,7 +52,7 @@ MC_SEED = 20260824
 # Input schedule of the determinism check (criterion 9): a hold, then a
 # differential turn with a moving-mass goto.
 DETERMINISM_SCHEDULE = (
-    "t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n"
+    ",".join(_SCHEDULE_COLUMNS) + "\n"
     "0,2.5,2,2,hold,0\n"
     "2.5,5,1.4,2.6,goto,2\n"
 )
@@ -327,7 +328,7 @@ def _synthetic_trial_set(workdir):
         rows.append(f"t{i:02d},{fname},{kind},{drx_cm},{fl_gf},{fr_gf}")
     manifest = os.path.join(workdir, "manifest.csv")
     with open(manifest, "w", newline="\n") as fh:
-        fh.write("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n")
+        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
         fh.write("\n".join(rows) + "\n")
     return manifest
 

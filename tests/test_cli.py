@@ -199,16 +199,21 @@ def test_identify_rejects_off_rail_manifest_dr_x(tmp_path, capsys, dr_x_cm):
     manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n"
                         f"t0,trial.csv,straight,{dr_x_cm},2,2\n")
     assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
-    assert "manifest row 2: dr_x_cm must be finite and within the rail limit" in (
+    assert f"{manifest}: line 2: dr_x_cm must be finite and within the rail limit" in (
         capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("row, message", [
-    ("t0,trial.csv,straight,0,2", "manifest row 2: 5 fields, expected 6"),
-    ("t0,trial.csv,straight,0,2,2,9", "manifest row 2: 7 fields, expected 6"),
-    ("t0,trial.csv,straight,x,2,2", "manifest row 2: dr_x_cm must be a number, got 'x'"),
-    ("t0,trial.csv,straight,0,x,2", "manifest row 2: Fl_gf must be a number, got 'x'"),
-    ("t0,trial.csv,straight,0,2,x", "manifest row 2: Fr_gf must be a number, got 'x'"),
+    pytest.param("t0,trial.csv,straight,0,2", "line 2: 5 fields, expected 6",
+                 id="t0,trial.csv,straight,0,2-manifest row of 5 fields"),
+    pytest.param("t0,trial.csv,straight,0,2,2,9", "line 2: 7 fields, expected 6",
+                 id="t0,trial.csv,straight,0,2,2,9-manifest row of 7 fields"),
+    pytest.param("t0,trial.csv,straight,x,2,2", "line 2: dr_x_cm must be a number, got 'x'",
+                 id="t0,trial.csv,straight,x,2,2-manifest row with a bad dr_x_cm"),
+    pytest.param("t0,trial.csv,straight,0,x,2", "line 2: Fl_gf must be a number, got 'x'",
+                 id="t0,trial.csv,straight,0,x,2-manifest row with a bad Fl_gf"),
+    pytest.param("t0,trial.csv,straight,0,2,x", "line 2: Fr_gf must be a number, got 'x'",
+                 id="t0,trial.csv,straight,0,2,x-manifest row with a bad Fr_gf"),
 ])
 def test_identify_rejects_malformed_manifest_row(tmp_path, capsys, row, message):
     (tmp_path / "trial.csv").write_text("t,x,y,z,phi,theta,psi\n")
@@ -216,7 +221,7 @@ def test_identify_rejects_malformed_manifest_row(tmp_path, capsys, row, message)
     manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n" + row + "\n")
     assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert f"{manifest}: {message}" in err and "Traceback" not in err
 
 
 def test_trim_with_identified_aero(tmp_path, capsys):

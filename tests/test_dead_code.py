@@ -25,6 +25,8 @@ and a guard against finite-difference derivatives there.
   `dynamics.bind`, only `solve` divides by det K.
 - Every backticked `module.NAME` of the README whose module is a
   `blimpdyn` submodule names something that module defines.
+- The CSV tables are read in one place: `csv.reader` is called in one
+  function of the package, the table reader `paramio._csv_rows`.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -586,3 +588,37 @@ def test_block_solve_gate_sees_a_copy():
            "    return solve, deriv\n"
            "def other(t, det):\n    return t / det\n")
     assert det_dividers(ast.parse(src)) == ["deriv", "solve"]
+
+
+def csv_reader_callers(modules):
+    """The top-level functions and classes of `modules`, (file name, parsed
+    module) pairs, that call `csv.reader` through any import alias, as
+    module.name; a call outside them is reported as module.<module>."""
+    found = set()
+    for mod, tree in modules:
+        bound = _import_paths(tree)
+        for stmt in tree.body:
+            if any(isinstance(node, ast.Call) and _resolved(node.func, bound) == "csv.reader"
+                   for node in ast.walk(stmt)):
+                found.add(f"{mod[:-3]}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_csv_tables_have_one_reader():
+    assert csv_reader_callers(list(_modules())) == ["paramio._csv_rows"]
+
+
+def test_csv_reader_gate_sees_a_second_reader():
+    """The gate reports each function or class that calls `csv.reader`,
+    directly, through an alias or from a method, and a call at module
+    level, but not `csv.writer` or another object's `reader`."""
+    src = ("import csv\n"
+           "import csv as table\n"
+           "from csv import reader as rows\n"
+           "def header(fh):\n    return next(csv.reader(fh))\n"
+           "def body(fh):\n    return list(rows(fh))\n"
+           "class Log:\n    def read(self, fh):\n        return table.reader(fh)\n"
+           "def write(fh, db):\n    csv.writer(fh).writerow(db.reader())\n"
+           "FIRST = next(csv.reader(['a,b']))\n")
+    assert csv_reader_callers([("m.py", ast.parse(src))]) == [
+        "m.<module>", "m.Log", "m.body", "m.header"]

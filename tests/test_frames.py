@@ -162,6 +162,12 @@ def test_aero_angles_rejects_a_nan_airspeed_or_sideslip(beta, V, message):
         AeroAngles(0.1, beta, V)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_aero_angles_rejects_a_non_finite_angle_of_attack(alpha):
+    with pytest.raises(ValueError, match="^non-finite angle of attack$"):
+        AeroAngles(alpha, 0.0, 1.0)
+
+
 class TestVehicleParams:
     def test_bundled_mass_budget(self, params):
         assert np.isclose(params.net_mass * 1e3, 6.85, atol=0.01)

@@ -3,14 +3,17 @@ import os
 import numpy as np
 import pytest
 
-from blimpdyn import paramio
+from blimpdyn import paramio, sysid
 from blimpdyn.paramio import (
+    SchemaError,
     bundled_path,
     load_bundled,
     read_aero,
     read_params,
     write_aero_section,
 )
+from blimpdyn.simulate import read_schedule
+from blimpdyn.sysid import load_trials
 
 
 def test_bundled_stock_values():
@@ -95,3 +98,31 @@ def test_load_bundled_parses_each_file_once(monkeypatch, wingless, parsed):
     ref_params = read_params(bundled_path("vehicle.ini"))
     ref_model = read_aero(bundled_path(parsed[-1]))
     assert repr(params) == repr(ref_params) and model == ref_model
+
+
+# Header and loader of each CSV table; a trial log is loaded through a manifest.
+TABLES = {
+    "schedule": ("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm", read_schedule),
+    "manifest": ("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf", load_trials),
+    "trial": ("t,x,y,z,phi,theta,psi", load_trials),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_tables_name_the_file_and_line(tmp_path, table):
+    """Schedules, trial manifests and trial logs share one reader and one
+    error type: a wrong header raises SchemaError naming the file and line
+    1, and a short row after a blank line names its line in the file."""
+    header, load = TABLES[table]
+    path = tmp_path / f"{table}.csv"
+    manifest = tmp_path / "manifest.csv"
+    if table == "trial":
+        manifest.write_text(TABLES["manifest"][0] + "\nt0,trial.csv,straight,0,2,2\n")
+    for text, message in ((header.upper() + "\n", f"line 1: header must be {header}"),
+                          (header + "\n\n1,2\n",
+                           f"line 3: 2 fields, expected {header.count(',') + 1}")):
+        path.write_text(text)
+        with pytest.raises(SchemaError) as exc:
+            load(str(path if table == "schedule" else manifest))
+        assert str(exc.value) == f"{path}: {message}"
+    assert sysid.SchemaError is SchemaError

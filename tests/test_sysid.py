@@ -485,21 +485,28 @@ class TestTrialIO:
             load_trials(str(manifest))
 
     @pytest.mark.parametrize("row, message", [
-        ("t1,trial.csv,straight,0,2", "manifest row 3: 5 fields, expected 6"),
-        ("t1,trial.csv,straight,0,2,2,9", "manifest row 3: 7 fields, expected 6"),
-        ("t1,trial.csv,straight,x,2,2", "manifest row 3: dr_x_cm must be a number, got 'x'"),
-        ("t1,trial.csv,straight,0,,2", "manifest row 3: Fl_gf must be a number, got ''"),
-        ("t1,trial.csv,straight,0,2,2 gf", "manifest row 3: Fr_gf must be a number, got '2 gf'"),
+        pytest.param("t1,trial.csv,straight,0,2", "line 4: 5 fields, expected 6",
+                     id="t1,trial.csv,straight,0,2-manifest row of 5 fields"),
+        pytest.param("t1,trial.csv,straight,0,2,2,9", "line 4: 7 fields, expected 6",
+                     id="t1,trial.csv,straight,0,2,2,9-manifest row of 7 fields"),
+        pytest.param("t1,trial.csv,straight,x,2,2", "line 4: dr_x_cm must be a number, got 'x'",
+                     id="t1,trial.csv,straight,x,2,2-manifest row with a bad dr_x_cm"),
+        pytest.param("t1,trial.csv,straight,0,,2", "line 4: Fl_gf must be a number, got ''",
+                     id="t1,trial.csv,straight,0,,2-manifest row with a bad Fl_gf"),
+        pytest.param("t1,trial.csv,straight,0,2,2 gf", "line 4: Fr_gf must be a number, got '2 gf'",
+                     id="t1,trial.csv,straight,0,2,2 gf-manifest row with a bad Fr_gf"),
     ])
     def test_malformed_manifest_row_named(self, tmp_path, row, message):
         """A manifest row of the wrong length or with a non-numeric number
-        field raises SchemaError naming the row (counted as before, blank
-        lines skipped) and the field."""
+        field raises SchemaError naming the file, the row's line (the blank
+        line before it counts as a line) and the field."""
         rows = [TRIAL_HEADER] + [f"{0.1 * k},0,0,0,0,0,0" for k in range(41)]
         (tmp_path / "trial.csv").write_text("\n".join(rows) + "\n")
-        (tmp_path / "manifest.csv").write_text(MANIFEST + "\n" + row + "\n")
-        with pytest.raises(SchemaError, match=f"^{message}$"):
-            load_trials(str(tmp_path / "manifest.csv"))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(MANIFEST + "\n" + row + "\n")
+        with pytest.raises(SchemaError) as exc:
+            load_trials(str(manifest))
+        assert str(exc.value) == f"{manifest}: {message}"
 
     def test_line_endings_parse_alike(self, tmp_path, steady_trial):
         """CRLF and CR copies of a written log parse bit for bit as the LF
@@ -831,6 +838,19 @@ class TestInvertAero:
         with pytest.raises(ValueError, match=f"^{message}$"):
             invert_aero(bad, params)
         with pytest.raises(ValueError, match=f"^{message}$"):
+            fit([*grid_obs, bad], params)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_angle_of_attack(self, params, grid_obs, alpha):
+        """A non-finite angle of attack, which `AeroAngles` rejects too, is
+        outside the inversion's domain: `invert_aero` and `fit` raise its
+        message instead of returning NaN loads or a math domain error."""
+        from dataclasses import replace
+
+        bad = replace(grid_obs[20], alpha=alpha)
+        with pytest.raises(ValueError, match="^non-finite angle of attack$"):
+            invert_aero(bad, params)
+        with pytest.raises(ValueError, match="^non-finite angle of attack$"):
             fit([*grid_obs, bad], params)
 
     @given(
