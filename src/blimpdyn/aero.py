@@ -15,6 +15,10 @@ exactly these regressors, and a configurable structure would change the
 design matrix silently.  `bind(model, rho)` binds a model's constants once
 for the dynamics hot paths and `aero_loads`; `lift_drag_analysis`
 evaluates the same polynomials (`_polynomials`) over arrays.
+
+The wind axes and their signs (D along -x, S along +y, L along -z) live
+here: `_wind_to_body` and its transpose `_body_to_wind`, which the load
+inversion of `sysid` calls.
 """
 
 from dataclasses import dataclass, replace
@@ -160,6 +164,19 @@ def _wind_to_body(ca, sa, cb, sb, D, S, L, M1, M2, M3):
         ca * cb * M1 - ca * sb * M2 - sa * M3,
         sb * M1 + cb * M2,
         sa * cb * M1 - sa * sb * M2 + ca * M3,
+    )
+
+
+def _body_to_wind(ca, sa, cb, sb, fx, fy, fz, tx, ty, tz):
+    """The transpose of `_wind_to_body`: the wind-frame loads
+    (D, S, L, M1, M2, M3) of a body force and torque, as six floats."""
+    return (
+        -ca * cb * fx - sb * fy - sa * cb * fz,
+        -ca * sb * fx + cb * fy - sa * sb * fz,
+        sa * fx - ca * fz,
+        ca * cb * tx + sb * ty + sa * cb * tz,
+        -ca * sb * tx + cb * ty - sa * sb * tz,
+        -sa * tx + ca * tz,
     )
 
 

@@ -28,7 +28,7 @@ from .equilibria import (
     turning_radius,
 )
 from .frames import GF_TO_N, EulerAngles, State
-from .paramio import _read_config, bundled_path, write_aero_section
+from .paramio import _read_config, bundled_config, write_aero_section
 from .simulate import integrate, read_schedule
 from .sysid import (
     CHANNELS,
@@ -100,12 +100,9 @@ def _sha256(path):
 
 
 def _load_config(args):
-    if args.wingless:
-        params_path = args.params or bundled_path("wingless.ini")
-        aero_path = args.aero or bundled_path("wingless.ini")
-    else:
-        params_path = args.params or bundled_path("vehicle.ini")
-        aero_path = args.aero or params_path
+    bundled = bundled_config(args.wingless)
+    params_path = args.params or bundled
+    aero_path = args.aero or (bundled if args.wingless else params_path)
     params, model = _read_config(params_path, aero_path)
     return params, model, params_path, aero_path
 
@@ -260,23 +257,12 @@ def cmd_identify(args):
         comment=f"fitted from {os.path.basename(args.manifest)} "
                 f"({len(observations)} observations, {len(result.excluded)} excluded)",
     )
-    rows = []
-    m = result.model
-    groups = {
-        "D": (m.cd0, m.cd_a, m.cd_b, ""),
-        "S": (m.cs0, m.cs_a, m.cs_b, ""),
-        "L": (m.cl0, m.cl_a, m.cl_b, ""),
-        "M1": (m.cm1_0, m.cm1_a, m.cm1_b, m.k1),
-        "M2": (m.cm2_0, m.cm2_a, m.cm2_b, m.k2),
-        "M3": (m.cm3_0, m.cm3_a, m.cm3_b, m.k3),
-    }
-    for ch in CHANNELS:
-        c0, ca, cb, K = groups[ch]
-        rows.append(",".join([
-            ch, _fmt(c0), _fmt(ca), _fmt(cb),
-            _fmt(K) if K != "" else "",
-            _fmt(result.rms[ch]), _fmt(result.condition[ch]),
-        ]))
+    # The model's parameters in PARAM_NAMES order: three polynomial
+    # coefficients per channel, in CHANNELS order, then the damping of M1..M3.
+    x = result.model.as_vector().tolist()
+    rows = [",".join([ch, *map(_fmt, x[3 * i:3 * i + 3]), _fmt(x[15 + i]) if i >= 3 else "",
+                      _fmt(result.rms[ch]), _fmt(result.condition[ch])])
+            for i, ch in enumerate(CHANNELS)]
     _write_csv(os.path.join(args.out, "identify.csv"),
                ["channel", "c0", "c_alpha", "c_beta", "K", "rms", "condition"], rows)
     print(f"fitted {len(observations)} observations, "

@@ -10,7 +10,9 @@ tangents of the vehicle's bound kernel (`dynamics.bind`), which each
 solve binds once: theta, phi and psidot are rate tangents, V, alpha and
 beta velocity tangents.  A Newton solve builds its moving-mass position,
 mass terms and residual scales once (`_rail_system`), and a spiral's
-planar seed and its six-equation solve share them.  The residual, the
+planar seed and its six-equation solve share them; the rail check, the
+position on the rail and the attitude check of `linearize` are those of
+`frames`.  The residual, the
 Jacobian (as its six columns), the trial steps and the norms are Python
 float arithmetic, and the kernel's balance takes the kinematics as
 separate floats.  The planar trim builds only the nine entries it solves
@@ -69,11 +71,12 @@ from . import aero as aeromod
 from .dynamics import bind
 from .frames import (
     GIMBAL_EPS,
-    RAIL_LIMIT,
     V_MIN,
     EulerAngles,
     GimbalLock,
     State,
+    _check_attitude,
+    _check_rail_offset,
     rotation_body_to_inertial,
 )
 
@@ -287,13 +290,6 @@ def _rail_derivative(x, rbar, kernel, mbar):
     return tuple(a - b for a, b in zip(at_d, at_zero))
 
 
-def _rail_position(params, dr_x):
-    """Moving-mass position at rail offset dr_x from home, as a float list."""
-    rx, ry, rz = params.rbar0.tolist()
-    # The adds of the array form it replaces: -0.0 + 0.0 is 0.0.
-    return [rx + float(dr_x), ry + 0.0, rz + 0.0]
-
-
 def _scales(params, rbar):
     fscale = params.total_mass * params.g
     tscale = fscale * max(float(np.linalg.norm(rbar)), MOMENT_ARM_FLOOR)
@@ -304,9 +300,8 @@ def _rail_system(dr_x, params, kernel):
     """What a Newton solve at rail offset dr_x [m] needs of it: the
     moving-mass position (a float list), its mass terms and the residual
     scales (`_scales`)."""
-    if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
-        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
-    rbar = _rail_position(params, dr_x)
+    _check_rail_offset(dr_x)
+    rbar = params.rail_position(dr_x).tolist()
     return (rbar, kernel.mass_terms(*rbar), *_scales(params, rbar))
 
 
@@ -641,8 +636,7 @@ def linearize(sol, control, rbar, params, model):
     p, q, r = sol.w_b.tolist()
     if abs(theta) >= math.pi / 2 - GIMBAL_EPS:
         raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
-    if not (math.isfinite(phi) and math.isfinite(theta)):
-        raise ValueError("non-finite Euler angles")
+    _check_attitude(phi, theta)
     V2, h2 = u * u + v * v + w * w, u * u + w * w
     V, h = math.sqrt(V2), math.sqrt(h2)
     if V < V_MIN or h < V_MIN:

@@ -9,6 +9,11 @@ Conventions used throughout the package:
   taking body-frame vectors to the inertial frame.
 - SI units everywhere inside the library. Gram-force and centimetres appear
   only at file/CLI boundaries (1 gf = 9.80e-3 N).
+
+The rules the other modules share live here: the rail check, the rail
+position (`VehicleParams.rail_position`), the attitude, aero angle and
+thrust checks, and the angle wrap.  The kernel's `deriv` repeats only the
+attitude check, inline, as it runs at every RK4 stage.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,11 +38,22 @@ class GimbalLock(ValueError):
 
 
 def wrap_angle(x):
-    """Wrap an angle to (-pi, pi]."""
+    """Wrap an angle, or an array of angles, to (-pi, pi]."""
     w = (x + np.pi) % (2.0 * np.pi) - np.pi
-    if w <= -np.pi:
-        w += 2.0 * np.pi
-    return w
+    return w + 2.0 * np.pi * (w <= -np.pi)     # w is never -0.0, so w + 0.0 is w
+
+
+def _check_attitude(phi, theta, psi=0.0):
+    """Raise ValueError unless the Euler angles are finite."""
+    if not (math.isfinite(phi) and math.isfinite(theta) and math.isfinite(psi)):
+        raise ValueError("non-finite Euler angles")
+
+
+def _check_rail_offset(dr_x):
+    """Raise ValueError unless the moving mass's offset dr_x [m] from home
+    is within RAIL_LIMIT (1e-12 slack); NaN fails."""
+    if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
+        raise ValueError(f"dr_x {dr_x} m outside rail limit +-{RAIL_LIMIT} m")
 
 
 @dataclass(frozen=True)
@@ -52,8 +68,7 @@ class EulerAngles:
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "psi", wrap_angle(float(self.psi)))
-        if not (math.isfinite(self.phi) and math.isfinite(self.theta) and math.isfinite(self.psi)):
-            raise ValueError("non-finite Euler angles")
+        _check_attitude(self.phi, self.theta, self.psi)
 
     def as_array(self):
         return np.array([self.phi, self.theta, self.psi])
@@ -146,6 +161,10 @@ class VehicleParams:
             raise ValueError("inertia tensor must be symmetric")
         if np.any(np.linalg.eigvalsh(self.inertia) <= 0):
             raise ValueError("inertia tensor must be positive definite")
+
+    def rail_position(self, dr_x):
+        """Moving-mass position [m] at offset dr_x [m] along body x from rbar0."""
+        return self.rbar0 + np.array([dr_x, 0.0, 0.0])
 
     @property
     def total_mass(self):

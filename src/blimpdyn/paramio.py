@@ -35,12 +35,13 @@ def _csv_rows(path, columns):
     is "<path>: line N" with N the row's line in the file.
 
     The header must be `columns`; blank lines are skipped; every row must
-    hold one field per column.  Otherwise SchemaError names the file and
-    the line."""
+    hold one field per column, and one row at least must follow the
+    header.  Otherwise SchemaError names the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != columns:
             raise SchemaError(f"{path}: line 1: header must be {','.join(columns)}")
+        where = None
         for row in reader:
             if not row:
                 continue
@@ -48,6 +49,8 @@ def _csv_rows(path, columns):
             if len(row) != len(columns):
                 raise SchemaError(f"{where}: {len(row)} fields, expected {len(columns)}")
             yield where, row
+        if where is None:
+            raise SchemaError(f"{path}: no rows after the header")
 
 
 def _number(where, field, cell):
@@ -153,6 +156,12 @@ def bundled_path(name):
     return str(resources.files("blimpdyn.data").joinpath(name))
 
 
+def bundled_config(wingless=False):
+    """Path of the bundled file that gives both the parameters and the aero
+    model: vehicle.ini, or wingless.ini for the wingless variant."""
+    return bundled_path("wingless.ini" if wingless else "vehicle.ini")
+
+
 def _read_config(params_path, aero_path):
     """The VehicleParams of `read_params(params_path)` and the AeroModel of
     `read_aero(aero_path, a_ref=params.A_ref)`, parsing a file that gives
@@ -167,5 +176,5 @@ def _read_config(params_path, aero_path):
 
 def load_bundled(wingless=False):
     """The stock (VehicleParams, AeroModel) pair, or the wingless variant."""
-    vp = bundled_path("vehicle.ini")
-    return _read_config(vp, bundled_path("wingless.ini") if wingless else vp)
+    path = bundled_config(wingless)
+    return _read_config(path, path)

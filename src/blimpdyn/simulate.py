@@ -14,8 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dynamics
-from .frames import (GF_TO_N, RAIL_LIMIT, GimbalLock, State, _check_thrusts, aero_angles_array,
-                     rotation_matrices)
+from .frames import (GF_TO_N, GimbalLock, State, _check_rail_offset, _check_thrusts,
+                     aero_angles_array, rotation_matrices)
 from .paramio import SchemaError, _csv_rows, _number
 
 # Moving-mass rail motion limits for position-command ("goto") segments.
@@ -28,6 +28,14 @@ PSIDOT_MIN = 1e-3
 
 class DegenerateDescent(ValueError):
     """Mean descent rate too small for a meaningful glide ratio."""
+
+
+class ScheduleGap(ValueError):
+    """Segment `index` of a schedule does not start where the one before ends."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,7 @@ class Segment:
         if self.mm_cmd not in ("hold", "goto"):
             raise ValueError(f"unknown moving-mass command {self.mm_cmd!r}")
         _check_thrusts(self.Fl, self.Fr)
-        if not abs(self.mm_target) <= RAIL_LIMIT + 1e-12:
-            raise ValueError(f"mm_target {self.mm_target} m outside rail limit +-{RAIL_LIMIT} m")
+        _check_rail_offset(self.mm_target)
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,11 @@ class InputSchedule:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("schedule must have at least one segment")
-        for a, b in zip(segs, segs[1:]):
+        for i, (a, b) in enumerate(zip(segs, segs[1:]), 1):
             if not math.isclose(a.t_end, b.t_start, abs_tol=1e-9):
-                raise ValueError("segments must be contiguous and sorted")
+                raise ScheduleGap(i, f"segment {i} starts at {b.t_start:g} s, where the one "
+                                     f"before ends at {a.t_end:g} s: segments must be "
+                                     "contiguous and sorted")
 
     @classmethod
     def constant(cls, Fl, Fr, T):
@@ -85,9 +94,10 @@ def read_schedule(path):
     """Load a schedule CSV: t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm.
 
     The table is read by `paramio._csv_rows`, with numbers in all fields
-    but mm_cmd.  A malformed or invalid row raises SchemaError naming the
-    file, its line and, for a bad number, the field."""
-    segs = []
+    but mm_cmd.  A malformed or invalid row, or one that starts late
+    (`ScheduleGap`), raises SchemaError naming the file, its line and, for
+    a bad number, the field."""
+    segs, wheres = [], []
     for where, row in _csv_rows(path, _SCHEDULE_COLUMNS):
         t_start, t_end, Fl_gf, Fr_gf, mm_target_cm = (
             _number(where, name, cell)
@@ -98,7 +108,11 @@ def read_schedule(path):
                                 mm_cmd=row[4].strip(), mm_target=mm_target_cm * 1e-2))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
-    return InputSchedule(tuple(segs))
+        wheres.append(where)
+    try:
+        return InputSchedule(tuple(segs))
+    except ScheduleGap as exc:
+        raise SchemaError(f"{wheres[exc.index]}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -179,7 +193,6 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     deriv = dynamics.bind(params, model, legacy).deriv
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     isfinite = math.isfinite
-    home_x = float(params.rbar0[0])
 
     states = np.empty((n + 1, 18))
     states[0] = state0.as_vector()
@@ -204,7 +217,7 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
             continue
         Fl, Fr = seg.Fl, seg.Fr
         if seg.mm_cmd == "goto":
-            profile = plan_goto_profile(home_x + seg.mm_target - rx, dt).tolist()
+            profile = plan_goto_profile(params.rail_position(seg.mm_target)[0] - rx, dt).tolist()
             prof_k0 = k0
         prof_end = prof_k0 + len(profile)
         for k in range(k0, k1):

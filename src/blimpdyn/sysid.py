@@ -2,11 +2,9 @@
 
 Pipeline: load motion-capture trial logs (the manifest and each log's
 header by `paramio`'s table reader, each log body by numpy's C text
-reader, given the log's path so that it reads the file in chunks; a log
-holding a non-finite value, and a manifest row of the wrong length, with
-a non-numeric number field or whose moving mass lies off the rail, are
-rejected, named by file and line), reduce each to an
-averaged steady observation, invert the steady-state balance for the
+reader, given the log's path so that it reads the file in chunks; a bad
+row is rejected, named by file and line), reduce each to an averaged
+steady observation, invert the steady-state balance for the
 wind-frame aerodynamic loads, mirror-augment the spiral data about the
 vehicle's symmetry plane, reject outliers, and fit the polynomial
 coefficient model plus rotational damping.  `write_trial` writes a log in
@@ -19,8 +17,9 @@ the interior convolution and whose outer rows are the edge fits.  The
 extraction smooths and differentiates only the tail of a log that its
 windows read.  The load inversion is one function of an observation, on
 floats (`math` trig, the bound balance of `dynamics._bind_balance` and
-the body-to-wind rotation), which `fit` maps over the observations and
-`invert_aero` calls on one.  The model is linear in its coefficients and
+`aero._body_to_wind`), which `fit` maps over the observations and
+`invert_aero` calls on one; the rail, attitude and angle rules are those
+of `frames`.  The model is linear in its coefficients and
 each load channel has its own, so the fit is an exact weighted
 least-squares solve per channel, done as two stacked solves (the three
 forces and the three moments), each one batched SVD that also gives the
@@ -30,7 +29,6 @@ condition numbers; the bound damping <= 0 is met by one active-set step.
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,11 +37,13 @@ from . import aero as aeromod
 from .dynamics import _bind_balance
 from .frames import (
     GF_TO_N,
-    RAIL_LIMIT,
     _check_aero_angles,
+    _check_attitude,
+    _check_rail_offset,
     _check_thrusts,
     aero_angles_array,
     rotation_matrices,
+    wrap_angle,
 )
 from .paramio import SchemaError, _csv_rows, _number
 
@@ -135,15 +135,12 @@ def load_trials(manifest_path):
             raise SchemaError(f"{where}: unknown kind {kind!r}")
         dr_x_cm, Fl_gf, Fr_gf = (_number(where, name, cell)
                                  for name, cell in zip(MANIFEST_COLUMNS[3:], row[3:]))
-        Fl, Fr = Fl_gf * GF_TO_N, Fr_gf * GF_TO_N
+        Fl, Fr, dr_x = Fl_gf * GF_TO_N, Fr_gf * GF_TO_N, dr_x_cm * 1e-2
         try:
             _check_thrusts(Fl, Fr)
+            _check_rail_offset(dr_x)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
-        dr_x = dr_x_cm * 1e-2
-        if not abs(dr_x) <= RAIL_LIMIT + 1e-12:
-            raise SchemaError(f"{where}: dr_x_cm must be finite and within "
-                              f"the rail limit +-{RAIL_LIMIT * 1e2:g} cm")
         t, pos, euler = _read_trial_csv(path)
         records.append(TrialRecord(trial_id=trial_id, kind=kind, dr_x=dr_x, Fl=Fl, Fr=Fr,
                                    t=t, pos=pos, euler=euler))
@@ -152,16 +149,14 @@ def load_trials(manifest_path):
 
 def _read_trial_csv(path):
     """Time, position and Euler angles of a trial log.  The table reader
-    checks the header (and the field count of the first row); numpy reads
-    the body from the path, in chunks, and one column-wise max of |data|
-    gives the finiteness and unit checks (NaN propagates through it)."""
-    next(_csv_rows(path, TRIAL_COLUMNS), None)
+    checks the header and that a first row follows it, of seven fields;
+    numpy reads the body from the path, in chunks, and one column-wise max
+    of |data| gives the finiteness and unit checks (NaN propagates
+    through it)."""
+    next(_csv_rows(path, TRIAL_COLUMNS))
     try:
-        with warnings.catch_warnings():
-            # A header-only file is reported below as malformed data.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                              skiprows=1)
+        data = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                          skiprows=1)
     except ValueError as exc:
         raise SchemaError(_bad_trial_row(path)) from exc
     if data.shape[1] != 7 or data.shape[0] < 2:
@@ -217,9 +212,7 @@ def trajectory_to_trial(traj, trial_id, kind, dr_x, Fl, Fr):
     Roll and yaw are wrapped to (-pi, pi] as a motion-capture export
     would report them; the integrator keeps yaw continuous internally."""
     euler = traj.states[:, 3:6].copy()
-    for col in (0, 2):
-        w = (euler[:, col] + np.pi) % (2.0 * np.pi) - np.pi
-        euler[:, col] = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
+    euler[:, 0::2] = wrap_angle(euler[:, 0::2])
     return TrialRecord(
         trial_id=trial_id,
         kind=kind,
@@ -348,7 +341,7 @@ def extract_steady(rec, window, params):
         w_b=w_b,
         Fl=rec.Fl,
         Fr=rec.Fr,
-        rbar=params.rbar0 + np.array([rec.dr_x, 0.0, 0.0]),
+        rbar=params.rail_position(rec.dr_x),
         kind=rec.kind,
     )
 
@@ -366,7 +359,7 @@ def observation_from_solution(sol, dr_x, Fl, Fr, params):
         w_b=sol.w_b.copy(),
         Fl=Fl,
         Fr=Fr,
-        rbar=params.rbar0 + np.array([dr_x, 0.0, 0.0]),
+        rbar=params.rail_position(dr_x),
         kind=sol.kind,
     )
 
@@ -377,52 +370,31 @@ def _bind_inversion(params):
 
     The steady balance says the aero loads cancel the rest of the
     generalized force and torque (the balance bound by
-    `dynamics._bind_balance`, computable from the observation and
-    parameters); the negated remainder is resolved into the wind frame by
-    the transpose of the wind-to-body rotation, with the sign conventions
-    D = -x, S = +y, L = -z.  An observation whose airspeed, aerodynamic
-    angles or attitude lie outside the domain of `AeroAngles` or
-    `EulerAngles` (a NaN airspeed, sideslip or angle of attack included)
-    raises their ValueError (`_check_angles`)."""
+    `dynamics._bind_balance`); the negated remainder is resolved into the
+    wind frame by `aero._body_to_wind`.  An observation whose airspeed,
+    aerodynamic angles or attitude lie outside the domain of `AeroAngles`
+    or `EulerAngles` (a NaN included) raises their ValueError, from the
+    checks of `frames` they call."""
     mass_terms, balance = _bind_balance(params, False)[:2]
     cos, sin = math.cos, math.sin
+    body_to_wind = aeromod._body_to_wind
 
     def invert(obs):
         """Wind-frame loads (D, S, L, M1, M2, M3) of one observation."""
-        _check_angles(obs)
+        _check_aero_angles(obs.alpha, obs.beta, obs.V)
+        _check_attitude(obs.phi, obs.theta)
         V, a, b, th, ph = obs.V, obs.alpha, obs.beta, obs.theta, obs.phi
         ca, sa, cb, sb = cos(a), sin(a), cos(b), sin(b)
         cth, sth, cphi, sphi = cos(th), sin(th), cos(ph), sin(ph)
         rx, ry, rz = obs.rbar.tolist()
         # The body velocity is V times the first column of the wind-to-body
         # rotation; gcol, the inertial down axis, is independent of yaw.
-        cacb, sacb = ca * cb, sa * cb
         fx, fy, fz, tx, ty, tz = balance(
-            mass_terms(rx, ry, rz), V * cacb, V * sb, V * sacb, *obs.w_b.tolist(),
+            mass_terms(rx, ry, rz), V * (ca * cb), V * sb, V * (sa * cb), *obs.w_b.tolist(),
             -sth, cth * sphi, cth * cphi, rx, ry, rz, 0.0, 0.0, 0.0, obs.Fl, obs.Fr)
-        casb, sasb = ca * sb, sa * sb
-        return (
-            cacb * fx + sb * fy + sacb * fz,
-            casb * fx - cb * fy + sasb * fz,
-            ca * fz - sa * fx,
-            -(cacb * tx + sb * ty + sacb * tz),
-            casb * tx - cb * ty + sasb * tz,
-            sa * tx - ca * tz,
-        )
+        return body_to_wind(ca, sa, cb, sb, -fx, -fy, -fz, -tx, -ty, -tz)
 
     return invert
-
-
-def _check_angles(obs):
-    """Raise the ValueError of `AeroAngles` or `EulerAngles`, with its
-    message, if the observation's airspeed, aerodynamic angles or attitude
-    is outside their domain: a negative or NaN airspeed, a sideslip beyond
-    90 degrees or NaN, a non-finite angle of attack
-    (`frames._check_aero_angles`, which `AeroAngles` calls), or a
-    non-finite pitch or roll."""
-    _check_aero_angles(obs.alpha, obs.beta, obs.V)
-    if not (math.isfinite(obs.phi) and math.isfinite(obs.theta)):
-        raise ValueError("non-finite Euler angles")
 
 
 def invert_aero(obs, params):
@@ -441,25 +413,10 @@ def average_by_setting(observations):
     for obs in observations:
         key = (obs.kind, round(obs.rbar[0], 9), round(obs.Fl, 12), round(obs.Fr, 12), obs.mirrored)
         groups.setdefault(key, []).append(obs)
-    out = []
-    for group in groups.values():
-        first = group[0]
-        if len(group) == 1:
-            out.append(first)
-            continue
-        out.append(
-            replace(
-                first,
-                theta=float(np.mean([o.theta for o in group])),
-                phi=float(np.mean([o.phi for o in group])),
-                psidot=float(np.mean([o.psidot for o in group])),
-                V=float(np.mean([o.V for o in group])),
-                alpha=float(np.mean([o.alpha for o in group])),
-                beta=float(np.mean([o.beta for o in group])),
-                w_b=np.mean([o.w_b for o in group], axis=0),
-            )
-        )
-    return out
+    return [replace(group[0], w_b=np.mean([o.w_b for o in group], axis=0),
+                    **{name: float(np.mean([getattr(o, name) for o in group]))
+                       for name in ("theta", "phi", "psidot", "V", "alpha", "beta")})
+            for group in groups.values()]
 
 
 def mirror_augment(observations):

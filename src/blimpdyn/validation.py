@@ -143,7 +143,7 @@ def criterion_5():
         # setting; the planar trim alone is not an exact equilibrium of the
         # slightly asymmetric vehicle.
         full = solve_spiral(dr_x, F, F, params, model)
-        state0 = full.state(params.rbar0 + np.array([dr_x, 0.0, 0.0]))
+        state0 = full.state(params.rail_position(dr_x))
         traj = integrate(state0, InputSchedule.constant(F, F, 10.0),
                          params, model, T=10.0)
         if traj.status != "ok":
@@ -319,7 +319,7 @@ def _synthetic_trial_set(workdir):
         dr_x = drx_cm * 1e-2
         Fl, Fr = fl_gf * gf, fr_gf * gf
         sol = solve_spiral(dr_x, Fl, Fr, params, model)
-        state0 = sol.state(params.rbar0 + np.array([dr_x, 0.0, 0.0]))
+        state0 = sol.state(params.rail_position(dr_x))
         traj = integrate(state0, InputSchedule.constant(Fl, Fr, 6.0),
                          params, model, T=6.0)
         rec = trajectory_to_trial(traj, f"t{i:02d}", kind, dr_x, Fl, Fr)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_matrix import eval_coeffs, loads_to_body
+from reference_matrix import eval_coeffs, loads_to_body, wind_matrix
 
 from blimpdyn.aero import (
     PARAM_NAMES,
     STALL_ALPHA,
     AeroModel,
     DegenerateModel,
+    _body_to_wind,
+    _wind_to_body,
     aero_loads,
     lift_drag_analysis,
 )
@@ -115,6 +117,22 @@ def test_loads_to_body_sign_conventions(model, params):
     assert np.isclose(F[1], loads.S)
     assert np.isclose(F[2], -loads.L)
     assert np.allclose(T, [loads.M1, loads.M2, loads.M3])
+
+
+@given(alpha=st.floats(-1.5, 1.5), beta=st.floats(-1.5, 1.5),
+       loads=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_body_to_wind_is_the_transpose_of_wind_to_body(alpha, beta, loads):
+    """`_body_to_wind` resolves a body force and torque into the wind axes
+    with the signs of `_wind_to_body` (D along -x, S along +y, L along -z),
+    as the transposed reference rotation does, and undoes `_wind_to_body`."""
+    cs = (np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta))
+    R = wind_matrix(alpha, beta)
+    f, t = R.T @ loads[:3], R.T @ loads[3:]
+    ref = [-f[0], f[1], -f[2], *t]
+    np.testing.assert_allclose(_body_to_wind(*cs, *loads), ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_body_to_wind(*cs, *_wind_to_body(*cs, *loads)), loads,
+                               rtol=0, atol=1e-12)
 
 
 def test_max_lift_drag_matches_measured_value(model):

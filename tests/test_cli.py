@@ -9,7 +9,7 @@ import pytest
 
 import blimpdyn
 from blimpdyn import validation
-from blimpdyn.cli import main
+from blimpdyn.cli import _load_config, build_parser, main
 from blimpdyn.frames import EulerAngles, State
 from blimpdyn.paramio import bundled_path, load_bundled
 from blimpdyn.simulate import integrate, read_schedule
@@ -199,7 +199,8 @@ def test_identify_rejects_off_rail_manifest_dr_x(tmp_path, capsys, dr_x_cm):
     manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\n"
                         f"t0,trial.csv,straight,{dr_x_cm},2,2\n")
     assert main(["identify", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
-    assert f"{manifest}: line 2: dr_x_cm must be finite and within the rail limit" in (
+    dr_x = float(dr_x_cm) * 1e-2
+    assert f"{manifest}: line 2: dr_x {dr_x} m outside rail limit +-0.06 m" in (
         capsys.readouterr().err)
 
 
@@ -234,6 +235,62 @@ def test_trim_with_identified_aero(tmp_path, capsys):
     fitted = tmp_path / "id" / "aero_fit.ini"
     assert "[geometry]" not in fitted.read_text()
     assert main(["trim", "--aero", str(fitted), "--out", str(tmp_path / "trim")]) == 0
+
+
+def test_identify_average_settings(tmp_path, capsys):
+    """`--average-settings` collapses repeated trials of one setting before
+    the fit, so a manifest that repeats a spiral setting fits fewer
+    observations with it (6 straight, 6 spiral and their 6 mirror images)
+    than without (7 spiral and 7 mirror images), and the run manifest
+    records the flag."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    manifest = validation._synthetic_trial_set(str(inputs))
+    with open(manifest) as fh:
+        last = fh.read().splitlines()[-1]
+    assert last.split(",")[2] == "spiral"
+    with open(manifest, "a") as fh:
+        fh.write("again," + last.split(",", 1)[1] + "\n")
+    fitted = {}
+    for flags in ([], ["--average-settings"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["identify", "--manifest", manifest, "--out", str(out), *flags]) == 0
+        fitted[len(flags)] = re.match(r"fitted (\d+) observations",
+                                      capsys.readouterr().out).group(1)
+        recorded = "average-settings = true" in _read_lines(out / "run-manifest.txt")
+        assert recorded == bool(flags)
+    assert fitted == {0: "20", 1: "18"}
+
+
+@pytest.mark.parametrize("verb, option, header", [
+    ("simulate", "--schedule", "t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm"),
+    ("identify", "--manifest", "trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf"),
+])
+def test_an_empty_input_table_is_a_usage_error(tmp_path, capsys, verb, option, header):
+    """A schedule or manifest with a header and no rows exits 2 with an
+    error naming the file."""
+    table = tmp_path / "table.csv"
+    table.write_text(header + "\n\n")
+    assert main([verb, option, str(table), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {table}: no rows after the header" in capsys.readouterr().err
+
+
+def test_simulate_names_the_schedule_row_after_a_gap(tmp_path, capsys):
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n"
+                     "0,5,2,2,hold,0\n6,10,2,2,hold,0\n")
+    assert main(["simulate", "--schedule", str(sched), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {sched}: line 3: segment 1 starts at 6 s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wingless", [False, True])
+def test_cli_and_load_bundled_pick_the_same_bundled_files(wingless):
+    """The CLI's default configuration, with or without `--wingless`, is
+    the pair `load_bundled` loads."""
+    args = build_parser().parse_args(["params-check"] + ["--wingless"] * wingless)
+    params, model, _, _ = _load_config(args)
+    ref_params, ref_model = load_bundled(wingless=wingless)
+    assert repr(params) == repr(ref_params) and model == ref_model
 
 
 def test_simulate_missing_schedule(tmp_path, capsys):

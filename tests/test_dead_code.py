@@ -27,6 +27,11 @@ and a guard against finite-difference derivatives there.
   `blimpdyn` submodule names something that module defines.
 - The CSV tables are read in one place: `csv.reader` is called in one
   function of the package, the table reader `paramio._csv_rows`.
+- The conventions of `frames` are written once: `RAIL_LIMIT` is compared
+  in one function, `frames._check_rail_offset`; "non-finite Euler
+  angles" is raised only by `frames._check_attitude` and by the kernel's
+  `deriv`, which runs at every RK4 stage; and an angle is wrapped by a
+  modulo of pi only in `frames.wrap_angle`.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -622,3 +627,91 @@ def test_csv_reader_gate_sees_a_second_reader():
            "FIRST = next(csv.reader(['a,b']))\n")
     assert csv_reader_callers([("m.py", ast.parse(src))]) == [
         "m.<module>", "m.Log", "m.body", "m.header"]
+
+
+def _scopes(modules, match):
+    """The scopes of `modules`, (file name, parsed module) pairs, that hold
+    a node `match` accepts, as module.outer.inner for nested functions and
+    methods, and module.<module> at module level."""
+    found = set()
+
+    def visit(node, mod, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        if match(node):
+            found.add(".".join([mod[:-3], *(scope or ["<module>"])]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, mod, scope)
+
+    for mod, tree in modules:
+        visit(tree, mod, [])
+    return sorted(found)
+
+
+def _mentions(node, name):
+    """Whether the expression reads `name`, bare or as an attribute."""
+    return name in _used(node)
+
+
+def rail_comparisons(modules):
+    """Scopes that compare against `RAIL_LIMIT`."""
+    return _scopes(modules, lambda node: isinstance(node, ast.Compare)
+                   and _mentions(node, "RAIL_LIMIT"))
+
+
+def euler_angle_raisers(modules):
+    """Scopes that raise an error whose message says "non-finite Euler angles"."""
+    return _scopes(modules, lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and "non-finite Euler angles" in n.value for n in ast.walk(node)))
+
+
+def angle_wrappers(modules):
+    """Scopes that take an expression modulo a multiple of pi, by `%` or by
+    a mod, remainder or fmod call."""
+    def wraps(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            return _mentions(node.right, "pi")
+        return (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+                and (getattr(node.func, "id", None) or node.func.attr) in (
+                    "mod", "remainder", "fmod")
+                and any(_mentions(arg, "pi") for arg in node.args[1:]))
+    return _scopes(modules, wraps)
+
+
+def test_frames_conventions_are_written_once():
+    modules = list(_modules())
+    assert rail_comparisons(modules) == ["frames._check_rail_offset"]
+    assert euler_angle_raisers(modules) == ["dynamics.bind.deriv", "frames._check_attitude"]
+    assert angle_wrappers(modules) == ["frames.wrap_angle"]
+
+
+def test_frames_convention_gates_see_copies():
+    """Each gate reports a copy in a function, a method, a nested closure
+    and at module level, through a bare name or an attribute, and passes
+    what only looks alike: another limit, another message, a modulo by
+    something other than pi."""
+    src = ("import math\n"
+           "import numpy as np\n"
+           "from .frames import RAIL_LIMIT\n"
+           "from . import frames\n"
+           "OK = abs(0.01) <= RAIL_LIMIT\n"
+           "def solve(x):\n"
+           "    if not abs(x) <= frames.RAIL_LIMIT + 1e-12:\n"
+           "        raise ValueError('off rail')\n"
+           "    return x * RAIL_LIMIT, x % 7\n"
+           "class Pose:\n"
+           "    def check(self):\n"
+           "        raise ValueError(f'{self}: non-finite Euler angles')\n"
+           "    def wrap(self, x):\n"
+           "        return np.remainder(x, 2 * np.pi)\n"
+           "def bind():\n"
+           "    def deriv(phi):\n"
+           "        if not math.isfinite(phi):\n"
+           "            raise ValueError('non-finite Euler angles')\n"
+           "        return (phi + np.pi) % (2.0 * np.pi)\n"
+           "    raise ValueError('non-finite angles')\n")
+    modules = [("m.py", ast.parse(src))]
+    assert rail_comparisons(modules) == ["m.<module>", "m.solve"]
+    assert euler_angle_raisers(modules) == ["m.Pose.check", "m.bind.deriv"]
+    assert angle_wrappers(modules) == ["m.Pose.wrap", "m.bind.deriv"]

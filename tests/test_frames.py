@@ -8,6 +8,7 @@ from reference_matrix import aero_angles, euler_rate_matrix, wind_to_body
 
 from blimpdyn.frames import (
     GIMBAL_EPS,
+    RAIL_LIMIT,
     V_MIN,
     AeroAngles,
     EulerAngles,
@@ -29,6 +30,13 @@ def test_wrap_angle_range():
         assert -np.pi < w <= np.pi
         assert np.isclose(np.sin(w), np.sin(x), atol=1e-12)
         assert np.isclose(np.cos(w), np.cos(x), atol=1e-12)
+
+
+def test_wrap_angle_of_an_array_wraps_each_element():
+    x = np.concatenate([np.linspace(-20, 20, 401), [-np.pi, np.pi, 3 * np.pi, np.nan]])
+    w = wrap_angle(x)
+    assert w.shape == x.shape
+    assert w.tobytes() == np.array([wrap_angle(float(v)) for v in x]).tobytes()
 
 
 def test_euler_angles_wraps_phi_psi_not_theta():
@@ -169,6 +177,13 @@ def test_aero_angles_rejects_a_non_finite_angle_of_attack(alpha):
 
 
 class TestVehicleParams:
+    def test_rail_position(self, params):
+        """The moving mass at offset dr_x along the body x axis from its
+        home, with the float adds of rbar0 + (dr_x, 0, 0)."""
+        for dr_x in np.linspace(-RAIL_LIMIT, RAIL_LIMIT, 25).tolist() + [0.0, -0.0]:
+            rx, ry, rz = params.rbar0.tolist()
+            assert params.rail_position(dr_x).tolist() == [rx + dr_x, ry + 0.0, rz + 0.0]
+
     def test_bundled_mass_budget(self, params):
         assert np.isclose(params.net_mass * 1e3, 6.85, atol=0.01)
         assert np.isclose(params.total_mass, 0.10481 + 0.05408)

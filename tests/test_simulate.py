@@ -16,6 +16,7 @@ from blimpdyn.frames import (
     State,
     rotation_body_to_inertial,
 )
+from blimpdyn.paramio import SchemaError
 from blimpdyn.simulate import (
     MM_AMAX,
     MM_VMAX,
@@ -128,6 +129,23 @@ class TestSchedule:
         with pytest.raises(ValueError) as exc:
             read_schedule(str(path))
         assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("0,5,2,2,hold,0\n\n6,10,2,2,hold,0\n", 4,
+         "segment 1 starts at 6 s, where the one before ends at 5 s"),
+        ("0,5,2,2,hold,0\n5,10,2,2,hold,0\n2,4,2,2,hold,0\n", 4,
+         "segment 2 starts at 2 s, where the one before ends at 10 s"),
+    ], ids=["gap", "unsorted"])
+    def test_read_schedule_names_the_row_that_starts_late(self, tmp_path, rows, line, message):
+        """A row that does not start where the row before it ends (the
+        contiguity rule of `InputSchedule`) is named by its line in the
+        file, blank lines counted."""
+        path = tmp_path / "sched.csv"
+        path.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n" + rows)
+        with pytest.raises(SchemaError) as exc:
+            read_schedule(str(path))
+        assert str(exc.value) == (f"{path}: line {line}: {message}: "
+                                  "segments must be contiguous and sorted")
 
     def test_read_schedule_skips_blank_lines(self, tmp_path):
         path = tmp_path / "sched.csv"

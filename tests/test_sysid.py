@@ -383,7 +383,7 @@ class TestTrialIO:
     def test_header_only_rejected_without_warning(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SchemaError, match="malformed trial data"):
+            with pytest.raises(SchemaError, match="trial.csv: no rows after the header"):
                 _load_trial_text(tmp_path, TRIAL_HEADER + "\n")
 
     @pytest.mark.parametrize("comment, message", [
