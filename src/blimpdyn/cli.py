@@ -1,15 +1,21 @@
 """Command-line entry point.
 
-Verbs: params-check, trim, spiral, simulate, identify, linearize, polar,
-validate.  Every verb that writes artifacts also writes `run-manifest.txt`
-recording the full configuration, tool version, and SHA-256 checksums of
-the input files, so a run is reproducible from its manifest alone.
+The verb table `_VERBS` gives each verb (params-check, polar, trim, spiral,
+linearize, simulate, identify, validate) its function and the options it
+reads; `build_parser` gives each verb a subparser that accepts those and
+no others, so an option the verb would ignore is a usage error.  `main`
+checks for the verb's input file (`--schedule`, `--manifest`), loads the
+configuration, and for every verb that takes `--out` writes
+`run-manifest.txt`: the tool version, the options of the verb's table row
+(their defaults included) and SHA-256 checksums of the input files, so a
+run is reproducible from its manifest alone.
 
 Exit codes: 0 success, 1 domain error (non-convergence, unsteady data,
 degenerate model), 2 usage or I/O error.
 """
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -99,25 +105,29 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _config_paths(args):
+    """The parameter file, `--params` or the bundled file `--wingless`
+    picks, and the aero file, `--aero` or the parameter file."""
+    params_path = args.params or bundled_config(args.wingless)
+    return params_path, args.aero or params_path
+
+
 def _load_config(args):
-    bundled = bundled_config(args.wingless)
-    params_path = args.params or bundled
-    aero_path = args.aero or (bundled if args.wingless else params_path)
-    params, model = _read_config(params_path, aero_path)
-    return params, model, params_path, aero_path
+    params_path, aero_path = _config_paths(args)
+    return (*_read_config(params_path, aero_path), params_path, aero_path)
 
 
-def _write_manifest(args, inputs):
+def _write_manifest(args, options, inputs):
+    """Write `run-manifest.txt` under `--out`: the verb, the version, each
+    of `options` that is set, in `_OPTIONS` order, and the checksum of
+    each of `inputs` once, in first-seen order."""
     os.makedirs(args.out, exist_ok=True)
     lines = [f"verb = {args.verb}", f"version = {__version__}"]
-    for key in ("params", "aero", "schedule", "manifest", "dt", "T"):
-        val = getattr(args, key, None)
-        if val is not None:
-            lines.append(f"{key} = {val}")
-    for key in ("wingless", "legacy_model", "average_settings"):
-        if getattr(args, key, False):
-            lines.append(f"{key.replace('_', '-')} = true")
-    for path in dict.fromkeys(inputs):      # each file once, in first-seen order
+    for dest in _OPTIONS:
+        val = getattr(args, dest) if dest in options and dest != "out" else None
+        if val is not None and val is not False:
+            lines.append(f"{dest.replace('_', '-')} = {'true' if val is True else val}")
+    for path in dict.fromkeys(inputs):
         lines.append(f"sha256 {os.path.basename(path)} = {_sha256(path)}")
     with open(os.path.join(args.out, "run-manifest.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -134,8 +144,8 @@ def _write_csv(path, header, rows, footer=()):
             fh.write(line + "\n")
 
 
-def cmd_params_check(args):
-    params, model, params_path, aero_path = _load_config(args)
+def cmd_params_check(args, params, model):
+    params_path, aero_path = _config_paths(args)
     out = sys.stdout
     out.write(f"parameter file: {params_path}\n")
     out.write(f"aero file:      {aero_path}\n")
@@ -149,9 +159,7 @@ def cmd_params_check(args):
     return 0
 
 
-def cmd_polar(args):
-    params, model, params_path, aero_path = _load_config(args)
-    _write_manifest(args, [params_path, aero_path])
+def cmd_polar(args, params, model):
     table = lift_drag_analysis(model, POLAR_ALPHA)
     rows = [
         ",".join([_fmt(np.degrees(a)), _fmt(cl), _fmt(cd), _fmt(ld)])
@@ -184,12 +192,10 @@ def _fail_row(dr_x_cm, Fl, Fr):
     return ",".join([_fmt(dr_x_cm), _fmt(Fl / GF_TO_N), _fmt(Fr / GF_TO_N)] + [""] * 8 + ["fail"])
 
 
-def _sweep(args, name, cells, solve):
+def _sweep(args, params, model, name, cells, solve):
     """Solve each (dr_x_cm, Fl, Fr) cell of `cells` with `solve`, which has
     the `solve_spiral` signature, and write `<name>.csv`, a fail row for
     each cell that does not converge; exit code 1 if any did not."""
-    params, model, params_path, aero_path = _load_config(args)
-    _write_manifest(args, [params_path, aero_path])
     rows = []
     failures = 0
     for drx, Fl, Fr in cells:
@@ -203,23 +209,19 @@ def _sweep(args, name, cells, solve):
     return 1 if failures else 0
 
 
-def cmd_trim(args):
+def cmd_trim(args, params, model):
     F = TRIM_THRUST
-    return _sweep(args, "trim", ((drx, F, F) for drx in TRIM_DRX_CM),
+    return _sweep(args, params, model, "trim", ((drx, F, F) for drx in TRIM_DRX_CM),
                   lambda dr_x, Fl, Fr, params, model: solve_straight(dr_x, Fl, params, model))
 
 
-def cmd_spiral(args):
-    return _sweep(args, "spiral", ((drx, Fl, Fr) for drx, _, Fl, Fr in spiral_cells()),
-                  solve_spiral)
+def cmd_spiral(args, params, model):
+    return _sweep(args, params, model, "spiral",
+                  ((drx, Fl, Fr) for drx, _, Fl, Fr in spiral_cells()), solve_spiral)
 
 
-def cmd_simulate(args):
-    if not args.schedule:
-        raise SystemExit2("simulate requires --schedule")
-    params, model, params_path, aero_path = _load_config(args)
+def cmd_simulate(args, params, model):
     sched = read_schedule(args.schedule)
-    _write_manifest(args, [params_path, aero_path, args.schedule])
     state0 = State(
         p=np.zeros(3), e=EulerAngles(0.0, 0.0, 0.0),
         v=np.zeros(3), w=np.zeros(3),
@@ -241,11 +243,7 @@ def cmd_simulate(args):
     return 0 if traj.status == "ok" else 1
 
 
-def cmd_identify(args):
-    if not args.manifest:
-        raise SystemExit2("identify requires --manifest")
-    params, model, params_path, aero_path = _load_config(args)
-    _write_manifest(args, [params_path, aero_path, args.manifest])
+def cmd_identify(args, params, model):
     records = load_trials(args.manifest)
     observations = [extract_steady(rec, STEADY_WINDOW_S, params) for rec in records]
     if args.average_settings:
@@ -270,9 +268,7 @@ def cmd_identify(args):
     return 0
 
 
-def cmd_linearize(args):
-    params, model, params_path, aero_path = _load_config(args)
-    _write_manifest(args, [params_path, aero_path])
+def cmd_linearize(args, params, model):
     F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
     A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
@@ -290,67 +286,90 @@ def cmd_linearize(args):
     return 0
 
 
-def cmd_validate(args):
+def cmd_validate(args, params, model):
+    """Run the acceptance suite, which is defined on the bundled vehicle
+    (`params` and `model`), and write `validate.csv`."""
     from . import validation
 
-    results = validation.run_all(out_dir=args.out)
+    results = validation.run_all()
+    rows = [f"{r.number},{r.name},{'PASS' if r.passed else 'FAIL'},\"{r.detail}\""
+            for r in results]
+    _write_csv(os.path.join(args.out, "validate.csv"),
+               ["criterion", "name", "result", "detail"], rows)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 1
 
 
-class SystemExit2(Exception):
-    """Usage error carrying an explanatory message (exit code 2)."""
+# Every option a verb may take, dest -> add_argument keywords, in the order
+# run-manifest.txt records them; the flag is the dest with dashes.
+_OPTIONS = {
+    "out": dict(default=".", help="output directory (default: current)"),
+    "params": dict(help="vehicle parameter file, and aero file without --aero"),
+    "aero": dict(help="aerodynamic coefficient file (default: the parameter file)"),
+    "schedule": dict(help="input schedule CSV (required)"),
+    "manifest": dict(help="trial manifest CSV (required)"),
+    "dt": dict(type=float, default=0.005, help="integration step [s]"),
+    "T": dict(type=float, default=10.0, help="simulation horizon [s]"),
+    "wingless": dict(action="store_true", help="use the bundled wingless vehicle"),
+    "legacy_model": dict(action="store_true", help="drop the CG-offset coupling terms"),
+    "average_settings": dict(action="store_true", help="average repeated trials per setting"),
+}
+_CONFIG = ("params", "aero", "wingless")
+# The input file options: a verb that takes one requires it.
+_INPUTS = ("schedule", "manifest")
 
-
+# The verb table: each verb's function and the options it reads.  A verb
+# that takes `--out` writes its artifacts and run-manifest.txt there.
 _VERBS = {
-    "params-check": cmd_params_check,
-    "trim": cmd_trim,
-    "spiral": cmd_spiral,
-    "simulate": cmd_simulate,
-    "identify": cmd_identify,
-    "linearize": cmd_linearize,
-    "polar": cmd_polar,
-    "validate": cmd_validate,
+    "params-check": (cmd_params_check, _CONFIG),
+    "polar": (cmd_polar, ("out", *_CONFIG)),
+    "trim": (cmd_trim, ("out", *_CONFIG)),
+    "spiral": (cmd_spiral, ("out", *_CONFIG)),
+    "linearize": (cmd_linearize, ("out", *_CONFIG)),
+    "simulate": (cmd_simulate, ("out", *_CONFIG, "schedule", "dt", "T", "legacy_model")),
+    "identify": (cmd_identify, ("out", *_CONFIG, "manifest", "average_settings")),
+    "validate": (cmd_validate, ("out",)),
 }
 
 
+@functools.cache
 def build_parser():
+    """One subparser per verb of `_VERBS`, taking that verb's options only;
+    built once per process."""
     p = argparse.ArgumentParser(
         prog="blimpdyn",
         description="Flight-dynamics workbench for a buoyant glider with "
                     "moving-mass actuation",
     )
-    p.add_argument("verb", choices=sorted(_VERBS))
-    p.add_argument("--params", help="vehicle parameter file (default: bundled)")
-    p.add_argument("--aero", help="aerodynamic coefficient file (default: from params file)")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--dt", type=float, default=0.005, help="integration step [s]")
-    p.add_argument("--T", type=float, default=10.0, help="simulation horizon [s]")
-    p.add_argument("--schedule", help="input schedule CSV (simulate)")
-    p.add_argument("--manifest", help="trial manifest CSV (identify)")
-    p.add_argument("--legacy-model", action="store_true",
-                   help="drop CG-offset coupling terms (comparison model)")
-    p.add_argument("--wingless", action="store_true",
-                   help="use the bundled wingless comparison vehicle")
-    p.add_argument("--average-settings", action="store_true",
-                   help="average repeated trials per setting before fitting")
+    # validate takes no configuration option and loads the bundled vehicle.
+    p.set_defaults(params=None, aero=None, wingless=False)
+    verbs = p.add_subparsers(dest="verb", required=True)
+    for verb, (_, options) in _VERBS.items():
+        sub = verbs.add_parser(verb)
+        bundled_or_file = sub.add_mutually_exclusive_group()
+        for dest in _OPTIONS:
+            if dest in options:
+                group = bundled_or_file if dest in ("params", "wingless") else sub
+                group.add_argument("--" + dest.replace("_", "-"), **_OPTIONS[dest])
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    run, options = _VERBS[args.verb]
+    inputs = {key: getattr(args, key) for key in _INPUTS if key in options}
     try:
-        return _VERBS[args.verb](args)
-    except SystemExit2 as exc:
+        for key, path in inputs.items():
+            if path is None:
+                raise ValueError(f"{args.verb} requires --{key}")
+        params, model, params_path, aero_path = _load_config(args)
+        if "out" in options:
+            _write_manifest(args, options, [params_path, aero_path, *inputs.values()])
+        return run(args, params, model)
+    except (*_DOMAIN_ERRORS, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _DOMAIN_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Each criterion function runs one documented end-to-end check against the
 bundled parameter set and returns a CriterionResult; `run_all` executes
 the whole suite.  The CLI `validate` verb prints one PASS/FAIL line per
-criterion and the test suite asserts on the same records.
+criterion and writes them to `validate.csv`, and the test suite asserts
+on the same records.
 """
 
 import contextlib
@@ -383,14 +384,6 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(out_dir=None):
-    """Run every acceptance criterion; optionally write a report CSV."""
-    results = [c() for c in ALL_CRITERIA]
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "validate.csv"), "w", newline="\n") as fh:
-            fh.write("criterion,name,result,detail\n")
-            for r in results:
-                fh.write(f"{r.number},{r.name},{'PASS' if r.passed else 'FAIL'},"
-                         f"\"{r.detail}\"\n")
-    return results
+def run_all():
+    """Run every acceptance criterion, in order."""
+    return [c() for c in ALL_CRITERIA]

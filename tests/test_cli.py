@@ -110,7 +110,8 @@ def test_each_configuration_file_is_parsed_once(tmp_path, capsys, monkeypatch, v
     manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\nt0,trial.csv,straight,0,2\n")
     extra = {"simulate": ["--schedule", str(sched), "--T", "0.1", "--dt", "0.05"],
              "identify": ["--manifest", str(manifest)]}.get(verb, [])
-    main([verb, "--out", str(tmp_path / "out"), *flags, *extra])
+    out = [] if verb == "params-check" else ["--out", str(tmp_path / "out")]
+    main([verb, *out, *flags, *extra])
     assert calls == parsed
 
 
@@ -291,6 +292,96 @@ def test_cli_and_load_bundled_pick_the_same_bundled_files(wingless):
     params, model, _, _ = _load_config(args)
     ref_params, ref_model = load_bundled(wingless=wingless)
     assert repr(params) == repr(ref_params) and model == ref_model
+
+
+def test_params_file_is_also_the_aero_file(tmp_path, capsys):
+    """Without `--aero`, the `--params` file also gives the aero model."""
+    copy = tmp_path / "vehicle.ini"
+    copy.write_text(open(bundled_path("vehicle.ini")).read())
+    assert main(["params-check", "--params", str(copy)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"parameter file: {copy}", f"aero file:      {copy}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["params-check", "--wingless", "--params", "vehicle.ini"],
+    ["trim", "--legacy-model"],
+    ["trim", "--dt", "0.01"],
+    ["polar", "--schedule", "x.csv"],
+    ["simulate", "--schedule", "x.csv", "--average-settings"],
+    ["params-check", "--out", "out"],
+    ["validate", "--params", "vehicle.ini"],
+], ids=["wingless-and-params", "trim-legacy-model", "trim-dt", "polar-schedule",
+        "simulate-average-settings", "params-check-out", "validate-params"])
+def test_an_option_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    """Each verb accepts only the options of its row of the verb table, and
+    `--wingless` picks a bundled file, so it cannot come with `--params`."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def _manifest_keys(out):
+    return [ln.split(" = ")[0] for ln in _read_lines(out / "run-manifest.txt")
+            if not ln.startswith("sha256 ")]
+
+
+@pytest.mark.parametrize("verb, flags, keys", [
+    ("trim", [], []),
+    ("simulate", ["--legacy-model"], ["schedule", "dt", "T", "legacy-model"]),
+    ("identify", ["--average-settings"], ["manifest", "average-settings"]),
+], ids=["trim", "simulate", "identify"])
+def test_manifest_records_the_options_the_verb_reads(tmp_path, capsys, verb, flags, keys):
+    """run-manifest.txt records the options of the verb's table row that
+    are set, defaults included, and no other.  The manifest is written
+    before the verb runs, so the identify run with a malformed trial
+    manifest (exit 2) still records its options."""
+    sched = tmp_path / "sched.csv"
+    sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n0,1,2,2,hold,0\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\nt0,trial.csv,straight,0,2\n")
+    extra = {"simulate": ["--schedule", str(sched), "--T", "0.1", "--dt", "0.05"],
+             "identify": ["--manifest", str(manifest)]}.get(verb, [])
+    rc = main([verb, "--out", str(tmp_path / "out"), *flags, *extra])
+    assert rc == (2 if verb == "identify" else 0)
+    assert _manifest_keys(tmp_path / "out") == ["verb", "version", *keys]
+
+
+def _passing(number):
+    return lambda: validation.CriterionResult(number, "stub", True, "fine, as always")
+
+
+def _failing():
+    return validation.CriterionResult(3, "broken", False, 'off by "1"')
+
+
+def test_validate_writes_its_table_and_a_manifest(tmp_path, capsys, monkeypatch):
+    """`validate` prints a PASS/FAIL line per criterion, writes
+    validate.csv and a run manifest hashing the bundled vehicle, and exits
+    1 if a criterion fails."""
+    with open(bundled_path("vehicle.ini"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    for criteria, rc in [((_passing(1), _passing(2)), 0),
+                         ((_passing(1), _passing(2), _failing), 1)]:
+        monkeypatch.setattr(validation, "ALL_CRITERIA", criteria)
+        out = tmp_path / f"out{rc}"
+        assert main(["validate", "--out", str(out)]) == rc
+        lines = ["criterion 1 [PASS] stub: fine, as always",
+                 "criterion 2 [PASS] stub: fine, as always",
+                 "criterion 3 [FAIL] broken: off by \"1\""][:len(criteria)]
+        assert capsys.readouterr().out.splitlines() == lines
+        assert _read_lines(out / "validate.csv") == [
+            "criterion,name,result,detail",
+            '1,stub,PASS,"fine, as always"',
+            '2,stub,PASS,"fine, as always"',
+            '3,broken,FAIL,"off by "1""'][:1 + len(criteria)]
+        assert _read_lines(out / "run-manifest.txt") == [
+            "verb = validate", f"version = {blimpdyn.__version__}",
+            f"sha256 vehicle.ini = {digest}"]
 
 
 def test_simulate_missing_schedule(tmp_path, capsys):

@@ -32,6 +32,11 @@ and a guard against finite-difference derivatives there.
   angles" is raised only by `frames._check_attitude` and by the kernel's
   `deriv`, which runs at every RK4 stage; and an angle is wrapped by a
   modulo of pi only in `frames.wrap_angle`.
+- The CLI's verb table `cli._VERBS` is the one list of each verb's
+  options: the subparser of each verb accepts exactly the options its row
+  declares, and each declared option is read as `args.<option>` by the
+  verb's function or by `main`, directly or through the functions of
+  `cli` they call.
 
 A name that only the tests reach is a second entry point kept alive by
 its own tests; the tests should compare against their own references
@@ -40,12 +45,14 @@ Imports are not uses, so a re-export from `blimpdyn/__init__` keeps
 nothing alive.
 """
 
+import argparse
 import ast
 import collections
 import os
 import re
 
 import blimpdyn
+from blimpdyn import cli
 
 SRC = os.path.dirname(os.path.abspath(blimpdyn.__file__))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -715,3 +722,77 @@ def test_frames_convention_gates_see_copies():
     assert rail_comparisons(modules) == ["m.<module>", "m.solve"]
     assert euler_angle_raisers(modules) == ["m.Pose.check", "m.bind.deriv"]
     assert angle_wrappers(modules) == ["m.Pose.wrap", "m.bind.deriv"]
+
+
+def subparser_mismatches(parser, verbs):
+    """(verb, options its subparser accepts, options its row declares) for
+    each verb of `verbs`, {verb: (function name, options)}, whose
+    subparser of `parser` accepts other options than its row declares."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for verb, (_, options) in verbs.items():
+        accepted = sorted(a.dest for a in subparsers.choices[verb]._actions if a.dest != "help")
+        if accepted != sorted(options):
+            found.append((verb, accepted, sorted(options)))
+    return found
+
+
+def unread_options(tree, verbs):
+    """(verb, option) for each option a row of `verbs`, {verb: (function
+    name, options)}, declares that neither the verb's function nor `main`
+    of the parsed module `tree` reads as `args.<option>`, directly or
+    through the module's functions they call by name."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Name) and node.id in functions
+                  and node.id not in seen):
+                found |= reads(node.id, seen)
+        return found
+
+    shared = reads("main", set())
+    return sorted((verb, option) for verb, (name, options) in verbs.items()
+                  for option in set(options) - shared - reads(name, set()))
+
+
+def _verb_table():
+    return {verb: (run.__name__, options) for verb, (run, options) in cli._VERBS.items()}
+
+
+def test_each_verb_takes_the_options_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(cli._VERBS)
+    assert subparser_mismatches(parser, _verb_table()) == []
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert unread_options(ast.parse(fh.read()), _verb_table()) == []
+    assert sum(len(options) for _, options in cli._VERBS.values()) == 34
+
+
+def test_verb_table_gates_see_violations():
+    """The gates report a subparser that accepts an option its row does
+    not declare or lacks one it does, and a declared option that only
+    another verb's function, or `getattr`, reads; a read in a helper that
+    `main` or the verb calls counts."""
+    parser = argparse.ArgumentParser()
+    subparsers = parser.add_subparsers(dest="verb")
+    subparsers.add_parser("a").add_argument("--dt")
+    b = subparsers.add_parser("b")
+    b.add_argument("--out")
+    b.add_argument("--T")
+    verbs = {"a": ("cmd_a", ("dt", "params")), "b": ("cmd_b", ("out", "dt", "T"))}
+    assert subparser_mismatches(parser, verbs) == [
+        ("a", ["dt"], ["dt", "params"]), ("b", ["T", "out"], ["T", "dt", "out"])]
+    src = ("def _paths(args):\n    return args.params\n"
+           "def _load(args):\n    return _paths(args)\n"
+           "def _write(args):\n    return getattr(args, 'T')\n"
+           "def cmd_a(args):\n    return args.dt\n"
+           "def cmd_b(args):\n    return _write(args)\n"
+           "def main(args):\n    return _load(args), args.out\n")
+    assert unread_options(ast.parse(src), verbs) == [("b", "T"), ("b", "dt")]
