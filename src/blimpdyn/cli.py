@@ -5,10 +5,12 @@ linearize, simulate, identify, validate) its function and the options it
 reads; `build_parser` gives each verb a subparser that accepts those and
 no others, so an option the verb would ignore is a usage error.  `main`
 checks for the verb's input file (`--schedule`, `--manifest`), loads the
-configuration, and for every verb that takes `--out` writes
-`run-manifest.txt`: the tool version, the options of the verb's table row
-(their defaults included) and SHA-256 checksums of the input files, so a
-run is reproducible from its manifest alone.
+configuration and runs the verb.  For every verb that takes `--out` and
+returns (exit code 0 or 1), it then writes `run-manifest.txt`: the tool
+version, the options of the verb's table row (their defaults included) and
+SHA-256 checksums of the input files, so a run is reproducible from its
+manifest alone.  A verb that raises leaves no manifest.  Every file is
+written by `paramio`'s writer, its numbers in `paramio.FLOAT_FMT`.
 
 Exit codes: 0 success, 1 domain error (non-convergence, unsteady data,
 degenerate model), 2 usage or I/O error.
@@ -34,23 +36,27 @@ from .equilibria import (
     turning_radius,
 )
 from .frames import GF_TO_N, EulerAngles, State
-from .paramio import _read_config, bundled_config, write_aero_section
+from .paramio import (
+    FLOAT_FMT,
+    _float_rows,
+    _read_config,
+    _write_lines,
+    _write_table,
+    bundled_config,
+    write_aero_section,
+)
 from .simulate import integrate, read_schedule
 from .sysid import (
     CHANNELS,
     InsufficientSpan,
     NotSteady,
     RankDeficient,
-    SchemaError,
-    UnitError,
     average_by_setting,
     extract_steady,
     fit,
     load_trials,
     mirror_augment,
 )
-
-FLOAT_FMT = "%.9g"
 
 # Survey grids from the steady-flight experiment campaign; the acceptance
 # criteria in `validation` use the same grids.  Trim: equal thrust on each
@@ -75,7 +81,7 @@ _DOMAIN_ERRORS = (
     RankDeficient,
     InsufficientSpan,
 )
-_USAGE_ERRORS = (OSError, KeyError, ValueError, SchemaError, UnitError)
+_USAGE_ERRORS = (OSError, KeyError, ValueError)
 
 
 def spiral_thrusts_gf(diff_gf):
@@ -121,7 +127,6 @@ def _write_manifest(args, options, inputs):
     """Write `run-manifest.txt` under `--out`: the verb, the version, each
     of `options` that is set, in `_OPTIONS` order, and the checksum of
     each of `inputs` once, in first-seen order."""
-    os.makedirs(args.out, exist_ok=True)
     lines = [f"verb = {args.verb}", f"version = {__version__}"]
     for dest in _OPTIONS:
         val = getattr(args, dest) if dest in options and dest != "out" else None
@@ -129,19 +134,7 @@ def _write_manifest(args, options, inputs):
             lines.append(f"{dest.replace('_', '-')} = {'true' if val is True else val}")
     for path in dict.fromkeys(inputs):
         lines.append(f"sha256 {os.path.basename(path)} = {_sha256(path)}")
-    with open(os.path.join(args.out, "run-manifest.txt"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_csv(path, header, rows, footer=()):
-    """Write the header cells, the `rows` (each one or more formatted CSV
-    lines, without the last newline) and the footer lines."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-        for line in footer:
-            fh.write(line + "\n")
+    _write_lines(os.path.join(args.out, "run-manifest.txt"), lines)
 
 
 def cmd_params_check(args, params, model):
@@ -161,13 +154,10 @@ def cmd_params_check(args, params, model):
 
 def cmd_polar(args, params, model):
     table = lift_drag_analysis(model, POLAR_ALPHA)
-    rows = [
-        ",".join([_fmt(np.degrees(a)), _fmt(cl), _fmt(cd), _fmt(ld)])
-        for a, cl, cd, ld in zip(table.alpha, table.cl, table.cd, table.ld)
-    ]
+    rows = _float_rows(np.degrees(table.alpha), table.cl, table.cd, table.ld)
     footer = [f"# max_LD={_fmt(table.max_ld)} at alpha_deg={_fmt(np.degrees(table.alpha_star))}"]
-    _write_csv(os.path.join(args.out, "polar.csv"),
-               ["alpha_deg", "C_L", "C_D", "LD"], rows, footer)
+    _write_table(os.path.join(args.out, "polar.csv"),
+                 ["alpha_deg", "C_L", "C_D", "LD"], rows, footer)
     print(f"max L/D = {table.max_ld:.4f} at alpha = {np.degrees(table.alpha_star):.3f} deg")
     return 0
 
@@ -204,7 +194,7 @@ def _sweep(args, params, model, name, cells, solve):
         except NoConvergence:
             rows.append(_fail_row(drx, Fl, Fr))
             failures += 1
-    _write_csv(os.path.join(args.out, f"{name}.csv"), _STEADY_HEADER, rows)
+    _write_table(os.path.join(args.out, f"{name}.csv"), _STEADY_HEADER, rows)
     print(f"{name} sweep: {len(rows) - failures}/{len(rows)} converged")
     return 1 if failures else 0
 
@@ -232,13 +222,10 @@ def cmd_simulate(args, params, model):
     header = ["t", "x", "y", "z", "phi", "theta", "psi",
               "u", "v", "w", "p", "q", "r", "rbar_x",
               "alpha", "beta", "V", "R", "Vz"]
-    # The body in one formatting pass over Python floats: per sample t,
-    # the first 13 states (through rbar_x) and the analysis columns.
-    flat = np.column_stack((traj.t, traj.states[:, :13], traj.alpha, traj.beta, traj.V,
-                            traj.R, traj.Vz)).ravel().tolist()
-    body = "\n".join([",".join([FLOAT_FMT] * len(header))] * len(traj)) % tuple(flat)
-    footer = [f"# status={traj.status}"]
-    _write_csv(os.path.join(args.out, "sim.csv"), header, [body], footer)
+    # Per sample t, the first 13 states (through rbar_x) and the analysis columns.
+    rows = _float_rows(traj.t, traj.states[:, :13], traj.alpha, traj.beta, traj.V,
+                       traj.R, traj.Vz)
+    _write_table(os.path.join(args.out, "sim.csv"), header, rows, [f"# status={traj.status}"])
     print(f"simulated {traj.t[-1]:.2f} s, status {traj.status}")
     return 0 if traj.status == "ok" else 1
 
@@ -261,8 +248,8 @@ def cmd_identify(args, params, model):
     rows = [",".join([ch, *map(_fmt, x[3 * i:3 * i + 3]), _fmt(x[15 + i]) if i >= 3 else "",
                       _fmt(result.rms[ch]), _fmt(result.condition[ch])])
             for i, ch in enumerate(CHANNELS)]
-    _write_csv(os.path.join(args.out, "identify.csv"),
-               ["channel", "c0", "c_alpha", "c_beta", "K", "rms", "condition"], rows)
+    _write_table(os.path.join(args.out, "identify.csv"),
+                 ["channel", "c0", "c_alpha", "c_beta", "K", "rms", "condition"], rows)
     print(f"fitted {len(observations)} observations, "
           f"{len(result.excluded)} excluded, final rms {result.final_rms:.3e}")
     return 0
@@ -273,15 +260,13 @@ def cmd_linearize(args, params, model):
     sol = solve_straight(0.0, F, params, model)
     A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
     report = eigen_report(A)
-    rows = [
-        ",".join([str(i), _fmt(ev.real), _fmt(ev.imag)])
-        for i, ev in enumerate(sorted(report.eigenvalues, key=lambda z: z.real))
-    ]
+    evs = np.array(sorted(report.eigenvalues, key=lambda z: z.real))
+    rows = _float_rows(np.arange(len(evs)), evs.real, evs.imag)
     slowest = report.slowest_mode.real
     footer = [f"# hurwitz={'true' if report.hurwitz else 'false'}",
               f"# slowest_real={_fmt(slowest)}"]
-    _write_csv(os.path.join(args.out, "eigenvalues.csv"),
-               ["index", "real", "imag"], rows, footer)
+    _write_table(os.path.join(args.out, "eigenvalues.csv"),
+                 ["index", "real", "imag"], rows, footer)
     print(f"hurwitz={report.hurwitz} slowest mode {slowest:.4f} 1/s")
     return 0
 
@@ -294,8 +279,8 @@ def cmd_validate(args, params, model):
     results = validation.run_all()
     rows = [f"{r.number},{r.name},{'PASS' if r.passed else 'FAIL'},\"{r.detail}\""
             for r in results]
-    _write_csv(os.path.join(args.out, "validate.csv"),
-               ["criterion", "name", "result", "detail"], rows)
+    _write_table(os.path.join(args.out, "validate.csv"),
+                 ["criterion", "name", "result", "detail"], rows)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 1
@@ -365,8 +350,11 @@ def main(argv=None):
                 raise ValueError(f"{args.verb} requires --{key}")
         params, model, params_path, aero_path = _load_config(args)
         if "out" in options:
+            os.makedirs(args.out, exist_ok=True)
+        code = run(args, params, model)
+        if "out" in options:
             _write_manifest(args, options, [params_path, aero_path, *inputs.values()])
-        return run(args, params, model)
+        return code
     except (*_DOMAIN_ERRORS, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _DOMAIN_ERRORS) else 2

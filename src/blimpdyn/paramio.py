@@ -1,5 +1,5 @@
-"""Reading the package's input files: the plain-text parameter files and
-the CSV tables.
+"""Reading and writing the package's files: the plain-text parameter files
+and the CSV tables.
 
 Parameter files are `key = value` lines in named sections.  Units are
 fixed per key and documented in each file's header comment:
@@ -14,6 +14,14 @@ fixed per key and documented in each file's header comment:
 
 The CSV tables (schedules, trial manifests and trial logs) share one row
 reader, `_csv_rows`, and one error type, `SchemaError`.
+
+Every file the package writes (the CLI tables and `run-manifest.txt`, the
+fitted [aero] sections, trial logs and their manifests) goes through one
+writer, `_write_lines`: LF line endings, one newline after each line.
+`_write_table` writes a CSV table through it.  Computed numbers are
+printed with `FLOAT_FMT`, and `_float_rows` formats the body of an
+all-float table in one pass: one template over the Python floats of the
+whole table.
 """
 
 import configparser
@@ -24,6 +32,12 @@ import numpy as np
 
 from .aero import PARAM_NAMES, AeroModel
 from .frames import VehicleParams
+
+
+# The number format of every file the package writes: nine significant
+# digits.  No number prints with a comma or a quote, so no CSV cell of one
+# needs quoting.
+FLOAT_FMT = "%.9g"
 
 
 class SchemaError(ValueError):
@@ -136,19 +150,38 @@ def _aero_of(cp, path, a_ref):
     return AeroModel(a_ref=a_ref, **kwargs)
 
 
+def _write_lines(path, lines):
+    """Write `lines` to the file at `path`, one newline after each: the one
+    place the package opens a file for writing."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_table(path, columns, rows, footer=()):
+    """Write a CSV table: the header of `columns`, the `rows` (each one or
+    more formatted lines) and the `footer` lines."""
+    _write_lines(path, [",".join(columns), *rows, *footer])
+
+
+def _float_rows(*columns):
+    """The body of an n-row table of `columns` (arrays of n values, or of
+    n rows), every value printed with FLOAT_FMT from a Python float: one
+    row holding all n lines, from one formatting pass, or no row if n is 0."""
+    table = np.column_stack(columns)
+    if not len(table):
+        return []
+    return ["\n".join([",".join([FLOAT_FMT] * table.shape[1])] * len(table))
+            % tuple(table.ravel().tolist())]
+
+
 def write_aero_section(path, model, comment=None):
     """Write a fitted aerodynamic model as an [aero] section file."""
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
-    lines.append("[aero]")
-    for k in PARAM_NAMES:
-        lines.append(f"{k} = {getattr(model, k):.9g}")
-    lines.append(f"beta_limit_deg = {np.degrees(model.beta_limit):.9g}")
-    lines.append("")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    _write_lines(path, [
+        *(f"# {c}" for c in (comment or "").splitlines()),
+        "[aero]",
+        *(f"{k} = {FLOAT_FMT % getattr(model, k)}" for k in PARAM_NAMES),
+        f"beta_limit_deg = {FLOAT_FMT % np.degrees(model.beta_limit)}",
+    ])
 
 
 def bundled_path(name):

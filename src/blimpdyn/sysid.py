@@ -7,9 +7,9 @@ row is rejected, named by file and line), reduce each to an averaged
 steady observation, invert the steady-state balance for the
 wind-frame aerodynamic loads, mirror-augment the spiral data about the
 vehicle's symmetry plane, reject outliers, and fit the polynomial
-coefficient model plus rotational damping.  `write_trial` writes a log in
-one formatting pass: one "%.9g" template over the Python floats of the
-whole table.
+coefficient model plus rotational damping.  `write_trial` writes a log
+through `paramio`'s writer, its body by `paramio._float_rows`: every value
+in `paramio.FLOAT_FMT`, in one formatting pass over the whole table.
 
 The position smoother is a Savitzky-Golay operator built once per window
 length: the least-squares projection onto quadratics, whose middle row is
@@ -45,7 +45,7 @@ from .frames import (
     rotation_matrices,
     wrap_angle,
 )
-from .paramio import SchemaError, _csv_rows, _number
+from .paramio import SchemaError, _csv_rows, _float_rows, _number, _write_table
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 2
@@ -114,8 +114,6 @@ class FitResult:
 
 MANIFEST_COLUMNS = ["trial_id", "file", "kind", "dr_x_cm", "Fl_gf", "Fr_gf"]
 TRIAL_COLUMNS = ["t", "x", "y", "z", "phi", "theta", "psi"]
-# One row of a written trial log; no "%.9g" text holds a comma or a quote.
-_TRIAL_ROW = ",".join(["%.9g"] * len(TRIAL_COLUMNS)) + "\n"
 
 
 def load_trials(manifest_path):
@@ -195,15 +193,13 @@ def _bad_trial_row(path):
 def write_trial(path, t, pos, euler):
     """Write a trial CSV (t,x,y,z,phi,theta,psi in s, m, rad): `t` of shape
     (n,), `pos` and `euler` of shape (n, 3).  Every value is printed with
-    "%.9g" from a Python float, the whole body in one formatting pass."""
+    `paramio.FLOAT_FMT` from a Python float, the whole body in one
+    formatting pass."""
     t, pos, euler = np.asarray(t), np.asarray(pos), np.asarray(euler)
     if t.ndim != 1 or pos.shape != (t.size, 3) or euler.shape != (t.size, 3):
         raise ValueError(f"write_trial needs t of shape (n,) and pos, euler of shape (n, 3), "
                          f"got {t.shape}, {pos.shape}, {euler.shape}")
-    flat = np.column_stack((t, pos, euler)).ravel().tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRIAL_COLUMNS) + "\n")
-        fh.write((_TRIAL_ROW * t.size) % tuple(flat))
+    _write_table(path, TRIAL_COLUMNS, _float_rows(t, pos, euler))
 
 
 def trajectory_to_trial(traj, trial_id, kind, dr_x, Fl, Fr):

@@ -37,7 +37,7 @@ from .equilibria import (
     turning_radius,
 )
 from .frames import GF_TO_N, AeroAngles, EulerAngles, State
-from .paramio import load_bundled
+from .paramio import _write_lines, _write_table, load_bundled
 from .simulate import _SCHEDULE_COLUMNS, InputSchedule, Segment, integrate
 from .sysid import (
     MANIFEST_COLUMNS,
@@ -328,9 +328,7 @@ def _synthetic_trial_set(workdir):
         write_trial(os.path.join(workdir, fname), rec.t, rec.pos, rec.euler)
         rows.append(f"t{i:02d},{fname},{kind},{drx_cm},{fl_gf},{fr_gf}")
     manifest = os.path.join(workdir, "manifest.csv")
-    with open(manifest, "w", newline="\n") as fh:
-        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
-        fh.write("\n".join(rows) + "\n")
+    _write_table(manifest, MANIFEST_COLUMNS, rows)
     return manifest
 
 
@@ -341,8 +339,7 @@ def criterion_9():
     workdir = tempfile.mkdtemp(prefix="blimpdyn-det-")
     try:
         sched_path = os.path.join(workdir, "schedule.csv")
-        with open(sched_path, "w", newline="\n") as fh:
-            fh.write(DETERMINISM_SCHEDULE)
+        _write_lines(sched_path, DETERMINISM_SCHEDULE.splitlines())
         manifest = _synthetic_trial_set(workdir)
 
         def run(verb, out, extra):

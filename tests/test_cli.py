@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import blimpdyn
-from blimpdyn import validation
+from blimpdyn import cli, validation
 from blimpdyn.cli import _load_config, build_parser, main
+from blimpdyn.equilibria import NoConvergence
 from blimpdyn.frames import EulerAngles, State
 from blimpdyn.paramio import bundled_path, load_bundled
 from blimpdyn.simulate import integrate, read_schedule
@@ -337,18 +338,48 @@ def _manifest_keys(out):
 ], ids=["trim", "simulate", "identify"])
 def test_manifest_records_the_options_the_verb_reads(tmp_path, capsys, verb, flags, keys):
     """run-manifest.txt records the options of the verb's table row that
-    are set, defaults included, and no other.  The manifest is written
-    before the verb runs, so the identify run with a malformed trial
-    manifest (exit 2) still records its options."""
+    are set, defaults included, and no other; identify fits the synthetic
+    trial set."""
     sched = tmp_path / "sched.csv"
     sched.write_text("t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm\n0,1,2,2,hold,0\n")
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf\nt0,trial.csv,straight,0,2\n")
-    extra = {"simulate": ["--schedule", str(sched), "--T", "0.1", "--dt", "0.05"],
-             "identify": ["--manifest", str(manifest)]}.get(verb, [])
+    extra = {"simulate": ["--schedule", str(sched), "--T", "0.1", "--dt", "0.05"]}.get(verb, [])
+    if verb == "identify":
+        (tmp_path / "inputs").mkdir()
+        extra = ["--manifest", validation._synthetic_trial_set(str(tmp_path / "inputs"))]
     rc = main([verb, "--out", str(tmp_path / "out"), *flags, *extra])
-    assert rc == (2 if verb == "identify" else 0)
+    assert rc == 0
     assert _manifest_keys(tmp_path / "out") == ["verb", "version", *keys]
+
+
+@pytest.mark.parametrize("verb, option, header, row", [
+    ("simulate", "--schedule", "t_start,t_end,Fl_gf,Fr_gf,mm_cmd,mm_target_cm",
+     "x,1,2,2,hold,0"),
+    ("identify", "--manifest", "trial_id,file,kind,dr_x_cm,Fl_gf,Fr_gf",
+     "t0,trial.csv,straight,0,2"),
+], ids=["simulate", "identify"])
+def test_a_verb_that_raises_leaves_no_manifest(tmp_path, capsys, verb, option, header, row):
+    """run-manifest.txt is written only for a run whose verb returned: a
+    malformed schedule or trial manifest exits 2 and leaves none."""
+    table = tmp_path / "table.csv"
+    table.write_text(header + "\n" + row + "\n")
+    out = tmp_path / "out"
+    assert main([verb, option, str(table), "--out", str(out)]) == 2
+    assert f"error: {table}: line 2: " in capsys.readouterr().err
+    assert not (out / "run-manifest.txt").exists()
+
+
+def test_a_sweep_with_failed_cells_writes_its_manifest(tmp_path, capsys, monkeypatch):
+    """A trim sweep whose cells fail returns exit code 1, and its run is
+    recorded: trim.csv holds a fail row per cell and run-manifest.txt is
+    written."""
+    def fail(*args):
+        raise NoConvergence("stub")
+
+    monkeypatch.setattr(cli, "solve_straight", fail)
+    assert main(["trim", "--out", str(tmp_path)]) == 1
+    rows = _read_lines(tmp_path / "trim.csv")[1:]
+    assert len(rows) == 11 and all(r.endswith(",fail") for r in rows)
+    assert _manifest_keys(tmp_path) == ["verb", "version"]
 
 
 def _passing(number):

@@ -27,6 +27,9 @@ and a guard against finite-difference derivatives there.
   `blimpdyn` submodule names something that module defines.
 - The CSV tables are read in one place: `csv.reader` is called in one
   function of the package, the table reader `paramio._csv_rows`.
+- The package's files are written in one place: only `paramio._write_lines`
+  opens a file to write, append or create, and the number format `.9g`
+  is spelled only in `paramio.FLOAT_FMT` (docstrings aside).
 - The conventions of `frames` are written once: `RAIL_LIMIT` is compared
   in one function, `frames._check_rail_offset`; "non-finite Euler
   angles" is raised only by `frames._check_attitude` and by the kernel's
@@ -634,6 +637,86 @@ def test_csv_reader_gate_sees_a_second_reader():
            "FIRST = next(csv.reader(['a,b']))\n")
     assert csv_reader_callers([("m.py", ast.parse(src))]) == [
         "m.<module>", "m.Log", "m.body", "m.header"]
+
+
+_OPENERS = {"open", "builtins.open", "io.open"}
+
+
+def _top_level(mod, stmt):
+    """A top-level statement as module.name: the function, class or
+    assigned name, or module.<module>."""
+    return f"{mod[:-3]}.{(_defined(stmt) or ['<module>'])[0]}"
+
+
+def file_writers(modules):
+    """The top-level statements of `modules`, (file name, parsed module)
+    pairs, that call `open` (through an import alias or a name assigned
+    from it) with a mode that writes, appends or creates, positionally or
+    as `mode=`; a mode that is not a string literal counts as writing."""
+    found = set()
+    for mod, tree in modules:
+        bound = _import_paths(tree)
+        openers = _OPENERS | {
+            node.targets[0].id for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and _resolved(node.value, bound) in _OPENERS}
+
+        def writes(node):
+            if not (isinstance(node, ast.Call) and _resolved(node.func, bound) in openers):
+                return False
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax")
+                       for m in modes)
+
+        found.update(_top_level(mod, stmt) for stmt in tree.body
+                     if any(writes(node) for node in ast.walk(stmt)))
+    return sorted(found)
+
+
+def float_format_spellings(modules):
+    """The top-level statements of `modules` that hold the text `.9g` in a
+    string or an f-string format spec, docstrings aside."""
+    found = set()
+    for mod, tree in modules:
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        found.update(_top_level(mod, stmt) for stmt in tree.body if any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ".9g" in node.value and id(node) not in docstrings for node in ast.walk(stmt)))
+    return sorted(found)
+
+
+def test_files_have_one_writer_and_one_number_format():
+    modules = list(_modules())
+    assert file_writers(modules) == ["paramio._write_lines"]
+    assert float_format_spellings(modules) == ["paramio.FLOAT_FMT"]
+
+
+def test_writer_gates_see_a_second_writer():
+    """The gates report each statement that opens a file to write, append
+    or create, through `open`, an import alias, an assigned alias or a
+    `mode=` keyword, or with a mode they cannot read; and each that spells
+    `.9g` in a string or a format spec.  Reading opens and docstrings do
+    not count."""
+    src = ('"""Numbers print as %.9g."""\n'
+           "import io\n"
+           "from builtins import open as fopen\n"
+           "FMT = '%.9g'\n"
+           "def read(path):\n    '''Reads .9g numbers.'''\n"
+           "    with open(path) as fh:\n        return fh.read(), open(path, 'rb'), "
+           "open(path, mode='r')\n"
+           "def save(path, x):\n    with open(path, 'w') as fh:\n        fh.write(f'{x:.9g}')\n"
+           "def append(path):\n    return fopen(path, 'a')\n"
+           "class Log:\n    def create(self, path):\n        return io.open(path, mode='x')\n"
+           "def reopen(path, mode):\n    return open(path, mode)\n"
+           "def binary(path):\n    o = open\n    return o(path, 'wb')\n"
+           "LOG = open('log.txt', mode='a+')\n")
+    modules = [("m.py", ast.parse(src))]
+    assert file_writers(modules) == [
+        "m.LOG", "m.Log", "m.append", "m.binary", "m.reopen", "m.save"]
+    assert float_format_spellings(modules) == ["m.FMT", "m.save"]
 
 
 def _scopes(modules, match):

@@ -77,6 +77,34 @@ def test_write_aero_section_round_trip(tmp_path):
     assert text.startswith("# round-trip check")
 
 
+_BUNDLED_AERO_SECTION = (
+    "[aero]\n"
+    "cd0 = 0.243\ncd_a = 4.419\ncd_b = 7.508\n"
+    "cs0 = 0.001\ncs_a = -0.074\ncs_b = -2.113\n"
+    "cl0 = 0.159\ncl_a = 2.938\ncl_b = 4.554\n"
+    "cm1_0 = 0.001\ncm1_a = -0.03\ncm1_b = -0.526\n"
+    "cm2_0 = 0.057\ncm2_a = 0.093\ncm2_b = 5.236\n"
+    "cm3_0 = 0.001\ncm3_a = -0.001\ncm3_b = -0.093\n"
+    "k1 = -0.05\nk2 = -0.026\nk3 = -0.014\n"
+    "beta_limit_deg = 30\n"
+)
+
+
+@pytest.mark.parametrize("comment, head", [
+    (None, ""),
+    ("fitted from manifest.csv\n(18 observations, 3 excluded)",
+     "# fitted from manifest.csv\n# (18 observations, 3 excluded)\n"),
+], ids=["no-comment", "two-line-comment"])
+def test_write_aero_section_bytes(tmp_path, comment, head):
+    """The [aero] section of the bundled model, byte for byte: a `# ` line
+    per comment line, then one `key = value` line per coefficient in
+    PARAM_NAMES order and beta_limit_deg, each value in `%.9g`, LF endings."""
+    _, model = load_bundled()
+    out = tmp_path / "fit.ini"
+    write_aero_section(str(out), model, comment=comment)
+    assert out.read_bytes() == (head + _BUNDLED_AERO_SECTION).encode()
+
+
 def test_bundled_paths_exist():
     import os
 
