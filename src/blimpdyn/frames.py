@@ -240,22 +240,14 @@ class State:
 
 
 def rotation_body_to_inertial(e):
-    """Rotation matrix from the body frame to the inertial frame (RPY sequence)."""
-    cphi, sphi = np.cos(e.phi), np.sin(e.phi)
-    cth, sth = np.cos(e.theta), np.sin(e.theta)
-    cpsi, spsi = np.cos(e.psi), np.sin(e.psi)
-    return np.array(
-        [
-            [cpsi * cth, cpsi * sth * sphi - spsi * cphi, cpsi * sth * cphi + spsi * sphi],
-            [spsi * cth, spsi * sth * sphi + cpsi * cphi, spsi * sth * cphi - cpsi * sphi],
-            [-sth, cth * sphi, cth * cphi],
-        ]
-    )
+    """Rotation matrix from the body frame to the inertial frame (RPY
+    sequence) of the attitude `e`: the one matrix of `rotation_matrices`."""
+    return rotation_matrices(e.as_array()[None])[0]
 
 
 def rotation_matrices(euler):
-    """Stacked `rotation_body_to_inertial` matrices, shape (n, 3, 3), of an
-    (n, 3) array of roll, pitch and yaw angles."""
+    """Stacked body-to-inertial rotation matrices (RPY sequence), shape
+    (n, 3, 3), of an (n, 3) array of roll, pitch and yaw angles."""
     phi, theta, psi = np.asarray(euler, dtype=float).T
     cphi, sphi = np.cos(phi), np.sin(phi)
     cth, sth = np.cos(theta), np.sin(theta)

@@ -15,9 +15,13 @@ The position smoother is a Savitzky-Golay operator built once per window
 length: the least-squares projection onto quadratics, whose middle row is
 the interior convolution and whose outer rows are the edge fits.  The
 extraction smooths and differentiates only the tail of a log that its
-windows read.  The load inversion is one function of an observation, on
-floats (`math` trig, the bound balance of `dynamics._bind_balance` and
-`aero._body_to_wind`), which `fit` maps over the observations and
+windows read.  A steady observation is the six unknowns
+(theta, phi, psidot, V, alpha, beta) of the trim and spiral solvers, with
+its setting; its body velocity, body rates and down axis are derived from
+them by the solvers' own kinematics (`equilibria._unknowns_to_kinematics`),
+never stored.  The load inversion is one function of an observation, on
+floats (those kinematics, the bound balance of `dynamics._bind_balance`
+and `aero._body_to_wind`), which `fit` maps over the observations and
 `invert_aero` calls on one; the rail, attitude and angle rules are those
 of `frames`.  The model is linear in its coefficients and
 each load channel has its own, so the fit is an exact weighted
@@ -35,6 +39,7 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import _bind_balance
+from .equilibria import _unknowns_to_kinematics
 from .frames import (
     GF_TO_N,
     _check_aero_angles,
@@ -89,13 +94,17 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SteadyObservation:
+    """One steady flight condition: the six unknowns of the steady balance
+    (attitude, yaw rate, airspeed and aerodynamic angles) and the setting
+    that flew it.  The body rates psidot * (-sin theta, sin phi cos theta,
+    cos phi cos theta) follow from the unknowns, by
+    `equilibria._unknowns_to_kinematics`."""
     theta: float
     phi: float
     psidot: float
     V: float
     alpha: float
     beta: float
-    w_b: np.ndarray
     Fl: float
     Fr: float
     rbar: np.ndarray
@@ -324,9 +333,6 @@ def extract_steady(rec, window, params):
     # Yaw rate: the least-squares slope of the unwrapped yaw over the window.
     tc = t[sl] - t_m
     psidot = float(tc @ (psi - psi_m) / (tc @ tc))
-    sth, cth = np.sin(theta_m), np.cos(theta_m)
-    sphi, cphi = np.sin(phi_m), np.cos(phi_m)
-    w_b = psidot * np.array([-sth, sphi * cth, cphi * cth])
     return SteadyObservation(
         theta=theta_m,
         phi=phi_m,
@@ -334,7 +340,6 @@ def extract_steady(rec, window, params):
         V=V_m,
         alpha=alpha_m,
         beta=beta_m,
-        w_b=w_b,
         Fl=rec.Fl,
         Fr=rec.Fr,
         rbar=params.rail_position(rec.dr_x),
@@ -352,12 +357,17 @@ def observation_from_solution(sol, dr_x, Fl, Fr, params):
         V=sol.V,
         alpha=sol.alpha,
         beta=sol.beta,
-        w_b=sol.w_b.copy(),
         Fl=Fl,
         Fr=Fr,
         rbar=params.rail_position(dr_x),
         kind=sol.kind,
     )
+
+
+def _unknowns(obs):
+    """The steady unknowns (theta, phi, psidot, V, alpha, beta) of an
+    observation, in the order `equilibria._unknowns_to_kinematics` takes."""
+    return obs.theta, obs.phi, obs.psidot, obs.V, obs.alpha, obs.beta
 
 
 def _bind_inversion(params):
@@ -366,8 +376,11 @@ def _bind_inversion(params):
 
     The steady balance says the aero loads cancel the rest of the
     generalized force and torque (the balance bound by
-    `dynamics._bind_balance`); the negated remainder is resolved into the
-    wind frame by `aero._body_to_wind`.  An observation whose airspeed,
+    `dynamics._bind_balance`), at the body velocity, body rates and down
+    axis that `equilibria._unknowns_to_kinematics` derives from the
+    observation's six unknowns, as the Newton residual does; the negated
+    remainder is resolved into the wind frame by `aero._body_to_wind`, the
+    one use of alpha and beta here.  An observation whose airspeed,
     aerodynamic angles or attitude lie outside the domain of `AeroAngles`
     or `EulerAngles` (a NaN included) raises their ValueError, from the
     checks of `frames` they call."""
@@ -377,18 +390,14 @@ def _bind_inversion(params):
 
     def invert(obs):
         """Wind-frame loads (D, S, L, M1, M2, M3) of one observation."""
-        _check_aero_angles(obs.alpha, obs.beta, obs.V)
+        a, b = obs.alpha, obs.beta
+        _check_aero_angles(a, b, obs.V)
         _check_attitude(obs.phi, obs.theta)
-        V, a, b, th, ph = obs.V, obs.alpha, obs.beta, obs.theta, obs.phi
-        ca, sa, cb, sb = cos(a), sin(a), cos(b), sin(b)
-        cth, sth, cphi, sphi = cos(th), sin(th), cos(ph), sin(ph)
         rx, ry, rz = obs.rbar.tolist()
-        # The body velocity is V times the first column of the wind-to-body
-        # rotation; gcol, the inertial down axis, is independent of yaw.
         fx, fy, fz, tx, ty, tz = balance(
-            mass_terms(rx, ry, rz), V * (ca * cb), V * sb, V * (sa * cb), *obs.w_b.tolist(),
-            -sth, cth * sphi, cth * cphi, rx, ry, rz, 0.0, 0.0, 0.0, obs.Fl, obs.Fr)
-        return body_to_wind(ca, sa, cb, sb, -fx, -fy, -fz, -tx, -ty, -tz)
+            mass_terms(rx, ry, rz), *_unknowns_to_kinematics(_unknowns(obs)),
+            rx, ry, rz, 0.0, 0.0, 0.0, obs.Fl, obs.Fr)
+        return body_to_wind(cos(a), sin(a), cos(b), sin(b), -fx, -fy, -fz, -tx, -ty, -tz)
 
     return invert
 
@@ -402,15 +411,15 @@ def invert_aero(obs, params):
 def average_by_setting(observations):
     """Average observations sharing the same (kind, rbar, Fl, Fr) setting.
 
-    Repeated trials of one setting collapse to a single observation with
-    field-wise means; the default identification pipeline is per-trial,
-    this is the per-setting alternative."""
+    Repeated trials of one setting collapse to a single observation whose
+    six unknowns are the means of theirs, so its body rates are those of
+    its mean attitude and yaw rate; the default identification pipeline is
+    per-trial, this is the per-setting alternative."""
     groups = {}
     for obs in observations:
         key = (obs.kind, round(obs.rbar[0], 9), round(obs.Fl, 12), round(obs.Fr, 12), obs.mirrored)
         groups.setdefault(key, []).append(obs)
-    return [replace(group[0], w_b=np.mean([o.w_b for o in group], axis=0),
-                    **{name: float(np.mean([getattr(o, name) for o in group]))
+    return [replace(group[0], **{name: float(np.mean([getattr(o, name) for o in group]))
                        for name in ("theta", "phi", "psidot", "V", "alpha", "beta")})
             for group in groups.values()]
 
@@ -418,14 +427,14 @@ def average_by_setting(observations):
 def mirror_augment(observations):
     """Append the x-O-z mirror image of every spiral observation.
 
-    The reflection negates (phi, psidot, beta, p, r), preserves
-    (theta, V, alpha, q), swaps the thrusts, and negates rbar_y.
-    Straight observations are their own mirror and are not duplicated."""
+    The reflection negates (phi, psidot, beta), preserves
+    (theta, V, alpha), swaps the thrusts, and negates rbar_y; the body
+    rates follow, p and r negated and q kept.  Straight observations are
+    their own mirror and are not duplicated."""
     out = list(observations)
     for obs in observations:
         if obs.kind != "spiral" or obs.mirrored:
             continue
-        w = obs.w_b
         rbar = obs.rbar.copy()
         rbar[1] = -rbar[1]
         out.append(
@@ -434,7 +443,6 @@ def mirror_augment(observations):
                 phi=-obs.phi,
                 psidot=-obs.psidot,
                 beta=-obs.beta,
-                w_b=np.array([-w[0], w[1], -w[2]]),
                 Fl=obs.Fr,
                 Fr=obs.Fl,
                 rbar=rbar,
@@ -551,12 +559,14 @@ def fit(observations, params, loads=None):
     per channel, with each row weighted by the inverse of its load
     magnitude (relative error, floored at 1e-3 of the channel median).
     Without `loads`, each observation's loads are inverted by one function
-    bound once per call (`_bind_inversion`).  A non-finite angle of attack,
-    sideslip, airspeed, body rate or load, given or inverted, raises
-    ValueError naming the first observation that has one.  The designs are built once,
-    as arrays, and the six channels are solved as two stacked problems,
-    forces (3, n, 3) and moments (3, n, 4), each with one batched SVD that
-    gives both the condition numbers and the solution.
+    bound once per call (`_bind_inversion`).  A non-finite unknown
+    (theta, phi, psidot, V, alpha, beta) or load, given or inverted, raises
+    ValueError naming the first observation that has one; the damping
+    columns are the body rates that `equilibria._unknowns_to_kinematics`
+    derives from the unknowns.  The designs are built once, as arrays, and
+    the six channels are solved as two stacked problems, forces (3, n, 3)
+    and moments (3, n, 4), each with one batched SVD that gives both the
+    condition numbers and the solution.
     After a first solve an outlier pass drops observations whose weighted
     residual on any channel exceeds 3x the channel MAD, capped at 20% of
     the data, and both stacks are solved again on the rest.  The damping
@@ -577,12 +587,15 @@ def fit(observations, params, loads=None):
         if len(loads) != len(observations):
             raise ValueError("loads must align with observations")
 
-    x = np.array([(o.alpha, o.beta, o.V, *o.w_b.tolist()) for o in observations], dtype=float)
-    for what, rows in (("aerodynamic angles, airspeed or body rates", x), ("loads", loads)):
+    unknowns = list(map(_unknowns, observations))
+    for what, rows in (("aerodynamic angles, airspeed or body rates", unknowns), ("loads", loads)):
         finite = np.isfinite(rows)
         if not finite.all():
             bad = np.flatnonzero(~finite.all(axis=1))[0]
             raise ValueError(f"observation {bad} has non-finite {what}")
+    # The rows (alpha, beta, V, p, q, r) of `_regressors`.
+    x = np.array([(u[4], u[5], u[3], *_unknowns_to_kinematics(u)[3:6]) for u in unknowns],
+                 dtype=float)
     design = _regressors(x, params)
     Xs, Y, coefs, conds = _solve_channels(design, loads)
 

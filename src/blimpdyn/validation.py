@@ -24,6 +24,7 @@ from .cli import (
     TRIM_DRX_CM,
     TRIM_THRUST,
     TRIM_THRUST_GF,
+    main,
     spiral_cells,
     spiral_thrusts_gf,
 )
@@ -93,7 +94,7 @@ def criterion_2():
     a = AeroAngles(np.radians(10.7), 0.0, 1.0)
     loads = aero_loads(model, a, np.zeros(3), params.rho)
     lift_gf = loads.L / GF_TO_N
-    buoy_gf = 152.04
+    buoy_gf = params.B / GF_TO_N
     frac = 100.0 * lift_gf / (buoy_gf + lift_gf)
     ok = abs(lift_gf - 11.0) <= 0.5 and abs(frac - 6.7) <= 0.4
     return CriterionResult(
@@ -334,8 +335,6 @@ def _synthetic_trial_set(workdir):
 
 def criterion_9():
     """Bitwise determinism of the simulate and identify verbs."""
-    from . import cli
-
     workdir = tempfile.mkdtemp(prefix="blimpdyn-det-")
     try:
         sched_path = os.path.join(workdir, "schedule.csv")
@@ -344,13 +343,14 @@ def criterion_9():
 
         def run(verb, out, extra):
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main([verb, "--out", out] + extra)
+                rc = main([verb, "--out", out] + extra)
             if rc != 0:
                 raise RuntimeError(f"{verb} exited {rc}")
-            return {
-                name: open(os.path.join(out, name), "rb").read()
-                for name in sorted(os.listdir(out))
-            }
+            files = {}
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    files[name] = fh.read()
+            return files
 
         identical = True
         details = []

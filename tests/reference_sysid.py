@@ -12,6 +12,8 @@ the package against these.
   `reference_kernel`.
 - `reference_write_trial`: the trial-log writer that formats each cell
   ("%.9g" of the numpy scalar) and writes it through `csv.writer`.
+- `body_rates`: the body rates of a steady turn, from the attitude and
+  yaw rate, in numpy.
 
 The `prior_*` functions are the array implementations as `blimpdyn.sysid`
 had them before the reader passed numpy the path, the extraction smoothed
@@ -65,6 +67,13 @@ from blimpdyn.sysid import (
 )
 
 
+def body_rates(theta, phi, psidot):
+    """Body rates psidot * R^T k of a steady turn at pitch `theta` and roll
+    `phi`: psidot * (-sin theta, sin phi cos theta, cos phi cos theta)."""
+    return psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
+                              np.cos(phi) * np.cos(theta)])
+
+
 def reference_smooth_velocity(t, pos):
     n = pos.shape[0]
     win = min(SAVGOL_WINDOW, n if n % 2 == 1 else n - 1)
@@ -104,9 +113,6 @@ def reference_extract_steady(rec, window, params):
     psidot = float(np.polyfit(rec.t[sl], psi_unwrapped[sl], 1)[0])
     theta_m = float(np.mean(theta[sl]))
     phi_m = float(np.mean(rec.euler[sl, 0]))
-    sth, cth = np.sin(theta_m), np.cos(theta_m)
-    sphi, cphi = np.sin(phi_m), np.cos(phi_m)
-    w_b = psidot * np.array([-sth, sphi * cth, cphi * cth])
     return SteadyObservation(
         theta=theta_m,
         phi=phi_m,
@@ -114,7 +120,6 @@ def reference_extract_steady(rec, window, params):
         V=float(np.mean(V[sl])),
         alpha=float(np.mean(alpha[sl])),
         beta=float(np.mean(beta[sl])),
-        w_b=w_b,
         Fl=rec.Fl,
         Fr=rec.Fr,
         rbar=params.rbar0 + np.array([rec.dr_x, 0.0, 0.0]),
@@ -126,7 +131,8 @@ def reference_invert_aero(obs, params):
     aa = AeroAngles(obs.alpha, obs.beta, obs.V)
     R = rotation_body_to_inertial(EulerAngles(obs.phi, obs.theta, 0.0))
     Rvb = wind_to_body(aa)
-    rest = _balance((obs.V * Rvb[:, 0]).tolist(), np.asarray(obs.w_b, dtype=float).tolist(),
+    rest = _balance((obs.V * Rvb[:, 0]).tolist(),
+                    body_rates(obs.theta, obs.phi, obs.psidot).tolist(),
                     R[2].tolist(), np.asarray(obs.rbar, dtype=float).tolist(), (0.0, 0.0, 0.0),
                     obs.Fl, obs.Fr, params, False)
     aero = -np.array(rest)
@@ -220,9 +226,6 @@ def prior_extract_steady(rec, window, params):
     psidot = float(tc @ (psi - np.mean(psi)) / (tc @ tc))
     theta_m = float(np.mean(theta[sl]))
     phi_m = float(np.mean(euler[sl, 0]))
-    sth, cth = np.sin(theta_m), np.cos(theta_m)
-    sphi, cphi = np.sin(phi_m), np.cos(phi_m)
-    w_b = psidot * np.array([-sth, sphi * cth, cphi * cth])
     return SteadyObservation(
         theta=theta_m,
         phi=phi_m,
@@ -230,7 +233,6 @@ def prior_extract_steady(rec, window, params):
         V=float(np.mean(V[sl])),
         alpha=float(np.mean(alpha[sl])),
         beta=float(np.mean(beta[sl])),
-        w_b=w_b,
         Fl=rec.Fl,
         Fr=rec.Fr,
         rbar=params.rbar0 + np.array([rec.dr_x, 0.0, 0.0]),
@@ -253,7 +255,7 @@ def prior_regressors(observations, params):
     a = np.array([o.alpha for o in observations])
     b = np.array([o.beta for o in observations])
     V = np.array([o.V for o in observations])
-    w_b = np.array([o.w_b for o in observations], dtype=float)
+    w_b = np.array([body_rates(o.theta, o.phi, o.psidot) for o in observations])
     q = 0.5 * params.rho * V * V * params.A_ref
     qa, qaa, qb, qbb = q * a, q * (a * a), q * b, q * (b * b)
     qb4 = q * np.float_power(b, 4)

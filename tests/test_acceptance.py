@@ -4,6 +4,11 @@ Each criterion prints one pass/fail line; run with `pytest -s` (or see the
 captured output on failure) to read them.
 """
 
+import gc
+import re
+import warnings
+from dataclasses import replace
+
 import pytest
 
 from blimpdyn import validation
@@ -17,9 +22,15 @@ from blimpdyn.frames import GF_TO_N
     ids=[f"criterion_{k + 1}" for k in range(len(validation.ALL_CRITERIA))],
 )
 def test_criterion(criterion):
-    result = criterion()
+    """Each criterion passes, and closes every file it opens."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = criterion()
+        gc.collect()
     print(result.line())
     assert result.passed, result.line()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, leaks
 
 
 @pytest.mark.parametrize("drx_cm, diff, stock_only, rest", [
@@ -47,3 +58,17 @@ def test_criterion_6_counts_a_failed_cell(monkeypatch, drx_cm, diff, stock_only,
     assert result.detail.startswith("35/36 converged")
     assert rest in result.detail
     assert ("staircase radius error inf%" in result.detail) == (drx_cm == 0)
+
+
+def test_criterion_2_reads_the_buoyancy_from_the_vehicle(monkeypatch):
+    """The lift share of criterion 2 is taken against the vehicle's own
+    buoyancy: a vehicle with twice the buoyancy reports the share of the
+    same aero lift against it."""
+    params, model = validation._bundle()
+    heavy = replace(params, B=2.0 * params.B)
+    monkeypatch.setattr(validation, "_bundle", lambda: (heavy, model))
+    detail = validation.criterion_2().detail
+    lift_gf = float(re.search(r"aero lift ([0-9.]+) gf", detail).group(1))
+    share = float(re.search(r"share ([0-9.]+)%", detail).group(1))
+    assert abs(share - 100.0 * lift_gf / (heavy.B / GF_TO_N + lift_gf)) < 0.01
+    assert share < 4.0  # about half the stock 6.7 %

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_matrix import aero_angles, loads_to_body, reference_rhs, wind_to_body
 from reference_sysid import (
+    body_rates,
     prior_check_span,
     prior_extract_steady,
     prior_fit,
@@ -200,7 +201,7 @@ def grid_loads(params, grid_obs):
 def _force_positive_damping(loads, observations, model, channel):
     """Loads whose unconstrained damping on `channel` is -k_true > 0."""
     j = ("M1", "M2", "M3").index(channel)
-    rate = np.array([o.w_b[j] for o in observations])
+    rate = np.array([body_rates(o.theta, o.phi, o.psidot)[j] for o in observations])
     out = np.array(loads, dtype=float)
     out[:, 3 + j] -= 2.0 * model.as_vector()[18 + j] * rate
     return out
@@ -226,7 +227,7 @@ def _reference_regression(channel, observations, loads, params, a_ref):
         q = 0.5 * params.rho * obs.V * obs.V * a_ref
         row = [q * bf for bf in basis(obs.alpha, obs.beta)]
         if rate_idx is not None:
-            row.append(obs.w_b[rate_idx])
+            row.append(body_rates(obs.theta, obs.phi, obs.psidot)[rate_idx])
         X[k] = row
         y[k] = loads[k][ci]
     floor = max(1e-3 * float(np.median(np.abs(y))), 1e-12)
@@ -278,8 +279,9 @@ def _reference_fit(observations, params, loads):
     x = np.concatenate([coefs[ch][:3] for ch in CHANNELS]
                        + [coefs[ch][3:] for ch in ("M1", "M2", "M3")])
     fitted = AeroModel(*x, a_ref=a_ref)
-    pred = np.array([aero_loads(fitted, AeroAngles(o.alpha, o.beta, o.V), o.w_b,
-                                params.rho).as_array() for o in (observations[i] for i in idx)])
+    pred = np.array([aero_loads(fitted, AeroAngles(o.alpha, o.beta, o.V),
+                                body_rates(o.theta, o.phi, o.psidot), params.rho).as_array()
+                     for o in (observations[i] for i in idx)])
     rms = np.sqrt(np.mean((pred - np.array([loads[i] for i in idx])) ** 2, axis=0))
     cond = np.array([solved[ch][3] for ch in CHANNELS])
     return x, rms, cond, tuple(sorted(drop)), scores
@@ -696,8 +698,8 @@ class TestExtractSteady:
         """On noisy helix logs from any heading (so the yaw wraps inside the
         averaging window in some), perturbed until they fail the steadiness
         test, and on a transient flight, the extraction gives the reference
-        observation within 1e-12 relative (angles and rates also within
-        1e-12 absolute) or raises the reference's error.  The 4 s window
+        observation within 1e-12 relative (angles also within 1e-12
+        absolute) or raises the reference's error.  The 4 s window
         (the CLI's) is longer than the trailing half of a 6 s log."""
         from dataclasses import replace
 
@@ -715,7 +717,7 @@ class TestExtractSteady:
             assert type(got) is type(ref) and str(got) == str(ref)
             return
         assert not isinstance(got, Exception), got
-        for name in ("theta", "phi", "psidot", "alpha", "beta", "w_b"):
+        for name in ("theta", "phi", "psidot", "alpha", "beta"):
             np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(got.V, ref.V, rtol=1e-12, atol=0)
@@ -812,7 +814,7 @@ class TestInvertAero:
         obs = grid_obs[20]
         inv = invert_aero(obs, params)
         pred = aero_loads(model, AeroAngles(obs.alpha, obs.beta, obs.V),
-                          obs.w_b, params.rho)
+                          body_rates(obs.theta, obs.phi, obs.psidot), params.rho)
         assert np.allclose(inv.as_array(), pred.as_array(), atol=1e-8)
 
     def test_straight_lateral_loads_vanish(self, sym_bundle):
@@ -867,10 +869,9 @@ class TestInvertAero:
         Fl, Fr = thrust
         rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
         a = AeroAngles(alpha, beta, V)
-        w_b = psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
-                                 np.cos(phi) * np.cos(theta)])
+        w_b = body_rates(theta, phi, psidot)
         obs = SteadyObservation(theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha,
-                                beta=beta, w_b=w_b, Fl=Fl, Fr=Fr, rbar=rbar, kind="spiral")
+                                beta=beta, Fl=Fl, Fr=Fr, rbar=rbar, kind="spiral")
         s = State(p=np.zeros(3), e=EulerAngles(phi, theta, 0.0),
                   v=wind_to_body(a) @ np.array([V, 0.0, 0.0]), w=w_b,
                   rbar=rbar, rbardot=np.zeros(3))
@@ -904,10 +905,8 @@ class TestInvertAero:
 
         drawn = []
         for theta, phi, psidot, V, alpha, beta, Fl, Fr, dr_x in xs:
-            w_b = psidot * np.array([-np.sin(theta), np.sin(phi) * np.cos(theta),
-                                     np.cos(phi) * np.cos(theta)])
             drawn.append(SteadyObservation(
-                theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta, w_b=w_b,
+                theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta,
                 Fl=Fl, Fr=Fr, rbar=params.rbar0 + np.array([dr_x, 0.0, 0.0]), kind="spiral"))
         for k, (field, value) in faults:
             drawn[k % len(drawn)] = replace(drawn[k % len(drawn)], **{field: value})
@@ -1007,7 +1006,8 @@ class TestFit:
         assert x[18 + j] == 0.0
         kept = [i for i in range(len(grid_obs)) if i not in result.excluded]
         w = _weights(loads[kept])[:, ci]
-        x_kept = np.array([(o.alpha, o.beta, o.V, *o.w_b) for o in (grid_obs[i] for i in kept)])
+        x_kept = np.array([(o.alpha, o.beta, o.V, *body_rates(o.theta, o.phi, o.psidot))
+                           for o in (grid_obs[i] for i in kept)])
         X = _regressors(x_kept, params)[1][j] * w[:, None]
         y = loads[kept, ci] * w
         ref = lsq_linear(X, y, bounds=([-np.inf] * 4, [np.inf] * 3 + [0.0]), method="bvls")
@@ -1168,16 +1168,20 @@ class TestFit:
         pytest.param("beta", math.nan, id="nan-beta"),
         pytest.param("V", math.nan, id="nan-airspeed"),
         pytest.param("alpha", math.inf, id="inf-alpha"),
+        pytest.param("theta", math.nan, id="nan-theta"),
+        pytest.param("phi", math.nan, id="nan-phi"),
+        pytest.param("psidot", math.inf, id="inf-psidot"),
         pytest.param("load", math.inf, id="inf-load"),
         pytest.param("load", math.nan, id="nan-load"),
     ])
     def test_rejects_non_finite_inputs_with_given_loads(self, params, grid_obs, grid_loads,
                                                         field, value):
         """With `loads` given, the inversion's domain check does not run, so
-        `fit` itself refuses a non-finite angle, airspeed, rate or load and
-        names the observation, instead of failing in the SVD (NaN), as a
-        rank-deficient channel (an infinite angle) or in `AeroModel` (an
-        infinite load)."""
+        `fit` itself refuses a non-finite angle, airspeed, yaw rate or load
+        and names the observation, instead of failing in the SVD (NaN), as
+        a rank-deficient channel (an infinite angle), in `AeroModel` (an
+        infinite load) or with a math domain error where it derives the
+        body rates (an infinite attitude)."""
         from dataclasses import replace
 
         obs, loads = list(grid_obs), grid_loads.copy()
@@ -1198,3 +1202,21 @@ def test_average_by_setting(grid_obs):
     collapsed = average_by_setting([grid_obs[0], grid_obs[0]])
     assert len(collapsed) == 1
     assert collapsed[0].V == grid_obs[0].V
+
+
+def test_average_by_setting_derives_rates_from_the_mean_unknowns(params, grid_obs):
+    """Two different observations of one spiral setting average to the
+    observation of their mean unknowns: its loads, body rates included,
+    are those of the mean attitude and yaw rate."""
+    from dataclasses import replace
+
+    a = grid_obs[20]
+    b = replace(a, theta=a.theta + 0.02, phi=a.phi - 0.05, psidot=1.3 * a.psidot, V=1.05 * a.V,
+                alpha=a.alpha + 0.01, beta=a.beta + 0.005)
+    (averaged,) = average_by_setting([a, b])
+    names = ("theta", "phi", "psidot", "V", "alpha", "beta")
+    mean = SteadyObservation(**{name: (getattr(a, name) + getattr(b, name)) / 2.0
+                                for name in names},
+                             Fl=a.Fl, Fr=a.Fr, rbar=a.rbar, kind=a.kind)
+    assert invert_aero(averaged, params).as_array().tobytes() == \
+        invert_aero(mean, params).as_array().tobytes()
