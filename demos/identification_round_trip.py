@@ -3,10 +3,11 @@ compare it against the truth model that generated the data.
 
 Builds the full survey grid (11 equal-thrust trims plus 36 differential
 spirals), inverts the rigid-body balance for the aerodynamic loads at
-each point, and fits the polynomial coefficient model.  Noise-free, the
-fit recovers every coefficient to within 1e-6 relative error; with 2%
-multiplicative load noise the significant coefficients are still
-recovered to within about 10%.
+each point, and fits the polynomial coefficient model to the solutions
+themselves: a solved equilibrium is an identification observation.
+Noise-free, the fit recovers every coefficient to within 1e-6 relative
+error; with 2% multiplicative load noise the significant coefficients are
+still recovered to within about 10%.
 """
 
 import numpy as np
@@ -14,18 +15,15 @@ import numpy as np
 from blimpdyn import fit, load_bundled, solve_spiral
 from blimpdyn.aero import PARAM_NAMES
 from blimpdyn.cli import TRIM_DRX_CM, TRIM_THRUST, spiral_cells
-from blimpdyn.sysid import invert_aero, observation_from_solution
+from blimpdyn.sysid import invert_aero
 
 
 def build_grid(params, model):
-    """The trim and spiral survey grids of the CLI, as steady observations."""
+    """The equilibria of the trim and spiral survey grids of the CLI, the
+    steady observations of the fit."""
     cells = [(drx_cm, TRIM_THRUST, TRIM_THRUST) for drx_cm in TRIM_DRX_CM]
     cells += [(drx_cm, Fl, Fr) for drx_cm, _, Fl, Fr in spiral_cells()]
-    obs = []
-    for drx_cm, Fl, Fr in cells:
-        sol = solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model)
-        obs.append(observation_from_solution(sol, drx_cm * 1e-2, Fl, Fr, params))
-    return obs
+    return [solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model) for drx_cm, Fl, Fr in cells]
 
 
 def report(label, truth, fitted, min_magnitude=0.0):

@@ -26,4 +26,4 @@ from .frames import (
 )
 from .paramio import load_bundled, read_aero, read_params
 from .simulate import InputSchedule, Segment, Trajectory, glide_metrics, integrate, turning_radius_series
-from .sysid import FitResult, SteadyObservation, TrialRecord, extract_steady, fit, invert_aero, load_trials, mirror_augment
+from .sysid import FitResult, TrialRecord, extract_steady, fit, invert_aero, load_trials, mirror_augment

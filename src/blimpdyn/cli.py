@@ -258,7 +258,7 @@ def cmd_identify(args, params, model):
 def cmd_linearize(args, params, model):
     F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
-    A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
+    A = linearize(sol, ControlInput(F, F), sol.rbar, params, model)
     report = eigen_report(A)
     evs = np.array(sorted(report.eigenvalues, key=lambda z: z.real))
     rows = _float_rows(np.arange(len(evs)), evs.real, evs.imag)

@@ -4,6 +4,11 @@ about equilibria, and eigenvalue stability reporting.
 A steady solution is parameterized by the six unknowns
 (theta, phi, psidot, V, alpha, beta); the body velocity and rates are
 derived from them, which keeps the Newton system 6x6 and well-scaled.
+`SteadySolution` is the one record of a steady state: the six unknowns,
+the setting that flies them (thrusts, moving-mass position, kind) and
+the residual norm of the solve, NaN where nothing was solved, so a
+system-identification observation (`sysid`) is the same record; its
+body velocity and rates are derived, never stored.
 The Jacobian of the residual in those unknowns is exact (`_raw_jacobian`):
 the chain rule through the kinematics, the aero partials and the balance
 tangents of the vehicle's bound kernel (`dynamics.bind`), which each
@@ -60,7 +65,7 @@ the kernel's block solve; nothing here is differentiated by finite
 differences.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 from operator import mul
 
@@ -78,6 +83,7 @@ from .frames import (
     _check_attitude,
     _check_rail_offset,
     rotation_body_to_inertial,
+    wrap_angle,
 )
 
 # Length scale floor for nondimensionalizing the moment residual [m].
@@ -135,7 +141,15 @@ class EigenFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SteadySolution:
-    """Converged steady-flight equilibrium."""
+    """One steady flight condition, solved or observed: the six unknowns of
+    the steady balance (attitude, yaw rate, airspeed and aerodynamic
+    angles) and the setting that flies it (the thrusts, the moving-mass
+    position and the kind).  `residual_norm` is the solve's polished
+    residual norm, NaN where nothing was solved (an extracted, averaged or
+    mirrored record).  The body velocity `v_b` and rates `w_b`
+    psidot * (-sin theta, sin phi cos theta, cos phi cos theta) follow from
+    the unknowns (`_unknowns_to_kinematics`), and `stalled` from alpha,
+    set as the record is built, so `dataclasses.replace` sets it again."""
 
     theta: float
     phi: float
@@ -143,11 +157,32 @@ class SteadySolution:
     V: float
     alpha: float
     beta: float
-    v_b: np.ndarray
-    w_b: np.ndarray
-    residual_norm: float
+    Fl: float
+    Fr: float
+    rbar: np.ndarray
     kind: str
-    stalled: bool = False
+    residual_norm: float = math.nan
+    mirrored: bool = False
+    stalled: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stalled", bool(abs(self.alpha) > aeromod.STALL_ALPHA))
+
+    @property
+    def unknowns(self):
+        """(theta, phi, psidot, V, alpha, beta), in the order
+        `_unknowns_to_kinematics` takes them."""
+        return self.theta, self.phi, self.psidot, self.V, self.alpha, self.beta
+
+    @property
+    def v_b(self):
+        """Body velocity [m/s]."""
+        return np.array(_unknowns_to_kinematics(self.unknowns)[:3])
+
+    @property
+    def w_b(self):
+        """Body rates [rad/s]."""
+        return np.array(_unknowns_to_kinematics(self.unknowns)[3:6])
 
     def state(self, rbar):
         """Vehicle State at this equilibrium (position and yaw set to zero)."""
@@ -438,26 +473,18 @@ def _damped_newton(fun, jac, x0, tol=TOL):
     return np.array(x), fnorm
 
 
-def _make_solution(x, fnorm, kind):
-    """The `SteadySolution` of the converged unknowns x; an airspeed that
-    is not positive (the vehicle flying backwards) raises `NoConvergence`."""
+def _make_solution(x, fnorm, kind, Fl, Fr, rbar):
+    """The `SteadySolution` of the converged unknowns x at its setting; an
+    airspeed that is not positive (the vehicle flying backwards) raises
+    `NoConvergence`.  A pitch or roll outside (-pi, pi] is wrapped into it
+    (`frames.wrap_angle`); one inside keeps its bits."""
     if not x[3] > 0.0:
         raise NoConvergence(f"equilibrium airspeed {x[3]:.3g} m/s is not positive "
                             f"(residual {fnorm:.3e})")
-    k = _unknowns_to_kinematics(x)
-    return SteadySolution(
-        theta=float(x[0]),
-        phi=float(x[1]),
-        psidot=float(x[2]),
-        V=float(x[3]),
-        alpha=float(x[4]),
-        beta=float(x[5]),
-        v_b=np.array(k[:3]),
-        w_b=np.array(k[3:6]),
-        residual_norm=float(fnorm),
-        kind=kind,
-        stalled=bool(abs(x[4]) > aeromod.STALL_ALPHA),
-    )
+    theta, phi, psidot, V, alpha, beta = x.tolist()
+    theta, phi = (a if -math.pi < a <= math.pi else float(wrap_angle(a)) for a in (theta, phi))
+    return SteadySolution(theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta,
+                          Fl=Fl, Fr=Fr, rbar=rbar, kind=kind, residual_norm=float(fnorm))
 
 
 def _initial_alpha(params, model):
@@ -501,7 +528,7 @@ def solve_straight(dr_x, F, params, model):
     x, fnorm = _straight_trim(F, _rail_system(dr_x, params, kernel), params, model, kernel)
     # residual_norm covers the solved planar subsystem; lateral components
     # are identically zero only for a y-symmetric vehicle.
-    return _make_solution(x, fnorm, "straight")
+    return _make_solution(x, fnorm, "straight", F, F, params.rail_position(dr_x))
 
 
 def _spiral_newton(x0, Fl, Fr, system, kernel, tol=TOL):
@@ -586,20 +613,21 @@ def solve_spiral(dr_x, Fl, Fr, params, model):
     that walk raises `ContinuationBreakdown`, a failed last step
     `NoConvergence`."""
     kernel = bind(params, model)
-    kind = "straight" if Fl == Fr else "spiral"
+    setting = ("straight" if Fl == Fr else "spiral", Fl, Fr, params.rail_position(dr_x))
     try:
-        return _make_solution(*_solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel), kind)
+        return _make_solution(*_solve_spiral_direct(dr_x, Fl, Fr, params, model, kernel),
+                              *setting)
     except NoConvergence:
         if abs(dr_x) < 1e-12:
             raise
     x, fnorm = _solve_spiral_direct(0.0, Fl, Fr, params, model, kernel, SEED_TOL)
     tangent = _rail_tangent(x, fnorm, params.rbar0.tolist(), kernel, params.mbar)
     try:
-        return _make_solution(*_rail_walk(x, tangent, dr_x, 1, Fl, Fr, params, kernel), kind)
+        return _make_solution(*_rail_walk(x, tangent, dr_x, 1, Fl, Fr, params, kernel), *setting)
     except NoConvergence:
         pass
     return _make_solution(*_rail_walk(x, tangent, dr_x, RAIL_STEPS, Fl, Fr, params, kernel),
-                          kind)
+                          *setting)
 
 
 def turning_radius(sol):
@@ -632,8 +660,7 @@ def linearize(sol, control, rbar, params, model):
     """
     rx, ry, rz = np.asarray(rbar, dtype=float).reshape(3).tolist()
     phi, theta = sol.phi, sol.theta
-    u, v, w = sol.v_b.tolist()
-    p, q, r = sol.w_b.tolist()
+    u, v, w, p, q, r = _unknowns_to_kinematics(sol.unknowns)[:6]
     if abs(theta) >= math.pi / 2 - GIMBAL_EPS:
         raise GimbalLock(f"pitch angle {theta:.4f} rad too close to +-pi/2")
     _check_attitude(phi, theta)

@@ -15,19 +15,22 @@ The position smoother is a Savitzky-Golay operator built once per window
 length: the least-squares projection onto quadratics, whose middle row is
 the interior convolution and whose outer rows are the edge fits.  The
 extraction smooths and differentiates only the tail of a log that its
-windows read.  A steady observation is the six unknowns
-(theta, phi, psidot, V, alpha, beta) of the trim and spiral solvers, with
-its setting; its body velocity, body rates and down axis are derived from
-them by the solvers' own kinematics (`equilibria._unknowns_to_kinematics`),
-never stored.  The load inversion is one function of an observation, on
-floats (those kinematics, the bound balance of `dynamics._bind_balance`
-and `aero._body_to_wind`), which `fit` maps over the observations and
-`invert_aero` calls on one; the rail, attitude and angle rules are those
-of `frames`.  The model is linear in its coefficients and
-each load channel has its own, so the fit is an exact weighted
-least-squares solve per channel, done as two stacked solves (the three
-forces and the three moments), each one batched SVD that also gives the
-condition numbers; the bound damping <= 0 is met by one active-set step.
+windows read.  A steady observation is the solvers' own record,
+`equilibria.SteadySolution`: the six unknowns
+(theta, phi, psidot, V, alpha, beta) and the setting, with a NaN residual
+norm where nothing was solved (`fit` never reads it), so `fit` and
+`invert_aero` take solver output directly; its body velocity, body rates
+and down axis are derived from the unknowns by the solvers' kinematics
+(`equilibria._unknowns_to_kinematics`), never stored.  The load inversion
+is one function of an observation, on floats (those kinematics, the bound
+balance of `dynamics._bind_balance` and `aero._body_to_wind`), which `fit`
+maps over the observations and `invert_aero` calls on one; the rail,
+attitude and angle rules are those of `frames`.  The model is linear in
+its coefficients and each load channel has its own, so the fit is an
+exact weighted least-squares solve per channel, done as two stacked
+solves (the three forces and the three moments), each one batched SVD
+that also gives the condition numbers; the bound damping <= 0 is met by
+one active-set step.
 """
 
 import functools
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import aero as aeromod
 from .dynamics import _bind_balance
-from .equilibria import _unknowns_to_kinematics
+from .equilibria import SteadySolution, _unknowns_to_kinematics
 from .frames import (
     GF_TO_N,
     _check_aero_angles,
@@ -90,26 +93,6 @@ class TrialRecord:
     t: np.ndarray              # s, strictly increasing
     pos: np.ndarray            # (n, 3) m
     euler: np.ndarray          # (n, 3) rad (phi, theta, psi)
-
-
-@dataclass(frozen=True)
-class SteadyObservation:
-    """One steady flight condition: the six unknowns of the steady balance
-    (attitude, yaw rate, airspeed and aerodynamic angles) and the setting
-    that flew it.  The body rates psidot * (-sin theta, sin phi cos theta,
-    cos phi cos theta) follow from the unknowns, by
-    `equilibria._unknowns_to_kinematics`."""
-    theta: float
-    phi: float
-    psidot: float
-    V: float
-    alpha: float
-    beta: float
-    Fl: float
-    Fr: float
-    rbar: np.ndarray
-    kind: str
-    mirrored: bool = False
 
 
 @dataclass(frozen=True)
@@ -280,7 +263,8 @@ def _smooth_velocity(dt, pos, head):
 
 
 def extract_steady(rec, window, params):
-    """Reduce a trial to one averaged SteadyObservation over its tail.
+    """Reduce a trial to one averaged steady observation over its tail: a
+    `SteadySolution` whose residual norm is NaN, since nothing was solved.
 
     A window is `window` seconds of samples at the median sample spacing
     (`wlen` samples), and the final window is the last `wlen` samples.  The
@@ -333,7 +317,7 @@ def extract_steady(rec, window, params):
     # Yaw rate: the least-squares slope of the unwrapped yaw over the window.
     tc = t[sl] - t_m
     psidot = float(tc @ (psi - psi_m) / (tc @ tc))
-    return SteadyObservation(
+    return SteadySolution(
         theta=theta_m,
         phi=phi_m,
         psidot=psidot,
@@ -345,29 +329,6 @@ def extract_steady(rec, window, params):
         rbar=params.rail_position(rec.dr_x),
         kind=rec.kind,
     )
-
-
-def observation_from_solution(sol, dr_x, Fl, Fr, params):
-    """Build a SteadyObservation directly from a converged equilibrium
-    (noise-free synthetic data for identification studies)."""
-    return SteadyObservation(
-        theta=sol.theta,
-        phi=sol.phi,
-        psidot=sol.psidot,
-        V=sol.V,
-        alpha=sol.alpha,
-        beta=sol.beta,
-        Fl=Fl,
-        Fr=Fr,
-        rbar=params.rail_position(dr_x),
-        kind=sol.kind,
-    )
-
-
-def _unknowns(obs):
-    """The steady unknowns (theta, phi, psidot, V, alpha, beta) of an
-    observation, in the order `equilibria._unknowns_to_kinematics` takes."""
-    return obs.theta, obs.phi, obs.psidot, obs.V, obs.alpha, obs.beta
 
 
 def _bind_inversion(params):
@@ -395,7 +356,7 @@ def _bind_inversion(params):
         _check_attitude(obs.phi, obs.theta)
         rx, ry, rz = obs.rbar.tolist()
         fx, fy, fz, tx, ty, tz = balance(
-            mass_terms(rx, ry, rz), *_unknowns_to_kinematics(_unknowns(obs)),
+            mass_terms(rx, ry, rz), *_unknowns_to_kinematics(obs.unknowns),
             rx, ry, rz, 0.0, 0.0, 0.0, obs.Fl, obs.Fr)
         return body_to_wind(cos(a), sin(a), cos(b), sin(b), -fx, -fy, -fz, -tx, -ty, -tz)
 
@@ -413,13 +374,15 @@ def average_by_setting(observations):
 
     Repeated trials of one setting collapse to a single observation whose
     six unknowns are the means of theirs, so its body rates are those of
-    its mean attitude and yaw rate; the default identification pipeline is
-    per-trial, this is the per-setting alternative."""
+    its mean attitude and yaw rate, and whose residual norm is NaN; the
+    default identification pipeline is per-trial, this is the per-setting
+    alternative."""
     groups = {}
     for obs in observations:
         key = (obs.kind, round(obs.rbar[0], 9), round(obs.Fl, 12), round(obs.Fr, 12), obs.mirrored)
         groups.setdefault(key, []).append(obs)
-    return [replace(group[0], **{name: float(np.mean([getattr(o, name) for o in group]))
+    return [replace(group[0], residual_norm=math.nan,
+                    **{name: float(np.mean([getattr(o, name) for o in group]))
                        for name in ("theta", "phi", "psidot", "V", "alpha", "beta")})
             for group in groups.values()]
 
@@ -429,7 +392,8 @@ def mirror_augment(observations):
 
     The reflection negates (phi, psidot, beta), preserves
     (theta, V, alpha), swaps the thrusts, and negates rbar_y; the body
-    rates follow, p and r negated and q kept.  Straight observations are
+    rates follow, p and r negated and q kept.  A mirror image was not
+    solved, so its residual norm is NaN.  Straight observations are
     their own mirror and are not duplicated."""
     out = list(observations)
     for obs in observations:
@@ -446,6 +410,7 @@ def mirror_augment(observations):
                 Fl=obs.Fr,
                 Fr=obs.Fl,
                 rbar=rbar,
+                residual_norm=math.nan,
                 mirrored=True,
             )
         )
@@ -587,7 +552,7 @@ def fit(observations, params, loads=None):
         if len(loads) != len(observations):
             raise ValueError("loads must align with observations")
 
-    unknowns = list(map(_unknowns, observations))
+    unknowns = [o.unknowns for o in observations]
     for what, rows in (("aerodynamic angles, airspeed or body rates", unknowns), ("loads", loads)):
         finite = np.isfinite(rows)
         if not finite.all():

@@ -44,7 +44,6 @@ from .sysid import (
     MANIFEST_COLUMNS,
     fit,
     invert_aero,
-    observation_from_solution,
     trajectory_to_trial,
     write_trial,
 )
@@ -118,7 +117,7 @@ def criterion_4():
     params, model = _bundle()
     F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
-    A = linearize(sol, ControlInput(F, F), params.rbar0, params, model)
+    A = linearize(sol, ControlInput(F, F), sol.rbar, params, model)
     report = eigen_report(A)
     slowest = float(report.slowest_mode.real)
     primary = report.hurwitz and abs(slowest - (-0.37)) <= 0.10
@@ -145,7 +144,7 @@ def criterion_5():
         # setting; the planar trim alone is not an exact equilibrium of the
         # slightly asymmetric vehicle.
         full = solve_spiral(dr_x, F, F, params, model)
-        state0 = full.state(params.rail_position(dr_x))
+        state0 = full.state(full.rbar)
         traj = integrate(state0, InputSchedule.constant(F, F, 10.0),
                          params, model, T=10.0)
         if traj.status != "ok":
@@ -212,7 +211,7 @@ def criterion_6():
     plateau_sols = [sols.get((0, diff)) for diff in diffs]
     worst_plateau = np.inf
     if None not in plateau_sols:
-        state0 = plateau_sols[0].state(params.rbar0)
+        state0 = plateau_sols[0].state(plateau_sols[0].rbar)
         traj = integrate(state0, InputSchedule(tuple(segs)), params, model,
                          T=plateau * len(diffs))
         worst_plateau = 0.0
@@ -233,17 +232,11 @@ def criterion_6():
 
 
 def _grid_observations(params, model):
-    obs = []
-    F = TRIM_THRUST
-    for drx_cm in TRIM_DRX_CM:
-        dr_x = drx_cm * 1e-2
-        sol = solve_spiral(dr_x, F, F, params, model)
-        obs.append(observation_from_solution(sol, dr_x, F, F, params))
-    for drx_cm, _, Fl, Fr in spiral_cells():
-        dr_x = drx_cm * 1e-2
-        sol = solve_spiral(dr_x, Fl, Fr, params, model)
-        obs.append(observation_from_solution(sol, dr_x, Fl, Fr, params))
-    return obs
+    """The equilibria of the trim and spiral survey grids of the CLI, which
+    `fit` takes as its observations."""
+    cells = [(drx_cm, TRIM_THRUST, TRIM_THRUST) for drx_cm in TRIM_DRX_CM]
+    cells += [(drx_cm, Fl, Fr) for drx_cm, _, Fl, Fr in spiral_cells()]
+    return [solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model) for drx_cm, Fl, Fr in cells]
 
 
 def criterion_7():
@@ -321,7 +314,7 @@ def _synthetic_trial_set(workdir):
         dr_x = drx_cm * 1e-2
         Fl, Fr = fl_gf * gf, fr_gf * gf
         sol = solve_spiral(dr_x, Fl, Fr, params, model)
-        state0 = sol.state(params.rail_position(dr_x))
+        state0 = sol.state(sol.rbar)
         traj = integrate(state0, InputSchedule.constant(Fl, Fr, 6.0),
                          params, model, T=6.0)
         rec = trajectory_to_trial(traj, f"t{i:02d}", kind, dr_x, Fl, Fr)

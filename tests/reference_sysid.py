@@ -36,6 +36,7 @@ from reference_matrix import wind_to_body
 from scipy.signal import savgol_filter
 
 from blimpdyn import aero as aeromod
+from blimpdyn.equilibria import SteadySolution
 from blimpdyn.frames import (
     AeroAngles,
     EulerAngles,
@@ -56,7 +57,6 @@ from blimpdyn.sysid import (
     NotSteady,
     RankDeficient,
     SchemaError,
-    SteadyObservation,
     UnitError,
     _bad_trial_row,
     _lstsq,
@@ -113,7 +113,7 @@ def reference_extract_steady(rec, window, params):
     psidot = float(np.polyfit(rec.t[sl], psi_unwrapped[sl], 1)[0])
     theta_m = float(np.mean(theta[sl]))
     phi_m = float(np.mean(rec.euler[sl, 0]))
-    return SteadyObservation(
+    return SteadySolution(
         theta=theta_m,
         phi=phi_m,
         psidot=psidot,
@@ -226,7 +226,7 @@ def prior_extract_steady(rec, window, params):
     psidot = float(tc @ (psi - np.mean(psi)) / (tc @ tc))
     theta_m = float(np.mean(theta[sl]))
     phi_m = float(np.mean(euler[sl, 0]))
-    return SteadyObservation(
+    return SteadySolution(
         theta=theta_m,
         phi=phi_m,
         psidot=psidot,

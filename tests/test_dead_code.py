@@ -35,6 +35,10 @@ and a guard against finite-difference derivatives there.
   angles" is raised only by `frames._check_attitude` and by the kernel's
   `deriv`, which runs at every RK4 stage; and an angle is wrapped by a
   modulo of pi only in `frames.wrap_angle`.
+- A steady state has one record: of the classes of the package, only
+  `equilibria.SteadySolution` declares all six steady unknowns
+  (theta, phi, psidot, V, alpha, beta) as fields, so a solved equilibrium
+  and an identification observation are the same record.
 - The CLI's verb table `cli._VERBS` is the one list of each verb's
   options: the subparser of each verb accepts exactly the options its row
   declares, and each declared option is read as `args.<option>` by the
@@ -805,6 +809,56 @@ def test_frames_convention_gates_see_copies():
     assert rail_comparisons(modules) == ["m.<module>", "m.solve"]
     assert euler_angle_raisers(modules) == ["m.Pose.check", "m.bind.deriv"]
     assert angle_wrappers(modules) == ["m.Pose.wrap", "m.bind.deriv"]
+
+
+STEADY_UNKNOWNS = ("theta", "phi", "psidot", "V", "alpha", "beta")
+
+
+def steady_records(modules):
+    """The classes of `modules`, (file name, parsed module) pairs, at any
+    depth, whose body declares every one of `STEADY_UNKNOWNS` as a field
+    (annotated or assigned), as module.Class."""
+    found = []
+    for mod, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields = {name for stmt in node.body
+                          if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                          for name in _defined(stmt)}
+                if fields.issuperset(STEADY_UNKNOWNS):
+                    found.append(f"{mod[:-3]}.{node.name}")
+    return sorted(found)
+
+
+def test_steady_states_have_one_record():
+    assert steady_records(list(_modules())) == ["equilibria.SteadySolution"]
+
+
+def test_steady_record_gate_sees_a_copy():
+    """The gate reports a second record of the six unknowns, as a dataclass
+    with more fields, as a named tuple nested in a function or as plain
+    class attributes, but not a class that lacks one of them or derives it
+    as a property."""
+    src = ("from dataclasses import dataclass\n"
+           "from typing import NamedTuple\n"
+           "@dataclass(frozen=True)\n"
+           "class Observation:\n"
+           "    theta: float\n    phi: float\n    psidot: float\n"
+           "    V: float\n    alpha: float\n    beta: float\n    Fl: float\n"
+           "def build():\n"
+           "    class Row(NamedTuple):\n"
+           "        beta: float\n        alpha: float\n        V: float\n"
+           "        psidot: float\n        phi: float\n        theta: float\n"
+           "    return Row\n"
+           "class Defaults:\n"
+           "    theta = phi = psidot = alpha = beta = 0.0\n    V = 1.0\n"
+           "class Planar:\n"
+           "    theta: float\n    phi: float\n    V: float\n    alpha: float\n    beta: float\n"
+           "class Derived:\n"
+           "    theta: float\n    phi: float\n    psidot: float\n    V: float\n"
+           "    alpha: float\n"
+           "    @property\n    def beta(self):\n        return 0.0\n")
+    assert steady_records([("m.py", ast.parse(src))]) == ["m.Defaults", "m.Observation", "m.Row"]
 
 
 def subparser_mismatches(parser, verbs):

@@ -18,7 +18,7 @@ from reference_kernel import (
 )
 from reference_matrix import reference_rhs, steady_residual, wind_matrix
 
-from blimpdyn import aero, equilibria
+from blimpdyn import aero, equilibria, frames
 from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
     LAMBDA_MIN,
@@ -36,7 +36,7 @@ from blimpdyn.equilibria import (
     solve_straight,
     turning_radius,
 )
-from blimpdyn.frames import GF_TO_N, RAIL_LIMIT, EulerAngles, State
+from blimpdyn.frames import GF_TO_N, RAIL_LIMIT, EulerAngles, State, aero_angles_array
 
 
 F2 = 2.0 * GF_TO_N
@@ -408,7 +408,7 @@ def test_backwards_equilibrium_is_refused(params, model):
     assert fnorm < 1e-9
     assert x[3] == pytest.approx(-0.0403, abs=1e-4) and x[4] == pytest.approx(7.64, abs=1e-2)
     with pytest.raises(NoConvergence, match=r"airspeed -0\.0403 m/s is not positive") as raised:
-        equilibria._make_solution(x, fnorm, "spiral")
+        equilibria._make_solution(x, fnorm, "spiral", Fl, Fr, params.rail_position(-0.06))
     assert (raised.value.iteration, raised.value.residual) == (None, None)
     directs = []
     direct = equilibria._solve_spiral_direct
@@ -472,12 +472,20 @@ def test_failed_one_step_walk_retries_in_rail_steps(params, model, monkeypatch):
     assert len(tangents) == 2
 
 
-def _solve_cell(solve, params, model):
+def _cell_setting(solve):
+    """(dr_x, Fl, Fr) of a planar trim, a direct spiral cell and a cell that
+    takes the moving-mass fallback."""
     if solve == "straight":
-        return solve_straight(0.01, F2, params, model)
+        return 0.01, F2, F2
     diff, dr_x = {"direct": (-3.2, -0.01), "fallback": (-4.9, 0.04)}[solve]
-    return solve_spiral(dr_x, 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N,
-                        params, model)
+    return dr_x, 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N
+
+
+def _solve_cell(solve, params, model):
+    dr_x, Fl, Fr = _cell_setting(solve)
+    if solve == "straight":
+        return solve_straight(dr_x, Fl, params, model)
+    return solve_spiral(dr_x, Fl, Fr, params, model)
 
 
 @pytest.mark.parametrize("solve", ["straight", "direct", "fallback"])
@@ -516,6 +524,60 @@ def test_stalled_is_a_python_bool(params, model, solve):
     sol = _solve_cell(solve, params, model)
     assert type(sol.stalled) is bool
     assert bytes([sol.stalled]) == b"\x00"
+
+
+@pytest.mark.parametrize("solve", ["straight", "direct", "fallback"])
+def test_solution_records_its_setting(params, model, solve):
+    """A solution records the setting it was solved at: its thrusts, and
+    the moving-mass position `params.rail_position(dr_x)` bit for bit, which
+    its state takes; it is no mirror image."""
+    dr_x, Fl, Fr = _cell_setting(solve)
+    sol = _solve_cell(solve, params, model)
+    assert (sol.Fl, sol.Fr, sol.mirrored) == (Fl, Fr, False)
+    assert sol.kind == ("straight" if Fl == Fr else "spiral")
+    assert sol.rbar.tobytes() == params.rail_position(dr_x).tobytes()
+    assert sol.state(sol.rbar).rbar.tobytes() == sol.rbar.tobytes()
+
+
+def test_replace_sets_stalled_again(params, model):
+    """`stalled` follows alpha as a record is built, so `dataclasses.replace`
+    sets it again from the new angle of attack, of either sign; it is no
+    argument of the record."""
+    sol = solve_straight(0.0, F2, params, model)
+    assert sol.stalled is False
+    for alpha in (1.01 * aero.STALL_ALPHA, -1.01 * aero.STALL_ALPHA):
+        stalled = replace(sol, alpha=alpha)
+        assert stalled.stalled is True
+        assert replace(stalled, alpha=sol.alpha).stalled is False
+    with pytest.raises(ValueError):
+        replace(sol, stalled=True)
+
+
+@pytest.mark.parametrize("theta, phi", [
+    pytest.param(0.113, 9.613, id="roll-550.8-deg"),
+    pytest.param(0.113 - 2.0 * math.pi, 0.013, id="pitch-below-minus-pi"),
+])
+def test_solution_wraps_pitch_and_roll_outside_pi(params, theta, phi):
+    """A solve reports theta and phi in (-pi, pi]: an angle outside it, such
+    as the roll of 9.613 rad (550.8 deg) an Euler seed once reached, is
+    wrapped by `frames.wrap_angle`, and the body velocity, rates and state
+    follow the wrapped angle; an angle inside it keeps its bits, though
+    `wrap_angle` would move the last bit of 0.113 and 0.013."""
+    x = np.array([theta, phi, 0.4, 0.9, 0.1, 0.05])
+    sol = equilibria._make_solution(x, 1e-12, "spiral", 0.02, 0.03, params.rail_position(0.01))
+    wrapped = [a if -math.pi < a <= math.pi else float(frames.wrap_angle(a)) for a in x[:2]]
+    assert [sol.theta, sol.phi] == wrapped
+    assert all(-math.pi < a <= math.pi for a in wrapped)
+    assert float(frames.wrap_angle(0.113)) != 0.113 and float(frames.wrap_angle(0.013)) != 0.013
+    np.testing.assert_allclose(wrapped, np.remainder(x[:2] + math.pi, 2.0 * math.pi) - math.pi,
+                               rtol=0.0, atol=1e-14)
+    k = equilibria._unknowns_to_kinematics(sol.unknowns)
+    assert sol.v_b.tolist() == list(k[:3]) and sol.w_b.tolist() == list(k[3:6])
+    np.testing.assert_allclose(sol.w_b, equilibria._unknowns_to_kinematics(x)[3:6], rtol=0.0,
+                               atol=1e-14)
+    state = sol.state(sol.rbar)
+    assert (state.e.phi, state.e.theta) == (float(frames.wrap_angle(sol.phi)), sol.theta)
+    assert state.v.tobytes() == sol.v_b.tobytes() and state.w.tobytes() == sol.w_b.tobytes()
 
 
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [
@@ -648,7 +710,7 @@ def test_planar_candidate_lateral_residuals_vanish(sym_bundle):
     equilibrium: lateral residual components are zero."""
     p, m = sym_bundle
     sol = solve_straight(0.0, F2, p, m)
-    res = steady_residual(sol, ControlInput(F2, F2), p.rbar0, p, m)
+    res = steady_residual(sol, ControlInput(F2, F2), sol.rbar, p, m)
     assert abs(res[1]) < 1e-12  # side force
     assert abs(res[3]) < 1e-12  # roll moment
     assert abs(res[5]) < 1e-12  # yaw moment
@@ -753,8 +815,7 @@ def test_solution_state_is_dynamic_equilibrium(params, model):
     Fr = 0.5 * (7.0 - 3.7) * GF_TO_N
     dr_x = 0.02
     sol = solve_spiral(dr_x, Fl, Fr, params, model)
-    rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
-    d = bind(params, model).deriv(*sol.state(rbar).as_vector()[3:].tolist(), Fl, Fr,
+    d = bind(params, model).deriv(*sol.state(sol.rbar).as_vector()[3:].tolist(), Fl, Fr,
                                   0.0, 0.0, 0.0)
     assert np.max(np.abs(d[6:9])) < 1e-8
     assert np.max(np.abs(d[9:12])) < 1e-8
@@ -771,8 +832,7 @@ def test_spiral_radius_decreases_with_differential(params, model):
 
 def test_linearize_shape_and_stability(params, model):
     sol = solve_straight(0.0, F2, params, model)
-    A = linearize(sol, ControlInput(F2, F2), params.rbar0,
-                  params, model)
+    A = linearize(sol, ControlInput(F2, F2), sol.rbar, params, model)
     assert A.shape == (8, 8)
     report = eigen_report(A)
     assert report.hurwitz
@@ -804,10 +864,9 @@ def test_linearize_matches_finite_differences(lin_vehicles, vehicle, drx_cm, tot
                else solve_spiral(dr_x, Fl, Fr, p, m))
     except NoConvergence:
         assume(False)
-    rbar = p.rbar0 + np.array([dr_x, 0.0, 0.0])
     control = ControlInput(Fl, Fr)
-    A = linearize(sol, control, rbar, p, m)
-    ref = reference_linearize(sol, control, rbar, p, m)
+    A = linearize(sol, control, sol.rbar, p, m)
+    ref = reference_linearize(sol, control, sol.rbar, p, m)
     np.testing.assert_allclose(A, ref, rtol=0.0, atol=1e-6 * np.max(np.abs(ref)))
 
 
@@ -815,10 +874,13 @@ def test_linearize_matches_finite_differences(lin_vehicles, vehicle, drx_cm, tot
                                  (0.4e-6, -0.8, 0.0)])
 def test_linearize_rejects_airspeed_below_v_min(params, model, v_b):
     """Below V_MIN in airspeed or in hypot(u, w) `deriv` switches the aero
-    angles off, and they have no derivative: a ValueError, not a matrix."""
-    sol = replace(solve_straight(0.0, F2, params, model), v_b=np.array(v_b))
+    angles off, and they have no derivative: a ValueError, not a matrix.
+    The trim's body velocity is replaced through its unknowns V, alpha and
+    beta, from which `v_b` follows."""
+    alpha, beta, V = (float(a[0]) for a in aero_angles_array([v_b]))
+    sol = replace(solve_straight(0.0, F2, params, model), V=V, alpha=alpha, beta=beta)
     with pytest.raises(ValueError, match="V_MIN"):
-        linearize(sol, ControlInput(F2, F2), params.rbar0, params, model)
+        linearize(sol, ControlInput(F2, F2), sol.rbar, params, model)
 
 
 @pytest.mark.parametrize("field", ["phi", "theta"])
@@ -827,7 +889,7 @@ def test_linearize_rejects_non_finite_euler_angles(params, model, field):
     matrix of nan."""
     sol = replace(solve_straight(0.0, F2, params, model), **{field: float("nan")})
     with pytest.raises(ValueError, match="non-finite Euler angles"):
-        linearize(sol, ControlInput(F2, F2), params.rbar0, params, model)
+        linearize(sol, ControlInput(F2, F2), sol.rbar, params, model)
 
 
 def test_wingless_slowest_mode():
@@ -835,7 +897,7 @@ def test_wingless_slowest_mode():
 
     p, m = load_bundled(wingless=True)
     sol = solve_straight(0.0, F2, p, m)
-    A = linearize(sol, ControlInput(F2, F2), p.rbar0, p, m)
+    A = linearize(sol, ControlInput(F2, F2), sol.rbar, p, m)
     report = eigen_report(A)
     assert report.hurwitz
     slowest = max(ev.real for ev in report.eigenvalues)

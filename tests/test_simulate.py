@@ -174,7 +174,7 @@ class TestGotoProfile:
 
 def test_equilibrium_hold(params, model):
     sol = solve_spiral(0.0, F2, F2, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(F2, F2, 5.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(F2, F2, 5.0),
                      params, model, T=5.0)
     assert traj.status == "ok"
     drift = np.max(np.abs(traj.states[-1][6:12] - traj.states[0][6:12]))
@@ -187,7 +187,7 @@ def test_goto_moves_mass_to_target(params, model):
         Segment(3.0, 5.0, F2, F2, mm_cmd="hold"),
     ))
     sol = solve_straight(0.0, F2, params, model)
-    traj = integrate(sol.state(params.rbar0), sched, params, model, T=5.0)
+    traj = integrate(sol.state(sol.rbar), sched, params, model, T=5.0)
     assert traj.status == "ok"
     assert np.isclose(traj.states[-1][12], params.rbar0[0] + 0.02, atol=1e-12)
     assert np.allclose(traj.states[-1][15:18], 0.0, atol=1e-12)
@@ -304,7 +304,8 @@ def _reference_cases(params, model):
     ))
     # Holds from the steady 2 gf glide: rbar never moves, so every stage
     # reuses the kernel's entry for it.
-    glide = solve_straight(0.0, F2, params, model).state(params.rbar0)
+    trim = solve_straight(0.0, F2, params, model)
+    glide = trim.state(trim.rbar)
     hold = InputSchedule((
         Segment(0.0, 0.5, 2.0 * gf, 2.0 * gf),
         Segment(0.5, 1.5, 1.4 * gf, 2.6 * gf),
@@ -473,7 +474,7 @@ def test_turning_radius_series_matches_equilibrium(params, model):
     Fl = 0.5 * (7.0 + 4.4) * GF_TO_N
     Fr = 0.5 * (7.0 - 4.4) * GF_TO_N
     sol = solve_spiral(0.0, Fl, Fr, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(Fl, Fr, 5.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(Fl, Fr, 5.0),
                      params, model, T=5.0)
     mask = traj.t >= 2.0
     assert np.isclose(np.median(traj.R[mask]), turning_radius(sol), rtol=0.02)
@@ -483,7 +484,7 @@ def test_turning_radius_series_straight_is_inf(params, model):
     sol = solve_straight(0.0, F2, params, model)
     p, m = params.symmetrized(), model.symmetrized()
     sol = solve_straight(0.0, F2, p, m)
-    traj = integrate(sol.state(p.rbar0), InputSchedule.constant(F2, F2, 3.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(F2, F2, 3.0),
                      p, m, T=3.0)
     assert np.all(np.isinf(traj.R))
 
@@ -494,7 +495,7 @@ def test_turning_radius_series_at_the_run_window_is_traj_R(params, model, T, win
     at most 1 s), `turning_radius_series` returns `traj.R` bit for bit."""
     Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
     sol = solve_spiral(0.0, Fl, Fr, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(Fl, Fr, T),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(Fl, Fr, T),
                      params, model, T=T)
     assert np.isfinite(traj.R).all()
     assert turning_radius_series(traj, window).tobytes() == traj.R.tobytes()
@@ -502,7 +503,7 @@ def test_turning_radius_series_at_the_run_window_is_traj_R(params, model, T, win
 
 def test_turning_radius_window_validation(params, model):
     sol = solve_straight(0.0, F2, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(F2, F2, 2.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(F2, F2, 2.0),
                      params, model, T=2.0)
     with pytest.raises(ValueError):
         turning_radius_series(traj, window=traj.dt)
@@ -511,7 +512,7 @@ def test_turning_radius_window_validation(params, model):
 @pytest.mark.parametrize("window", [math.inf, -math.inf, math.nan])
 def test_turning_radius_rejects_a_non_finite_window(params, model, window):
     sol = solve_straight(0.0, F2, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(F2, F2, 1.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(F2, F2, 1.0),
                      params, model, T=1.0)
     with pytest.raises(ValueError, match=re.escape(
             f"window must be finite and at least 10 dt, got {window!r}")):
@@ -520,7 +521,7 @@ def test_turning_radius_rejects_a_non_finite_window(params, model, window):
 
 def test_glide_metrics_on_unpowered_glide(params, model):
     sol = solve_straight(0.0, F2, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(0.0, 0.0, 8.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(0.0, 0.0, 8.0),
                      params, model, T=8.0)
     forward, descent, ratio = glide_metrics(traj)
     assert forward.shape == traj.t.shape
@@ -531,7 +532,7 @@ def test_glide_metrics_on_unpowered_glide(params, model):
 def test_glide_metrics_degenerate_on_climb(params, model):
     # The stock powered trim climbs slightly; descent rate is negative.
     sol = solve_straight(0.0, F2, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(F2, F2, 3.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(F2, F2, 3.0),
                      params, model, T=3.0)
     with pytest.raises(DegenerateDescent):
         glide_metrics(traj)
@@ -584,7 +585,7 @@ def test_trajectory_analysis_matches_per_sample_formulas(params, model, start):
     if start == "spiral":
         Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
         sol = solve_spiral(0.0, Fl, Fr, params, model)
-        s0 = sol.state(params.rbar0)
+        s0 = sol.state(sol.rbar)
     else:
         Fl = Fr = 0.0
         s0 = _rest_state(params)
@@ -636,7 +637,7 @@ def test_turning_radius_series_matches_medfilt(params, model, T, window, non_fin
 
     Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
     sol = solve_spiral(0.0, Fl, Fr, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(Fl, Fr, T),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(Fl, Fr, T),
                      params, model, T=T)
     if non_finite:
         states, psidot = traj.states.copy(), traj.psidot.copy()

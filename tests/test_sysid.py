@@ -23,7 +23,12 @@ from reference_sysid import (
 
 from blimpdyn import aero, sysid
 from blimpdyn.aero import AeroModel, aero_loads
-from blimpdyn.equilibria import solve_spiral, solve_straight
+from blimpdyn.equilibria import (
+    SteadySolution,
+    _unknowns_to_kinematics,
+    solve_spiral,
+    solve_straight,
+)
 from blimpdyn.frames import (
     GF_TO_N,
     AeroAngles,
@@ -38,7 +43,6 @@ from blimpdyn.sysid import (
     NotSteady,
     RankDeficient,
     SchemaError,
-    SteadyObservation,
     TrialRecord,
     UnitError,
     _median,
@@ -50,7 +54,6 @@ from blimpdyn.sysid import (
     invert_aero,
     load_trials,
     mirror_augment,
-    observation_from_solution,
     trajectory_to_trial,
     write_trial,
 )
@@ -79,19 +82,14 @@ def _reference_trial_parse(path):
 
 @pytest.fixture(scope="module")
 def grid_obs(params, model):
-    """Noise-free observations over the full survey grid."""
-    obs = []
-    for drx_cm in range(-5, 6):
-        dr_x = drx_cm * 1e-2
-        sol = solve_spiral(dr_x, F2, F2, params, model)
-        obs.append(observation_from_solution(sol, dr_x, F2, F2, params))
+    """Noise-free observations over the full survey grid: the solutions
+    themselves."""
+    obs = [solve_spiral(drx_cm * 1e-2, F2, F2, params, model) for drx_cm in range(-5, 6)]
     for drx_cm in (-1, 0, 1, 2, 3, 4):
         for diff in (-3.2, -3.7, -4.2, -4.3, -4.4, -4.9):
             Fl = 0.5 * (7.0 + diff) * GF_TO_N
             Fr = 0.5 * (7.0 - diff) * GF_TO_N
-            dr_x = drx_cm * 1e-2
-            sol = solve_spiral(dr_x, Fl, Fr, params, model)
-            obs.append(observation_from_solution(sol, dr_x, Fl, Fr, params))
+            obs.append(solve_spiral(drx_cm * 1e-2, Fl, Fr, params, model))
     return obs
 
 
@@ -101,7 +99,7 @@ def steady_trial(params, model):
     Fl = 0.5 * (7.0 + 4.4) * GF_TO_N
     Fr = 0.5 * (7.0 - 4.4) * GF_TO_N
     sol = solve_spiral(0.0, Fl, Fr, params, model)
-    traj = integrate(sol.state(params.rbar0), InputSchedule.constant(Fl, Fr, 6.0),
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(Fl, Fr, 6.0),
                      params, model, T=6.0)
     rec = trajectory_to_trial(traj, "t00", "spiral", 0.0, Fl, Fr)
     return sol, rec
@@ -723,6 +721,7 @@ class TestExtractSteady:
         np.testing.assert_allclose(got.V, ref.V, rtol=1e-12, atol=0)
         assert (got.Fl, got.Fr, got.kind, got.mirrored) == (ref.Fl, ref.Fr, ref.kind, ref.mirrored)
         np.testing.assert_array_equal(got.rbar, ref.rbar)
+        assert math.isnan(got.residual_norm)
 
     def test_short_record_rejected(self, params, steady_trial):
         _, rec = steady_trial
@@ -819,9 +818,7 @@ class TestInvertAero:
 
     def test_straight_lateral_loads_vanish(self, sym_bundle):
         p, m = sym_bundle
-        sol = solve_straight(0.0, F2, p, m)
-        obs = observation_from_solution(sol, 0.0, F2, F2, p)
-        inv = invert_aero(obs, p)
+        inv = invert_aero(solve_straight(0.0, F2, p, m), p)
         assert abs(inv.S) < 1e-10
         assert abs(inv.M1) < 1e-10
         assert abs(inv.M3) < 1e-10
@@ -870,8 +867,8 @@ class TestInvertAero:
         rbar = params.rbar0 + np.array([dr_x, 0.0, 0.0])
         a = AeroAngles(alpha, beta, V)
         w_b = body_rates(theta, phi, psidot)
-        obs = SteadyObservation(theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha,
-                                beta=beta, Fl=Fl, Fr=Fr, rbar=rbar, kind="spiral")
+        obs = SteadySolution(theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha,
+                             beta=beta, Fl=Fl, Fr=Fr, rbar=rbar, kind="spiral")
         s = State(p=np.zeros(3), e=EulerAngles(phi, theta, 0.0),
                   v=wind_to_body(a) @ np.array([V, 0.0, 0.0]), w=w_b,
                   rbar=rbar, rbardot=np.zeros(3))
@@ -905,7 +902,7 @@ class TestInvertAero:
 
         drawn = []
         for theta, phi, psidot, V, alpha, beta, Fl, Fr, dr_x in xs:
-            drawn.append(SteadyObservation(
+            drawn.append(SteadySolution(
                 theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta,
                 Fl=Fl, Fr=Fr, rbar=params.rbar0 + np.array([dr_x, 0.0, 0.0]), kind="spiral"))
         for k, (field, value) in faults:
@@ -940,8 +937,15 @@ class TestMirrorAugment:
         assert len(out) == 47 + 36  # straights are their own mirror
 
     def test_involution_fields(self, grid_obs):
+        """The mirror image negates phi, psidot and beta and swaps the
+        thrusts; its rates follow its own unknowns, p and r negated, and it
+        was not solved, so its residual norm is NaN."""
         obs = grid_obs[15]
         mirrored = mirror_augment([obs])[1]
+        assert obs.residual_norm < 1e-9 and math.isnan(mirrored.residual_norm)
+        assert mirrored.w_b.tolist() == list(_unknowns_to_kinematics(mirrored.unknowns)[3:6])
+        np.testing.assert_allclose(mirrored.w_b, obs.w_b * [-1.0, 1.0, -1.0], rtol=1e-15,
+                                   atol=0.0)
         twice = mirror_augment([mirrored])
         assert len(twice) == 1  # already mirrored, not duplicated again
         assert mirrored.theta == obs.theta
@@ -956,8 +960,7 @@ class TestMirrorAugment:
         p, m = sym_bundle
         Fl = 0.5 * (7.0 + 4.4) * GF_TO_N
         Fr = 0.5 * (7.0 - 4.4) * GF_TO_N
-        sol = solve_spiral(0.01, Fl, Fr, p, m)
-        obs = observation_from_solution(sol, 0.01, Fl, Fr, p)
+        obs = solve_spiral(0.01, Fl, Fr, p, m)
         mirrored = mirror_augment([obs])[1]
         a = invert_aero(obs, p).as_array()
         b = invert_aero(mirrored, p).as_array()
@@ -966,6 +969,18 @@ class TestMirrorAugment:
 
 
 class TestFit:
+    def test_fit_reads_no_residual_norm(self, params, grid_obs, grid_loads):
+        """`fit` takes solver output directly and ignores its residual norm:
+        the grid's solutions and the same records with a NaN residual norm,
+        as an extracted observation carries, fit to the same bits, with and
+        without given loads."""
+        from dataclasses import replace
+
+        unsolved = [replace(o, residual_norm=math.nan) for o in grid_obs]
+        assert all(o.residual_norm < 1e-9 for o in grid_obs)
+        for kwargs in ({}, {"loads": list(grid_loads)}):
+            _assert_same_bits(fit(unsolved, params, **kwargs), fit(grid_obs, params, **kwargs))
+
     def test_round_trip_noise_free(self, params, model, grid_obs):
         result = fit(grid_obs, params)
         rel = np.abs(result.model.as_vector() - model.as_vector()) / np.abs(
@@ -1206,8 +1221,9 @@ def test_average_by_setting(grid_obs):
 
 def test_average_by_setting_derives_rates_from_the_mean_unknowns(params, grid_obs):
     """Two different observations of one spiral setting average to the
-    observation of their mean unknowns: its loads, body rates included,
-    are those of the mean attitude and yaw rate."""
+    observation of their mean unknowns: its body rates, and so its loads,
+    are those of the mean attitude and yaw rate, and its residual norm is
+    NaN, since the mean was not solved."""
     from dataclasses import replace
 
     a = grid_obs[20]
@@ -1215,8 +1231,11 @@ def test_average_by_setting_derives_rates_from_the_mean_unknowns(params, grid_ob
                 alpha=a.alpha + 0.01, beta=a.beta + 0.005)
     (averaged,) = average_by_setting([a, b])
     names = ("theta", "phi", "psidot", "V", "alpha", "beta")
-    mean = SteadyObservation(**{name: (getattr(a, name) + getattr(b, name)) / 2.0
-                                for name in names},
-                             Fl=a.Fl, Fr=a.Fr, rbar=a.rbar, kind=a.kind)
+    mean = SteadySolution(**{name: (getattr(a, name) + getattr(b, name)) / 2.0
+                             for name in names},
+                          Fl=a.Fl, Fr=a.Fr, rbar=a.rbar, kind=a.kind)
     assert invert_aero(averaged, params).as_array().tobytes() == \
         invert_aero(mean, params).as_array().tobytes()
+    assert averaged.w_b.tolist() == list(_unknowns_to_kinematics(mean.unknowns)[3:6])
+    assert averaged.w_b.tolist() != a.w_b.tolist()
+    assert a.residual_norm < 1e-9 and math.isnan(averaged.residual_norm)
