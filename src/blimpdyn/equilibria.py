@@ -476,14 +476,13 @@ def _damped_newton(fun, jac, x0, tol=TOL):
 def _make_solution(x, fnorm, kind, Fl, Fr, rbar):
     """The `SteadySolution` of the converged unknowns x at its setting; an
     airspeed that is not positive (the vehicle flying backwards) raises
-    `NoConvergence`.  A pitch or roll outside (-pi, pi] is wrapped into it
-    (`frames.wrap_angle`); one inside keeps its bits."""
+    `NoConvergence`.  Pitch and roll are wrapped to (-pi, pi] by
+    `frames.wrap_angle`, which returns an angle inside it unchanged."""
     if not x[3] > 0.0:
         raise NoConvergence(f"equilibrium airspeed {x[3]:.3g} m/s is not positive "
                             f"(residual {fnorm:.3e})")
     theta, phi, psidot, V, alpha, beta = x.tolist()
-    theta, phi = (a if -math.pi < a <= math.pi else float(wrap_angle(a)) for a in (theta, phi))
-    return SteadySolution(theta=theta, phi=phi, psidot=psidot, V=V, alpha=alpha, beta=beta,
+    return SteadySolution(wrap_angle(theta), wrap_angle(phi), psidot, V, alpha, beta,
                           Fl=Fl, Fr=Fr, rbar=rbar, kind=kind, residual_norm=float(fnorm))
 
 

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 The rules the other modules share live here: the rail check, the rail
 position (`VehicleParams.rail_position`), the attitude, aero angle and
-thrust checks, and the angle wrap.  The kernel's `deriv` repeats only the
+thrust checks, and the angle wrap, which is exact: an angle inside
+(-pi, pi] keeps its bits.  The kernel's `deriv` repeats only the
 attitude check, inline, as it runs at every RK4 stage.
 """
 
@@ -38,9 +39,16 @@ class GimbalLock(ValueError):
 
 
 def wrap_angle(x):
-    """Wrap an angle, or an array of angles, to (-pi, pi]."""
-    w = (x + np.pi) % (2.0 * np.pi) - np.pi
-    return w + 2.0 * np.pi * (w <= -np.pi)     # w is never -0.0, so w + 0.0 is w
+    """Wrap an angle, or elementwise an array of angles, to (-pi, pi], exactly.
+
+    The result differs from x by an integer multiple of the float 2 pi, and
+    an angle inside (-pi, pi] is returned bit for bit (-0.0 as 0.0).  A
+    Python float gives a Python float; NaN and +-inf give NaN.  `%` by a
+    divisor with the sign of x is fmod, which is exact, and the one 2 pi
+    correction of a value in (pi, 2 pi) or (-2 pi, -pi] is exact by
+    Sterbenz's lemma."""
+    w = x % (d := 2.0 * np.pi * (1 - 2 * (x < 0.0)))   # d: 2 pi with the sign of x
+    return w - d * ((w + w > d) ^ (d < 0.0))           # w > pi, or w <= -pi for d < 0
 
 
 def _check_attitude(phi, theta, psi=0.0):
@@ -58,7 +66,8 @@ def _check_rail_offset(dr_x):
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """Roll, pitch, yaw in radians. phi and psi are wrapped to (-pi, pi]."""
+    """Roll, pitch, yaw in radians.  phi and psi are wrapped to (-pi, pi] by
+    `wrap_angle`, so a roll or yaw inside it is stored bit for bit."""
 
     phi: float
     theta: float

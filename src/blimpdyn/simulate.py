@@ -126,13 +126,18 @@ class Trajectory:
     V: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    Vz: np.ndarray
+    v_inertial: np.ndarray   # (n, 3) inertial velocity R(e) v
     psidot: np.ndarray       # inertial yaw rate from edot = J omega
     R: np.ndarray            # median-smoothed turning radius
     stop_step: int = None    # index of the RK4 step that failed; None when "ok"
 
     def __len__(self):
         return self.t.size
+
+    @property
+    def Vz(self):
+        """Inertial sink rate (z down), the last column of `v_inertial`."""
+        return self.v_inertial[:, 2]
 
     def state_at(self, k):
         return State.from_vector(self.states[k])
@@ -288,17 +293,12 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     return _finish_trajectory(np.arange(m) * dt, states[:m], dt, status, stop_step)
 
 
-def _inertial_velocity(states):
-    """Inertial velocity R(e) v of every sample of an (n, 18) state array, (n, 3)."""
-    return np.einsum("nij,nj->ni", rotation_matrices(states[:, 3:6]), states[:, 6:9])
-
-
 def _finish_trajectory(t, states, dt, status, stop_step):
-    """The `Trajectory` of `states` at times `t`, Vz and R from one inertial
-    velocity; R is smoothed over the run, within [10 dt, 1 s] (inf below 3 samples)."""
+    """The `Trajectory` of `states` at times `t`, with the inertial velocity
+    built once; R is smoothed over the run, within [10 dt, 1 s] (inf below 3 samples)."""
     n = t.size
     alpha, beta, V = aero_angles_array(states[:, 6:9])
-    vi = _inertial_velocity(states)
+    vi = np.einsum("nij,nj->ni", rotation_matrices(states[:, 3:6]), states[:, 6:9])
     # Third row of J omega; cos(theta) cannot vanish (gimbal guard upstream).
     phi, theta = states[:, 3], states[:, 4]
     psidot = (np.sin(phi) * states[:, 10] + np.cos(phi) * states[:, 11]) / np.cos(theta)
@@ -306,7 +306,7 @@ def _finish_trajectory(t, states, dt, status, stop_step):
     R = _radius_series(vi, psidot, dt, window) if n >= 3 else np.full(n, np.inf)
     return Trajectory(
         t=t, states=states, dt=dt, status=status,
-        V=V, alpha=alpha, beta=beta, Vz=vi[:, 2], psidot=psidot,
+        V=V, alpha=alpha, beta=beta, v_inertial=vi, psidot=psidot,
         R=R, stop_step=stop_step,
     )
 
@@ -317,7 +317,7 @@ def turning_radius_series(traj, window):
     window `integrate` used this is `traj.R`: both call one helper."""
     if not 10 * traj.dt - 1e-12 <= window < math.inf:
         raise ValueError(f"window must be finite and at least 10 dt, got {window!r}")
-    return _radius_series(_inertial_velocity(traj.states), traj.psidot, traj.dt, window)
+    return _radius_series(traj.v_inertial, traj.psidot, traj.dt, window)
 
 
 def _radius_series(vi, psidot, dt, window):
@@ -350,7 +350,7 @@ def glide_metrics(traj):
     half of the samples."""
     if traj.t[-1] - traj.t[0] < 2.0:
         raise ValueError("trajectory must be longer than 2 s")
-    forward = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
+    forward = np.hypot(*traj.v_inertial[:, :2].T)
     descent = traj.Vz
     k0 = len(traj) // 2
     mean_desc = float(np.mean(descent[k0:]))

@@ -19,6 +19,7 @@ from reference_kernel import (
 from reference_matrix import reference_rhs, steady_residual, wind_matrix
 
 from blimpdyn import aero, equilibria, frames
+from blimpdyn.cli import spiral_cells
 from blimpdyn.dynamics import ControlInput, bind
 from blimpdyn.equilibria import (
     LAMBDA_MIN,
@@ -561,14 +562,14 @@ def test_solution_wraps_pitch_and_roll_outside_pi(params, theta, phi):
     """A solve reports theta and phi in (-pi, pi]: an angle outside it, such
     as the roll of 9.613 rad (550.8 deg) an Euler seed once reached, is
     wrapped by `frames.wrap_angle`, and the body velocity, rates and state
-    follow the wrapped angle; an angle inside it keeps its bits, though
-    `wrap_angle` would move the last bit of 0.113 and 0.013."""
+    follow the wrapped angle; an angle inside it, such as 0.113 or 0.013,
+    keeps its bits, as `wrap_angle` returns it unchanged."""
     x = np.array([theta, phi, 0.4, 0.9, 0.1, 0.05])
     sol = equilibria._make_solution(x, 1e-12, "spiral", 0.02, 0.03, params.rail_position(0.01))
-    wrapped = [a if -math.pi < a <= math.pi else float(frames.wrap_angle(a)) for a in x[:2]]
+    wrapped = [frames.wrap_angle(a) for a in x[:2].tolist()]
     assert [sol.theta, sol.phi] == wrapped
     assert all(-math.pi < a <= math.pi for a in wrapped)
-    assert float(frames.wrap_angle(0.113)) != 0.113 and float(frames.wrap_angle(0.013)) != 0.013
+    assert frames.wrap_angle(0.113) == 0.113 and frames.wrap_angle(0.013) == 0.013
     np.testing.assert_allclose(wrapped, np.remainder(x[:2] + math.pi, 2.0 * math.pi) - math.pi,
                                rtol=0.0, atol=1e-14)
     k = equilibria._unknowns_to_kinematics(sol.unknowns)
@@ -576,8 +577,19 @@ def test_solution_wraps_pitch_and_roll_outside_pi(params, theta, phi):
     np.testing.assert_allclose(sol.w_b, equilibria._unknowns_to_kinematics(x)[3:6], rtol=0.0,
                                atol=1e-14)
     state = sol.state(sol.rbar)
-    assert (state.e.phi, state.e.theta) == (float(frames.wrap_angle(sol.phi)), sol.theta)
+    assert (state.e.phi, state.e.theta) == (sol.phi, sol.theta)
     assert state.v.tobytes() == sol.v_b.tobytes() and state.w.tobytes() == sol.w_b.tobytes()
+
+
+def test_every_cli_spiral_equilibrium_starts_on_its_own_roll(params, model):
+    """The state of each spiral of the CLI survey grid has the solution's
+    roll bit for bit, so a run started from it starts on the equilibrium
+    whose body velocity and rates it carries."""
+    for drx, _, Fl, Fr in spiral_cells():
+        sol = solve_spiral(drx * 1e-2, Fl, Fr, params, model)
+        state = sol.state(sol.rbar)
+        assert (state.e.phi, state.e.theta) == (sol.phi, sol.theta), (drx, Fl, Fr)
+        assert state.v.tobytes() == sol.v_b.tobytes()
 
 
 @pytest.mark.parametrize("dr_x, diff, bound, seeds", [

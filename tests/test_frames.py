@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,37 @@ def test_wrap_angle_range():
         assert -np.pi < w <= np.pi
         assert np.isclose(np.sin(w), np.sin(x), atol=1e-12)
         assert np.isclose(np.cos(w), np.cos(x), atol=1e-12)
+
+
+_EDGES = [k * math.pi for k in (-3, -2, -1, 1, 2, 3)]
+_EDGES += [math.nextafter(a, b) for a in _EDGES for b in (-math.inf, math.inf)]
+_EDGES += [5e-324, -5e-324, 1e-20, -1e-12, 0.113, 1e300, -1e300, 1e6, -1e6, 0.0, -0.0]
+finite_angles = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.floats(-40.0, 40.0) | st.sampled_from(_EDGES))
+
+
+@given(x=finite_angles)
+@settings(max_examples=400, deadline=None)
+def test_wrap_angle_is_exact(x):
+    """For every finite float the result lies in (-pi, pi] and differs from
+    x by an exact integer multiple of the float 2 pi; inside (-pi, pi] it is
+    x bit for bit (-0.0 comes back as 0.0); a float gives a float, and an
+    array the bits of each float."""
+    w = wrap_angle(x)
+    assert type(w) is float and wrap_angle(np.array([x])).tobytes() == np.array([w]).tobytes()
+    assert -math.pi < w <= math.pi
+    assert ((Fraction(x) - Fraction(w)) / Fraction(2.0 * math.pi)).denominator == 1
+    if -math.pi < x <= math.pi:
+        assert w.hex() == (x if x else 0.0).hex()
+
+
+def test_wrap_angle_of_a_non_finite_float_is_nan():
+    assert all(math.isnan(wrap_angle(x)) for x in (math.nan, math.inf, -math.inf))
+
+
+def test_euler_angles_keep_an_in_range_roll_and_yaw():
+    e = EulerAngles(1e-20, 0.0, 1e-12)
+    assert (e.phi, e.psi) == (1e-20, 1e-12)
 
 
 def test_wrap_angle_of_an_array_wraps_each_element():

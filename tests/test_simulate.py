@@ -7,7 +7,7 @@ from reference_kernel import reference_integrate
 from reference_matrix import aero_angles
 from scipy.signal import medfilt
 
-from blimpdyn import dynamics
+from blimpdyn import dynamics, simulate
 from blimpdyn.equilibria import solve_spiral, solve_straight, turning_radius
 from blimpdyn.frames import (
     GF_TO_N,
@@ -15,6 +15,7 @@ from blimpdyn.frames import (
     EulerAngles,
     State,
     rotation_body_to_inertial,
+    rotation_matrices,
 )
 from blimpdyn.paramio import SchemaError
 from blimpdyn.simulate import (
@@ -461,6 +462,35 @@ def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
     assert len(binds) == 1
 
 
+def test_a_run_rotates_its_velocity_once(params, model, monkeypatch):
+    """`integrate` builds the inertial velocity of every sample with one call
+    of `rotation_matrices`; `turning_radius_series` and `glide_metrics`
+    read it from the trajectory and rotate nothing."""
+    calls = []
+    real = simulate.rotation_matrices
+    monkeypatch.setattr(simulate, "rotation_matrices", lambda e: calls.append(1) or real(e))
+    F = 0.75 * GF_TO_N                                  # 1.5 gf in all: a descending glide
+    trim = solve_straight(0.0, F, params, model)
+    traj = integrate(trim.state(trim.rbar), InputSchedule.constant(F, F, 3.0), params, model,
+                     dt=0.01, T=3.0)
+    assert traj.status == "ok" and len(calls) == 1
+    turning_radius_series(traj, 0.5)
+    glide_metrics(traj)
+    assert len(calls) == 1
+    assert traj.Vz.base is traj.v_inertial and traj.Vz.tolist() == traj.v_inertial[:, 2].tolist()
+
+
+def test_state_at_keeps_an_in_range_roll(params, model):
+    """Each sample's state has the roll of the state array bit for bit."""
+    sol = solve_spiral(0.0, 1.3 * GF_TO_N, 2.7 * GF_TO_N, params, model)
+    traj = integrate(sol.state(sol.rbar), InputSchedule.constant(sol.Fl, sol.Fr, 1.0), params,
+                     model, dt=0.01, T=1.0)
+    assert traj.status == "ok" and traj.states[0, 3] == sol.phi
+    for k in range(len(traj)):
+        assert -math.pi < traj.states[k, 3] <= math.pi
+        assert traj.state_at(k).e.phi == traj.states[k, 3]
+
+
 def test_dt_validation(params, model):
     with pytest.raises(ValueError):
         integrate(_rest_state(params), InputSchedule.constant(F2, F2, 1.0),
@@ -607,12 +637,15 @@ def test_trajectory_analysis_matches_per_sample_formulas(params, model, start):
                       rtol=1e-12, atol=0.0)
 
 
-def _medfilt_turning_radius_series(traj, window):
-    """`turning_radius_series` smoothed by scipy.signal.medfilt, NaN radii
-    counted as inf: the reference for the zero-padded numpy running
-    median."""
-    from blimpdyn.simulate import _inertial_velocity
+def _inertial_velocity(states):
+    """R(e) v of each sample of an (n, 18) state array, rotated here."""
+    return np.einsum("nij,nj->ni", rotation_matrices(states[:, 3:6]), states[:, 6:9])
 
+
+def _medfilt_turning_radius_series(traj, window):
+    """`turning_radius_series` of the states' own inertial velocity, smoothed
+    by scipy.signal.medfilt, NaN radii counted as inf: the reference for the
+    zero-padded numpy running median."""
     n = len(traj)
     hs = np.hypot(*_inertial_velocity(traj.states)[:, :2].T)
     slow = np.abs(traj.psidot) < PSIDOT_MIN
@@ -645,7 +678,8 @@ def test_turning_radius_series_matches_medfilt(params, model, T, window, non_fin
         if len(traj) > 3:
             states[5, 6] = np.inf
             psidot[20:90] = 0.0
-        traj = replace(traj, states=states, psidot=psidot)
+        traj = replace(traj, states=states, psidot=psidot,
+                       v_inertial=_inertial_velocity(states))
     got = turning_radius_series(traj, window)
     ref = _medfilt_turning_radius_series(traj, window)
     assert got.tobytes() == ref.tobytes()
@@ -664,7 +698,7 @@ def test_turning_radius_series_keeps_huge_finite_radii(params, model):
     states[:, 6:9] = 1e9, 0.0, 0.0
     states[:, 3:6] = 0.0
     psidot[0:16:2], psidot[1:16:2] = np.nan, 0.0
-    traj = replace(traj, states=states, psidot=psidot)
+    traj = replace(traj, states=states, psidot=psidot, v_inertial=_inertial_velocity(states))
     got = turning_radius_series(traj, 0.1)
     assert got.tobytes() == _medfilt_turning_radius_series(traj, 0.1).tobytes()
     assert np.isinf(got[:6]).all()
