@@ -4,11 +4,15 @@ share), plus trajectory metrics (turning radius, glide performance).
 
 Inputs are held constant within each step and sampled at segment
 boundaries aligned to the time grid, so identical inputs produce
-bitwise-identical trajectories.
+bitwise-identical trajectories.  A `Trajectory` stores only what the
+integration produced; its per-sample series (airspeed, aerodynamic angles,
+inertial velocity, yaw rate, turning radius) are derived from its states
+when first read.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -117,27 +121,55 @@ def read_schedule(path):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid trajectory with derived per-sample quantities."""
+    """Uniform-grid trajectory: what `integrate` produced, and the
+    per-sample series of its states.
+
+    Each series is derived from `states` the first time it is read and
+    kept, so a record made by `dataclasses.replace` derives the series of
+    its own states."""
 
     t: np.ndarray
     states: np.ndarray       # (n, 18)
     dt: float
     status: str              # "ok" | "gimbal_lock" | "non_finite"
-    V: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    v_inertial: np.ndarray   # (n, 3) inertial velocity R(e) v
-    psidot: np.ndarray       # inertial yaw rate from edot = J omega
-    R: np.ndarray            # median-smoothed turning radius
     stop_step: int = None    # index of the RK4 step that failed; None when "ok"
 
     def __len__(self):
         return self.t.size
 
+    @cached_property
+    def _aero_angles(self):
+        """(alpha, beta, V) of every sample, from one call."""
+        return aero_angles_array(self.states[:, 6:9])
+
+    alpha = property(lambda self: self._aero_angles[0])
+    beta = property(lambda self: self._aero_angles[1])
+    V = property(lambda self: self._aero_angles[2])
+
+    @cached_property
+    def v_inertial(self):
+        """(n, 3) inertial velocity R(e) v."""
+        return np.einsum("nij,nj->ni", rotation_matrices(self.states[:, 3:6]), self.states[:, 6:9])
+
     @property
     def Vz(self):
         """Inertial sink rate (z down), the last column of `v_inertial`."""
         return self.v_inertial[:, 2]
+
+    @cached_property
+    def psidot(self):
+        """Inertial yaw rate, the third row of edot = J omega; cos(theta)
+        cannot vanish (gimbal guard upstream)."""
+        phi, theta, q, r = (self.states[:, i] for i in (3, 4, 10, 11))
+        return (np.sin(phi) * q + np.cos(phi) * r) / np.cos(theta)
+
+    @cached_property
+    def R(self):
+        """Median-smoothed turning radius over the run, within [10 dt, 1 s]
+        (inf below 3 samples)."""
+        n = len(self)
+        window = min(1.0, max(10 * self.dt, (n - 1) * self.dt))
+        return _radius_series(self, window) if n >= 3 else np.full(n, np.inf)
 
     def state_at(self, k):
         return State.from_vector(self.states[k])
@@ -181,9 +213,10 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
     every stage passes the kernel's derivative the 15 components it reads,
     y_i + h k_i written out, and the step combines the four stages
     component by component into the row of the preallocated state array.
-    Returns a Trajectory; on gimbal lock or a non-finite state the partial
-    trajectory is returned with the corresponding status flag and the
-    index of the step that failed."""
+    Returns the Trajectory of the time grid and the states, and derives no
+    series; on gimbal lock or a non-finite state the partial trajectory is
+    returned with the corresponding status flag and the index of the step
+    that failed."""
     if not (0.0 < dt <= 0.05):
         raise ValueError("dt must be in (0, 0.05]")
     if not 0.0 < T < math.inf:
@@ -290,44 +323,26 @@ def integrate(state0, sched, params, model, dt=0.005, T=10.0, legacy=False):
             break
         k0 = k1
     m = n + 1 if stop_step is None else stop_step + 1
-    return _finish_trajectory(np.arange(m) * dt, states[:m], dt, status, stop_step)
-
-
-def _finish_trajectory(t, states, dt, status, stop_step):
-    """The `Trajectory` of `states` at times `t`, with the inertial velocity
-    built once; R is smoothed over the run, within [10 dt, 1 s] (inf below 3 samples)."""
-    n = t.size
-    alpha, beta, V = aero_angles_array(states[:, 6:9])
-    vi = np.einsum("nij,nj->ni", rotation_matrices(states[:, 3:6]), states[:, 6:9])
-    # Third row of J omega; cos(theta) cannot vanish (gimbal guard upstream).
-    phi, theta = states[:, 3], states[:, 4]
-    psidot = (np.sin(phi) * states[:, 10] + np.cos(phi) * states[:, 11]) / np.cos(theta)
-    window = min(1.0, max(10 * dt, (n - 1) * dt))
-    R = _radius_series(vi, psidot, dt, window) if n >= 3 else np.full(n, np.inf)
-    return Trajectory(
-        t=t, states=states, dt=dt, status=status,
-        V=V, alpha=alpha, beta=beta, v_inertial=vi, psidot=psidot,
-        R=R, stop_step=stop_step,
-    )
+    return Trajectory(np.arange(m) * dt, states[:m], dt, status, stop_step)
 
 
 def turning_radius_series(traj, window):
     """Per-sample horizontal turning radius, median-smoothed over `window`
     seconds.  Samples with |psidot| below PSIDOT_MIN report inf.  At the
-    window `integrate` used this is `traj.R`: both call one helper."""
+    run's window this is `traj.R`: both call one helper."""
     if not 10 * traj.dt - 1e-12 <= window < math.inf:
         raise ValueError(f"window must be finite and at least 10 dt, got {window!r}")
-    return _radius_series(traj.v_inertial, traj.psidot, traj.dt, window)
+    return _radius_series(traj, window)
 
 
-def _radius_series(vi, psidot, dt, window):
-    """Turning radius, the horizontal speed of the (n, 3) inertial velocity vi over
-    |psidot| (inf below PSIDOT_MIN), median-smoothed over `window` s of step dt."""
-    n = len(vi)
+def _radius_series(traj, window):
+    """Turning radius, the horizontal speed of `traj.v_inertial` over |psidot|
+    (inf below PSIDOT_MIN), median-smoothed over `window` s."""
+    n, vi, psidot = len(traj), traj.v_inertial, traj.psidot
     hs = np.hypot(vi[:, 0], vi[:, 1])
     slow = np.abs(psidot) < PSIDOT_MIN
     R = np.where(slow, np.inf, hs / np.maximum(np.abs(psidot), PSIDOT_MIN))
-    ksz = int(round(window / dt))
+    ksz = int(round(window / traj.dt))
     if ksz % 2 == 0:
         ksz += 1
     ksz = min(ksz, n if n % 2 == 1 else n - 1)

@@ -71,13 +71,9 @@ class CriterionResult:
         return f"criterion {self.number} [{tag}] {self.name}: {self.detail}"
 
 
-def _bundle():
-    return load_bundled()
-
-
 def criterion_1():
     """Maximum lift-to-drag ratio and its angle of attack."""
-    _, model = _bundle()
+    _, model = load_bundled()
     table = lift_drag_analysis(model, POLAR_ALPHA)
     alpha_deg = np.degrees(table.alpha_star)
     ok = abs(table.max_ld - 1.78) <= 0.02 and abs(alpha_deg - 10.7) <= 0.3
@@ -89,7 +85,7 @@ def criterion_1():
 
 def criterion_2():
     """Aerodynamic lift magnitude and share of total lift at 1 m/s."""
-    params, model = _bundle()
+    params, model = load_bundled()
     a = AeroAngles(np.radians(10.7), 0.0, 1.0)
     loads = aero_loads(model, a, np.zeros(3), params.rho)
     lift_gf = loads.L / GF_TO_N
@@ -104,7 +100,7 @@ def criterion_2():
 
 def criterion_3():
     """Net mass of the assembled vehicle."""
-    params, _ = _bundle()
+    params, _ = load_bundled()
     net_g = params.net_mass * 1e3
     ok = abs(net_g - 6.85) <= 0.01
     return CriterionResult(
@@ -114,7 +110,7 @@ def criterion_3():
 
 def criterion_4():
     """Slowest eigenvalue of the 8-state linearization at the stock trim."""
-    params, model = _bundle()
+    params, model = load_bundled()
     F = TRIM_THRUST
     sol = solve_straight(0.0, F, params, model)
     A = linearize(sol, ControlInput(F, F), sol.rbar, params, model)
@@ -130,7 +126,7 @@ def criterion_4():
 
 def criterion_5():
     """Straight-trim sweep: convergence, pitch monotonicity, hold-drift."""
-    params, model = _bundle()
+    params, model = load_bundled()
     F = TRIM_THRUST
     thetas = []
     worst_resid = 0.0
@@ -179,7 +175,7 @@ def _converged_spirals(params, model, mirrored=False):
 def criterion_6():
     """Spiral sweep convergence, mirror symmetry, staircase radius match.
     A cell that does not converge fails the criterion."""
-    params, model = _bundle()
+    params, model = load_bundled()
     n_cells = len(SPIRAL_DRX_CM) * len(SPIRAL_DIFF_GF)
     sols = _converged_spirals(params, model)
     worst_resid = max((sol.residual_norm for sol in sols.values()), default=0.0)
@@ -241,7 +237,7 @@ def _grid_observations(params, model):
 
 def criterion_7():
     """Identification round trip, noise-free and with 2% load noise."""
-    params, model = _bundle()
+    params, model = load_bundled()
     truth = model.as_vector()
     obs = _grid_observations(params, model)
 
@@ -270,7 +266,7 @@ def criterion_7():
 
 def criterion_8():
     """Integrator order of accuracy and conservative-case energy drift."""
-    params, model = _bundle()
+    params, model = load_bundled()
     gf = GF_TO_N
     state0 = State(
         p=np.zeros(3), e=EulerAngles(0.05, 0.15, 0.0),
@@ -303,7 +299,7 @@ def criterion_8():
 
 def _synthetic_trial_set(workdir):
     """Simulate a small steady-flight campaign and write manifest + trials."""
-    params, model = _bundle()
+    params, model = load_bundled()
     gf = GF_TO_N
     rows = []
     settings = [("straight", drx, TRIM_THRUST_GF, TRIM_THRUST_GF)

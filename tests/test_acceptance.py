@@ -42,8 +42,8 @@ def test_criterion_6_counts_a_failed_cell(monkeypatch, drx_cm, diff, stock_only,
     count it measured, instead of aborting.  A failed cell at dr_x = 0 also
     takes the staircase and, failing on the symmetrized vehicle too, the
     mirror check with it."""
-    params, model = validation._bundle()
-    monkeypatch.setattr(validation, "_bundle", lambda: (params, model))
+    params, model = validation.load_bundled()
+    monkeypatch.setattr(validation, "load_bundled", lambda: (params, model))
     bad_cell = (drx_cm * 1e-2, 0.5 * (7.0 + diff) * GF_TO_N, 0.5 * (7.0 - diff) * GF_TO_N)
     solve = validation.solve_spiral
 
@@ -64,9 +64,9 @@ def test_criterion_2_reads_the_buoyancy_from_the_vehicle(monkeypatch):
     """The lift share of criterion 2 is taken against the vehicle's own
     buoyancy: a vehicle with twice the buoyancy reports the share of the
     same aero lift against it."""
-    params, model = validation._bundle()
+    params, model = validation.load_bundled()
     heavy = replace(params, B=2.0 * params.B)
-    monkeypatch.setattr(validation, "_bundle", lambda: (heavy, model))
+    monkeypatch.setattr(validation, "load_bundled", lambda: (heavy, model))
     detail = validation.criterion_2().detail
     lift_gf = float(re.search(r"aero lift ([0-9.]+) gf", detail).group(1))
     share = float(re.search(r"share ([0-9.]+)%", detail).group(1))

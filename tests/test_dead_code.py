@@ -39,6 +39,9 @@ and a guard against finite-difference derivatives there.
   `equilibria.SteadySolution` declares all six steady unknowns
   (theta, phi, psidot, V, alpha, beta) as fields, so a solved equilibrium
   and an identification observation are the same record.
+- A trajectory is its states: `simulate.Trajectory` declares as fields
+  only what `integrate` produced (`t`, `states`, `dt`, `status`,
+  `stop_step`), so every per-sample series is derived from `states`.
 - The CLI's verb table `cli._VERBS` is the one list of each verb's
   options: the subparser of each verb accepts exactly the options its row
   declares, and each declared option is read as `args.<option>` by the
@@ -859,6 +862,37 @@ def test_steady_record_gate_sees_a_copy():
            "    alpha: float\n"
            "    @property\n    def beta(self):\n        return 0.0\n")
     assert steady_records([("m.py", ast.parse(src))]) == ["m.Defaults", "m.Observation", "m.Row"]
+
+
+TRAJECTORY_FIELDS = ("t", "states", "dt", "status", "stop_step")
+
+
+def class_fields(tree, name):
+    """The names the top-level class `name` of a parsed module declares
+    with an annotation, in order: the fields of a dataclass."""
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return tuple(stmt.target.id for stmt in cls.body
+                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
+def _simulate_source():
+    with open(os.path.join(SRC, "simulate.py")) as fh:
+        return fh.read()
+
+
+def test_a_trajectory_stores_only_what_integrate_produced():
+    assert class_fields(ast.parse(_simulate_source()), "Trajectory") == TRAJECTORY_FIELDS
+
+
+def test_trajectory_gate_sees_a_stored_series():
+    """The gate reports a copy of `simulate` whose `Trajectory` stores a
+    series beside its states."""
+    src = _simulate_source()
+    assert src.count("    dt: float\n") == 1
+    copy = src.replace("    dt: float\n", "    dt: float\n    psidot: np.ndarray\n")
+    assert class_fields(ast.parse(copy), "Trajectory") == (
+        "t", "states", "dt", "psidot", "status", "stop_step")
 
 
 def subparser_mismatches(parser, verbs):

@@ -462,22 +462,78 @@ def test_integrate_binds_the_kernel_once(params, model, monkeypatch):
     assert len(binds) == 1
 
 
-def test_a_run_rotates_its_velocity_once(params, model, monkeypatch):
-    """`integrate` builds the inertial velocity of every sample with one call
-    of `rotation_matrices`; `turning_radius_series` and `glide_metrics`
-    read it from the trajectory and rotate nothing."""
-    calls = []
-    real = simulate.rotation_matrices
-    monkeypatch.setattr(simulate, "rotation_matrices", lambda e: calls.append(1) or real(e))
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Counts of the calls of `simulate.rotation_matrices` and of
+    `simulate._radius_series` made while the test runs."""
+    calls = {"rotation_matrices": 0, "_radius_series": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(simulate, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(simulate, name, counted)
+    return calls
+
+
+def _descending_glide(params, model):
     F = 0.75 * GF_TO_N                                  # 1.5 gf in all: a descending glide
     trim = solve_straight(0.0, F, params, model)
     traj = integrate(trim.state(trim.rbar), InputSchedule.constant(F, F, 3.0), params, model,
                      dt=0.01, T=3.0)
-    assert traj.status == "ok" and len(calls) == 1
+    assert traj.status == "ok"
+    return traj
+
+
+def test_integrate_derives_no_series(params, model, analysis_calls):
+    """`integrate` alone neither rotates a velocity nor smooths a radius."""
+    _descending_glide(params, model)
+    assert analysis_calls == {"rotation_matrices": 0, "_radius_series": 0}
+
+
+def test_a_run_rotates_its_velocity_once(params, model, analysis_calls):
+    """The inertial velocity of every sample is built by one call of
+    `rotation_matrices`, on the first read of `v_inertial`;
+    `turning_radius_series`, `glide_metrics` and `R` read it and rotate
+    nothing."""
+    traj = _descending_glide(params, model)
+    assert analysis_calls["rotation_matrices"] == 0
+    traj.v_inertial
+    assert analysis_calls["rotation_matrices"] == 1
     turning_radius_series(traj, 0.5)
     glide_metrics(traj)
-    assert len(calls) == 1
+    traj.R
+    assert analysis_calls["rotation_matrices"] == 1
     assert traj.Vz.base is traj.v_inertial and traj.Vz.tolist() == traj.v_inertial[:, 2].tolist()
+
+
+def test_a_hold_operation_rotates_and_smooths_once(params, model, analysis_calls):
+    """The analysis of a benchmark hold operation, `turning_radius_series`
+    at 1 s and then `glide_metrics`, rotates the velocity once and runs the
+    running median once: the run's own `R` is never smoothed."""
+    traj = _descending_glide(params, model)
+    turning_radius_series(traj, 1.0)
+    glide_metrics(traj)
+    assert analysis_calls == {"rotation_matrices": 1, "_radius_series": 1}
+
+
+def test_a_replaced_record_derives_the_series_of_its_own_states(params, model):
+    """`dataclasses.replace` with another run's states and times gives a
+    record whose every series is that run's, bit for bit, also after the
+    first record's series were read."""
+    from dataclasses import replace
+
+    series = ("alpha", "beta", "V", "v_inertial", "Vz", "psidot", "R")
+    glide = _descending_glide(params, model)
+    Fl, Fr = 1.5 * GF_TO_N, 0.5 * GF_TO_N
+    sol = solve_spiral(0.0, Fl, Fr, params, model)
+    other = integrate(sol.state(sol.rbar), InputSchedule.constant(Fl, Fr, 3.0), params, model,
+                      dt=0.01, T=3.0)
+    assert other.status == "ok" and len(other) == len(glide)
+    for name in series:
+        assert getattr(glide, name).tobytes() != getattr(other, name).tobytes(), name
+    got = replace(glide, states=other.states, t=other.t)
+    for name in series:
+        assert getattr(got, name).tobytes() == getattr(other, name).tobytes(), name
 
 
 def test_state_at_keeps_an_in_range_roll(params, model):
@@ -673,13 +729,16 @@ def test_turning_radius_series_matches_medfilt(params, model, T, window, non_fin
     traj = integrate(sol.state(sol.rbar), InputSchedule.constant(Fl, Fr, T),
                      params, model, T=T)
     if non_finite:
-        states, psidot = traj.states.copy(), traj.psidot.copy()
-        psidot[:2] = 0.0, np.nan
+        # psidot is sin(phi) q + cos(phi) r over cos(theta): zero rates
+        # make it zero, a NaN yaw rate r makes it NaN.
+        states = traj.states.copy()
+        states[0, 10:12] = 0.0
+        states[1, 11] = np.nan
         if len(traj) > 3:
             states[5, 6] = np.inf
-            psidot[20:90] = 0.0
-        traj = replace(traj, states=states, psidot=psidot,
-                       v_inertial=_inertial_velocity(states))
+            states[20:90, 10:12] = 0.0
+        traj = replace(traj, states=states)
+        assert traj.psidot[0] == 0.0 and np.isnan(traj.psidot[1])
     got = turning_radius_series(traj, window)
     ref = _medfilt_turning_radius_series(traj, window)
     assert got.tobytes() == ref.tobytes()
@@ -694,11 +753,14 @@ def test_turning_radius_series_keeps_huge_finite_radii(params, model):
 
     traj = integrate(_rest_state(params), InputSchedule.constant(F2, F2, 0.5),
                      params, model, T=0.5)
-    states, psidot = traj.states.copy(), np.full(len(traj), PSIDOT_MIN)
+    # Level attitude and zero pitch rate: psidot is the yaw rate r.
+    states = traj.states.copy()
     states[:, 6:9] = 1e9, 0.0, 0.0
     states[:, 3:6] = 0.0
-    psidot[0:16:2], psidot[1:16:2] = np.nan, 0.0
-    traj = replace(traj, states=states, psidot=psidot, v_inertial=_inertial_velocity(states))
+    states[:, 10:12] = 0.0, PSIDOT_MIN
+    states[0:16:2, 11], states[1:16:2, 11] = np.nan, 0.0
+    traj = replace(traj, states=states)
+    assert traj.psidot[16:].tolist() == [PSIDOT_MIN] * (len(traj) - 16)
     got = turning_radius_series(traj, 0.1)
     assert got.tobytes() == _medfilt_turning_radius_series(traj, 0.1).tobytes()
     assert np.isinf(got[:6]).all()
